@@ -31,7 +31,7 @@ from .diagonalizers import m3_weights
 from .energy import FrequencyExperiment, estimate_loss, evolve_frequency
 from .moduli import admissibility_check, certification_grid, decay_rate, decay_rate_pair
 from .tables import TABLE_BUILDERS
-from .weights import classify
+from .weights import _top_window, classify
 from .zygmund import GridFunction1D, norm_equivalence_report
 from .coefficients import SpatialProfile
 
@@ -214,8 +214,9 @@ def _verify_checks(cfg: ExperimentConfig):
     m3 = np.array(
         [np.max(np.abs(m3_weights(cfg.operator, None, float(x), cfg.zone.T, quadrature=512).integrals)) for x in sub]
     )
-    top = m3[sub >= sub[-1] / 10.0]
-    rest = m3[sub < sub[-1] / 10.0]
+    in_top = _top_window(sub, 1.0)
+    top = m3[in_top]
+    rest = m3[~in_top]
     cap = max(2.0 * float(np.max(rest)) if rest.size else 0.0, 0.05)
     ok = bool(np.all(np.isfinite(m3)) and float(np.max(top)) <= cap)
     yield ("m3_integral_bounded", ok, f"max={float(np.max(m3)):.4g}")

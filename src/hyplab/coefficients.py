@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .moduli import AuxiliaryFunction, decay_rate, decay_rate_pair
-from .weights import jbracket
+from .weights import _top_window, fit_loglog_slope, jbracket
 from .zones import ZoneParams, validate_zone, zone_boundary
 
 __all__ = [
@@ -170,7 +170,7 @@ class CoefficientSpec:
         return (self.base + self.delta) * factor
 
     def extended_time_value(self, t):
-        """Evaluation on the mollification windows.
+        """Evaluation on the mollification windows and the integrator stages.
 
         Below zero the profile has no one-sided limit in general, so the
         value freezes at a fixed tiny positive time (constant continuation,
@@ -184,6 +184,28 @@ class CoefficientSpec:
         if self.profile == "log_power_oscillation" and self.gamma_osc > 0.0:
             hi = 1.0 - 1e-9
         return self._time_value(np.clip(t, _T_FLOOR, hi))
+
+    def rate_bound(self, t: float) -> float:
+        """Scalar envelope of |a'(t)| at t > 0, for the integrator's step size.
+
+        The log-power bound holds for all t > 0; the lacunary bound is the
+        sum of the term amplitudes and does not depend on t.
+        """
+        if self.profile == "constant":
+            return 0.0
+        if self.profile == "log_power_oscillation":
+            g = self.gamma_osc
+            L = math.log(1.0 / t)
+            if L <= 0.0:
+                return abs(self.delta) * (1.0 + g) / t
+            return abs(self.delta) * (1.0 + g) * L**g / t
+        total = 0.0
+        norm = 0.0
+        for j in range(self.depth + 1):
+            w = 2.0 ** (-j * self.alpha)
+            total += w * 2.0**j
+            norm += w
+        return abs(self.delta) * total / norm
 
 
 def oscillation_class(gamma_osc: float) -> str:
@@ -305,15 +327,6 @@ class ClauseCheck:
     ratio_by_xi: np.ndarray
     top_decade_growth: float
 
-    def row(self):
-        return {
-            "clause": self.name,
-            "max_ratio": self.max_ratio,
-            "argmax_t": self.argmax_t,
-            "argmax_xi": self.argmax_xi,
-            "top_decade_growth": self.top_decade_growth,
-        }
-
 
 @dataclass
 class RegBoundsReport:
@@ -338,12 +351,9 @@ class RegBoundsReport:
 def _growth_over_top_decade(xi_grid, ratios):
     xi = np.asarray(xi_grid, dtype=float)
     r = np.asarray(ratios, dtype=float)
-    mask = xi >= xi[-1] / 10.0 * (1.0 - 1e-9)
-    good = mask & (r > 0.0)
+    good = _top_window(xi, 1.0) & (r > 0.0)
     if int(good.sum()) < 3:
         return 1.0
-    from .weights import fit_loglog_slope
-
     slope, _ = fit_loglog_slope(xi[good], r[good])
     return float(10.0**slope)
 

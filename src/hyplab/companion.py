@@ -91,11 +91,6 @@ class HyperbolicOperatorSpec:
     def sup_abs(self):
         return max([c.sup_abs for c in self.coeffs if c is not None], default=0.0)
 
-    def oscillation_rate(self, t):
-        """Max closed-form |a'(t)| over the coefficient list (raw, unmollified)."""
-        rates = [abs(c.time_derivative(t, 1)) for c in self.coeffs if c is not None and c.profile != "constant"]
-        return max(rates, default=0.0)
-
     def coeff_values(self, t, x=None, mollifier: Optional[Mollifier] = None, eps=None):
         """Values of a_{m-j}(t, x) for j = 0..m-1; mollified when asked."""
         out = np.zeros(self.m)

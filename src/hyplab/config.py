@@ -19,12 +19,14 @@ Sections and keys:
     [output]       directory
 
 Validation happens before any computation and reports the offending
-section and key.
+section and key; unknown sections and keys and non-finite numbers are
+rejected.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +43,43 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
 class ConfigError(Exception):
     """A configuration file failed validation."""
+
+
+# accepted keys per section, lowercased as configparser stores them
+_KEYS = {
+    "moduli": {"eta_family", "eta_param", "rho_family", "rho_param", "eta_r0", "rho_r0"},
+    "zone": {"n", "m", "t"},
+    "operator": {"m", "delta_sep"},
+    "grids": {"xi_min", "xi_max", "points_per_decade", "t_samples", "t_min"},
+    "fits": {"eps", "theta_slope_max", "growth_tol", "table_alpha"},
+    "loss": {"gammas", "delta", "xi_min", "xi_max", "points_per_decade", "step_factor"},
+    "energy": {"step_factor", "n_samples", "initial"},
+    "output": {"directory"},
+}
+_COEFFICIENT_KEYS = {
+    "profile", "base", "delta", "gamma_osc", "alpha",
+    "spatial.family", "spatial.s", "spatial.amplitude",
+}
+
+
+def _check_names(parser):
+    for section in parser.sections():
+        if section.startswith("coefficient."):
+            known = _COEFFICIENT_KEYS
+        elif section in _KEYS:
+            known = _KEYS[section]
+        else:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser[section]) - known)
+        if unknown:
+            raise ConfigError(f"[{section}] unknown key '{unknown[0]}'")
+
+
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
 
 
 @dataclass
@@ -88,11 +127,11 @@ def _get(parser, section, key, cast, default=None, *, where=None):
 
 def _aux(parser, role):
     fam = _get(parser, "moduli", f"{role}_family", str)
-    param = _get(parser, "moduli", f"{role}_param", float)
+    param = _get(parser, "moduli", f"{role}_param", _finite)
     default_r0 = {"power_law": 1.0, "log_reciprocal": 0.5, "iterated_log": 0.2}.get(fam)
     if default_r0 is None:
         raise ConfigError(f"[moduli] unknown {role}_family '{fam}'")
-    r0 = _get(parser, "moduli", f"{role}_r0", float, default=default_r0)
+    r0 = _get(parser, "moduli", f"{role}_r0", _finite, default=default_r0)
     try:
         return AuxiliaryFunction(fam, param, role, r0)
     except ValueError as exc:
@@ -103,18 +142,18 @@ def _coefficient(parser, section):
     prof = _get(parser, section, "profile", str)
     kwargs = dict(
         profile=prof,
-        base=_get(parser, section, "base", float, default=2.0),
-        delta=_get(parser, section, "delta", float, default=0.0),
-        gamma_osc=_get(parser, section, "gamma_osc", float, default=0.0),
-        alpha=_get(parser, section, "alpha", float, default=0.5),
+        base=_get(parser, section, "base", _finite, default=2.0),
+        delta=_get(parser, section, "delta", _finite, default=0.0),
+        gamma_osc=_get(parser, section, "gamma_osc", _finite, default=0.0),
+        alpha=_get(parser, section, "alpha", _finite, default=0.5),
     )
-    if parser.has_option(section, "spatial.family"):
-        kwargs["spatial"] = SpatialProfile(
-            family=_get(parser, section, "spatial.family", str),
-            s=_get(parser, section, "spatial.s", float, default=1.2),
-            amplitude=_get(parser, section, "spatial.amplitude", float, default=0.25),
-        )
     try:
+        if parser.has_option(section, "spatial.family"):
+            kwargs["spatial"] = SpatialProfile(
+                family=_get(parser, section, "spatial.family", str),
+                s=_get(parser, section, "spatial.s", _finite, default=1.2),
+                amplitude=_get(parser, section, "spatial.amplitude", _finite, default=0.25),
+            )
         return CoefficientSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
@@ -134,25 +173,26 @@ def load_config(path) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    _check_names(parser)
 
     eta = _aux(parser, "eta")
     rho = _aux(parser, "rho")
 
-    N = _get(parser, "zone", "N", float, default=2.0)
-    T = _get(parser, "zone", "T", float, default=0.5)
+    N = _get(parser, "zone", "N", _finite, default=2.0)
+    T = _get(parser, "zone", "T", _finite, default=0.5)
     m_raw = _get(parser, "zone", "M", str, default="auto")
     try:
         if m_raw.strip().lower() == "auto":
             M = zone_floor(eta, N)
         else:
-            M = float(m_raw)
+            M = _finite(m_raw)
         zone = ZoneParams(N=N, M=M, T=T)
         validate_zone(eta, zone)
     except ValueError as exc:
         raise ConfigError(f"[zone]: {exc}") from exc
 
     m = _get(parser, "operator", "m", int, default=2)
-    delta_sep = _get(parser, "operator", "delta_sep", float, default=1e-6)
+    delta_sep = _get(parser, "operator", "delta_sep", _finite, default=1e-6)
     coeffs = [None] * m
     for section in parser.sections():
         if not section.startswith("coefficient."):
@@ -172,9 +212,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"[operator]: {exc}") from exc
 
     xi_grid = _xi_grid(
-        _get(parser, "grids", "xi_min", float, default=float(max(zone.M, 16.0))),
-        _get(parser, "grids", "xi_max", float, default=4096.0),
-        _get(parser, "grids", "points_per_decade", float, default=8.0),
+        _get(parser, "grids", "xi_min", _finite, default=float(max(zone.M, 16.0))),
+        _get(parser, "grids", "xi_max", _finite, default=4096.0),
+        _get(parser, "grids", "points_per_decade", _finite, default=8.0),
         "grids",
     )
     if xi_grid[0] < zone.M:
@@ -187,14 +227,14 @@ def load_config(path) -> ExperimentConfig:
         operator=operator,
         xi_grid=xi_grid,
         t_samples=_get(parser, "grids", "t_samples", int, default=48),
-        t_min=_get(parser, "grids", "t_min", float, default=0.01),
-        eps=_get(parser, "fits", "eps", float, default=0.01),
-        theta_slope_max=_get(parser, "fits", "theta_slope_max", float, default=0.05),
-        growth_tol=_get(parser, "fits", "growth_tol", float, default=2.0),
-        table_alpha=_get(parser, "fits", "table_alpha", float, default=0.5),
-        loss_delta=_get(parser, "loss", "delta", float, default=0.95),
-        loss_step_factor=_get(parser, "loss", "step_factor", float, default=0.1),
-        energy_step_factor=_get(parser, "energy", "step_factor", float, default=0.02),
+        t_min=_get(parser, "grids", "t_min", _finite, default=0.01),
+        eps=_get(parser, "fits", "eps", _finite, default=0.01),
+        theta_slope_max=_get(parser, "fits", "theta_slope_max", _finite, default=0.05),
+        growth_tol=_get(parser, "fits", "growth_tol", _finite, default=2.0),
+        table_alpha=_get(parser, "fits", "table_alpha", _finite, default=0.5),
+        loss_delta=_get(parser, "loss", "delta", _finite, default=0.95),
+        loss_step_factor=_get(parser, "loss", "step_factor", _finite, default=0.1),
+        energy_step_factor=_get(parser, "energy", "step_factor", _finite, default=0.02),
         energy_samples=_get(parser, "energy", "n_samples", int, default=257),
         energy_initial=_get(parser, "energy", "initial", str, default="canonical"),
         outdir=_get(parser, "output", "directory", str, default="out"),
@@ -203,13 +243,13 @@ def load_config(path) -> ExperimentConfig:
     if parser.has_section("loss"):
         gammas_raw = parser.get("loss", "gammas", fallback="0, 0.5, 1.0, 1.5")
         try:
-            cfg.loss_gammas = tuple(float(g) for g in gammas_raw.split(","))
+            cfg.loss_gammas = tuple(_finite(g) for g in gammas_raw.split(","))
         except ValueError as exc:
             raise ConfigError(f"[loss] key 'gammas': {exc}") from exc
         cfg.loss_xi_grid = _xi_grid(
-            _get(parser, "loss", "xi_min", float, default=64.0),
-            _get(parser, "loss", "xi_max", float, default=16384.0),
-            _get(parser, "loss", "points_per_decade", float, default=16.0),
+            _get(parser, "loss", "xi_min", _finite, default=64.0),
+            _get(parser, "loss", "xi_max", _finite, default=16384.0),
+            _get(parser, "loss", "points_per_decade", _finite, default=16.0),
             "loss",
         )
 

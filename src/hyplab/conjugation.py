@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .moduli import AuxiliaryFunction
-from .weights import fit_loglog_slope, jbracket, weight_w2, weight_w3
+from .weights import _top_window, fit_loglog_slope, jbracket, weight_w2, weight_w3
 from .zones import ZoneParams, validate_zone
 
 __all__ = ["ramp_chi", "ThetaSpec", "theta0", "theta", "theta_integral_bound", "ThetaIntegralReport"]
@@ -76,6 +76,7 @@ def theta(ts: ThetaSpec, t, xi):
 
 
 def _simpson(fn, a, b, n):
+    """Composite Simpson rule on n (made even) intervals; keeps fn's trailing axes."""
     if b <= a:
         return 0.0
     n += n % 2
@@ -83,7 +84,7 @@ def _simpson(fn, a, b, n):
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float((xs[1] - xs[0]) / 3.0 * (w @ np.asarray(fn(xs))))
+    return (xs[1] - xs[0]) / 3.0 * (w @ np.asarray(fn(xs)))
 
 
 def integrate_theta0(ts: ThetaSpec, xi, T=None, n=512):
@@ -116,7 +117,7 @@ def theta_integral_bound(ts: ThetaSpec, xi_grid, T=None, n=512) -> ThetaIntegral
     if xi[0] < ts.zone.M:
         raise ValueError("frequency grid starts below the floor M")
     vals = np.array([integrate_theta0(ts, x, T, n) for x in xi])
-    mask = xi >= xi[-1] / 10.0 * (1.0 - 1e-9)
+    mask = _top_window(xi, 1.0)
     if int(mask.sum()) < 3:
         raise ValueError("need at least 3 points in the top decade")
     slope, _ = fit_loglog_slope(jbracket(xi[mask]), vals[mask])

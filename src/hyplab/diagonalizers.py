@@ -30,6 +30,7 @@ from .companion import (
     roots_on_times,
 )
 from .coefficients import Mollifier
+from .conjugation import _simpson
 from .weights import jbracket
 from .zones import Zone
 
@@ -167,25 +168,18 @@ def m3_weights(
     if quadrature < 8:
         raise ValueError("quadrature needs at least 8 intervals")
     mol = mollifier or Mollifier()
-    n = quadrature + (quadrature % 2)  # Simpson needs an even interval count
-    ss = np.linspace(0.0, t, n + 1)
     eps = 1.0 / float(jbracket(xi))
     h = eps / 8.0
 
-    lam = roots_on_times(spec, ss, x, xi, mollifier=mol, eps=eps)
-    lam_p = roots_on_times(spec, ss + h, x, xi, mollifier=mol, eps=eps)
-    lam_m = roots_on_times(spec, ss - h, x, xi, mollifier=mol, eps=eps)
-    lam_dot = (lam_p - lam_m) / (2.0 * h)
+    def integrand(ss):
+        lam = roots_on_times(spec, ss, x, xi, mollifier=mol, eps=eps)
+        lam_p = roots_on_times(spec, ss + h, x, xi, mollifier=mol, eps=eps)
+        lam_m = roots_on_times(spec, ss - h, x, xi, mollifier=mol, eps=eps)
+        lam_dot = (lam_p - lam_m) / (2.0 * h)
+        gaps = np.empty_like(lam)
+        for p in range(spec.m):
+            gaps[:, p] = np.sum(np.delete(lam, p, axis=1) - lam[:, [p]], axis=1)
+        return -1j * lam_dot / gaps  # D_s lam_p / sum_i (lam_i - lam_p)
 
-    m = spec.m
-    gaps = np.empty_like(lam)
-    for p in range(m):
-        gaps[:, p] = np.sum(np.delete(lam, p, axis=1) - lam[:, [p]], axis=1)
-    integrand = -1j * lam_dot / gaps  # D_s lam_p / sum_i (lam_i - lam_p)
-
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (ss[1] - ss[0]) / 3.0
-    integrals = w @ integrand
+    integrals = _simpson(integrand, 0.0, t, quadrature)
     return M3Weights(integrals=integrals, magnitudes=np.abs(np.exp(integrals)))

@@ -5,13 +5,21 @@ For x-independent coefficients the system decouples over frequencies:
     U'(t) = i A(t, xi) U(t),   U(0) = e_1,
 
 with A the companion symbol built from the raw (unmollified) coefficients.
-A classical four-stage explicit step is used with the step size
+One classical four-stage (RK4) path serves every order m, with the step size
 
     h(t) = c_h / (<xi> sup|a| + |a'(t)| / sup|a| + 1),
 
-where the oscillation rate |a'| is evaluated no earlier than one frequency
+where the oscillation rate |a'| is the coefficient's scalar envelope
+``CoefficientSpec.rate_bound``, evaluated no earlier than one frequency
 wavelength 1/<xi> (the raw rate diverges like 1/t at the origin while the
 effective, frequency-smoothed coefficient oscillates no faster than <xi>).
+
+The integrator works one sample interval at a time: the scalar step
+controller lists the interval's steps, one ``extended_time_value`` call per
+coefficient evaluates all stage times t, t+h/2, t+h, and the stacked RK4
+step propagators P = I + h/6 (B0 + 2 K2 + 2 K3 + K4) with B = iA,
+K2 = Bm (I + h/2 B0), K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3) are applied
+in order.
 
 Amplification per frequency is the supremum of |U(t)|/|U(0)| over a fixed
 sample grid; the loss-of-derivatives exponent is the least-squares slope of
@@ -20,17 +28,15 @@ log(amplification) against log<xi> over the top two decades of the sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .coefficients import _T_FLOOR
 from .companion import HyperbolicOperatorSpec, characteristic_roots
 from .diagonalizers import m1_inverse_symbol, m1_symbol
 from .moduli import AuxiliaryFunction
-from .weights import fit_loglog_slope, jbracket
+from .weights import _top_window, fit_loglog_slope, jbracket
 from .zones import ZoneParams, validate_zone
 
 __all__ = [
@@ -125,46 +131,6 @@ class FrequencyExperiment:
         return v / np.linalg.norm(v)
 
 
-def _scalar_value(spec, t):
-    """Fast scalar evaluation of a coefficient profile (integrator hot path)."""
-    if t < _T_FLOOR:
-        t = _T_FLOOR
-    if spec.profile == "constant":
-        return spec.base
-    if spec.profile == "log_power_oscillation":
-        if spec.gamma_osc > 0.0 and t >= 1.0:
-            t = 1.0 - 1e-9
-        L = math.log(1.0 / t)
-        phase = math.copysign(abs(L) ** (1.0 + spec.gamma_osc), L)
-        return spec.base + spec.delta * math.sin(phase)
-    acc = 0.0
-    norm = 0.0
-    for j in range(spec.depth + 1):
-        w = 2.0 ** (-j * spec.alpha)
-        acc += w * math.cos(2.0**j * t)
-        norm += w
-    return spec.base + spec.delta * acc / norm
-
-
-def _scalar_rate(spec, t):
-    if spec.profile == "constant":
-        return 0.0
-    if spec.profile == "log_power_oscillation":
-        g = spec.gamma_osc
-        L = math.log(1.0 / t)
-        if L <= 0.0:
-            return abs(spec.delta) * (1.0 + g) / t
-        return abs(spec.delta) * (1.0 + g) * L**g / t
-    # envelope of the lacunary derivative: sum of term amplitudes
-    total = 0.0
-    norm = 0.0
-    for j in range(spec.depth + 1):
-        w = 2.0 ** (-j * spec.alpha)
-        total += w * 2.0**j
-        norm += w
-    return abs(spec.delta) * total / norm
-
-
 def evolve_frequency(
     exp: FrequencyExperiment, xi: float, u0=None, step_scale: float = 1.0
 ) -> EnergyTrace:
@@ -179,7 +145,9 @@ def evolve_frequency(
         characteristic_roots(spec, probe, None, xi)  # strict hyperbolicity gate
     jb = float(jbracket(xi))
     sup_a = spec.sup_abs()
-    coeffs = spec.coeffs
+    coeffs = [(j, c) for j, c in enumerate(spec.coeffs) if c is not None]
+    # last row of A: a_{m-j} xi^(m-j) <xi>^-(m-1-j); B = iA
+    scale = np.array([1j * xi ** (m - j) * jb ** (-(m - 1 - j)) for j in range(m)])
 
     sample_times = np.linspace(0.0, exp.T, exp.n_samples)
     if u0 is None:
@@ -191,86 +159,39 @@ def evolve_frequency(
     base_h = exp.step_factor * step_scale
     inv_jb = 1.0 / jb
     denom_fixed = jb * sup_a + 1.0
-
-    def rate(t):
-        tt = t if t > inv_jb else inv_jb
-        return max(
-            (_scalar_rate(c, tt) for c in coeffs if c is not None and c.profile != "constant"),
-            default=0.0,
-        )
-
-    if m == 2:
-        a2 = coeffs[0]
-        a1 = coeffs[1]
-        c2 = xi * xi / jb
-        c1 = xi
-
-        def last_row(t):
-            lo = (_scalar_value(a2, t) * c2) if a2 is not None else 0.0
-            hi = (_scalar_value(a1, t) * c1) if a1 is not None else 0.0
-            return lo, hi
-
-        u1, u2 = complex(U[0]), complex(U[1])
-        t = 0.0
-        for k in range(1, exp.n_samples):
-            t_next = sample_times[k]
-            while t < t_next - 1e-15 * exp.T:
-                r = rate(t)
-                h = base_h / (denom_fixed + (r / sup_a if sup_a > 0.0 else 0.0))
-                if h < MIN_STEP:
-                    raise StiffnessError(f"step {h:.3e} below floor at t={t:.6g}, xi={xi:.6g}")
-                if t + h > t_next:
-                    h = t_next - t
-                p0, q0 = last_row(t)
-                pm, qm = last_row(t + 0.5 * h)
-                p1, q1 = last_row(t + h)
-                # k1..k4 for U' = i A(t) U with A = [[0, jb], [p, q]]
-                k1a = 1j * (jb * u2)
-                k1b = 1j * (p0 * u1 + q0 * u2)
-                v1, v2 = u1 + 0.5 * h * k1a, u2 + 0.5 * h * k1b
-                k2a = 1j * (jb * v2)
-                k2b = 1j * (pm * v1 + qm * v2)
-                v1, v2 = u1 + 0.5 * h * k2a, u2 + 0.5 * h * k2b
-                k3a = 1j * (jb * v2)
-                k3b = 1j * (pm * v1 + qm * v2)
-                v1, v2 = u1 + h * k3a, u2 + h * k3b
-                k4a = 1j * (jb * v2)
-                k4b = 1j * (p1 * v1 + q1 * v2)
-                u1 = u1 + (h / 6.0) * (k1a + 2.0 * (k2a + k3a) + k4a)
-                u2 = u2 + (h / 6.0) * (k1b + 2.0 * (k2b + k3b) + k4b)
-                t += h
-            norms[k] = math.sqrt(abs(u1) ** 2 + abs(u2) ** 2)
-        return EnergyTrace.from_history(xi, sample_times, norms)
-
-    # general order: assemble A(t) with numpy
-    A = np.zeros((m, m), dtype=complex)
-    A[np.arange(m - 1), np.arange(1, m)] = jb
-    scale = np.array([xi ** (m - j) * jb ** (-(m - 1 - j)) for j in range(m)])
-
-    def fill(t, out):
-        for j, c in enumerate(coeffs):
-            out[m - 1, j] = (_scalar_value(c, t) * scale[j]) if c is not None else 0.0
-        return out
+    tol = 1e-15 * exp.T
+    eye = np.eye(m)
 
     t = 0.0
-    for k in range(1, exp.n_samples):
-        t_next = sample_times[k]
-        while t < t_next - 1e-15 * exp.T:
-            r = rate(t)
+    for k, t_next in enumerate(sample_times[1:].tolist(), start=1):
+        starts, steps = [], []
+        while t < t_next - tol:
+            tt = t if t > inv_jb else inv_jb
+            r = max((c.rate_bound(tt) for _, c in coeffs), default=0.0)
             h = base_h / (denom_fixed + (r / sup_a if sup_a > 0.0 else 0.0))
             if h < MIN_STEP:
                 raise StiffnessError(f"step {h:.3e} below floor at t={t:.6g}, xi={xi:.6g}")
             if t + h > t_next:
                 h = t_next - t
-            A0 = fill(t, A).copy()
-            Am = fill(t + 0.5 * h, A).copy()
-            A1 = fill(t + h, A).copy()
-            k1 = 1j * (A0 @ U)
-            k2 = 1j * (Am @ (U + 0.5 * h * k1))
-            k3 = 1j * (Am @ (U + 0.5 * h * k2))
-            k4 = 1j * (A1 @ (U + h * k3))
-            U = U + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            starts.append(t)
+            steps.append(h)
             t += h
+        n = len(steps)
+        t0 = np.array(starts)
+        h = np.array(steps)
+        stage_t = np.concatenate((t0, t0 + 0.5 * h, t0 + h))
+        B = np.zeros((3 * n, m, m), dtype=complex)
+        B[:, np.arange(m - 1), np.arange(1, m)] = 1j * jb
+        for j, c in coeffs:
+            B[:, m - 1, j] = c.extended_time_value(stage_t) * scale[j]
+        B0, Bm, B1 = B[:n], B[n : 2 * n], B[2 * n :]
+        h = h[:, None, None]
+        # RK4 on the linear system collapses to one propagator per step
+        K2 = Bm @ (eye + 0.5 * h * B0)
+        K3 = Bm @ (eye + 0.5 * h * K2)
+        K4 = B1 @ (eye + h * K3)
+        for P in eye + (h / 6.0) * (B0 + 2.0 * (K2 + K3) + K4):
+            U = P @ U
         norms[k] = float(np.linalg.norm(U))
     return EnergyTrace.from_history(xi, sample_times, norms)
 
@@ -292,7 +213,7 @@ def estimate_loss(exp: FrequencyExperiment, traces) -> LossEstimate:
     xi, amps = xi[order], amps[order]
     if xi[-1] / xi[0] < 100.0 * (1.0 - 1e-9):
         raise ValueError("loss fit needs at least two decades of frequencies")
-    mask = xi >= xi[-1] / 100.0 * (1.0 - 1e-9)
+    mask = _top_window(xi, 2.0)
     if int(mask.sum()) < 8:
         raise ValueError("loss fit needs at least 8 frequencies in the top two decades")
     slope, stderr = fit_loglog_slope(jbracket(xi[mask]), amps[mask])

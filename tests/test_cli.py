@@ -49,6 +49,36 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("xi_max = 4096", "xi_max = inf", "not a finite number"),
+        ("delta = 0.5", "delta = nan", "not a finite number"),
+        ("[grids]", "[grid]", "unknown section"),
+        ("t_min = 0.01", "t_mni = 0.01", "unknown key"),
+        ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.family = lacunary\nspatial.amplitude = 0.9", "amplitude"),
+    ],
+    ids=["inf", "nan", "unknown_section", "unknown_key", "spatial_amplitude"],
+)
+def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
+    text = open(cfg_path("loglip.cfg"), encoding="utf-8").read()
+    assert old in text
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match=message):
+        load_config(bad)
+    assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_shipped_configs_load():
+    bench = os.path.join(CONFIGS, "..", "perfbench", "configs")
+    paths = [os.path.join(d, f) for d in (CONFIGS, bench) for f in sorted(os.listdir(d))]
+    assert len(paths) >= 6
+    for path in paths:
+        load_config(path)
+
+
 def test_cli_tables(tmp_path, capsys):
     rc = main(["tables", "--config", cfg_path("loglip.cfg"), "--out", str(tmp_path)])
     assert rc == 0

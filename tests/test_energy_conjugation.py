@@ -119,6 +119,49 @@ def test_general_order_path_matches_oracle():
     assert np.max(np.abs(tr.norms - oracle.norms) / np.max(oracle.norms)) < 1e-6
 
 
+def _fixed_step_rk4_norms(exp, xi, substeps=16):
+    """Independent oracle: textbook RK4 on companion_symbol, fixed substeps."""
+    from hyplab.companion import companion_symbol
+
+    idx = int(np.argmin(np.abs(exp.xi_grid - xi)))
+    U = exp.initial_vector(idx)
+    times = np.linspace(0.0, exp.T, exp.n_samples)
+    norms = [np.linalg.norm(U)]
+
+    def rhs(t, v):
+        return 1j * (companion_symbol(exp.operator, max(t, 2.0**-40), None, xi).entries @ v)
+
+    for t_lo, t_hi in zip(times[:-1], times[1:]):
+        h = (t_hi - t_lo) / substeps
+        for i in range(substeps):
+            t = t_lo + i * h
+            k1 = rhs(t, U)
+            k2 = rhs(t + 0.5 * h, U + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, U + 0.5 * h * k2)
+            k4 = rhs(t + h, U + h * k3)
+            U = U + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        norms.append(np.linalg.norm(U))
+    return np.array(norms)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_time_varying_coefficients_match_fixed_step_rk4(m):
+    # time-dependent propagators do not commute, so this also pins the order
+    # in which the per-step propagators are applied
+    rough = CoefficientSpec("holder_rough", base=2.0, delta=0.5, alpha=0.5, depth=6)
+    coeffs = (rough, None) if m == 2 else (None, rough, CoefficientSpec("constant", base=0.1))
+    exp = small_experiment(
+        operator=HyperbolicOperatorSpec(m, coeffs),
+        xi_grid=np.geomspace(15.0, 1500.0, 9),
+        zone=ZoneParams(2.0, 2.0, 0.5),
+        initial="random",
+    )
+    xi = float(exp.xi_grid[0])
+    got = evolve_frequency(exp, xi).norms
+    ref = _fixed_step_rk4_norms(exp, xi)
+    assert np.max(np.abs(got - ref) / ref) < 1e-8
+
+
 def test_amplification_definition():
     times = np.linspace(0.0, 1.0, 257)
     tr = EnergyTrace.from_history(8.0, times, np.ones(257))
