@@ -43,18 +43,11 @@ print(f"|M1^-1 M1 - I|_max          = {np.max(np.abs(Vinv.entries @ V.entries - 
 print()
 print("== the first-step correction and the second diagonalizer ==")
 osc = HyperbolicOperatorSpec(2, (CoefficientSpec("holder_rough", delta=0.5, alpha=0.5), None))
-mol = Mollifier()
-eps = 1.0 / float(jbracket(xi))
 t = 0.25
-lam = roots_on_times(osc, np.array([t]), None, xi, mollifier=mol, eps=eps)[0]
-h = eps / 8.0
-lam_dot = (
-    roots_on_times(osc, np.array([t + h]), None, xi, mollifier=mol, eps=eps)[0]
-    - roots_on_times(osc, np.array([t - h]), None, xi, mollifier=mol, eps=eps)[0]
-) / (2 * h)
-rs = RootSet(lam, xi)
-C1 = c1_entries(rs, lam_dot, xi)
-M2 = m2_symbol(rs, lam_dot, xi, Zone.HYPERBOLIC)
+lam, lam_dot = roots_on_times(osc, np.array([t]), None, xi, Mollifier())
+rs = RootSet(lam[0], xi)
+C1 = c1_entries(rs, lam_dot[0], xi)
+M2 = m2_symbol(rs, lam_dot[0], xi, Zone.HYPERBOLIC)
 print("C1 entries (purely imaginary):")
 print(C1)
 print("M2 off-diagonal magnitude:", f"{np.max(np.abs(M2.entries - np.eye(2))):.3e}")

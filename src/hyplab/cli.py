@@ -83,15 +83,18 @@ def cmd_tables(cfg: ExperimentConfig, args) -> int:
 
 def cmd_classify(cfg: ExperimentConfig, args) -> int:
     out = _outdir(cfg, args.out)
-    rep = classify(
-        cfg.eta,
-        cfg.rho,
-        cfg.zone,
-        cfg.xi_grid,
-        cfg.eps,
-        t_samples=cfg.t_samples,
-        force_m0=args.force_m0,
-    )
+    try:
+        rep = classify(
+            cfg.eta,
+            cfg.rho,
+            cfg.zone,
+            cfg.xi_grid,
+            cfg.eps,
+            t_samples=cfg.t_samples,
+            force_m0=args.force_m0,
+        )
+    except ValueError as exc:  # the config's grid or zone cannot be classified
+        raise ConfigError(f"classify: {exc}") from exc
     payload = json.dumps(rep.to_json(), sort_keys=True, indent=2)
     with open(os.path.join(out, "classification.json"), "w", encoding="utf-8") as fh:
         fh.write(payload + "\n")

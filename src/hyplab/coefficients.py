@@ -13,8 +13,9 @@ periodic profile b keeps everything uniformly elliptic.
 
 Mollification is a time convolution with a fixed even C-infinity bump of unit
 mass at width eps, evaluated by a composite midpoint rule whose weights sum
-to one exactly (constants are preserved to machine precision).  Time
-derivatives of the mollified coefficient differentiate the bump, never the
+to one exactly (constants are preserved to machine precision).  ``mollify``
+evaluates the coefficient on the window once and returns the jet a_eps,
+d_t a_eps, d_t^2 a_eps: the time derivatives differentiate the bump, never the
 rough coefficient.
 """
 
@@ -37,7 +38,6 @@ __all__ = [
     "Mollifier",
     "oscillation_class",
     "mollify",
-    "mollified_derivative",
     "RegBoundsReport",
     "verify_reg_bounds",
 ]
@@ -279,11 +279,6 @@ class Mollifier:
     def _grids(self):
         return _mollifier_grids(self.nodes)
 
-    @property
-    def mass(self):
-        _, w0, _, _ = self._grids()
-        return float(w0.sum())
-
     def profile(self, y):
         """Normalized bump value psi(y) (continuum normalization)."""
         norm = 0.4439938161680794
@@ -291,28 +286,20 @@ class Mollifier:
 
 
 def mollify(spec: CoefficientSpec, mol: Mollifier, eps: float, t, x=None):
-    """(a *_t psi_eps)(t), with constant continuation outside the window."""
+    """Jet of (a *_t psi_eps) at times t: rows a_eps, d_t a_eps, d_t^2 a_eps.
+
+    One evaluation of the coefficient on the window (constant continuation
+    below t = 0) feeds all three rows; the derivative rows use the bump's
+    derivative weights over eps and eps^2.  The shape is (3,) + shape(t).
+    """
     if not (eps > 0.0):
         raise ValueError("mollification width must be positive")
+    shape = np.shape(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    y, w0, _, _ = mol._grids()
+    y, w0, w1, w2 = mol._grids()
     vals = spec.extended_time_value(t[:, None] - eps * y[None, :])
-    out = vals @ w0
-    out = out * spec._spatial_factor(x)
-    return out if out.size > 1 else float(out[0])
-
-
-def mollified_derivative(spec: CoefficientSpec, mol: Mollifier, eps: float, t, order=1, x=None):
-    """d^k/dt^k of the mollified coefficient via derivatives of the bump."""
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    y, _, w1, w2 = mol._grids()
-    w = w1 if order == 1 else w2
-    vals = spec.extended_time_value(t[:, None] - eps * y[None, :])
-    out = (vals @ w) / eps**order
-    out = out * spec._spatial_factor(x)
-    return out if out.size > 1 else float(out[0])
+    jet = np.stack([vals @ w0, (vals @ w1) / eps, (vals @ w2) / eps**2])
+    return (jet * spec._spatial_factor(x)).reshape((3,) + shape)
 
 
 # ----------------------------------------------------------------------------
@@ -385,6 +372,9 @@ def verify_reg_bounds(
     across the top frequency decade (growth near or below one means the bound
     is stable; the caller decides the pass threshold).
 
+    A measured value within the summation error bound of the quadrature
+    that made it is round-off and counts as zero.
+
     The caller is responsible for matching the coefficient's modulus with
     eta; a mismatch shows up as top-decade growth.
     """
@@ -396,26 +386,26 @@ def verify_reg_bounds(
         raise ValueError("frequency grid starts below the floor M")
     if np.any(tg <= 0.0) or np.any(tg > zp.T):
         raise ValueError("t grid must lie in (0, T]")
-    xs = None
+    factor = 1.0
     if spec.spatial is not None:
         xs = np.linspace(0.0, 2.0 * math.pi, x_points, endpoint=False)
+        factor = float(np.max(np.abs(1.0 + spec.spatial.value(xs))))
+    # summation error bound n u sum|w_k| sup|a| of the quadrature behind jet row
+    # k, before its division by eps^k
+    _, *weights = mol._grids()
+    roundoff = mol.nodes * np.finfo(float).eps * spec.sup_abs * np.array([np.abs(w).sum() for w in weights])
+    row_order = np.array([0, 0, 1, 2])
 
-    def measured(kind, ts, eps):
-        """Max over x (if any) of the requested quantity at times ts."""
-        if kind == "aeps":
-            base = np.atleast_1d(mollify(spec, mol, eps, ts))
-        elif kind == "diff":
-            raw = spec._time_value(ts)
-            base = np.abs(np.atleast_1d(mollify(spec, mol, eps, ts)) - raw)
-        elif kind == "d1":
-            base = np.abs(np.atleast_1d(mollified_derivative(spec, mol, eps, ts, 1)))
-        else:
-            base = np.abs(np.atleast_1d(mollified_derivative(spec, mol, eps, ts, 2)))
-        base = np.abs(base)
-        if xs is not None:
-            factor = float(np.max(np.abs(1.0 + spec.spatial.value(xs))))
-            base = base * factor
-        return base
+    def measured(ts, eps):
+        """|a_eps|, |a_eps - a|, |d_t a_eps|, |d_t^2 a_eps| at times ts, max over x (if any).
+
+        One mollification of the window feeds all four rows.  A value within
+        the round-off bound of the quadrature that made it counts as zero.
+        """
+        jet = mollify(spec, mol, eps, ts)
+        rows = np.abs(np.stack([jet[0], jet[0] - spec._time_value(ts), jet[1], jet[2]])) * factor
+        tol = roundoff[row_order] / eps**row_order
+        return np.where(rows > tol[:, None], rows, 0.0)
 
     jb = jbracket(xi)
     names = ("i", "ii", "iii", "iv", "v", "vi")
@@ -433,18 +423,13 @@ def verify_reg_bounds(
             "ii": np.full_like(tg, 1.0 / (jbx * eta.value(1.0 / x_abs))),
             "iv": np.full_like(tg, 1.0 / eta.value(1.0 / x_abs)),
         }
-        meas = {
-            "i": measured("aeps", tg, eps),
-            "ii": measured("diff", tg, eps),
-            "iv": measured("d1", tg, eps),
-        }
+        aeps, diff, d1, _ = measured(tg, eps)
+        meas = {"i": aeps, "ii": diff, "iv": d1}
         if zone_alive:
             bounds["iii"] = rho.value(1.0 / x_abs) / jbx * decay_rate_pair(eta, rho, t_hyp - 1.0 / x_abs)
             bounds["v"] = np.sqrt(decay_rate(eta, t_hyp - 1.0 / x_abs))
             bounds["vi"] = jbx * rho.value(1.0 / x_abs) * decay_rate_pair(eta, rho, t_hyp - 1.0 / x_abs)
-            meas["iii"] = measured("diff", t_hyp, eps)
-            meas["v"] = measured("d1", t_hyp, eps)
-            meas["vi"] = measured("d2", t_hyp, eps)
+            _, meas["iii"], meas["v"], meas["vi"] = measured(t_hyp, eps)
         for n in meas:
             ts = tg if n in ("i", "ii", "iv") else t_hyp
             r = meas[n] / bounds[n]

@@ -8,7 +8,9 @@ coefficient list a_{m-j}, j = 0..m-1; the characteristic polynomial is
 Strict hyperbolicity means the roots are real and separated by a fixed
 fraction of <xi> = sqrt(1 + xi^2).  The companion symbol has <xi> on the
 superdiagonal and the <xi>-normalized coefficient entries in the last row;
-its eigenvalues coincide with the characteristic roots.
+its eigenvalues coincide with the characteristic roots.  Along a time grid
+the roots of the mollified symbol come with their exact rates, by implicit
+differentiation of the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -91,19 +93,9 @@ class HyperbolicOperatorSpec:
     def sup_abs(self):
         return max([c.sup_abs for c in self.coeffs if c is not None], default=0.0)
 
-    def coeff_values(self, t, x=None, mollifier: Optional[Mollifier] = None, eps=None):
-        """Values of a_{m-j}(t, x) for j = 0..m-1; mollified when asked."""
-        out = np.zeros(self.m)
-        for j, c in enumerate(self.coeffs):
-            if c is None:
-                continue
-            if mollifier is None:
-                out[j] = c.value(t, x)
-            else:
-                if eps is None:
-                    raise ValueError("mollified evaluation needs a width eps")
-                out[j] = mollify(c, mollifier, eps, t, x=x)
-        return out
+    def coeff_values(self, t, x=None):
+        """Values of a_{m-j}(t, x) for j = 0..m-1."""
+        return np.array([0.0 if c is None else c.value(t, x) for c in self.coeffs])
 
 
 @dataclass(frozen=True)
@@ -124,16 +116,7 @@ class RootSet:
         return self.lam.size
 
 
-def _poly_coeffs(values, xi, m):
-    """Monic coefficient vector [1, -a_1 xi, ..., -a_m xi^m] for np.roots."""
-    c = np.zeros(m + 1)
-    c[0] = 1.0
-    for j in range(m):  # values[j] = a_{m-j}, multiplies lam^j
-        c[m - j] = -values[j] * xi ** (m - j)
-    return c
-
-
-def _settle_roots(raw, xi, m, delta_sep):
+def _settle_roots(raw, xi, delta_sep):
     jb = float(jbracket(xi))
     worst = float(np.max(np.abs(raw.imag)))
     if worst > IMAG_TOL * jb:
@@ -149,24 +132,27 @@ def _settle_roots(raw, xi, m, delta_sep):
     return lam
 
 
-def characteristic_roots(
-    spec: HyperbolicOperatorSpec,
-    t: float,
-    x,
-    xi: float,
-    mollifier: Optional[Mollifier] = None,
-    eps: Optional[float] = None,
-) -> RootSet:
+def _roots(b, xi, delta_sep):
+    """Settled roots of lam^m = sum_j b_j lam^j for each row of b, shape (n, m).
+
+    Batched eigenvalues of the scalar companion: ones on the superdiagonal,
+    the b_j in the last row.
+    """
+    n, m = b.shape
+    comp = np.zeros((n, m, m))
+    comp[:, np.arange(m - 1), np.arange(1, m)] = 1.0
+    comp[:, m - 1, :] = b
+    raw = np.linalg.eigvals(comp)
+    return np.array([_settle_roots(r, xi, delta_sep) for r in raw])
+
+
+def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> RootSet:
     """Real ascending roots of the characteristic polynomial at (t, x, xi).
 
-    With a mollifier the coefficients are regularized first (width eps,
-    defaulting to 1/<xi>).  Complex or nearly multiple roots raise.
+    Complex or nearly multiple roots raise.
     """
-    if mollifier is not None and eps is None:
-        eps = 1.0 / float(jbracket(xi))
-    vals = spec.coeff_values(t, x, mollifier, eps)
-    raw = np.roots(_poly_coeffs(vals, xi, spec.m))
-    return RootSet(_settle_roots(raw, xi, spec.m, spec.delta_sep), xi)
+    b = spec.coeff_values(t, x) * xi ** (spec.m - np.arange(spec.m))
+    return RootSet(_roots(b[None, :], xi, spec.delta_sep)[0], xi)
 
 
 def roots_on_times(
@@ -174,54 +160,46 @@ def roots_on_times(
     ts,
     x,
     xi: float,
-    mollifier: Optional[Mollifier] = None,
+    mollifier: Mollifier,
     eps: Optional[float] = None,
-) -> np.ndarray:
-    """Roots along a time grid, shape (len(ts), m), via batched eigenvalues."""
-    ts = np.asarray(ts, dtype=float)
-    if mollifier is not None and eps is None:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the mollified symbol along a time grid, and their time rates.
+
+    The coefficients are mollified at width eps (default 1/<xi>).  Returns
+    ``(lam, lam_dot)``, both of shape (len(ts), m).  The rates come from
+    implicit differentiation of p(lam) = lam^m - sum_j b_j lam^j:
+
+        lam_k' = sum_j b_j' lam_k^j / prod_{i != k}(lam_k - lam_i),
+
+    whose denominator is p'(lam_k), nonzero because the roots are separated
+    by at least delta_sep <xi>.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if eps is None:
         eps = 1.0 / float(jbracket(xi))
     m = spec.m
-    vals = np.zeros((ts.size, m))
+    powers = xi ** (m - np.arange(m))
+    b = np.zeros((2, ts.size, m))  # b_j = a_{m-j} xi^(m-j) and its rate
     for j, c in enumerate(spec.coeffs):
-        if c is None:
-            continue
-        if mollifier is None:
-            vals[:, j] = c._time_value(ts) * c._spatial_factor(x)
-        else:
-            vals[:, j] = np.atleast_1d(mollify(c, mollifier, eps, ts, x=x))
-    # scalar companion of lam^m = sum_j b_j lam^j with b_j = a_{m-j} xi^(m-j):
-    # ones on the superdiagonal, the b_j in the last row
-    comp = np.zeros((ts.size, m, m))
-    comp[:, np.arange(m - 1), np.arange(1, m)] = 1.0
-    for j in range(m):
-        comp[:, m - 1, j] = vals[:, j] * xi ** (m - j)
-    raw = np.linalg.eigvals(comp)
-    out = np.empty((ts.size, m))
-    for i in range(ts.size):
-        out[i] = _settle_roots(raw[i], xi, m, spec.delta_sep)
-    return out
+        if c is not None:
+            b[:, :, j] = mollify(c, mollifier, eps, ts, x=x)[:2] * powers[j]
+    lam = _roots(b[0], xi, spec.delta_sep)
+    num = np.sum(b[1][:, None, :] * lam[:, :, None] ** np.arange(m), axis=2)
+    gaps = lam[:, :, None] - lam[:, None, :]
+    gaps[:, np.arange(m), np.arange(m)] = 1.0
+    return lam, num / np.prod(gaps, axis=2)
 
 
-def companion_symbol(
-    spec: HyperbolicOperatorSpec,
-    t: float,
-    x,
-    xi: float,
-    mollifier: Optional[Mollifier] = None,
-    eps: Optional[float] = None,
-) -> SymbolMatrix:
+def companion_symbol(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> SymbolMatrix:
     """The first-order system symbol A(t, x, xi).
 
     Superdiagonal <xi>; last-row entry in column j equals
     a_{m-j} xi^(m-j) <xi>^-(m-1-j).  Its eigenvalues reproduce the
     characteristic roots.
     """
-    if mollifier is not None and eps is None:
-        eps = 1.0 / float(jbracket(xi))
     m = spec.m
     jb = float(jbracket(xi))
-    vals = spec.coeff_values(t, x, mollifier, eps)
+    vals = spec.coeff_values(t, x)
     A = np.zeros((m, m), dtype=complex)
     A[np.arange(m - 1), np.arange(1, m)] = jb
     for j in range(m):

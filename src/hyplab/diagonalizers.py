@@ -7,7 +7,8 @@ phase-space point:
   inverse assembled from the explicit elementary-symmetric-function formula
   (never by numeric inversion);
 * the first-step correction C1 = M1^-1 (D_t M1), whose entries have closed
-  forms in the roots and their time derivatives (D_t = -i d/dt);
+  forms in the roots and their time derivatives (D_t = -i d/dt), both
+  supplied by ``companion.roots_on_times``;
 * M2 = I + (off-diagonal of C1)/(lam_p - lam_q), active in the hyperbolic
   zone only;
 * the diagonal exponential weights w_p absorbing the remaining diagonal
@@ -161,21 +162,15 @@ def m3_weights(
 ) -> M3Weights:
     """Composite-Simpson evaluation of the absorption integrals on [0, t].
 
-    Roots come from the mollified coefficients at width 1/<xi>; their time
-    derivative is a centered difference with step eps/8 (the regularized
-    coefficient is smooth at that scale).
+    Roots and their exact time rates come from the coefficients mollified at
+    width 1/<xi> (``roots_on_times``).
     """
     if quadrature < 8:
         raise ValueError("quadrature needs at least 8 intervals")
     mol = mollifier or Mollifier()
-    eps = 1.0 / float(jbracket(xi))
-    h = eps / 8.0
 
     def integrand(ss):
-        lam = roots_on_times(spec, ss, x, xi, mollifier=mol, eps=eps)
-        lam_p = roots_on_times(spec, ss + h, x, xi, mollifier=mol, eps=eps)
-        lam_m = roots_on_times(spec, ss - h, x, xi, mollifier=mol, eps=eps)
-        lam_dot = (lam_p - lam_m) / (2.0 * h)
+        lam, lam_dot = roots_on_times(spec, ss, x, xi, mol)
         gaps = np.empty_like(lam)
         for p in range(spec.m):
             gaps[:, p] = np.sum(np.delete(lam, p, axis=1) - lam[:, [p]], axis=1)

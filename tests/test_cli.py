@@ -71,6 +71,23 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["constant.cfg", "loss_sweep.cfg"])
+def test_cli_classify_short_grid_exit_code(tmp_path, capsys, name):
+    # these grids span under three decades, too few to fit a weight order
+    assert main(["classify", "--config", cfg_path(name), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "three decades" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_verify_constant_reg_bounds_pass(capsys):
+    # mollified derivatives of a constant are zero up to round-off
+    main(["verify", "--config", cfg_path("constant.cfg")])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("reg_bound_")]
+    assert len(lines) == 6
+    assert all(ln.split()[1] == "PASS" for ln in lines), lines
+
+
 def test_shipped_configs_load():
     bench = os.path.join(CONFIGS, "..", "perfbench", "configs")
     paths = [os.path.join(d, f) for d in (CONFIGS, bench) for f in sorted(os.listdir(d))]

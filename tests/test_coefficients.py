@@ -7,7 +7,6 @@ from hyplab.coefficients import (
     CoefficientSpec,
     Mollifier,
     SpatialProfile,
-    mollified_derivative,
     mollify,
     oscillation_class,
     verify_reg_bounds,
@@ -101,8 +100,8 @@ def test_mollifier_mass_and_shape():
 def test_mollify_constant_exact():
     spec = CoefficientSpec("constant", base=2.0)
     for eps in (0.3, 1e-3):
-        assert mollify(spec, MOL, eps, 0.17) == pytest.approx(2.0, abs=1e-12)
-        assert mollify(spec, MOL, eps, 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert mollify(spec, MOL, eps, 0.17)[0] == pytest.approx(2.0, abs=1e-12)
+        assert mollify(spec, MOL, eps, 0.0)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mollify_kills_linear_moment():
@@ -112,21 +111,21 @@ def test_mollify_kills_linear_moment():
             return np.asarray(t, dtype=float) + 1.0
 
     spec = Linear("constant", base=1.0)
-    got = mollify(spec, MOL, 0.05, np.array([0.3, 0.5]))
+    got = mollify(spec, MOL, 0.05, np.array([0.3, 0.5]))[0]
     assert np.max(np.abs(got - np.array([1.3, 1.5]))) < 1e-8
 
 
 def test_mollify_bounded_by_sup():
     spec = CoefficientSpec("log_power_oscillation", delta=0.9, gamma_osc=1.0)
     ts = np.linspace(0.0, 0.5, 101)
-    vals = np.atleast_1d(mollify(spec, MOL, 0.02, ts))
+    vals = mollify(spec, MOL, 0.02, ts)[0]
     assert np.max(np.abs(vals)) <= spec.sup_abs + 1e-12
 
 
 def test_mollify_converges_pointwise():
     spec = CoefficientSpec("holder_rough", delta=0.5, alpha=0.5)
     t = 0.31
-    errs = [abs(mollify(spec, MOL, eps, t) - spec.value(t)) for eps in (0.1, 0.02, 0.004)]
+    errs = [abs(mollify(spec, MOL, eps, t)[0] - spec.value(t)) for eps in (0.1, 0.02, 0.004)]
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -136,8 +135,16 @@ def test_mollify_loglip_rate_constant_is_finite():
     cs = []
     for eps in (0.01, 0.003, 0.001):
         ts = np.geomspace(2 * eps, 0.5, 33)
-        err = np.max(np.abs(np.atleast_1d(mollify(spec, MOL, eps, ts)) - spec.value(ts)))
+        jet = mollify(spec, MOL, eps, ts)
+        err = np.max(np.abs(jet[0] - spec.value(ts)))
         cs.append(err / (eps / eta.value(eps)))
+        # rows 1 and 2 of the jet are the time derivatives of row 0
+        h = eps / 256.0
+        lo, hi = mollify(spec, MOL, eps, ts - h)[0], mollify(spec, MOL, eps, ts + h)[0]
+        fd1 = (hi - lo) / (2.0 * h)
+        fd2 = (hi - 2.0 * jet[0] + lo) / h**2
+        assert np.max(np.abs(fd1 - jet[1])) < 1e-4 * np.max(np.abs(jet[1]))
+        assert np.max(np.abs(fd2 - jet[2])) < 1e-4 * np.max(np.abs(jet[2]))
     assert np.all(np.isfinite(cs))
 
 
@@ -149,9 +156,9 @@ def test_mollified_derivative_rates_holder():
     ts = np.linspace(0.05, 0.45, 41)
     sup_diff, sup_d1 = [], []
     for eps in eps_grid:
-        a_eps = np.atleast_1d(mollify(spec, MOL, eps, ts))
+        a_eps, d1_eps, _ = mollify(spec, MOL, eps, ts)
         sup_diff.append(np.max(np.abs(a_eps - spec.value(ts))))
-        sup_d1.append(np.max(np.abs(mollified_derivative(spec, MOL, eps, ts, 1))))
+        sup_d1.append(np.max(np.abs(d1_eps)))
     s_diff, _ = fit_loglog_slope(eps_grid, sup_diff)
     s_d1, _ = fit_loglog_slope(eps_grid, sup_d1)
     assert s_diff == pytest.approx(alpha, abs=0.1)

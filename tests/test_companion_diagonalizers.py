@@ -165,17 +165,41 @@ def test_m2_entries_shrink_along_zone_boundary():
     xis = np.geomspace(2.0**6, 2.0**14, 9)
     for xi in xis:
         t = min(2.0 * zone_boundary(eta, zp, xi), 0.45)
-        eps = 1.0 / float(jbracket(xi))
-        ts = np.array([t])
-        lam = roots_on_times(spec, ts, None, xi, mollifier=mol, eps=eps)[0]
-        h = eps / 8.0
-        lam_p = roots_on_times(spec, np.array([t + h]), None, xi, mollifier=mol, eps=eps)[0]
-        lam_m = roots_on_times(spec, np.array([t - h]), None, xi, mollifier=mol, eps=eps)[0]
-        dt = (lam_p - lam_m) / (2.0 * h)
-        D = m2_symbol(RootSet(lam, xi), dt, xi, Zone.HYPERBOLIC).entries
+        lam, dt = roots_on_times(spec, np.array([t]), None, xi, mol)
+        D = m2_symbol(RootSet(lam[0], xi), dt[0], xi, Zone.HYPERBOLIC).entries
         offs.append(np.max(np.abs(D - np.eye(2))))
     slope, _ = fit_loglog_slope(xis, offs)
     assert slope < -0.05
+
+
+ROUGH2 = HyperbolicOperatorSpec(2, (CoefficientSpec("holder_rough", delta=0.5, alpha=0.5), None))
+ROUGH3 = HyperbolicOperatorSpec(
+    3,
+    (
+        CoefficientSpec("constant", base=0.5),
+        CoefficientSpec("holder_rough", base=2.0, delta=0.5, alpha=0.5),
+        CoefficientSpec("constant", base=0.25),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, xi",
+    [(ROUGH2, 100.0), (ROUGH2, 1e5), (ROUGH3, 1e3)],
+    ids=["m2-xi1e2", "m2-xi1e5", "m3-xi1e3"],
+)
+def test_root_rates_match_centred_differences(spec, xi):
+    # centred differences of the roots converge to the exact rates at order two
+    mol = Mollifier()
+    eps = 1.0 / float(jbracket(xi))
+    ts = np.linspace(0.05, 0.45, 9)
+    _, lam_dot = roots_on_times(spec, ts, None, xi, mol)
+    errs = []
+    for h in (eps / 8.0, eps / 32.0, eps / 128.0):
+        fd = (roots_on_times(spec, ts + h, None, xi, mol)[0] - roots_on_times(spec, ts - h, None, xi, mol)[0]) / (2.0 * h)
+        errs.append(np.max(np.abs(fd - lam_dot)) / np.max(np.abs(lam_dot)))
+    assert errs[0] > 10.0 * errs[1] > 100.0 * errs[2]
+    assert errs[2] < 1e-3
 
 
 def test_m3_constant_coefficients_unit_weights():
