@@ -164,8 +164,12 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
 
 
 def _verify_checks(cfg: ExperimentConfig):
-    """Yield (name, passed, detail) for every bound check."""
-    spec = next(c for c in cfg.operator.coeffs if c is not None)
+    """Yield (name, passed, detail) for every bound check.
+
+    The regularization and oscillation bounds run for every nonzero
+    coefficient; with more than one, each name carries the coefficient's
+    subscript (``reg_bound_iii_a1``).
+    """
 
     for fn in (cfg.eta, cfg.rho):
         adm = admissibility_check(fn, certification_grid(fn))
@@ -185,26 +189,28 @@ def _verify_checks(cfg: ExperimentConfig):
     except ValueError as exc:
         yield ("classification", False, str(exc))
 
-    rep = verify_reg_bounds(
-        spec, cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, cfg.t_grid(), t_samples=cfg.t_samples
-    )
-    for name, clause in rep.clauses.items():
-        ok = not np.isinf(clause.max_ratio) and clause.top_decade_growth <= cfg.growth_tol
-        yield (
-            f"reg_bound_{name}",
-            bool(ok),
-            f"C={clause.max_ratio:.4g} growth=x{clause.top_decade_growth:.3g}",
-        )
-
     ts = cfg.t_grid()
     hi = min(cfg.zone.T, cfg.eta.range_max * 0.999)
-    ts = ts[(ts <= hi)]
-    d1 = np.abs(spec.time_derivative(ts, 1))
-    d2 = np.abs(spec.time_derivative(ts, 2))
-    r1 = float(np.max(d1 / np.sqrt(decay_rate(cfg.eta, ts))))
-    r2 = float(np.max(d2 / decay_rate_pair(cfg.eta, cfg.rho, ts)))
-    yield ("oscillation_bound_d1", bool(np.isfinite(r1)), f"C={r1:.4g}")
-    yield ("oscillation_bound_d2", bool(np.isfinite(r2)), f"C={r2:.4g}")
+    ts_osc = ts[(ts <= hi)]
+    m = cfg.operator.m
+    coeffs = [(f"_a{m - j}", c) for j, c in enumerate(cfg.operator.coeffs) if c is not None]
+    if len(coeffs) == 1:
+        coeffs = [("", coeffs[0][1])]  # a single coefficient keeps the plain names
+    for suffix, spec in coeffs:
+        rep = verify_reg_bounds(spec, cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, ts, t_samples=cfg.t_samples)
+        for name, clause in rep.clauses.items():
+            ok = not np.isinf(clause.max_ratio) and clause.top_decade_growth <= cfg.growth_tol
+            yield (
+                f"reg_bound_{name}{suffix}",
+                bool(ok),
+                f"C={clause.max_ratio:.4g} growth=x{clause.top_decade_growth:.3g}",
+            )
+        d1 = np.abs(spec.time_derivative(ts_osc, 1))
+        d2 = np.abs(spec.time_derivative(ts_osc, 2))
+        r1 = float(np.max(d1 / np.sqrt(decay_rate(cfg.eta, ts_osc))))
+        r2 = float(np.max(d2 / decay_rate_pair(cfg.eta, cfg.rho, ts_osc)))
+        yield (f"oscillation_bound_d1{suffix}", bool(np.isfinite(r1)), f"C={r1:.4g}")
+        yield (f"oscillation_bound_d2{suffix}", bool(np.isfinite(r2)), f"C={r2:.4g}")
 
     theta_rep = theta_integral_bound(ThetaSpec(cfg.eta, cfg.rho, cfg.zone), cfg.xi_grid)
     yield (

@@ -322,9 +322,6 @@ class RegBoundsReport:
     rho: AuxiliaryFunction
     clauses: dict
 
-    def max_growth(self):
-        return max(c.top_decade_growth for c in self.clauses.values())
-
     def summary(self):
         lines = ["regularization-bound ratios (finite C = verified):"]
         for c in self.clauses.values():

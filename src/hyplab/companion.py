@@ -6,11 +6,13 @@ coefficient list a_{m-j}, j = 0..m-1; the characteristic polynomial is
     lam^m - sum_j a_{m-j}(t, x) xi^(m-j) lam^j = 0.
 
 Strict hyperbolicity means the roots are real and separated by a fixed
-fraction of <xi> = sqrt(1 + xi^2).  The companion symbol has <xi> on the
-superdiagonal and the <xi>-normalized coefficient entries in the last row;
-its eigenvalues coincide with the characteristic roots.  Along a time grid
-the roots of the mollified symbol come with their exact rates, by implicit
-differentiation of the characteristic polynomial.
+fraction of <xi> = sqrt(1 + xi^2).  One builder, batched over leading axes,
+makes the companion symbol (<xi> on the superdiagonal, the <xi>-normalized
+coefficient entries in the last row); its eigenvalues are the characteristic
+roots, settled a whole batch at a time.  Along a time grid the roots of the
+mollified symbol come with their exact rates, by implicit differentiation of
+the characteristic polynomial over the root-gap matrix that the diagonalizer
+chain is built from.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "NearMultipleRoot",
     "HyperbolicOperatorSpec",
     "RootSet",
-    "SymbolMatrix",
     "characteristic_roots",
     "roots_on_times",
     "companion_symbol",
@@ -43,26 +44,6 @@ class HyperbolicityViolation(Exception):
 
 class NearMultipleRoot(Exception):
     """Root separation fell below the hyperbolicity margin."""
-
-
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """An m x m symbol with a label naming which matrix it is."""
-
-    entries: np.ndarray
-    label: str = ""
-
-    @property
-    def m(self):
-        return self.entries.shape[0]
-
-    def __matmul__(self, other):
-        rhs = other.entries if isinstance(other, SymbolMatrix) else other
-        return SymbolMatrix(self.entries @ rhs, f"{self.label}*")
-
-    def __str__(self):
-        rows = [" ".join(f"{v.real:+.6e}{v.imag:+.6e}j" for v in row) for row in self.entries]
-        return f"{self.label} ({self.m}x{self.m}):\n" + "\n".join(rows)
 
 
 @dataclass(frozen=True)
@@ -116,34 +97,58 @@ class RootSet:
         return self.lam.size
 
 
-def _settle_roots(raw, xi, delta_sep):
+def _row_scale(xi, m):
+    """Last-row factors xi^(m-j) <xi>^-(m-1-j) of the companion symbol, j = 0..m-1."""
     jb = float(jbracket(xi))
+    return np.array([xi ** (m - j) * jb ** (j + 1 - m) for j in range(m)])
+
+
+def _companion(vals, xi):
+    """Companion symbol for coefficient values vals[..., j] = a_{m-j}.
+
+    Batched over the leading axes: <xi> on the superdiagonal, last-row entry
+    in column j equal to a_{m-j} xi^(m-j) <xi>^-(m-1-j).
+    """
+    vals = np.asarray(vals, dtype=float)
+    m = vals.shape[-1]
+    A = np.zeros(vals.shape + (m,))
+    A[..., np.arange(m - 1), np.arange(1, m)] = float(jbracket(xi))
+    A[..., m - 1, :] = vals * _row_scale(xi, m)
+    return A
+
+
+def _roots(vals, xi, delta_sep):
+    """Settled ascending roots for each row of coefficient values, shape (n, m).
+
+    Eigenvalues of the companion symbol, checked for the whole batch at once:
+    imaginary parts within IMAG_TOL <xi>, gaps at least delta_sep <xi>.
+    """
+    jb = float(jbracket(xi))
+    raw = np.linalg.eigvals(_companion(vals, xi))
     worst = float(np.max(np.abs(raw.imag)))
     if worst > IMAG_TOL * jb:
         raise HyperbolicityViolation(
             f"complex characteristic roots at xi={xi}: max |Im| = {worst:.3e} > {IMAG_TOL * jb:.3e}"
         )
-    lam = np.sort(raw.real)
-    gaps = np.diff(lam)
-    if lam.size > 1 and np.min(gaps) < delta_sep * jb:
-        raise NearMultipleRoot(
-            f"root gap {np.min(gaps):.3e} below margin {delta_sep * jb:.3e} at xi={xi}"
-        )
+    lam = np.sort(raw.real, axis=-1)
+    if lam.shape[-1] > 1:
+        gap = float(np.min(np.diff(lam, axis=-1)))
+        if gap < delta_sep * jb:
+            raise NearMultipleRoot(f"root gap {gap:.3e} below margin {delta_sep * jb:.3e} at xi={xi}")
     return lam
 
 
-def _roots(b, xi, delta_sep):
-    """Settled roots of lam^m = sum_j b_j lam^j for each row of b, shape (n, m).
+def _root_gaps(lam, tol=0.0):
+    """Gap matrix G[..., p, i] = lam_i - lam_p (zero diagonal) of ascending roots.
 
-    Batched eigenvalues of the scalar companion: ones on the superdiagonal,
-    the b_j in the last row.
+    Returns ``(G, P)`` with P[..., p] = prod_{i != p} G[..., p, i].  A gap
+    below ``tol`` raises NearMultipleRoot (underflow guard).
     """
-    n, m = b.shape
-    comp = np.zeros((n, m, m))
-    comp[:, np.arange(m - 1), np.arange(1, m)] = 1.0
-    comp[:, m - 1, :] = b
-    raw = np.linalg.eigvals(comp)
-    return np.array([_settle_roots(r, xi, delta_sep) for r in raw])
+    m = lam.shape[-1]
+    if m > 1 and np.min(np.diff(lam, axis=-1)) < tol:
+        raise NearMultipleRoot(f"root gap underflow below {tol:.3e}")
+    G = lam[..., None, :] - lam[..., :, None]
+    return G, np.prod(G + np.eye(m), axis=-1)
 
 
 def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> RootSet:
@@ -151,8 +156,7 @@ def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -
 
     Complex or nearly multiple roots raise.
     """
-    b = spec.coeff_values(t, x) * xi ** (spec.m - np.arange(spec.m))
-    return RootSet(_roots(b[None, :], xi, spec.delta_sep)[0], xi)
+    return RootSet(_roots(spec.coeff_values(t, x)[None, :], xi, spec.delta_sep)[0], xi)
 
 
 def roots_on_times(
@@ -169,39 +173,32 @@ def roots_on_times(
     ``(lam, lam_dot)``, both of shape (len(ts), m).  The rates come from
     implicit differentiation of p(lam) = lam^m - sum_j b_j lam^j:
 
-        lam_k' = sum_j b_j' lam_k^j / prod_{i != k}(lam_k - lam_i),
+        lam_k' = sum_j b_j' lam_k^j / p'(lam_k),   b_j = a_{m-j} xi^(m-j),
 
-    whose denominator is p'(lam_k), nonzero because the roots are separated
-    by at least delta_sep <xi>.
+    with p'(lam_k) = prod_{i != k}(lam_k - lam_i) = (-1)^(m-1) P_k from the
+    gap matrix, nonzero because the roots are separated by at least
+    delta_sep <xi>.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if eps is None:
         eps = 1.0 / float(jbracket(xi))
     m = spec.m
-    powers = xi ** (m - np.arange(m))
-    b = np.zeros((2, ts.size, m))  # b_j = a_{m-j} xi^(m-j) and its rate
+    vals = np.zeros((2, ts.size, m))  # a_{m-j} and its rate
     for j, c in enumerate(spec.coeffs):
         if c is not None:
-            b[:, :, j] = mollify(c, mollifier, eps, ts, x=x)[:2] * powers[j]
-    lam = _roots(b[0], xi, spec.delta_sep)
-    num = np.sum(b[1][:, None, :] * lam[:, :, None] ** np.arange(m), axis=2)
-    gaps = lam[:, :, None] - lam[:, None, :]
-    gaps[:, np.arange(m), np.arange(m)] = 1.0
-    return lam, num / np.prod(gaps, axis=2)
+            vals[:, :, j] = mollify(c, mollifier, eps, ts, x=x)[:2]
+    lam = _roots(vals[0], xi, spec.delta_sep)
+    b_dot = vals[1] * xi ** (m - np.arange(m))
+    num = np.sum(b_dot[:, None, :] * lam[:, :, None] ** np.arange(m), axis=2)
+    _, P = _root_gaps(lam)
+    return lam, num / ((-1) ** (m - 1) * P)
 
 
-def companion_symbol(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> SymbolMatrix:
-    """The first-order system symbol A(t, x, xi).
+def companion_symbol(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> np.ndarray:
+    """The first-order system symbol A(t, x, xi), an m x m array.
 
     Superdiagonal <xi>; last-row entry in column j equals
     a_{m-j} xi^(m-j) <xi>^-(m-1-j).  Its eigenvalues reproduce the
     characteristic roots.
     """
-    m = spec.m
-    jb = float(jbracket(xi))
-    vals = spec.coeff_values(t, x)
-    A = np.zeros((m, m), dtype=complex)
-    A[np.arange(m - 1), np.arange(1, m)] = jb
-    for j in range(m):
-        A[m - 1, j] = vals[j] * xi ** (m - j) * jb ** (-(m - 1 - j))
-    return SymbolMatrix(A, "A")
+    return _companion(spec.coeff_values(t, x), xi)

@@ -106,7 +106,6 @@ class ThetaIntegralReport:
     integrals: np.ndarray
     max_integral: float
     top_decade_slope: float
-    top_decade_variation: float
 
 
 def theta_integral_bound(ts: ThetaSpec, xi_grid, T=None, n=512) -> ThetaIntegralReport:
@@ -121,5 +120,4 @@ def theta_integral_bound(ts: ThetaSpec, xi_grid, T=None, n=512) -> ThetaIntegral
     if int(mask.sum()) < 3:
         raise ValueError("need at least 3 points in the top decade")
     slope, _ = fit_loglog_slope(jbracket(xi[mask]), vals[mask])
-    variation = float(np.max(vals[mask]) / np.min(vals[mask]))
-    return ThetaIntegralReport(xi, vals, float(np.max(vals)), float(slope), variation)
+    return ThetaIntegralReport(xi, vals, float(np.max(vals)), float(slope))

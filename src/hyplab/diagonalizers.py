@@ -1,19 +1,23 @@
 """The diagonalization chain for the companion symbol.
 
-Three transformations, applied to the first-order system at a fixed
-phase-space point:
+Three transformations and one set of weights, applied to the first-order
+system at a fixed phase-space point.  Every step is a formula in the root
+gaps G[p, i] = lam_i - lam_p and their products P_p = prod_{i != p} G[p, i],
+taken from the one gap matrix ``companion._root_gaps``; every symbol is a
+plain complex m x m array.
 
 * M1, the Vandermonde matrix in the normalized roots lam_k/<xi>, with its
   inverse assembled from the explicit elementary-symmetric-function formula
-  (never by numeric inversion);
+  over the denominators P_p (never by numeric inversion);
 * the first-step correction C1 = M1^-1 (D_t M1), whose entries have closed
   forms in the roots and their time derivatives (D_t = -i d/dt), both
   supplied by ``companion.roots_on_times``;
 * M2 = I + (off-diagonal of C1)/(lam_p - lam_q), active in the hyperbolic
   zone only;
 * the diagonal exponential weights w_p absorbing the remaining diagonal
-  derivative terms; their time integrals must stay bounded in frequency for
-  a no-loss estimate, which is exactly what the laboratory measures.
+  derivative terms, over the row sums of G; their time integrals must stay
+  bounded in frequency for a no-loss estimate, which is exactly what the
+  laboratory measures.
 """
 
 from __future__ import annotations
@@ -23,13 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .companion import (
-    HyperbolicOperatorSpec,
-    NearMultipleRoot,
-    RootSet,
-    SymbolMatrix,
-    roots_on_times,
-)
+from .companion import HyperbolicOperatorSpec, RootSet, _root_gaps, roots_on_times
 from .coefficients import Mollifier
 from .conjugation import _simpson
 from .weights import jbracket
@@ -46,74 +44,61 @@ __all__ = [
 ]
 
 
+# root gaps below this fraction of <xi> raise NearMultipleRoot
+_UNDERFLOW = 1e-12
+
+
 class DiagonalizerIllConditioned(Exception):
     """Second diagonalizer entries too large; frequency too low for step two."""
 
 
-def _gap_products(lam, p, xi):
-    """prod_{i != p} (lam_i - lam_p), guarded against underflow."""
-    diffs = np.delete(lam, p) - lam[p]
-    if diffs.size and np.min(np.abs(diffs)) < 1e-12 * float(jbracket(xi)):
-        raise NearMultipleRoot(f"root gap underflow near root {p}")
-    return np.prod(diffs) if diffs.size else 1.0
-
-
-def m1_symbol(roots: RootSet, xi) -> SymbolMatrix:
+def m1_symbol(roots: RootSet) -> np.ndarray:
     """Vandermonde in lam_k/<xi>: row p holds (lam_q/<xi>)^p."""
-    jb = float(jbracket(xi))
-    z = roots.lam / jb
-    V = np.vander(z, roots.m, increasing=True).T.astype(complex)
-    return SymbolMatrix(V, "M1")
+    z = roots.lam / float(jbracket(roots.xi))
+    return np.vander(z, roots.m, increasing=True).T.astype(complex)
 
 
-def m1_inverse_symbol(roots: RootSet, xi) -> SymbolMatrix:
+def m1_inverse_symbol(roots: RootSet) -> np.ndarray:
     """Explicit inverse of the Vandermonde.
 
     Entry (p, q) is (-1)^(q-1) <xi>^(q-1) e_{m-q}(roots without p) divided by
     prod_{i != p}(lam_i - lam_p), where e_k is the k-th elementary symmetric
     function.  Built from the formula, not from a numeric inverse.
     """
-    jb = float(jbracket(xi))
     m = roots.m
-    lam = roots.lam / jb  # normalized roots; powers of <xi> then cancel
-    C = np.zeros((m, m), dtype=complex)
-    sign = (-1.0) ** (m - 1)
-    for p in range(m):
-        others = np.delete(lam, p)
-        denom = _gap_products(lam, p, 0.0)  # normalized roots: guard at scale 1
-        # coeffs of prod (z - lam_i); poly[k] = (-1)^k e_k
-        poly = np.atleast_1d(np.poly(others))
-        for q in range(1, m + 1):
-            C[p, q - 1] = sign * poly[m - q] / denom
-    return SymbolMatrix(C, "M1inv")
+    lam = roots.lam / float(jbracket(roots.xi))  # normalized roots; powers of <xi> then cancel
+    _, P = _root_gaps(lam, _UNDERFLOW)
+    # row p: coefficients of prod_{i != p}(z - lam_i), entry k = (-1)^k e_k
+    poly = np.array([np.atleast_1d(np.poly(np.delete(lam, p))) for p in range(m)])
+    return ((-1.0) ** (m - 1) * poly[:, ::-1] / P[:, None]).astype(complex)
 
 
-def c1_entries(roots: RootSet, roots_dt, xi) -> SymbolMatrix:
+def _c1(roots: RootSet, roots_dt):
+    """C1 and the reciprocal gaps R[p, i] = 1/(lam_i - lam_p), zero on the diagonal."""
+    m = roots.m
+    G, P = _root_gaps(roots.lam, _UNDERFLOW * float(jbracket(roots.xi)))
+    eye = np.eye(m)
+    R = 1.0 / (G + eye) - eye
+    dt = -1j * np.asarray(roots_dt, dtype=float)  # D_t lam
+    E = dt * P * R / P[:, None]
+    np.fill_diagonal(E, -dt * R.sum(axis=-1))
+    return E, R
+
+
+def c1_entries(roots: RootSet, roots_dt) -> np.ndarray:
     """First-step correction entries (the symbol product M1^-1 D_t M1).
 
     ``roots_dt`` holds the real time derivatives d/dt lam_k; the operator
-    convention D_t = -i d/dt makes every entry purely imaginary:
+    convention D_t = -i d/dt makes every entry purely imaginary.  With the
+    gap matrix G[p, i] = lam_i - lam_p and P_p = prod_{i != p} G[p, i]:
 
-        e_pp = -D_t lam_p  sum_{i != p} 1/(lam_i - lam_p)
-        e_pq = -D_t lam_q  prod_{i != p,q}(lam_i - lam_q) / prod_{i != p}(lam_i - lam_p)
+        e_pp = -D_t lam_p  sum_{i != p} 1/G[p, i]
+        e_pq = -D_t lam_q  P_q / ((lam_p - lam_q) P_p)
     """
-    lam = roots.lam
-    dt = -1j * np.asarray(roots_dt, dtype=float)  # D_t lam
-    m = roots.m
-    E = np.zeros((m, m), dtype=complex)
-    for p in range(m):
-        denom = _gap_products(lam, p, roots.xi)
-        for q in range(m):
-            if p == q:
-                E[p, p] = -dt[p] * np.sum(1.0 / (np.delete(lam, p) - lam[p]))
-            else:
-                keep = [i for i in range(m) if i != p and i != q]
-                num = np.prod(lam[keep] - lam[q]) if keep else 1.0
-                E[p, q] = -dt[q] * num / denom
-    return SymbolMatrix(E, "C1")
+    return _c1(roots, roots_dt)[0]
 
 
-def m2_symbol(roots: RootSet, roots_dt, xi, zone_tag: Zone) -> SymbolMatrix:
+def m2_symbol(roots: RootSet, roots_dt, zone_tag: Zone) -> np.ndarray:
     """Second diagonalizer; identity outside the hyperbolic zone.
 
     Off-diagonal entries divide the first-step correction by the root gap:
@@ -122,20 +107,15 @@ def m2_symbol(roots: RootSet, roots_dt, xi, zone_tag: Zone) -> SymbolMatrix:
     """
     m = roots.m
     if zone_tag is not Zone.HYPERBOLIC:
-        return SymbolMatrix(np.eye(m, dtype=complex), "M2")
-    E = c1_entries(roots, roots_dt, xi).entries
-    D = np.eye(m, dtype=complex)
-    lam = roots.lam
-    for p in range(m):
-        for q in range(m):
-            if p != q:
-                D[p, q] = E[p, q] / (lam[p] - lam[q])
+        return np.eye(m, dtype=complex)
+    E, R = _c1(roots, roots_dt)
+    D = np.eye(m) - E * R  # R = -1/(lam_p - lam_q) off the diagonal, zero on it
     off = np.max(np.abs(D - np.eye(m)))
     if off >= 1.0 / (2.0 * m):
         raise DiagonalizerIllConditioned(
             f"off-diagonal magnitude {off:.3e} >= 1/(2m) at xi={roots.xi}"
         )
-    return SymbolMatrix(D, "M2")
+    return D
 
 
 @dataclass(frozen=True)
@@ -171,10 +151,8 @@ def m3_weights(
 
     def integrand(ss):
         lam, lam_dot = roots_on_times(spec, ss, x, xi, mol)
-        gaps = np.empty_like(lam)
-        for p in range(spec.m):
-            gaps[:, p] = np.sum(np.delete(lam, p, axis=1) - lam[:, [p]], axis=1)
-        return -1j * lam_dot / gaps  # D_s lam_p / sum_i (lam_i - lam_p)
+        G, _ = _root_gaps(lam)
+        return -1j * lam_dot / G.sum(axis=-1)  # D_s lam_p / sum_i (lam_i - lam_p)
 
     integrals = _simpson(integrand, 0.0, t, quadrature)
     return M3Weights(integrals=integrals, magnitudes=np.abs(np.exp(integrals)))

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .companion import HyperbolicOperatorSpec, characteristic_roots
+from .companion import HyperbolicOperatorSpec, _row_scale, characteristic_roots
 from .diagonalizers import m1_inverse_symbol, m1_symbol
 from .moduli import AuxiliaryFunction
 from .weights import _top_window, fit_loglog_slope, jbracket
@@ -45,7 +45,6 @@ __all__ = [
     "EnergyTrace",
     "LossEstimate",
     "evolve_frequency",
-    "amplification",
     "estimate_loss",
     "sobolev_energy",
     "closed_form_constant_trace",
@@ -60,7 +59,11 @@ class StiffnessError(Exception):
 
 @dataclass(frozen=True)
 class EnergyTrace:
-    """Euclidean norm history of one frequency component."""
+    """Euclidean norm history of one frequency component.
+
+    ``amplification`` is the sup over recorded times of |U(t)| / |U(0)|
+    (zero for a zero initial vector).
+    """
 
     xi: float
     times: np.ndarray
@@ -146,8 +149,7 @@ def evolve_frequency(
     jb = float(jbracket(xi))
     sup_a = spec.sup_abs()
     coeffs = [(j, c) for j, c in enumerate(spec.coeffs) if c is not None]
-    # last row of A: a_{m-j} xi^(m-j) <xi>^-(m-1-j); B = iA
-    scale = np.array([1j * xi ** (m - j) * jb ** (-(m - 1 - j)) for j in range(m)])
+    scale = 1j * _row_scale(xi, m)  # last row of B = iA, per unit coefficient
 
     sample_times = np.linspace(0.0, exp.T, exp.n_samples)
     if u0 is None:
@@ -196,19 +198,10 @@ def evolve_frequency(
     return EnergyTrace.from_history(xi, sample_times, norms)
 
 
-def amplification(trace: EnergyTrace) -> float:
-    """Sup over recorded times of |U(t)| / |U(0)|."""
-    if trace.norms.size == 0:
-        raise ValueError("empty trace")
-    if trace.norms[0] == 0.0:
-        return 0.0
-    return float(np.max(trace.norms) / trace.norms[0])
-
-
 def estimate_loss(exp: FrequencyExperiment, traces) -> LossEstimate:
     """Growth exponent of amplification over the top two decades of the sweep."""
     xi = np.array([tr.xi for tr in traces], dtype=float)
-    amps = np.array([amplification(tr) for tr in traces], dtype=float)
+    amps = np.array([tr.amplification for tr in traces], dtype=float)
     order = np.argsort(xi)
     xi, amps = xi[order], amps[order]
     if xi[-1] / xi[0] < 100.0 * (1.0 - 1e-9):
@@ -254,8 +247,8 @@ def closed_form_constant_trace(exp: FrequencyExperiment, xi: float, u0=None) -> 
         if c is not None and c.profile != "constant":
             raise ValueError("closed form available for constant coefficients only")
     roots = characteristic_roots(spec, 0.1, None, xi)
-    V = m1_symbol(roots, xi).entries
-    Vinv = m1_inverse_symbol(roots, xi).entries
+    V = m1_symbol(roots)
+    Vinv = m1_inverse_symbol(roots)
     if u0 is None:
         u0 = np.zeros(spec.m, dtype=complex)
         u0[0] = 1.0

@@ -56,28 +56,10 @@ class GridFunction1D:
     def n(self):
         return self.samples.size
 
-    @property
-    def grid(self):
-        return np.arange(self.n) * (self.period / self.n)
-
     @classmethod
     def from_callable(cls, fn, n=1024, period=2.0 * math.pi):
         x = np.arange(n) * (period / n)
         return cls(np.asarray(fn(x)), period)
-
-    def save(self, path):
-        """Two-column plain text (grid point, value); real-valued data only."""
-        if np.iscomplexobj(self.samples) and np.max(np.abs(self.samples.imag)) > 0:
-            raise ValueError("text format stores real-valued functions only")
-        np.savetxt(path, np.column_stack([self.grid, self.samples.real]))
-
-    @classmethod
-    def load(cls, path):
-        data = np.loadtxt(path)
-        x, v = data[:, 0], data[:, 1]
-        n = v.size
-        period = float(x[-1] - x[0]) * n / (n - 1) if n > 1 else 1.0
-        return cls(v, period)
 
 
 def _smoothstep(x):

@@ -94,8 +94,8 @@ def test_criterion_03_explicit_inverse_oracle():
                 z = np.sort(rng.uniform(-5.0, 5.0, size=m))
             xi = 100.0
             roots = RootSet(z * float(jbracket(xi)), xi)
-            V = m1_symbol(roots, xi).entries
-            C = m1_inverse_symbol(roots, xi).entries
+            V = m1_symbol(roots)
+            C = m1_inverse_symbol(roots)
             kappa = np.linalg.norm(V, np.inf) * np.linalg.norm(np.linalg.inv(V), np.inf)
             err = np.max(np.abs(C - np.linalg.inv(V))) / max(kappa, 1.0)
             worst = max(worst, err)
@@ -132,9 +132,9 @@ def test_criterion_04_exact_diagonalization():
     for spec in specs.values():
         for xi in np.geomspace(16.0, 1600.0, 9):
             roots = characteristic_roots(spec, 0.1, None, float(xi))
-            A = companion_symbol(spec, 0.1, None, float(xi)).entries
-            V = m1_symbol(roots, float(xi)).entries
-            Vinv = m1_inverse_symbol(roots, float(xi)).entries
+            A = companion_symbol(spec, 0.1, None, float(xi))
+            V = m1_symbol(roots)
+            Vinv = m1_inverse_symbol(roots)
             err = np.max(np.abs(Vinv @ A @ V - np.diag(roots.lam))) / np.max(np.abs(roots.lam))
             worst = max(worst, err)
     elapsed = time.time() - start

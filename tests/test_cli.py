@@ -197,3 +197,19 @@ def test_cli_verify_fails_on_mismatched_modulus(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 3, out
     assert "FAIL" in out
+
+
+def test_cli_verify_checks_every_coefficient(tmp_path, capsys):
+    # the rough coefficient moved to a_1 behind a constant a_2: its bounds
+    # must still be checked, under names carrying the subscript
+    text = open(cfg_path("holder05.cfg")).read().replace("[coefficient.2]", "[coefficient.1]")
+    cfg = tmp_path / "two_coeffs.cfg"
+    cfg.write_text(text + "\n[coefficient.2]\nprofile = constant\nbase = 2.0\n")
+    rc = main(["verify", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert rc == 3, out
+    verdicts = {line.split()[0]: line.split()[1] for line in out.splitlines() if len(line.split()) > 1}
+    assert verdicts["reg_bound_iii_a1"] == "FAIL"
+    assert verdicts["reg_bound_vi_a1"] == "FAIL"
+    assert verdicts["reg_bound_iii_a2"] == "PASS"
+    assert "reg_bound_iii" not in verdicts

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyplab.coefficients import CoefficientSpec, Mollifier
+from hyplab.coefficients import CoefficientSpec, Mollifier, mollify
 from hyplab.companion import (
     HyperbolicityViolation,
     HyperbolicOperatorSpec,
@@ -69,10 +69,10 @@ def test_roots_homogeneity():
 def test_companion_symbol_structure_and_eigenvalues():
     A = companion_symbol(WAVE2, 0.1, None, 3.0)
     jb = float(jbracket(3.0))
-    assert A.entries[0, 1] == pytest.approx(jb)
-    assert A.entries[1, 0] == pytest.approx(4.0 * 9.0 / jb)
-    assert A.entries[0, 0] == 0.0 and A.entries[1, 1] == 0.0
-    ev = np.sort(np.linalg.eigvals(A.entries).real)
+    assert A[0, 1] == pytest.approx(jb)
+    assert A[1, 0] == pytest.approx(4.0 * 9.0 / jb)
+    assert A[0, 0] == 0.0 and A[1, 1] == 0.0
+    ev = np.sort(np.linalg.eigvals(A).real)
     assert ev == pytest.approx([-6.0, 6.0], rel=1e-12)
 
 
@@ -87,22 +87,22 @@ def test_companion_matches_roots_general_order():
     )
     xi = 2.0**10
     roots = characteristic_roots(spec, 0.1, None, xi)
-    ev = np.sort(np.linalg.eigvals(companion_symbol(spec, 0.1, None, xi).entries).real)
+    ev = np.sort(np.linalg.eigvals(companion_symbol(spec, 0.1, None, xi)).real)
     assert np.max(np.abs(ev - roots.lam) / np.abs(roots.lam).max()) < 1e-6
 
 
 def test_companion_nilpotent_when_all_coefficients_vanish():
     spec = HyperbolicOperatorSpec(3, (None, None, None))
-    A = companion_symbol(spec, 0.1, None, 8.0).entries
+    A = companion_symbol(spec, 0.1, None, 8.0)
     assert np.max(np.abs(np.linalg.eigvals(A))) < 1e-8
 
 
 def test_m1_hand_inverse_m2():
     jb = float(jbracket(3.0))
     roots = RootSet(np.array([-jb, jb]), 3.0)
-    V = m1_symbol(roots, 3.0).entries
+    V = m1_symbol(roots)
     assert V == pytest.approx(np.array([[1.0, 1.0], [-1.0, 1.0]]))
-    C = m1_inverse_symbol(roots, 3.0).entries
+    C = m1_inverse_symbol(roots)
     assert C == pytest.approx(np.array([[0.5, -0.5], [0.5, 0.5]]))
 
 
@@ -115,45 +115,63 @@ def test_m1_m1inv_random_roots():
                 z = np.sort(rng.uniform(-5.0, 5.0, size=m))
             xi = 50.0
             roots = RootSet(z * float(jbracket(xi)), xi)
-            V = m1_symbol(roots, xi).entries
-            C = m1_inverse_symbol(roots, xi).entries
+            V = m1_symbol(roots)
+            C = m1_inverse_symbol(roots)
             resid = np.max(np.abs(C @ V - np.eye(m)))
             assert resid < 1e-8
 
 
 def test_c1_zero_for_frozen_roots_and_linearity():
     roots = RootSet(np.array([-3.0, 1.0, 4.0]) * 100.0, 100.0)
-    zero = c1_entries(roots, np.zeros(3), 100.0).entries
+    zero = c1_entries(roots, np.zeros(3))
     assert np.max(np.abs(zero)) == 0.0
     dt = np.array([1.0, -2.0, 0.5]) * 10.0
-    E1 = c1_entries(roots, dt, 100.0).entries
-    E2 = c1_entries(roots, 2.0 * dt, 100.0).entries
+    E1 = c1_entries(roots, dt)
+    E2 = c1_entries(roots, 2.0 * dt)
     assert E2 == pytest.approx(2.0 * E1)
 
 
-def test_c1_matches_matrix_product_oracle():
-    # compare against M1^-1 (D_t M1) with a finite-difference D_t M1
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_c1_matches_matrix_product_oracle(m):
+    # compare against M1^-1 (D_t M1) with a finite-difference D_t M1, on
+    # seeded random roots separated by at least 0.3 <xi>
     xi = 40.0
-    lam = np.array([-2.2, 1.7]) * float(jbracket(xi))
-    lam_dot = np.array([0.8, -1.3]) * float(jbracket(xi))
+    jb = float(jbracket(xi))
+    rng = np.random.default_rng(100 + m)
+    z = np.sort(rng.uniform(-2.5, 2.5, size=m))
+    while np.min(np.diff(z)) < 0.3:
+        z = np.sort(rng.uniform(-2.5, 2.5, size=m))
+    lam = z * jb
+    lam_dot = rng.uniform(-1.5, 1.5, size=m) * jb
+    roots = RootSet(lam, xi)
     h = 1e-7
-    Vp = m1_symbol(RootSet(lam + h * lam_dot, xi), xi).entries
-    Vm = m1_symbol(RootSet(lam - h * lam_dot, xi), xi).entries
+    Vp = m1_symbol(RootSet(lam + h * lam_dot, xi))
+    Vm = m1_symbol(RootSet(lam - h * lam_dot, xi))
     DtM1 = -1j * (Vp - Vm) / (2.0 * h)
-    oracle = m1_inverse_symbol(RootSet(lam, xi), xi).entries @ DtM1
-    got = c1_entries(RootSet(lam, xi), lam_dot, xi).entries
+    oracle = m1_inverse_symbol(roots) @ DtM1
+    got = c1_entries(roots, lam_dot)
     assert np.max(np.abs(got - oracle)) < 1e-6 * np.max(np.abs(got))
-    # diagonal entry in closed form: e_11 = -D_t lam_1 / (lam_2 - lam_1)
-    assert got[0, 0] == pytest.approx(1j * lam_dot[0] / (lam[1] - lam[0]), rel=1e-12)
+    # diagonal in closed form: e_pp = -D_t lam_p sum_{i != p} 1/(lam_i - lam_p)
+    for p in range(m):
+        expect = 1j * lam_dot[p] * np.sum(1.0 / (np.delete(lam, p) - lam[p]))
+        assert got[p, p] == pytest.approx(expect, rel=1e-12)
+    # M2 divides the off-diagonal of C1 by the root gap
+    D = m2_symbol(roots, 1e-3 * lam_dot, Zone.HYPERBOLIC)
+    E = c1_entries(roots, 1e-3 * lam_dot)
+    for p in range(m):
+        for q in range(m):
+            if p != q:
+                assert D[p, q] == pytest.approx(E[p, q] / (lam[p] - lam[q]), rel=1e-12)
+    assert np.diag(D) == pytest.approx(np.ones(m))
 
 
 def test_m2_identity_cases_and_guard():
     roots = RootSet(np.array([-1.0, 1.0]) * 64.0, 64.0)
-    assert m2_symbol(roots, np.zeros(2), 64.0, Zone.HYPERBOLIC).entries == pytest.approx(np.eye(2))
+    assert m2_symbol(roots, np.zeros(2), Zone.HYPERBOLIC) == pytest.approx(np.eye(2))
     big_dt = np.array([1e5, -1e5])
-    assert m2_symbol(roots, big_dt, 64.0, Zone.PSEUDODIFFERENTIAL).entries == pytest.approx(np.eye(2))
+    assert m2_symbol(roots, big_dt, Zone.PSEUDODIFFERENTIAL) == pytest.approx(np.eye(2))
     with pytest.raises(DiagonalizerIllConditioned):
-        m2_symbol(roots, big_dt, 64.0, Zone.HYPERBOLIC)
+        m2_symbol(roots, big_dt, Zone.HYPERBOLIC)
 
 
 def test_m2_entries_shrink_along_zone_boundary():
@@ -166,7 +184,7 @@ def test_m2_entries_shrink_along_zone_boundary():
     for xi in xis:
         t = min(2.0 * zone_boundary(eta, zp, xi), 0.45)
         lam, dt = roots_on_times(spec, np.array([t]), None, xi, mol)
-        D = m2_symbol(RootSet(lam[0], xi), dt[0], xi, Zone.HYPERBOLIC).entries
+        D = m2_symbol(RootSet(lam[0], xi), dt[0], Zone.HYPERBOLIC)
         offs.append(np.max(np.abs(D - np.eye(2))))
     slope, _ = fit_loglog_slope(xis, offs)
     assert slope < -0.05
@@ -208,6 +226,19 @@ def test_m3_constant_coefficients_unit_weights():
     assert np.max(np.abs(res.integrals)) < 1e-12
 
 
+@pytest.mark.parametrize("xi", [16.0, 64.0, 256.0])
+def test_m3_weights_match_telescoped_integral(xi):
+    # m = 2 with a_1 = 0: lam = -+ xi sqrt(a), so D_s lam_p / (lam_q - lam_p)
+    # = i a'/(4a) and the integral telescopes to (i/4) log(a_eps(T)/a_eps(0))
+    coeff = CoefficientSpec("log_power_oscillation", delta=0.5)
+    spec = HyperbolicOperatorSpec(2, (coeff, None))
+    T = 0.5
+    a_eps = mollify(coeff, Mollifier(), 1.0 / float(jbracket(xi)), np.array([0.0, T]))[0]
+    expect = 0.25 * abs(np.log(a_eps[1] / a_eps[0]))
+    res = m3_weights(spec, None, xi, T)
+    assert np.abs(res.integrals) == pytest.approx([expect, expect], rel=5e-3)
+
+
 def test_m3_integral_bounded_over_sweep():
     spec = HyperbolicOperatorSpec(
         2, (CoefficientSpec("log_power_oscillation", delta=0.5), None)
@@ -247,9 +278,9 @@ def test_exact_diagonalization_frozen_time():
     )
     for xi in np.geomspace(8.0, 800.0, 5):
         roots = characteristic_roots(spec, 0.1, None, float(xi))
-        A = companion_symbol(spec, 0.1, None, float(xi)).entries
-        V = m1_symbol(roots, float(xi)).entries
-        Vinv = m1_inverse_symbol(roots, float(xi)).entries
+        A = companion_symbol(spec, 0.1, None, float(xi))
+        V = m1_symbol(roots)
+        Vinv = m1_inverse_symbol(roots)
         diag = Vinv @ A @ V
         err = np.max(np.abs(diag - np.diag(roots.lam)))
         assert err < 1e-8 * np.max(np.abs(roots.lam))

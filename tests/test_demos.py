@@ -1,0 +1,15 @@
+"""Smoke test: every demo script runs to completion."""
+
+import glob
+import os
+import runpy
+
+import pytest
+
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "*.py")))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
+def test_demo_runs(path, capsys):
+    runpy.run_path(path, run_name="__main__")
+    assert capsys.readouterr().out

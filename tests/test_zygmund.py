@@ -140,13 +140,3 @@ def test_spatial_profile_norm_stability():
     assert above[1] / above[0] > 1.15  # membership fails above the true index
     zero = SpatialProfile(s=1.2, amplitude=0.0)
     assert spatial_profile_norm(zero, 1.2) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_text_round_trip(tmp_path):
-    u = lacunary(0.7)
-    path = tmp_path / "profile.txt"
-    u.save(path)
-    v = GridFunction1D.load(path)
-    assert v.n == u.n
-    assert v.period == pytest.approx(u.period, rel=1e-12)
-    assert np.max(np.abs(v.samples - u.samples.real)) < 1e-12
