@@ -28,7 +28,7 @@ from .coefficients import verify_reg_bounds
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugation import ThetaSpec, theta_integral_bound
 from .diagonalizers import m3_weights
-from .energy import FrequencyExperiment, estimate_loss, evolve_frequency
+from .energy import FrequencyExperiment, _loss_window, estimate_loss, evolve_frequency
 from .moduli import admissibility_check, certification_grid, decay_rate, decay_rate_pair
 from .tables import TABLE_BUILDERS
 from .weights import _top_window, classify
@@ -117,8 +117,11 @@ def _energy_experiment(cfg: ExperimentConfig, seed, xi_grid=None, operator=None,
 
 
 def cmd_energy(cfg: ExperimentConfig, args) -> int:
+    try:
+        exp = _energy_experiment(cfg, args.seed)
+    except ValueError as exc:  # the experiment rejects the config's settings
+        raise ConfigError(f"energy: {exc}") from exc
     out = _outdir(cfg, args.out)
-    exp = _energy_experiment(cfg, args.seed)
     traces = _sweep(exp, args.jobs)
     rows = [
         {"xi": tr.xi, "t": float(t), "norm": float(n)}
@@ -138,15 +141,22 @@ def _oscillating_index(cfg: ExperimentConfig):
 
 
 def cmd_loss(cfg: ExperimentConfig, args) -> int:
-    out = _outdir(cfg, args.out)
     j = _oscillating_index(cfg)
     grid = cfg.loss_xi_grid if cfg.loss_xi_grid is not None else cfg.xi_grid
+    # every experiment and the fit window are checked before any integration
+    exps = []
+    try:
+        for gamma in cfg.loss_gammas:
+            coeffs = list(cfg.operator.coeffs)
+            coeffs[j] = dataclasses.replace(coeffs[j], gamma_osc=gamma, delta=cfg.loss_delta)
+            op = dataclasses.replace(cfg.operator, coeffs=tuple(coeffs))
+            exps.append(_energy_experiment(cfg, args.seed, xi_grid=grid, operator=op, step=cfg.loss_step_factor))
+        _loss_window(exps[0].xi_grid)
+    except ValueError as exc:
+        raise ConfigError(f"loss: {exc}") from exc
+    out = _outdir(cfg, args.out)
     rows = []
-    for gamma in cfg.loss_gammas:
-        coeffs = list(cfg.operator.coeffs)
-        coeffs[j] = dataclasses.replace(coeffs[j], gamma_osc=gamma, delta=cfg.loss_delta)
-        op = dataclasses.replace(cfg.operator, coeffs=tuple(coeffs))
-        exp = _energy_experiment(cfg, args.seed, xi_grid=grid, operator=op, step=cfg.loss_step_factor)
+    for gamma, exp in zip(cfg.loss_gammas, exps):
         traces = _sweep(exp, args.jobs)
         loss = estimate_loss(exp, traces)
         rows.append(

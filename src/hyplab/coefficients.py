@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 PROFILES = ("constant", "log_power_oscillation", "holder_rough")
+SPATIAL_TERMS = 10  # lacunary terms of the spatial profile b(x)
 
 # freeze point of the constant continuation below t = 0 for profiles with no
 # one-sided limit there
@@ -56,7 +57,6 @@ class SpatialProfile:
     family: str = "lacunary"
     s: float = 1.2
     amplitude: float = 0.25
-    terms: int = 10
 
     def __post_init__(self):
         if self.family != "lacunary":
@@ -68,7 +68,7 @@ class SpatialProfile:
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        js = np.arange(1, self.terms + 1)
+        js = np.arange(1, SPATIAL_TERMS + 1)
         scale = self.amplitude / np.sum(2.0 ** (-js * self.s))
         out = np.zeros_like(x)
         for j in js:
@@ -185,27 +185,23 @@ class CoefficientSpec:
             hi = 1.0 - 1e-9
         return self._time_value(np.clip(t, _T_FLOOR, hi))
 
-    def rate_bound(self, t: float) -> float:
-        """Scalar envelope of |a'(t)| at t > 0, for the integrator's step size.
+    def rate_bound(self, t):
+        """Envelope of |a'| at times t > 0, nonincreasing in t, for the integrator's step size.
 
-        The log-power bound holds for all t > 0; the lacunary bound is the
-        sum of the term amplitudes and does not depend on t.
+        The log-power bound is delta (1+gamma) max(L, 0)^gamma / t with
+        L = log 1/t; it reads 0 where gamma > 0 and t >= 1, because
+        ``extended_time_value`` freezes the coefficient there.  The lacunary
+        bound is the sum of the term amplitudes and does not depend on t.
         """
+        t = np.asarray(t, dtype=float)
         if self.profile == "constant":
-            return 0.0
+            return np.zeros_like(t)
         if self.profile == "log_power_oscillation":
             g = self.gamma_osc
-            L = math.log(1.0 / t)
-            if L <= 0.0:
-                return abs(self.delta) * (1.0 + g) / t
-            return abs(self.delta) * (1.0 + g) * L**g / t
-        total = 0.0
-        norm = 0.0
-        for j in range(self.depth + 1):
-            w = 2.0 ** (-j * self.alpha)
-            total += w * 2.0**j
-            norm += w
-        return abs(self.delta) * total / norm
+            return self.delta * (1.0 + g) * np.maximum(np.log(1.0 / t), 0.0) ** g / t
+        js = np.arange(self.depth + 1)
+        w = 2.0 ** (-js * self.alpha)
+        return np.full_like(t, self.delta * np.sum(w * 2.0**js) / np.sum(w))
 
 
 def oscillation_class(gamma_osc: float) -> str:
@@ -350,7 +346,6 @@ def verify_reg_bounds(
     xi_grid,
     t_grid,
     mol: Optional[Mollifier] = None,
-    x_points: int = 64,
     t_samples: int = 33,
 ) -> RegBoundsReport:
     """Measure the six regularized-coefficient bounds with eps = 1/<xi>.
@@ -385,7 +380,7 @@ def verify_reg_bounds(
         raise ValueError("t grid must lie in (0, T]")
     factor = 1.0
     if spec.spatial is not None:
-        xs = np.linspace(0.0, 2.0 * math.pi, x_points, endpoint=False)
+        xs = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         factor = float(np.max(np.abs(1.0 + spec.spatial.value(xs))))
     # summation error bound n u sum|w_k| sup|a| of the quadrature behind jet row
     # k, before its division by eps^k

@@ -165,11 +165,10 @@ def roots_on_times(
     x,
     xi: float,
     mollifier: Mollifier,
-    eps: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the mollified symbol along a time grid, and their time rates.
 
-    The coefficients are mollified at width eps (default 1/<xi>).  Returns
+    The coefficients are mollified at width eps = 1/<xi>.  Returns
     ``(lam, lam_dot)``, both of shape (len(ts), m).  The rates come from
     implicit differentiation of p(lam) = lam^m - sum_j b_j lam^j:
 
@@ -180,8 +179,7 @@ def roots_on_times(
     delta_sep <xi>.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if eps is None:
-        eps = 1.0 / float(jbracket(xi))
+    eps = 1.0 / float(jbracket(xi))
     m = spec.m
     vals = np.zeros((2, ts.size, m))  # a_{m-j} and its rate
     for j, c in enumerate(spec.coeffs):

@@ -21,14 +21,14 @@ import numpy as np
 from .moduli import AuxiliaryFunction
 from .weights import _top_window, fit_loglog_slope, jbracket, weight_w2, weight_w3
 from .zones import ZoneParams, validate_zone
+from .zygmund import _smoothstep
 
 __all__ = ["ramp_chi", "ThetaSpec", "theta0", "theta", "theta_integral_bound", "ThetaIntegralReport"]
 
 
 def ramp_chi(tau):
     """Monotone polynomial-smooth cutoff: 0 below 1/2, 1 above 1."""
-    x = np.clip((np.asarray(tau, dtype=float) - 0.5) * 2.0, 0.0, 1.0)
-    out = x**3 * (10.0 + x * (-15.0 + 6.0 * x))
+    out = _smoothstep((np.asarray(tau, dtype=float) - 0.5) * 2.0)
     return out if out.shape else float(out)
 
 
@@ -87,16 +87,16 @@ def _simpson(fn, a, b, n):
     return (xs[1] - xs[0]) / 3.0 * (w @ np.asarray(fn(xs)))
 
 
-def integrate_theta0(ts: ThetaSpec, xi, T=None, n=512):
+def integrate_theta0(ts: ThetaSpec, xi):
     """Time integral of theta0 on [0, T], split at the cutoff knots."""
-    T = ts.zone.T if T is None else float(T)
+    T = ts.zone.T
     jb = float(jbracket(xi))
     e = float(ts.eta.value(1.0 / jb))
     ne = ts.zone.N * e
     knots = [0.0, min(ne / 2.0, T), min(ne, T), min(2.0 * ne, T), T]
     total = knots[1] / e  # first branch alone, exactly 1/eta * length
     for a, b in zip(knots[1:-1], knots[2:]):
-        total += _simpson(lambda s: theta0(ts, s, xi), a, b, n)
+        total += _simpson(lambda s: theta0(ts, s, xi), a, b, 512)
     return total
 
 
@@ -108,14 +108,14 @@ class ThetaIntegralReport:
     top_decade_slope: float
 
 
-def theta_integral_bound(ts: ThetaSpec, xi_grid, T=None, n=512) -> ThetaIntegralReport:
+def theta_integral_bound(ts: ThetaSpec, xi_grid) -> ThetaIntegralReport:
     """Integral of theta0 per frequency, with a top-decade flatness fit."""
     xi = np.asarray(xi_grid, dtype=float)
     if np.any(np.diff(xi) <= 0.0):
         raise ValueError("frequency grid must be strictly increasing")
     if xi[0] < ts.zone.M:
         raise ValueError("frequency grid starts below the floor M")
-    vals = np.array([integrate_theta0(ts, x, T, n) for x in xi])
+    vals = np.array([integrate_theta0(ts, x) for x in xi])
     mask = _top_window(xi, 1.0)
     if int(mask.sum()) < 3:
         raise ValueError("need at least 3 points in the top decade")

@@ -105,9 +105,6 @@ class AuxiliaryFunction:
         if self.family == "power_law":
             if not (0.0 < self.param <= 1.0):
                 raise ValueError("power_law exponent must lie in (0, 1]")
-            if self.role == "eta" and self.param == 1.0:
-                # admissible as rho only: an eta needs strict concavity
-                pass
         elif self.family == "log_reciprocal":
             if not (self.param > 0.0):
                 raise ValueError("log_reciprocal power must be positive")
@@ -196,7 +193,7 @@ class AuxiliaryFunction:
             raise ValueError("inverse underflowed to zero; target too small for this family")
         return r if r.shape else float(r)
 
-    def inverse_bisect(self, t, rel_tol=1e-13):
+    def inverse_bisect(self, t):
         """Monotone bisection meeting |value(r) - t| <= 1e-12 * t."""
         t = float(t)
         if not (0.0 < t <= self.range_max * (1.0 + 1e-12)):
@@ -211,7 +208,7 @@ class AuxiliaryFunction:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= rel_tol * hi:
+            if hi - lo <= 1e-13 * hi:
                 break
         return 0.5 * (lo + hi)
 

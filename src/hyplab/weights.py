@@ -131,7 +131,7 @@ def _top_window(values, top_decades):
     return values >= hi / 10.0**top_decades * (1.0 - 1e-9)
 
 
-def estimate_order(w: SymbolWeight, xi_grid, T=None, t_samples=48) -> float:
+def estimate_order(w: SymbolWeight, xi_grid, t_samples=48) -> float:
     """Fitted growth order of a weight over the top two decades of the grid.
 
     For the time-dependent weights the value at each frequency is the sup
@@ -145,7 +145,7 @@ def estimate_order(w: SymbolWeight, xi_grid, T=None, t_samples=48) -> float:
         raise ValueError("frequency grid starts below the floor M")
     if xi[-1] / xi[0] < 1e3 * (1.0 - 1e-9):
         raise ValueError("frequency grid must span at least three decades")
-    T = w.zone.T if T is None else float(T)
+    T = w.zone.T
 
     if w.kind == "w1":
         sup = np.asarray(weight_w1(w.eta, xi))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from hyplab import cli
 from hyplab.cli import main
 from hyplab.config import ConfigError, load_config
 
@@ -69,6 +70,32 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
         load_config(bad)
     assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, old, new, message",
+    [
+        ("energy", "xi_max = 4096", "xi_max = 100", "two decades"),
+        ("loss", "xi_max = 16384", "xi_max = 1000", "two decades"),
+        ("loss", "points_per_decade = 16", "points_per_decade = 2", "8 frequencies"),
+        ("loss", "delta = 0.95", "delta = 1.0", "base/2"),
+        ("loss", "gammas = 0, 0.5, 1.0, 1.5", "gammas = 0, -0.5", "nonnegative"),
+    ],
+    ids=["energy_short_grid", "loss_short_grid", "loss_sparse_fit", "loss_delta", "loss_negative_gamma"],
+)
+def test_cli_sweep_rejects_settings_before_integrating(tmp_path, capsys, monkeypatch, command, old, new, message):
+    def integrate(*args, **kwargs):
+        raise AssertionError("a frequency was integrated before the settings were checked")
+
+    monkeypatch.setattr(cli, "evolve_frequency", integrate)
+    text = open(cfg_path("loss_sweep.cfg"), encoding="utf-8").read()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, new))
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {command}: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("name", ["constant.cfg", "loss_sweep.cfg"])

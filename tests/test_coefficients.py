@@ -72,6 +72,27 @@ def test_log_power_derivative_saturates_growth(gamma):
     assert np.max(d2 / envelope**2) < 10.0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CoefficientSpec("constant"),
+        CoefficientSpec("holder_rough", delta=0.5, alpha=0.5),
+        CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=0.0),
+        CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=1.5),
+    ],
+    ids=["constant", "holder_rough", "log_power_g0", "log_power_g1.5"],
+)
+def test_rate_bound_nonincreasing_envelope(spec):
+    # the integrator reads the envelope only at each sample interval's start
+    ts = np.geomspace(1e-6, 2.0, 2001)
+    r = spec.rate_bound(ts)
+    assert r.shape == ts.shape and np.all(r >= 0.0)
+    assert np.all(np.diff(r) <= 0.0)
+    # and it bounds |a'| wherever the profile is not frozen
+    live = ts < 1.0 - 1e-9 if spec.gamma_osc > 0.0 else ts > 0.0
+    assert np.all(np.abs(spec.time_derivative(ts[live], 1)) <= r[live] * (1.0 + 1e-12))
+
+
 @pytest.mark.parametrize("profile,kw", [
     ("log_power_oscillation", dict(delta=0.5, gamma_osc=0.7)),
     # depth reduced so the finite-difference step resolves the top lacunary scale
