@@ -28,21 +28,21 @@ def sweep(gamma, delta, grid, step):
         2, (CoefficientSpec("log_power_oscillation", base=2.0, delta=delta, gamma_osc=gamma), None)
     )
     exp = FrequencyExperiment(op, grid, ZONE, ETA, rho=RHO, step_factor=step)
-    return exp, [evolve_frequency(exp, float(x)) for x in grid]
+    return [evolve_frequency(exp, float(x)) for x in grid]
 
 
 print("== very slow oscillation: flat amplification ==")
 grid = np.geomspace(2**4, 2**12, 17)
-exp, traces = sweep(0.0, 0.5, grid, 0.05)
+traces = sweep(0.0, 0.5, grid, 0.05)
 for tr in traces[::4]:
     print(f"  |xi| = {tr.xi:7.1f}: amplification {tr.amplification:.4f}")
-loss = estimate_loss(exp, traces)
+loss = estimate_loss(traces)
 print(f"fitted loss exponent: {loss.nu0_hat:+.4f} (stderr {loss.stderr:.4f})")
 
 print()
 print("== very fast oscillation: visible growth ==")
-exp_f, traces_f = sweep(1.5, 0.95, grid, 0.1)
-loss_f = estimate_loss(exp_f, traces_f)
+traces_f = sweep(1.5, 0.95, grid, 0.1)
+loss_f = estimate_loss(traces_f)
 print(f"  amplification range [{min(t.amplification for t in traces_f):.3f}, "
       f"{max(t.amplification for t in traces_f):.3f}]")
 print(f"  fitted loss exponent: {loss_f.nu0_hat:+.4f}")

@@ -158,7 +158,7 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
     rows = []
     for gamma, exp in zip(cfg.loss_gammas, exps):
         traces = _sweep(exp, args.jobs)
-        loss = estimate_loss(exp, traces)
+        loss = estimate_loss(traces)
         rows.append(
             {
                 "gamma": gamma,

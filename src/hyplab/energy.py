@@ -16,11 +16,18 @@ frequency-smoothed coefficient oscillates no faster than <xi>).  The envelope
 does not increase with t, so no step exceeds the bound at its own start.  One
 numpy expression gives every count before integrating.
 
-Steps go through in batches of at most ``BATCH``: one ``extended_time_value``
-call per coefficient evaluates all stage times t, t+h/2, t+h, and the stacked
-RK4 step propagators P = I + h/6 (B0 + 2 K2 + 2 K3 + K4) with B = iA,
-K2 = Bm (I + h/2 B0), K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3) are applied
-in order.
+Each interval splits into rows of at most ``BATCH`` consecutive steps, and
+consecutive rows pack into batches of at most ``BATCH`` steps, each row
+padded to the batch's longest with steps of length zero.  Per batch, one
+``extended_time_value`` call per coefficient evaluates all stage times
+t = s_k + h_k i, t + h/2, t + h, and the RK4 step propagators
+P = I + h/6 (B0 + 2 K2 + 2 K3 + K4) with B = iA, K2 = Bm (I + h/2 B0),
+K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3) are formed at once, stored as
+(m, m, row, step) arrays so that every product broadcasts over the short m
+axes (a padded step has h = 0, so its propagator is exactly I).  A pairwise
+tree, later steps on the left, reduces each row to one propagator; only the
+grouping of the products differs from applying the steps one by one.  The
+rows are then applied in order, and the norm is recorded at each sample time.
 
 Amplification per frequency is the supremum of |U(t)|/|U(0)| over a fixed
 sample grid; the loss-of-derivatives exponent is the least-squares slope of
@@ -52,8 +59,8 @@ __all__ = [
 ]
 
 MIN_STEP = 1e-12
-# steps per propagator batch: bounds the temporaries where the steps are smallest
-BATCH = 1024
+# steps per row and padded steps per batch: bounds the temporaries (module docstring)
+BATCH = 2048
 
 
 class StiffnessError(Exception):
@@ -65,20 +72,22 @@ class EnergyTrace:
     """Euclidean norm history of one frequency component.
 
     ``amplification`` is the sup over recorded times of |U(t)| / |U(0)|
-    (zero for a zero initial vector).
+    (zero for a zero initial vector).  ``steps`` is the number of RK4 steps
+    taken (zero for a closed-form trace); it stays out of the CSV outputs.
     """
 
     xi: float
     times: np.ndarray
     norms: np.ndarray
     amplification: float
+    steps: int = 0
 
     @classmethod
-    def from_history(cls, xi, times, norms):
+    def from_history(cls, xi, times, norms, steps=0):
         times = np.asarray(times, dtype=float)
         norms = np.asarray(norms, dtype=float)
         amp = float(np.max(norms) / norms[0]) if norms[0] > 0.0 else 0.0
-        return cls(xi, times, norms, amp)
+        return cls(xi, times, norms, amp, steps)
 
 
 @dataclass(frozen=True)
@@ -137,6 +146,21 @@ class FrequencyExperiment:
         return v / np.linalg.norm(v)
 
 
+def _mul(X, Y):
+    """Matrix products X Y of two stacks stored as (m, m, ...), step axes last."""
+    return (X[:, :, None] * Y[None]).sum(1)
+
+
+def _tree_product(P):
+    """Row products P[:, :, r, n-1] ... P[:, :, r, 0] of an (m, m, rows, n) stack, by a pairwise tree."""
+    while P.shape[-1] > 1:
+        if P.shape[-1] % 2:
+            eye = np.broadcast_to(np.eye(P.shape[0])[:, :, None, None], P.shape[:-1] + (1,))
+            P = np.concatenate((P, eye), axis=-1)
+        P = _mul(P[..., 1::2], P[..., 0::2])  # later steps on the left
+    return P[..., 0]
+
+
 def evolve_frequency(
     exp: FrequencyExperiment, xi: float, u0=None, step_scale: float = 1.0
 ) -> EnergyTrace:
@@ -164,30 +188,48 @@ def evolve_frequency(
         raise StiffnessError(f"step {h_max[i]:.3e} below floor at t={sample_times[i]:.6g}, xi={xi:.6g}")
     widths = np.diff(sample_times)
     counts = np.ceil(widths / h_max).astype(int)
+    h_k = widths / counts
+
+    # row r: steps row_lo[r] .. row_lo[r] + row_n[r] - 1 of interval row_k[r]
+    rows = [(k, lo, min(n - lo, BATCH)) for k, n in enumerate(counts) for lo in range(0, n, BATCH)]
+    row_k, row_lo, row_n = np.array(rows).T
+    row_ends = row_lo + row_n == counts[row_k]
 
     if u0 is None:
         u0 = exp.initial_vector(idx)
     U = np.asarray(u0, dtype=complex).copy()
     norms = np.empty(exp.n_samples)
     norms[0] = float(np.linalg.norm(U))
-    eye = np.eye(m)
-    for k, (s, n, h) in enumerate(zip(sample_times[:-1], counts, widths / counts), start=1):
-        for lo in range(0, n, BATCH):
-            t0 = s + h * np.arange(lo, min(lo + BATCH, n))
-            stage_t = np.concatenate((t0, t0 + 0.5 * h, t0 + h))
-            B = np.zeros((stage_t.size, m, m), dtype=complex)
-            B[:, np.arange(m - 1), np.arange(1, m)] = 1j * jb
-            for j, c in coeffs:
-                B[:, m - 1, j] = c.extended_time_value(stage_t) * scale[j]
-            B0, Bm, B1 = B.reshape(3, -1, m, m)
-            # RK4 on the linear system collapses to one propagator per step
-            K2 = Bm @ (eye + 0.5 * h * B0)
-            K3 = Bm @ (eye + 0.5 * h * K2)
-            K4 = B1 @ (eye + h * K3)
-            for P in eye + (h / 6.0) * (B0 + 2.0 * (K2 + K3) + K4):
-                U = P @ U
-        norms[k] = float(np.linalg.norm(U))
-    return EnergyTrace.from_history(xi, sample_times, norms)
+    eye = np.eye(m)[:, :, None, None]
+    first = 0
+    while first < row_k.size:
+        # the next batch: as many rows as fit in BATCH steps, padded to the longest
+        last, width = first + 1, row_n[first]
+        while last < row_k.size and (last + 1 - first) * max(width, row_n[last]) <= BATCH:
+            width = max(width, row_n[last])
+            last += 1
+        k = row_k[first:last]
+        col = np.arange(width)
+        # padded steps have h = 0, so their propagators are exactly I
+        h = np.where(col < row_n[first:last, None], h_k[k, None], 0.0)
+        t0 = sample_times[k, None] + h * (row_lo[first:last, None] + col)
+        stage_t = np.stack((t0, t0 + 0.5 * h, t0 + h))
+        B = np.zeros((m, m) + stage_t.shape, dtype=complex)
+        B[np.arange(m - 1), np.arange(1, m)] = 1j * jb
+        for j, c in coeffs:
+            B[m - 1, j] = c.extended_time_value(stage_t) * scale[j]
+        B0, Bm, B1 = B[:, :, 0], B[:, :, 1], B[:, :, 2]
+        # RK4 on the linear system collapses to one propagator per step
+        K2 = _mul(Bm, eye + 0.5 * h * B0)
+        K3 = _mul(Bm, eye + 0.5 * h * K2)
+        K4 = _mul(B1, eye + h * K3)
+        P = _tree_product(eye + (h / 6.0) * (B0 + 2.0 * (K2 + K3) + K4))
+        for r in range(last - first):
+            U = P[:, :, r] @ U
+            if row_ends[first + r]:
+                norms[k[r] + 1] = float(np.linalg.norm(U))
+        first = last
+    return EnergyTrace.from_history(xi, sample_times, norms, int(counts.sum()))
 
 
 def _loss_window(xi):
@@ -200,7 +242,7 @@ def _loss_window(xi):
     return mask
 
 
-def estimate_loss(exp: FrequencyExperiment, traces) -> LossEstimate:
+def estimate_loss(traces) -> LossEstimate:
     """Growth exponent of amplification over the top two decades of the sweep."""
     xi = np.array([tr.xi for tr in traces], dtype=float)
     amps = np.array([tr.amplification for tr in traces], dtype=float)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .moduli import AuxiliaryFunction, decay_rate, decay_rate_pair, fd_derivative
+from .moduli import AuxiliaryFunction, decay_rate, decay_rate_pair
 from .zones import ZoneParams, validate_zone, zone_boundary
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "weight_w1",
     "weight_w2",
     "weight_w3",
-    "weight_w2_fd",
-    "weight_w3_fd",
     "fit_loglog_slope",
     "estimate_order",
     "zygmund_index_bound",
@@ -71,18 +69,6 @@ def weight_w2(eta: AuxiliaryFunction, xi_abs, t):
 def weight_w3(eta: AuxiliaryFunction, rho: AuxiliaryFunction, xi_abs, t):
     jb, u = _shifted_arg(eta, xi_abs, t)
     return np.asarray(rho.value(1.0 / jb)) * decay_rate_pair(eta, rho, u)
-
-
-def weight_w2_fd(eta, xi_abs, t, rel_step=2e-4):
-    """W2 via finite differences of the inner map; cross-check path."""
-    jb = jbracket(xi_abs)
-    return fd_derivative(lambda s: -1.0 / np.asarray(eta.inverse(s - 1.0 / jb)), t, rel_step) / jb
-
-
-def weight_w3_fd(eta, rho, xi_abs, t, rel_step=2e-4):
-    jb = jbracket(xi_abs)
-    inner = lambda s: -1.0 / np.asarray(rho.value(eta.inverse(s - 1.0 / jb)))
-    return np.asarray(rho.value(1.0 / jb)) * fd_derivative(inner, t, rel_step)
 
 
 @dataclass(frozen=True)

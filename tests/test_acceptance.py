@@ -152,7 +152,7 @@ def test_criterion_05_no_loss_very_slow_oscillation():
         op, grid, ZoneParams(2.0, 2.0, 0.5), log_reciprocal(1.0), step_factor=0.05
     )
     traces = [evolve_frequency(exp, float(x)) for x in grid]
-    loss = estimate_loss(exp, traces)
+    loss = estimate_loss(traces)
     elapsed = time.time() - start
     ok = loss.nu0_hat <= 0.05
     assert _report(
@@ -173,7 +173,7 @@ def test_criterion_06_loss_ordering():
             op, grid, ZoneParams(2.0, 2.0, 0.5), log_reciprocal(1.0), step_factor=0.1
         )
         traces = [evolve_frequency(exp, float(x)) for x in grid]
-        nu.append(estimate_loss(exp, traces).nu0_hat)
+        nu.append(estimate_loss(traces).nu0_hat)
     elapsed = time.time() - start
     nondecreasing = all(nu[i] <= nu[i + 1] for i in range(3))
     gap = nu[3] - nu[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyplab import energy
 from hyplab.coefficients import CoefficientSpec
 from hyplab.companion import HyperbolicOperatorSpec
 from hyplab.conjugation import (
@@ -141,22 +142,70 @@ def _fixed_step_rk4_norms(exp, xi, substeps=16):
     return np.array(norms)
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_time_varying_coefficients_match_fixed_step_rk4(m):
-    # time-dependent propagators do not commute, so this also pins the order
-    # in which the per-step propagators are applied
+def rough_experiment(m):
     rough = CoefficientSpec("holder_rough", base=2.0, delta=0.5, alpha=0.5, depth=6)
     coeffs = (rough, None) if m == 2 else (None, rough, CoefficientSpec("constant", base=0.1))
-    exp = small_experiment(
+    return small_experiment(
         operator=HyperbolicOperatorSpec(m, coeffs),
         xi_grid=np.geomspace(15.0, 1500.0, 9),
         zone=ZoneParams(2.0, 2.0, 0.5),
         initial="random",
     )
+
+
+def log_power_experiment(xi_min):
+    op = HyperbolicOperatorSpec(
+        2, (CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=0.5), None)
+    )
+    grid = np.geomspace(xi_min, 100.0 * xi_min, 9)
+    return small_experiment(operator=op, xi_grid=grid, zone=ZoneParams(2.0, 2.0, 0.5), step_factor=0.1)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_time_varying_coefficients_match_fixed_step_rk4(m):
+    # time-dependent propagators do not commute, so this also pins the order
+    # in which the per-step propagators are applied
+    exp = rough_experiment(m)
     xi = float(exp.xi_grid[0])
     got = evolve_frequency(exp, xi).norms
     ref = _fixed_step_rk4_norms(exp, xi)
     assert np.max(np.abs(got - ref) / ref) < 1e-8
+
+
+def test_batch_size_does_not_change_the_trace(monkeypatch):
+    # at BATCH = 5 the log-power run at xi = 128 (7-8 steps per interval)
+    # splits every interval into rows and meets odd tree levels; the one at
+    # xi = 17.5 (1-2 steps) packs several rows per batch and pads one
+    runs = [(rough_experiment(2), 15.0), (rough_experiment(3), 15.0)]
+    runs += [(log_power_experiment(xi), xi) for xi in (128.0, 17.5)]
+    ref = [evolve_frequency(exp, xi) for exp, xi in runs]
+    intervals = runs[0][0].n_samples - 1
+    assert ref[2].steps > 5 * intervals and ref[3].steps < 2 * intervals
+    trees = []
+    tree_product = energy._tree_product
+
+    def spy(P):
+        trees.append(P)
+        return tree_product(P)
+
+    monkeypatch.setattr(energy, "BATCH", 5)
+    monkeypatch.setattr(energy, "_tree_product", spy)
+    for (exp, xi), tr in zip(runs, ref):
+        got = evolve_frequency(exp, xi).norms
+        assert np.max(np.abs(got - tr.norms) / tr.norms) < 1e-12
+    assert any(P.shape[3] % 2 for P in trees)
+    assert any(P.shape[2] > 1 for P in trees)
+    eye = np.eye(2)[:, :, None, None]  # a padded step's propagator is exactly I
+    assert any(np.any(np.all(P == eye, axis=(0, 1))) for P in trees if P.shape[0] == 2)
+
+
+def test_step_count_doubles_with_half_steps():
+    exp = log_power_experiment(16.0)
+    for xi in exp.xi_grid[[0, 4, 8]]:
+        full = evolve_frequency(exp, xi).steps
+        half = evolve_frequency(exp, xi, step_scale=0.5).steps
+        # per interval, ceil(2x) is 2 ceil(x) or one less
+        assert half <= 2 * full <= half + exp.n_samples - 1
 
 
 def test_amplification_definition():
@@ -173,11 +222,11 @@ def test_estimate_loss_constant_is_flat():
     op = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=4.0), None))
     exp = small_experiment(operator=op)
     traces = [evolve_frequency(exp, xi) for xi in exp.xi_grid]
-    loss = estimate_loss(exp, traces)
+    loss = estimate_loss(traces)
     assert abs(loss.nu0_hat) <= 0.02
     assert loss.stderr >= 0.0
     with pytest.raises(ValueError):
-        estimate_loss(exp, traces[:4])
+        estimate_loss(traces[:4])
 
 
 def test_random_initial_option_is_reproducible():
@@ -221,7 +270,7 @@ def test_sobolev_loss_transfer_constant_across_nu():
     grid = np.geomspace(2.0**4, 2.0**11, 15)
     exp = small_experiment(operator=op, xi_grid=grid, zone=ZoneParams(2.0, 2.0, 0.5), step_factor=0.1)
     traces = [evolve_frequency(exp, float(x)) for x in grid]
-    nu0 = max(estimate_loss(exp, traces).nu0_hat, 0.0)
+    nu0 = max(estimate_loss(traces).nu0_hat, 0.0)
     cs = []
     for nu in (1.0, 2.0):
         spectrum = jbracket(grid) ** (-2.0 * nu - 1.0)

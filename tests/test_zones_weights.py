@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hyplab.moduli import log_grid, log_reciprocal, power_law
+from hyplab.moduli import fd_derivative, log_grid, log_reciprocal, power_law
 from hyplab.weights import (
     SymbolWeight,
     classify,
@@ -12,9 +12,7 @@ from hyplab.weights import (
     jbracket,
     weight_w1,
     weight_w2,
-    weight_w2_fd,
     weight_w3,
-    weight_w3_fd,
     zygmund_index_bound,
 )
 from hyplab.zones import Zone, ZoneParams, validate_zone, zone_boundary, zone_floor, zone_of
@@ -79,6 +77,19 @@ def test_w3_closed_form_power_law_identity_rho():
     target = (1.0 / (1.0 - alpha)) * (ts - 1.0 / jb) ** (-(2.0 - alpha) / (1.0 - alpha)) / jb
     got = weight_w3(eta, rho, xi, ts)
     assert np.max(np.abs(got / target - 1.0)) < 1e-6
+
+
+def weight_w2_fd(eta, xi_abs, t, rel_step=2e-4):
+    """Oracle: W2 by finite differences of the inner map."""
+    jb = jbracket(xi_abs)
+    return fd_derivative(lambda s: -1.0 / np.asarray(eta.inverse(s - 1.0 / jb)), t, rel_step) / jb
+
+
+def weight_w3_fd(eta, rho, xi_abs, t, rel_step=2e-4):
+    """Oracle: W3 by finite differences of the inner map."""
+    jb = jbracket(xi_abs)
+    inner = lambda s: -1.0 / np.asarray(rho.value(eta.inverse(s - 1.0 / jb)))
+    return np.asarray(rho.value(1.0 / jb)) * fd_derivative(inner, t, rel_step)
 
 
 def test_w2_w3_match_finite_differences():
