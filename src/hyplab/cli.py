@@ -28,7 +28,7 @@ from .coefficients import verify_reg_bounds
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugation import ThetaSpec, theta_integral_bound
 from .diagonalizers import m3_weights
-from .energy import FrequencyExperiment, _loss_window, estimate_loss, evolve_frequency
+from .energy import FrequencyExperiment, StiffnessError, _loss_window, estimate_loss, evolve_frequency
 from .moduli import admissibility_check, certification_grid, decay_rate, decay_rate_pair
 from .tables import TABLE_BUILDERS
 from .weights import _top_window, classify
@@ -122,7 +122,10 @@ def cmd_energy(cfg: ExperimentConfig, args) -> int:
     except ValueError as exc:  # the experiment rejects the config's settings
         raise ConfigError(f"energy: {exc}") from exc
     out = _outdir(cfg, args.out)
-    traces = _sweep(exp, args.jobs)
+    try:
+        traces = _sweep(exp, args.jobs)
+    except StiffnessError as exc:  # the step factor is too small or too large
+        raise ConfigError(f"energy: {exc}") from exc
     rows = [
         {"xi": tr.xi, "t": float(t), "norm": float(n)}
         for tr in traces
@@ -157,7 +160,10 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
     out = _outdir(cfg, args.out)
     rows = []
     for gamma, exp in zip(cfg.loss_gammas, exps):
-        traces = _sweep(exp, args.jobs)
+        try:
+            traces = _sweep(exp, args.jobs)
+        except StiffnessError as exc:
+            raise ConfigError(f"loss: gamma={gamma:g}: {exc}") from exc
         loss = estimate_loss(traces)
         rows.append(
             {

@@ -14,9 +14,13 @@ periodic profile b keeps everything uniformly elliptic.
 Mollification is a time convolution with a fixed even C-infinity bump of unit
 mass at width eps, evaluated by a composite midpoint rule whose weights sum
 to one exactly (constants are preserved to machine precision).  ``mollify``
-evaluates the coefficient on the window once and returns the jet a_eps,
-d_t a_eps, d_t^2 a_eps: the time derivatives differentiate the bump, never the
-rough coefficient.
+returns the jet a_eps, d_t a_eps, d_t^2 a_eps: the time derivatives
+differentiate the bump, never the rough coefficient.  For the lacunary family
+angle addition sums each cosine term over the window in closed form, so a
+window above the t = 0 freeze costs O(depth) cosines per time instead of
+O(nodes * depth); every other window evaluates the coefficient once at its
+nodes.  Both are the same midpoint rule, so coarse eps aliases the top
+lacunary terms alike.
 """
 
 from __future__ import annotations
@@ -102,6 +106,11 @@ class CoefficientSpec:
 
     # -- time part -------------------------------------------------------
 
+    def _lacunary_terms(self):
+        """Frequencies 2^j and amplitudes 2^(-j alpha), j = 0..depth, of the holder_rough sum."""
+        js = np.arange(self.depth + 1)
+        return 2.0**js, 2.0 ** (-js * self.alpha)
+
     def _time_value(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
@@ -113,11 +122,11 @@ class CoefficientSpec:
                 raise ValueError("log_power_oscillation with gamma > 0 needs t < 1")
             logs = np.log(1.0 / t)
             return self.base + self.delta * np.sin(np.sign(logs) * np.abs(logs) ** (1.0 + self.gamma_osc))
-        js = np.arange(self.depth + 1)
+        freqs, amps = self._lacunary_terms()
         acc = np.zeros_like(t)
-        for j in js:
-            acc += 2.0 ** (-j * self.alpha) * np.cos(2.0**j * t)
-        return self.base + self.delta * acc / np.sum(2.0 ** (-js * self.alpha))
+        for w, c in zip(freqs, amps):
+            acc += c * np.cos(w * t)
+        return self.base + self.delta * acc / np.sum(amps)
 
     def _time_derivative(self, t, order=1):
         """Closed-form first or second time derivative of the profile."""
@@ -137,16 +146,14 @@ class CoefficientSpec:
             term1 = (g * L ** (g - 1.0) + L**g) * np.cos(phase)
             term2 = -(1.0 + g) * L ** (2.0 * g) * np.sin(phase)
             return self.delta * (1.0 + g) / t**2 * (term1 + term2)
-        js = np.arange(self.depth + 1)
-        norm = np.sum(2.0 ** (-js * self.alpha))
+        freqs, amps = self._lacunary_terms()
         acc = np.zeros_like(t)
-        for j in js:
-            w = 2.0**j
+        for w, c in zip(freqs, amps):
             if order == 1:
-                acc += 2.0 ** (-j * self.alpha) * (-w) * np.sin(w * t)
+                acc += c * (-w) * np.sin(w * t)
             else:
-                acc += 2.0 ** (-j * self.alpha) * (-(w**2)) * np.cos(w * t)
-        return self.delta * acc / norm
+                acc += c * (-(w**2)) * np.cos(w * t)
+        return self.delta * acc / np.sum(amps)
 
     # -- full value ------------------------------------------------------
 
@@ -199,9 +206,8 @@ class CoefficientSpec:
         if self.profile == "log_power_oscillation":
             g = self.gamma_osc
             return self.delta * (1.0 + g) * np.maximum(np.log(1.0 / t), 0.0) ** g / t
-        js = np.arange(self.depth + 1)
-        w = 2.0 ** (-js * self.alpha)
-        return np.full_like(t, self.delta * np.sum(w * 2.0**js) / np.sum(w))
+        freqs, amps = self._lacunary_terms()
+        return np.full_like(t, self.delta * np.sum(amps * freqs) / np.sum(amps))
 
 
 def oscillation_class(gamma_osc: float) -> str:
@@ -281,20 +287,47 @@ class Mollifier:
         return _bump(np.asarray(y, dtype=float)) / norm
 
 
+def _lacunary_window_sums(spec: CoefficientSpec, eps: float, t, y, weights):
+    """Rows sum_i w_i a(t - eps y_i) of the holder_rough profile, one per weight row.
+
+    Angle addition splits every lacunary term,
+    sum_i w_i cos(om (t - eps y_i)) = cos(om t) C_w(om eps) + sin(om t) S_w(om eps),
+    with C_w, S_w the weights' cosine and sine sums at the nodes; the base
+    contributes base * sum_i w_i.  This is the midpoint rule term for term.
+    """
+    freqs, amps = spec._lacunary_terms()
+    W = np.stack(weights)
+    node_phase = np.multiply.outer(eps * y, freqs)
+    C, S = W @ np.cos(node_phase), W @ np.sin(node_phase)  # (rows, terms)
+    phase = np.multiply.outer(t, freqs)
+    c = spec.delta * amps / np.sum(amps)
+    terms = (np.cos(phase) * c) @ C.T + (np.sin(phase) * c) @ S.T
+    return spec.base * W.sum(axis=1)[:, None] + terms.T
+
+
 def mollify(spec: CoefficientSpec, mol: Mollifier, eps: float, t, x=None):
     """Jet of (a *_t psi_eps) at times t: rows a_eps, d_t a_eps, d_t^2 a_eps.
 
-    One evaluation of the coefficient on the window (constant continuation
-    below t = 0) feeds all three rows; the derivative rows use the bump's
-    derivative weights over eps and eps^2.  The shape is (3,) + shape(t).
+    The rows are the bump's midpoint rule and its derivative weights over eps
+    and eps^2.  A holder_rough row whose window stays above the t = 0 freeze
+    sums the window in closed form (``_lacunary_window_sums``); every other
+    row evaluates the coefficient once on its window (constant continuation
+    below t = 0) for all three rows.  The shape is (3,) + shape(t).
     """
     if not (eps > 0.0):
         raise ValueError("mollification width must be positive")
     shape = np.shape(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     y, w0, w1, w2 = mol._grids()
-    vals = spec.extended_time_value(t[:, None] - eps * y[None, :])
-    jet = np.stack([vals @ w0, (vals @ w1) / eps, (vals @ w2) / eps**2])
+    jet = np.empty((3, t.size))
+    closed = np.zeros(t.shape, bool)
+    if spec.profile == "holder_rough":
+        closed = t - eps * y.max() >= _T_FLOOR
+        jet[:, closed] = _lacunary_window_sums(spec, eps, t[closed], y, (w0, w1, w2))
+    vals = spec.extended_time_value(t[~closed, None] - eps * y[None, :])
+    jet[:, ~closed] = np.stack([vals @ w0, vals @ w1, vals @ w2])
+    jet[1] /= eps
+    jet[2] /= eps**2
     return (jet * spec._spatial_factor(x)).reshape((3,) + shape)
 
 

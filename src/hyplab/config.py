@@ -170,7 +170,10 @@ def _xi_grid(lo, hi, per_decade, where):
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:  # no section header, a repeated key, not text
+        raise ConfigError(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     _check_names(parser)

@@ -64,7 +64,7 @@ BATCH = 2048
 
 
 class StiffnessError(Exception):
-    """Step controller pushed the step below the representable floor."""
+    """The step rule asks for steps RK4 cannot take: below the floor, or unstable."""
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,15 @@ def _tree_product(P):
     return P[..., 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite norm, which raises
 def evolve_frequency(
     exp: FrequencyExperiment, xi: float, u0=None, step_scale: float = 1.0
 ) -> EnergyTrace:
-    """Integrate the companion system at one frequency of the sweep."""
+    """Integrate the companion system at one frequency of the sweep.
+
+    Raises ``StiffnessError`` when a step falls below ``MIN_STEP`` or a
+    recorded norm is not finite (steps too long for RK4 to stay stable).
+    """
     xi = float(xi)
     if not np.any(np.isclose(exp.xi_grid, xi, rtol=1e-12)):
         raise ValueError(f"xi={xi} is not a grid point of this experiment")
@@ -229,6 +234,9 @@ def evolve_frequency(
             if row_ends[first + r]:
                 norms[k[r] + 1] = float(np.linalg.norm(U))
         first = last
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        raise StiffnessError(f"norm not finite at t={sample_times[np.argmax(bad)]:.6g}, xi={xi:.6g}")
     return EnergyTrace.from_history(xi, sample_times, norms, int(counts.sum()))
 
 

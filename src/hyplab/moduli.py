@@ -175,7 +175,7 @@ class AuxiliaryFunction:
         """Solve value(r) = t for r in (0, r0].
 
         Closed forms exist for every catalog member; ``inverse_bisect`` is an
-        independent slow path used for cross-checking.
+        independent numeric path that the tables use as the cross-check.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0) or np.any(t > self.range_max * (1.0 + 1e-12)):
@@ -194,23 +194,32 @@ class AuxiliaryFunction:
         return r if r.shape else float(r)
 
     def inverse_bisect(self, t):
-        """Monotone bisection meeting |value(r) - t| <= 1e-12 * t."""
-        t = float(t)
-        if not (0.0 < t <= self.range_max * (1.0 + 1e-12)):
+        """Monotone bisection meeting |value(r) - t| <= 1e-12 * t, elementwise.
+
+        Every target keeps its own bracket and stops once hi - lo <= 1e-13 hi,
+        so an array gives the same numbers as one call per element.
+        """
+        t = np.asarray(t, dtype=float)
+        if not np.all((t > 0.0) & (t <= self.range_max * (1.0 + 1e-12))):
             raise ValueError(f"target outside the range (0, {self.range_max}]")
-        hi = self.r0
-        lo = hi
-        while self.value(lo) >= t and lo > 1e-300:
-            lo *= 0.5
+        hi = np.full(t.shape, self.r0)
+        lo = hi.copy()
+        while True:
+            down = (self.value(lo) >= t) & (lo > 1e-300)
+            if not down.any():
+                break
+            lo = np.where(down, 0.5 * lo, lo)
+        live = np.ones(t.shape, dtype=bool)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.value(mid) < t:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * hi:
+            below = self.value(mid) < t
+            lo = np.where(live & below, mid, lo)
+            hi = np.where(live & ~below, mid, hi)
+            live &= hi - lo > 1e-13 * hi
+            if not live.any():
                 break
-        return 0.5 * (lo + hi)
+        r = 0.5 * (lo + hi)
+        return r if r.shape else float(r)
 
 
 def power_law(beta, role="eta", r0=1.0):

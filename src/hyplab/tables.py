@@ -38,13 +38,11 @@ FD_STEP = 2e-4  # relative step of the finite differences on the bisection inver
 
 def numeric_decay_rate(eta: AuxiliaryFunction, t):
     """-d/dt (1/eta^{-1}(t)) by finite differences on the bisection inverse."""
-    inv = np.vectorize(lambda s: eta.inverse_bisect(s))
-    return fd_derivative(lambda s: -1.0 / inv(s), t, FD_STEP)
+    return fd_derivative(lambda s: -1.0 / eta.inverse_bisect(s), t, FD_STEP)
 
 
 def numeric_decay_rate_pair(eta, rho, t):
-    inv = np.vectorize(lambda s: eta.inverse_bisect(s))
-    return fd_derivative(lambda s: -1.0 / np.asarray(rho.value(inv(s))), t, FD_STEP)
+    return fd_derivative(lambda s: -1.0 / np.asarray(rho.value(eta.inverse_bisect(s))), t, FD_STEP)
 
 
 def _rate_row(family, param, eta, closed_fn, t_lo=0.01, t_hi=1.0, n=25):

@@ -40,6 +40,10 @@ def test_load_config_errors(tmp_path):
     )
     with pytest.raises(ConfigError, match="coefficient"):
         load_config(noc)
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"[moduli]\neta_family = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(binary)
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):
@@ -58,8 +62,10 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("[grids]", "[grid]", "unknown section"),
         ("t_min = 0.01", "t_mni = 0.01", "unknown key"),
         ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.family = lacunary\nspatial.amplitude = 0.9", "amplitude"),
+        ("t_min = 0.01", "t_min = 0.01\nt_min = 0.02", "already exists"),
+        ("[moduli]", "", "no section headers"),
     ],
-    ids=["inf", "nan", "unknown_section", "unknown_key", "spatial_amplitude"],
+    ids=["inf", "nan", "unknown_section", "unknown_key", "spatial_amplitude", "repeated_key", "no_section_header"],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
     text = open(cfg_path("loglip.cfg"), encoding="utf-8").read()
@@ -69,7 +75,8 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
     with pytest.raises(ConfigError, match=message):
         load_config(bad)
     assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -96,6 +103,28 @@ def test_cli_sweep_rejects_settings_before_integrating(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {command}: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, name, old, new, output",
+    [
+        ("energy", "constant.cfg", "step_factor = 0.02", "step_factor = 1e-14", "traces.csv"),
+        ("loss", "loss_sweep.cfg", "step_factor = 0.1\n\n[energy]", "step_factor = 40\n\n[energy]", "loss.csv"),
+    ],
+    ids=["energy_step_below_floor", "loss_unstable_steps"],
+)
+def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name, old, new, output):
+    # a step below the floor, or steps so long that RK4 overflows, is a
+    # configuration error: no traceback, no output file, no nan rows
+    text = open(cfg_path(name), encoding="utf-8").read()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {command}: ") and len(err.splitlines()) == 1
+    assert not (out / output).exists()
 
 
 @pytest.mark.parametrize("name", ["constant.cfg", "loss_sweep.cfg"])

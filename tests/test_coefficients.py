@@ -136,6 +136,22 @@ def test_mollify_kills_linear_moment():
     assert np.max(np.abs(got - np.array([1.3, 1.5]))) < 1e-8
 
 
+@pytest.mark.parametrize("alpha, x", [(0.3, None), (0.5, None), (0.9, None), (0.5, 0.7)])
+def test_mollify_lacunary_closed_form_matches_window(alpha, x):
+    # the closed-form window sums reproduce the midpoint rule on both sides of
+    # t = eps, and the rows whose window reaches the t = 0 freeze keep it
+    spatial = SpatialProfile() if x is not None else None
+    spec = CoefficientSpec("holder_rough", delta=0.5, alpha=alpha, spatial=spatial)
+    y, *weights = MOL._grids()
+    for eps in (0.1, 1e-3, 1e-5):
+        t = np.concatenate([np.linspace(0.0, 3.0 * eps, 31), np.geomspace(eps, 0.9, 41)])
+        vals = spec.extended_time_value(t[:, None] - eps * y)
+        want = np.stack([vals @ w / eps**k for k, w in enumerate(weights)]) * spec._spatial_factor(x)
+        got = mollify(spec, MOL, eps, t, x=x)
+        sup = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-9 * sup), (alpha, eps)
+
+
 def test_mollify_bounded_by_sup():
     spec = CoefficientSpec("log_power_oscillation", delta=0.9, gamma_osc=1.0)
     ts = np.linspace(0.0, 0.5, 101)

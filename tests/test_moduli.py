@@ -88,6 +88,33 @@ def test_inverse_examples_and_bisection_agreement():
         assert f.inverse_bisect(t) == pytest.approx(f.inverse(t), rel=1e-9)
 
 
+def _bisect_one(f, t):
+    # one target at a time: the loop that the array bisection reproduces
+    hi = lo = f.r0
+    while f.value(lo) >= t and lo > 1e-300:
+        lo *= 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f.value(mid) < t:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: f"{f.family}-{f.param:g}-{f.role}")
+def test_inverse_bisect_array_matches_scalar_loop(f):
+    ts = np.geomspace(1e-3, 1.0, 40).reshape(5, 8) * f.range_max
+    got = f.inverse_bisect(ts)
+    assert got.shape == ts.shape
+    assert np.array_equal(got, [[_bisect_one(f, t) for t in row] for row in ts])
+    assert isinstance(f.inverse_bisect(float(ts[1, 2])), float)
+    with pytest.raises(ValueError):
+        f.inverse_bisect(np.array([0.5 * f.range_max, 0.0]))
+
+
 def test_inverse_range_error():
     f = power_law(0.5)
     with pytest.raises(ValueError):
