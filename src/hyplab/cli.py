@@ -121,11 +121,11 @@ def cmd_energy(cfg: ExperimentConfig, args) -> int:
         exp = _energy_experiment(cfg, args.seed)
     except ValueError as exc:  # the experiment rejects the config's settings
         raise ConfigError(f"energy: {exc}") from exc
-    out = _outdir(cfg, args.out)
     try:
         traces = _sweep(exp, args.jobs)
     except StiffnessError as exc:  # the step factor is too small or too large
         raise ConfigError(f"energy: {exc}") from exc
+    out = _outdir(cfg, args.out)  # only once the sweep succeeded
     rows = [
         {"xi": tr.xi, "t": float(t), "norm": float(n)}
         for tr in traces
@@ -157,7 +157,6 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
         _loss_window(exps[0].xi_grid)
     except ValueError as exc:
         raise ConfigError(f"loss: {exc}") from exc
-    out = _outdir(cfg, args.out)
     rows = []
     for gamma, exp in zip(cfg.loss_gammas, exps):
         try:
@@ -175,6 +174,7 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
             }
         )
         print(f"gamma={gamma:g}: nu0_hat={loss.nu0_hat:+.4f} (stderr {loss.stderr:.4f})")
+    out = _outdir(cfg, args.out)  # only once every sweep succeeded
     _write_csv(os.path.join(out, "loss.csv"), ["gamma", "nu0_hat", "stderr", "xi_min", "xi_max"], rows)
     return 0
 

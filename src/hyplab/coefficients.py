@@ -192,22 +192,30 @@ class CoefficientSpec:
             hi = 1.0 - 1e-9
         return self._time_value(np.clip(t, _T_FLOOR, hi))
 
-    def rate_bound(self, t):
-        """Envelope of |a'| at times t > 0, nonincreasing in t, for the integrator's step size.
+    def rate_bound(self, t, order=1):
+        """Envelope of |a'| (order 1) or |a''| (order 2) at times t > 0, for the integrator's step sizes.
 
-        The log-power bound is delta (1+gamma) max(L, 0)^gamma / t with
-        L = log 1/t; it reads 0 where gamma > 0 and t >= 1, because
-        ``extended_time_value`` freezes the coefficient there.  The lacunary
-        bound is the sum of the term amplitudes and does not depend on t.
+        The log-power bounds are delta (1+gamma) L^gamma / t and
+        delta (1+gamma) (gamma L^(gamma-1) + L^gamma + (1+gamma) L^(2 gamma)) / t^2
+        with L = max(log 1/t, 0); they read 0 where gamma > 0 and t >= 1,
+        because ``extended_time_value`` freezes the coefficient there.  The
+        first is nonincreasing in t.  The lacunary bounds are the sums of the
+        term amplitudes and do not depend on t.
         """
         t = np.asarray(t, dtype=float)
+        if order not in (1, 2):
+            raise ValueError("derivative order must be 1 or 2")
         if self.profile == "constant":
             return np.zeros_like(t)
         if self.profile == "log_power_oscillation":
             g = self.gamma_osc
-            return self.delta * (1.0 + g) * np.maximum(np.log(1.0 / t), 0.0) ** g / t
+            L = np.maximum(np.log(1.0 / t), 0.0)
+            if order == 1:
+                return self.delta * (1.0 + g) * L**g / t
+            low = np.where(L > 0.0, g * np.where(L > 0.0, L, 1.0) ** (g - 1.0), 0.0)
+            return self.delta * (1.0 + g) * (low + L**g + (1.0 + g) * L ** (2.0 * g)) / t**2
         freqs, amps = self._lacunary_terms()
-        return np.full_like(t, self.delta * np.sum(amps * freqs) / np.sum(amps))
+        return np.full_like(t, self.delta * np.sum(amps * freqs**order) / np.sum(amps))
 
 
 def oscillation_class(gamma_osc: float) -> str:

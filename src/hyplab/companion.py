@@ -12,7 +12,8 @@ coefficient entries in the last row); its eigenvalues are the characteristic
 roots, settled a whole batch at a time.  Along a time grid the roots of the
 mollified symbol come with their exact rates, by implicit differentiation of
 the characteristic polynomial over the root-gap matrix that the diagonalizer
-chain is built from.
+chain is built from; the same differentiation (``_root_rates``) gives the
+rates of the raw roots that the integrator's frame follows.
 """
 
 from __future__ import annotations
@@ -170,13 +171,9 @@ def roots_on_times(
 
     The coefficients are mollified at width eps = 1/<xi>.  Returns
     ``(lam, lam_dot)``, both of shape (len(ts), m).  The rates come from
-    implicit differentiation of p(lam) = lam^m - sum_j b_j lam^j:
-
-        lam_k' = sum_j b_j' lam_k^j / p'(lam_k),   b_j = a_{m-j} xi^(m-j),
-
-    with p'(lam_k) = prod_{i != k}(lam_k - lam_i) = (-1)^(m-1) P_k from the
-    gap matrix, nonzero because the roots are separated by at least
-    delta_sep <xi>.
+    implicit differentiation of the characteristic polynomial
+    (``_root_rates``), whose derivative at a root is nonzero because the
+    roots are separated by at least delta_sep <xi>.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     eps = 1.0 / float(jbracket(xi))
@@ -186,10 +183,24 @@ def roots_on_times(
         if c is not None:
             vals[:, :, j] = mollify(c, mollifier, eps, ts, x=x)[:2]
     lam = _roots(vals[0], xi, spec.delta_sep)
-    b_dot = vals[1] * xi ** (m - np.arange(m))
-    num = np.sum(b_dot[:, None, :] * lam[:, :, None] ** np.arange(m), axis=2)
+    return lam, _root_rates(lam, vals[1], xi)
+
+
+def _root_rates(lam, vals_dot, xi):
+    """Time rates of the ascending roots lam[..., k], from the coefficient rates vals_dot[..., j] = a_{m-j}'.
+
+    Implicit differentiation of p(lam) = lam^m - sum_j b_j lam^j, b_j = a_{m-j} xi^(m-j):
+
+        lam_k' = sum_j b_j' lam_k^j / p'(lam_k),
+
+    with p'(lam_k) = prod_{i != k}(lam_k - lam_i) = (-1)^(m-1) P_k from the
+    gap matrix.  Batched over the leading axes.
+    """
+    m = lam.shape[-1]
+    b_dot = vals_dot * xi ** (m - np.arange(m))
+    num = np.sum(b_dot[..., None, :] * lam[..., :, None] ** np.arange(m), axis=-1)
     _, P = _root_gaps(lam)
-    return lam, num / ((-1) ** (m - 1) * P)
+    return num / ((-1) ** (m - 1) * P)
 
 
 def companion_symbol(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> np.ndarray:

@@ -52,10 +52,14 @@ class DiagonalizerIllConditioned(Exception):
     """Second diagonalizer entries too large; frequency too low for step two."""
 
 
+def _vandermonde(z):
+    """M1 in the normalized roots z[..., q] = lam_q/<xi>: entry (p, q) is z_q^p, batched over leading axes."""
+    return z[..., None, :] ** np.arange(z.shape[-1])[:, None]
+
+
 def m1_symbol(roots: RootSet) -> np.ndarray:
     """Vandermonde in lam_k/<xi>: row p holds (lam_q/<xi>)^p."""
-    z = roots.lam / float(jbracket(roots.xi))
-    return np.vander(z, roots.m, increasing=True).T.astype(complex)
+    return _vandermonde(roots.lam / float(jbracket(roots.xi))).astype(complex)
 
 
 def m1_inverse_symbol(roots: RootSet) -> np.ndarray:
@@ -73,15 +77,20 @@ def m1_inverse_symbol(roots: RootSet) -> np.ndarray:
     return ((-1.0) ** (m - 1) * poly[:, ::-1] / P[:, None]).astype(complex)
 
 
-def _c1(roots: RootSet, roots_dt):
-    """C1 and the reciprocal gaps R[p, i] = 1/(lam_i - lam_p), zero on the diagonal."""
-    m = roots.m
-    G, P = _root_gaps(roots.lam, _UNDERFLOW * float(jbracket(roots.xi)))
+def _c1(lam, roots_dt, xi):
+    """C1 and the reciprocal gaps R[..., p, i] = 1/(lam_i - lam_p), zero on the diagonal.
+
+    Batched over the leading axes of the ascending roots ``lam`` and their
+    rates ``roots_dt``.
+    """
+    m = lam.shape[-1]
+    G, P = _root_gaps(lam, _UNDERFLOW * float(jbracket(xi)))
     eye = np.eye(m)
     R = 1.0 / (G + eye) - eye
-    dt = -1j * np.asarray(roots_dt, dtype=float)  # D_t lam
-    E = dt * P * R / P[:, None]
-    np.fill_diagonal(E, -dt * R.sum(axis=-1))
+    dt = -1j * np.asarray(roots_dt, dtype=float)[..., None, :]  # D_t lam_q, along the columns
+    E = dt * P[..., None, :] * R / P[..., :, None]
+    diag = np.arange(m)
+    E[..., diag, diag] = -dt[..., 0, :] * R.sum(axis=-1)
     return E, R
 
 
@@ -95,7 +104,7 @@ def c1_entries(roots: RootSet, roots_dt) -> np.ndarray:
         e_pp = -D_t lam_p  sum_{i != p} 1/G[p, i]
         e_pq = -D_t lam_q  P_q / ((lam_p - lam_q) P_p)
     """
-    return _c1(roots, roots_dt)[0]
+    return _c1(roots.lam, roots_dt, roots.xi)[0]
 
 
 def m2_symbol(roots: RootSet, roots_dt, zone_tag: Zone) -> np.ndarray:
@@ -108,7 +117,7 @@ def m2_symbol(roots: RootSet, roots_dt, zone_tag: Zone) -> np.ndarray:
     m = roots.m
     if zone_tag is not Zone.HYPERBOLIC:
         return np.eye(m, dtype=complex)
-    E, R = _c1(roots, roots_dt)
+    E, R = _c1(roots.lam, roots_dt, roots.xi)
     D = np.eye(m) - E * R  # R = -1/(lam_p - lam_q) off the diagonal, zero on it
     off = np.max(np.abs(D - np.eye(m)))
     if off >= 1.0 / (2.0 * m):

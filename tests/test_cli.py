@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     ids=["inf", "nan", "unknown_section", "unknown_key", "spatial_amplitude", "repeated_key", "no_section_header"],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
-    text = open(cfg_path("loglip.cfg"), encoding="utf-8").read()
+    text = Path(cfg_path("loglip.cfg")).read_text(encoding="utf-8")
     assert old in text
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace(old, new))
@@ -95,7 +96,7 @@ def test_cli_sweep_rejects_settings_before_integrating(tmp_path, capsys, monkeyp
         raise AssertionError("a frequency was integrated before the settings were checked")
 
     monkeypatch.setattr(cli, "evolve_frequency", integrate)
-    text = open(cfg_path("loss_sweep.cfg"), encoding="utf-8").read()
+    text = Path(cfg_path("loss_sweep.cfg")).read_text(encoding="utf-8")
     assert text.count(old) == 1
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace(old, new))
@@ -116,7 +117,7 @@ def test_cli_sweep_rejects_settings_before_integrating(tmp_path, capsys, monkeyp
 def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name, old, new, output):
     # a step below the floor, or steps so long that RK4 overflows, is a
     # configuration error: no traceback, no output file, no nan rows
-    text = open(cfg_path(name), encoding="utf-8").read()
+    text = Path(cfg_path(name)).read_text(encoding="utf-8")
     assert text.count(old) == 1
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace(old, new))
@@ -125,6 +126,7 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {command}: ") and len(err.splitlines()) == 1
     assert not (out / output).exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["constant.cfg", "loss_sweep.cfg"])
@@ -258,7 +260,7 @@ def test_cli_verify_fails_on_mismatched_modulus(tmp_path, capsys):
 def test_cli_verify_checks_every_coefficient(tmp_path, capsys):
     # the rough coefficient moved to a_1 behind a constant a_2: its bounds
     # must still be checked, under names carrying the subscript
-    text = open(cfg_path("holder05.cfg")).read().replace("[coefficient.2]", "[coefficient.1]")
+    text = Path(cfg_path("holder05.cfg")).read_text(encoding="utf-8").replace("[coefficient.2]", "[coefficient.1]")
     cfg = tmp_path / "two_coeffs.cfg"
     cfg.write_text(text + "\n[coefficient.2]\nprofile = constant\nbase = 2.0\n")
     rc = main(["verify", "--config", str(cfg)])

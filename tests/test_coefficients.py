@@ -93,6 +93,30 @@ def test_rate_bound_nonincreasing_envelope(spec):
     assert np.all(np.abs(spec.time_derivative(ts[live], 1)) <= r[live] * (1.0 + 1e-12))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CoefficientSpec("constant"),
+        CoefficientSpec("holder_rough", delta=0.5, alpha=0.5),
+        CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=0.0),
+        CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=0.5),
+        CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=1.5),
+    ],
+    ids=["constant", "holder_rough", "log_power_g0", "log_power_g0.5", "log_power_g1.5"],
+)
+def test_second_rate_bound_envelope(spec):
+    # the frame's node bound reads |a''| through this envelope
+    ts = np.geomspace(1e-6, 2.0, 2001)
+    r2 = spec.rate_bound(ts, 2)
+    assert r2.shape == ts.shape and np.all(np.isfinite(r2)) and np.all(r2 >= 0.0)
+    live = ts < 1.0 - 1e-9 if spec.gamma_osc > 0.0 else ts > 0.0
+    assert np.all(np.abs(spec.time_derivative(ts[live], 2)) <= r2[live] * (1.0 + 1e-12))
+    if spec.gamma_osc > 0.0:
+        assert np.all(r2[ts >= 1.0] == 0.0)  # frozen there
+    with pytest.raises(ValueError):
+        spec.rate_bound(ts, 3)
+
+
 @pytest.mark.parametrize("profile,kw", [
     ("log_power_oscillation", dict(delta=0.5, gamma_osc=0.7)),
     # depth reduced so the finite-difference step resolves the top lacunary scale

@@ -7,12 +7,16 @@ from hyplab.companion import (
     HyperbolicOperatorSpec,
     NearMultipleRoot,
     RootSet,
+    _companion,
+    _root_rates,
+    _roots,
     characteristic_roots,
     companion_symbol,
     roots_on_times,
 )
 from hyplab.diagonalizers import (
     DiagonalizerIllConditioned,
+    _c1,
     c1_entries,
     m1_inverse_symbol,
     m1_symbol,
@@ -284,3 +288,60 @@ def test_exact_diagonalization_frozen_time():
         diag = Vinv @ A @ V
         err = np.max(np.abs(diag - np.diag(roots.lam)))
         assert err < 1e-8 * np.max(np.abs(roots.lam))
+
+
+def _separated(rng, m, lo=-2.0, hi=2.0, gap=0.2):
+    """Seeded sorted reals in [lo, hi], pairwise at least ``gap`` apart."""
+    z = np.sort(rng.uniform(lo, hi, size=m))
+    while m > 1 and np.min(np.diff(z)) < gap:
+        z = np.sort(rng.uniform(lo, hi, size=m))
+    return z
+
+
+def _coefficients(lam, xi):
+    """Coefficient values a_{m-j} whose characteristic polynomial has the roots lam."""
+    m = lam.size
+    # prod_k (l - lam_k) = l^m - sum_j b_j l^j with b_j = a_{m-j} xi^(m-j)
+    b = -np.poly(lam)[::-1][:m]
+    return b / xi ** (m - np.arange(m))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_property_companion_eigenvalues_and_m1_inverse(m):
+    rng = np.random.default_rng(300 + m)
+    for _ in range(20):
+        xi = float(rng.uniform(10.0, 1e4))
+        jb = float(jbracket(xi))
+        lam = _separated(rng, m) * jb
+        vals = _coefficients(lam, xi)
+        ev = np.sort(np.linalg.eigvals(_companion(vals, xi)).real)
+        roots = _roots(vals[None, :], xi, 1e-6)[0]
+        assert np.max(np.abs(ev - lam)) < 1e-9 * jb
+        assert np.max(np.abs(roots - ev)) < 1e-9 * jb
+        rs = RootSet(roots, xi)
+        assert np.max(np.abs(m1_symbol(rs) @ m1_inverse_symbol(rs) - np.eye(m))) < 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_property_raw_root_rates_match_centred_differences(m):
+    # coefficients linear in t around a strictly hyperbolic symbol; the rates by
+    # implicit differentiation against centred differences of the roots
+    rng = np.random.default_rng(400 + m)
+    xi = float(rng.uniform(50.0, 5e3))
+    jb = float(jbracket(xi))
+    vals0 = _coefficients(_separated(rng, m, gap=0.5) * jb, xi)
+    slope = 0.05 * np.abs(vals0).max() * rng.uniform(-1.0, 1.0, size=m)
+    ts = rng.uniform(0.0, 1.0, size=32)
+
+    def roots_at(t):
+        return _roots(vals0 + np.multiply.outer(t, slope), xi, 1e-6)
+
+    lam = roots_at(ts)
+    rates = _root_rates(lam, np.broadcast_to(slope, lam.shape), xi)
+    h = 1e-4
+    fd = (roots_at(ts + h) - roots_at(ts - h)) / (2.0 * h)
+    assert np.max(np.abs(fd - rates)) < 1e-6 * np.max(np.abs(rates))
+    # the batched first-step correction is the per-point one, row by row
+    E = _c1(lam, rates, xi)[0]
+    for k in range(ts.size):
+        assert np.array_equal(E[k], c1_entries(RootSet(lam[k], xi), rates[k]))

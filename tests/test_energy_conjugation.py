@@ -208,6 +208,124 @@ def test_step_count_doubles_with_half_steps():
         assert half <= 2 * full <= half + exp.n_samples - 1
 
 
+def loss_experiment(gamma):
+    """One row of the loss sweep: strong log-power oscillation, xi = 64 .. 16384 at four points per decade."""
+    op = HyperbolicOperatorSpec(
+        2, (CoefficientSpec("log_power_oscillation", delta=0.95, gamma_osc=gamma), None)
+    )
+    grid = np.geomspace(64.0, 16384.0, 11)
+    return small_experiment(operator=op, xi_grid=grid, zone=ZoneParams(2.0, 2.0, 0.5), step_factor=0.1)
+
+
+def m3_log_power_experiment():
+    """Order three, with the middle coefficient a log-power oscillation at gamma = 1."""
+    osc = CoefficientSpec("log_power_oscillation", base=2.0, delta=0.5, gamma_osc=1.0)
+    op = HyperbolicOperatorSpec(3, (CoefficientSpec("constant", base=0.5), osc, CoefficientSpec("constant", base=0.25)))
+    grid = np.geomspace(20.0, 2048.0, 9)
+    return small_experiment(operator=op, xi_grid=grid, zone=ZoneParams(2.0, 2.0, 0.5), step_factor=0.1)
+
+
+def m4_log_power_experiment():
+    """Order four, roots (-1.2, -0.7, -0.2, 2.5) xi at the base values; a_2 oscillates at gamma = 1.
+
+    Its swing of 0.15 closes the first root gap to about 0.2 xi.
+    """
+    osc = CoefficientSpec("log_power_oscillation", base=4.03, delta=0.15, gamma_osc=1.0)
+    coeffs = (CoefficientSpec("constant", base=0.42), CoefficientSpec("constant", base=2.882), osc, CoefficientSpec("constant", base=0.4))
+    grid = np.geomspace(20.0, 2048.0, 9)
+    return small_experiment(operator=HyperbolicOperatorSpec(4, coeffs), xi_grid=grid, zone=ZoneParams(2.0, 2.0, 0.5), step_factor=0.1)
+
+
+@pytest.mark.parametrize(
+    "exp, xi, tol",
+    [
+        (loss_experiment(0.0), 16384.0, 1.5e-3),
+        (loss_experiment(1.5), 16384.0, 1.5e-3),
+        (loss_experiment(0.0), 1024.0, 1e-4),
+        (m3_log_power_experiment(), 2048.0, 5e-5),
+        (m4_log_power_experiment(), 2048.0, 8e-5),
+        (rough_experiment(3), 1500.0, 1.2e-6),
+    ],
+    ids=["log_power_gamma0", "log_power_gamma1.5", "log_power_gamma0_xi1024", "log_power_m3", "log_power_m4", "rough_m3"],
+)
+def test_frame_matches_refined_rk4(monkeypatch, exp, xi, tol):
+    # the composite path against RK4 throughout at a quarter of the step;
+    # each tolerance is measured, and shipped RK4 meets it too
+    xi = float(exp.xi_grid[np.argmin(np.abs(exp.xi_grid - xi))])
+    got = evolve_frequency(exp, xi)
+    with monkeypatch.context() as mp:
+        mp.setattr(energy, "FRAME_RATIO", np.inf)
+        ref = evolve_frequency(exp, xi, step_scale=0.25).norms
+        rk4 = evolve_frequency(exp, xi).norms
+    assert got.nodes > 0
+    assert np.max(np.abs(got.norms - ref) / ref) < tol
+    assert np.max(np.abs(rk4 - ref) / ref) < tol
+
+
+def test_frame_takes_over_only_where_rk4_needs_many_steps(monkeypatch):
+    # 4, 1.2 and 7.0 RK4 steps per interval: no interval leaves RK4
+    runs = [(rough_experiment(2), 15.0), (rough_experiment(3), 15.0)]
+    runs += [(log_power_experiment(xi), xi) for xi in (17.5, 128.0)]
+    for exp, xi in runs:
+        tr = evolve_frequency(exp, xi)
+        assert tr.nodes == 0 and tr.steps > 0
+    # about 977 RK4 steps per interval: the frame takes most of the trace
+    exp = loss_experiment(1.5)
+    tr = evolve_frequency(exp, 16384.0)
+    monkeypatch.setattr(energy, "FRAME_RATIO", np.inf)
+    rk4 = evolve_frequency(exp, 16384.0)
+    assert rk4.nodes == 0 and 0 < tr.nodes < 0.01 * rk4.steps
+    assert tr.steps < 0.2 * rk4.steps
+
+
+def test_frame_batch_size_does_not_change_the_trace(monkeypatch):
+    # at BATCH = 5 the frame's node propagators form in chunks and its rows
+    # split, pack and pad like the RK4 ones
+    exp = loss_experiment(1.0)
+    xi = float(exp.xi_grid[6])
+    ref = evolve_frequency(exp, xi)
+    assert ref.nodes > 5 * 20
+    monkeypatch.setattr(energy, "BATCH", 5)
+    got = evolve_frequency(exp, xi)
+    assert (got.steps, got.nodes) == (ref.steps, ref.nodes)
+    assert np.max(np.abs(got.norms - ref.norms) / ref.norms) < 1e-12
+
+
+def test_commutator_moments_match_quadrature():
+    # J(a, b) - J(b, a), J(a, b) = int_0^1 du int_0^u dv exp(i(a u + b v)), on
+    # both sides of the series switch and at phases of many radians
+    rng = np.random.default_rng(11)
+    a = np.concatenate((rng.uniform(-0.5, 0.5, 16), rng.uniform(-40.0, 40.0, 16), [0.0, 0.0, 2.0, 0.49, -7.0]))
+    b = np.concatenate((rng.uniform(-0.5, 0.5, 16), rng.uniform(-40.0, 40.0, 16), [0.0, 2.0, 0.0, -0.01, 7.0]))
+    dphi = np.stack((np.zeros_like(a), a, a + b), axis=1)  # s_01 = a, s_12 = b, s_02 = a + b
+    ds = dphi[:, None, :] - dphi[:, :, None]
+    p1 = 1.0 + 1j * ds * energy._phi2(ds)
+    got = energy._commutator_moments(ds, np.exp(1j * ds), p1)[:, 0, 1, 2]
+    u, w = np.polynomial.legendre.leggauss(400)
+    u, w = 0.5 * (u + 1.0), 0.5 * w
+
+    def J(a, b):
+        bu = np.multiply.outer(b, u)
+        inner = np.where(bu == 0.0, u, np.expm1(1j * bu) / (1j * np.where(bu == 0.0, 1.0, b[:, None])))
+        return (np.exp(1j * np.multiply.outer(a, u)) * inner) @ w
+
+    ref = J(a, b) - J(b, a)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_expm_matches_eigendecomposition():
+    rng = np.random.default_rng(12)
+    for m in (2, 3):
+        for size in (1e-3, 0.1, 1.0, 10.0):
+            X = size * (rng.standard_normal((m, m, 8)) + 1j * rng.standard_normal((m, m, 8)))
+            got = energy._expm(X)
+            for i in range(8):
+                w, V = np.linalg.eig(X[:, :, i])
+                ref = V @ np.diag(np.exp(w)) @ np.linalg.inv(V)
+                assert np.max(np.abs(got[:, :, i] - ref)) < 1e-11 * np.max(np.abs(ref))
+    assert np.array_equal(energy._expm(np.zeros((2, 2, 3))), np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 3)))
+
+
 def test_amplification_definition():
     times = np.linspace(0.0, 1.0, 257)
     tr = EnergyTrace.from_history(8.0, times, np.ones(257))
