@@ -53,21 +53,16 @@ class ThetaSpec:
 
 
 def theta0(ts: ThetaSpec, t, xi):
-    """The two-branch conjugation weight; nonnegative, continuous in t."""
+    """The two-branch conjugation weight; nonnegative, continuous in t; xi broadcasts against t."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    jb = float(jbracket(xi))
-    e = float(ts.eta.value(1.0 / jb))
+    e = np.asarray(ts.eta.value(1.0 / jbracket(xi)))
     ne = ts.zone.N * e
     out = (1.0 - np.asarray(ts.chi(t_arr / (2.0 * ne)))) / e
     gate = np.asarray(ts.chi(t_arr / ne))
     active = gate > 0.0
-    if np.any(active):
-        ta = t_arr[active]
-        bracket = np.asarray(weight_w3(ts.eta, ts.rho, xi, ta)) + np.asarray(
-            weight_w2(ts.eta, xi, ta)
-        )
-        out[active] = out[active] + gate[active] * bracket
-    return out if np.asarray(t).shape else float(out[0])
+    ta, xa = (np.broadcast_to(v, active.shape)[active] for v in (t_arr, xi))
+    out[active] += gate[active] * (weight_w3(ts.eta, ts.rho, xa, ta) + weight_w2(ts.eta, xa, ta))
+    return out if np.ndim(t) or np.ndim(xi) else float(out[0])
 
 
 def theta(ts: ThetaSpec, t, xi):
@@ -76,8 +71,11 @@ def theta(ts: ThetaSpec, t, xi):
 
 
 def _simpson(fn, a, b, n):
-    """Composite Simpson rule on n (made even) intervals; keeps fn's trailing axes."""
-    if b <= a:
+    """Composite Simpson rule on n (made even) intervals, one per pair of (array) endpoints.
+
+    The nodes carry the endpoints' shape after the node axis; fn's trailing axes are kept.
+    """
+    if np.all(b <= a):
         return 0.0
     n += n % 2
     xs = np.linspace(a, b, n + 1)
@@ -88,12 +86,11 @@ def _simpson(fn, a, b, n):
 
 
 def integrate_theta0(ts: ThetaSpec, xi):
-    """Time integral of theta0 on [0, T], split at the cutoff knots."""
+    """Time integral of theta0 on [0, T], split at the cutoff knots; elementwise in xi."""
     T = ts.zone.T
-    jb = float(jbracket(xi))
-    e = float(ts.eta.value(1.0 / jb))
+    e = ts.eta.value(1.0 / jbracket(xi))
     ne = ts.zone.N * e
-    knots = [0.0, min(ne / 2.0, T), min(ne, T), min(2.0 * ne, T), T]
+    knots = [0.0, np.minimum(ne / 2.0, T), np.minimum(ne, T), np.minimum(2.0 * ne, T), T]
     total = knots[1] / e  # first branch alone, exactly 1/eta * length
     for a, b in zip(knots[1:-1], knots[2:]):
         total += _simpson(lambda s: theta0(ts, s, xi), a, b, 512)
@@ -115,7 +112,7 @@ def theta_integral_bound(ts: ThetaSpec, xi_grid) -> ThetaIntegralReport:
         raise ValueError("frequency grid must be strictly increasing")
     if xi[0] < ts.zone.M:
         raise ValueError("frequency grid starts below the floor M")
-    vals = np.array([integrate_theta0(ts, x) for x in xi])
+    vals = integrate_theta0(ts, xi)
     mask = _top_window(xi, 1.0)
     if int(mask.sum()) < 3:
         raise ValueError("need at least 3 points in the top decade")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,9 +130,9 @@ class AuxiliaryFunction:
 
     def _check_domain(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0) or np.any(r > self.r0 * (1.0 + 1e-12)):
-            bad = r[(r <= 0.0) | (r > self.r0 * (1.0 + 1e-12))]
-            raise ValueError(f"argument {float(np.ravel(bad)[0])} outside (0, r0={self.r0}]")
+        ok = (r > 0.0) & (r <= self.r0 * (1.0 + 1e-12))
+        if not np.all(ok):
+            raise ValueError(f"argument {float(r[~ok].flat[0])} outside (0, r0={self.r0}]")
         return r
 
     def _jet(self, r):
@@ -146,17 +147,19 @@ class AuxiliaryFunction:
 
     def value(self, r):
         """Closed-form value; strictly increasing and positive on (0, r0]."""
-        r = self._check_domain(r)
-        if self.family == "power_law":
-            out = r**self.param
-        elif self.family == "log_reciprocal":
-            out = (-np.log(r)) ** (-self.param)
-        else:
-            x = -np.log(r)
-            for _ in range(int(self.param) - 1):
-                x = np.log(x)
-            out = 1.0 / x
+        out = self._value(self._check_domain(r))
         return out if out.shape else float(out)
+
+    def _value(self, r):
+        # unchecked closed form: the bisection brackets never leave (0, r0]
+        if self.family == "power_law":
+            return r**self.param
+        if self.family == "log_reciprocal":
+            return (-np.log(r)) ** (-self.param)
+        x = -np.log(r)
+        for _ in range(int(self.param) - 1):
+            x = np.log(x)
+        return 1.0 / x
 
     def derivative(self, r, k=1):
         """k-th derivative, k in {1, 2, 3}, by exact chain rule."""
@@ -166,7 +169,7 @@ class AuxiliaryFunction:
         out = self._jet(r)[k]
         return out if out.shape else float(out)
 
-    @property
+    @cached_property
     def range_max(self):
         """Largest attainable value, value(r0); the inverse lives on (0, range_max]."""
         return float(self.value(self.r0))
@@ -205,14 +208,14 @@ class AuxiliaryFunction:
         hi = np.full(t.shape, self.r0)
         lo = hi.copy()
         while True:
-            down = (self.value(lo) >= t) & (lo > 1e-300)
+            down = (self._value(lo) >= t) & (lo > 1e-300)
             if not down.any():
                 break
             lo = np.where(down, 0.5 * lo, lo)
         live = np.ones(t.shape, dtype=bool)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            below = self.value(mid) < t
+            below = self._value(mid) < t
             lo = np.where(live & below, mid, lo)
             hi = np.where(live & ~below, mid, hi)
             live &= hi - lo > 1e-13 * hi
@@ -271,10 +274,14 @@ def decay_rate_pair(eta: AuxiliaryFunction, rho: AuxiliaryFunction, t):
 
 
 def fd_derivative(fn, t, rel_step=2e-4):
-    """Fourth-order central difference with a relative step; cross-check path."""
+    """Fourth-order central difference with a relative step; cross-check path.
+
+    ``fn`` must be elementwise: it gets the stencil stacked, shape (4,) + t.shape.
+    """
     t = np.asarray(t, dtype=float)
     h = np.maximum(np.abs(t), 1e-12) * rel_step
-    return (-fn(t + 2 * h) + 8.0 * fn(t + h) - 8.0 * fn(t - h) + fn(t - 2 * h)) / (12.0 * h)
+    f2, f1, b1, b2 = fn(np.stack((t + 2 * h, t + h, t - h, t - 2 * h)))
+    return (-f2 + 8.0 * f1 - 8.0 * b1 + b2) / (12.0 * h)
 
 
 def log_grid(lo, hi, n):

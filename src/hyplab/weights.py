@@ -138,17 +138,12 @@ def estimate_order(w: SymbolWeight, xi_grid, t_samples=48) -> float:
     else:
         # frequencies whose hyperbolic window [t_xi, T] is empty carry no
         # admissible t and drop out of the fit
-        sup = np.full_like(xi, np.nan)
         jb = jbracket(xi)
-        for i, x in enumerate(xi):
-            t_lo = max(
-                zone_boundary(w.eta, w.zone, x),
-                float(w.eta.value(1.0 / jb[i])) + 2.0 / jb[i],
-            )
-            if t_lo >= T * (1.0 - 1e-12):
-                continue
-            tg = np.geomspace(t_lo, T, t_samples)
-            sup[i] = float(np.max(w.value(x, tg)))
+        t_lo = np.maximum(zone_boundary(w.eta, w.zone, xi), w.eta.value(1.0 / jb) + 2.0 / jb)
+        ok = t_lo < T * (1.0 - 1e-12)
+        tg = np.geomspace(t_lo[ok], T, t_samples, axis=-1)
+        sup = np.full_like(xi, np.nan)
+        sup[ok] = np.max(w.value(xi[ok, None], tg), axis=-1)
 
     mask = _top_window(xi, 2.0) & np.isfinite(sup)
     if int(mask.sum()) < 8:

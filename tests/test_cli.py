@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -10,6 +11,8 @@ from hyplab.cli import main
 from hyplab.config import ConfigError, load_config
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+# the benchmark's reference outputs of the lab_smooth workload (read only)
+LAB_SMOOTH_REF = Path(CONFIGS, "..", "perfbench", "reference", "lab_smooth")
 
 
 def cfg_path(name):
@@ -169,6 +172,35 @@ def test_cli_tables(tmp_path, capsys):
     assert local[1].startswith("lipschitz,1,excluded,excluded")
     summary = (tmp_path / "summary.csv").read_text()
     assert "log_lipschitz" in summary and "forced_m0" in summary
+
+
+def _scaled_match(got, want):
+    # the benchmark's rule: equal text, or |got - want| / max(1, |want|) <= 1e-6
+    if got == want:
+        return True
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return False
+    return abs(g - w) <= 1e-6 * max(1.0, abs(w))
+
+
+def test_cli_tables_and_classify_match_benchmark_reference(tmp_path):
+    for sub in ("x", "y"):
+        assert main(["tables", "--config", cfg_path("loglip.cfg"), "--out", str(tmp_path / sub)]) == 0
+    assert main(["classify", "--config", cfg_path("loglip.cfg"), "--out", str(tmp_path / "c")]) == 0
+    for name in ("local_condition", "additional_local_condition", "weight_orders", "summary"):
+        got = (tmp_path / "x" / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / "y" / f"{name}.csv").read_bytes()
+        got_rows = list(csv.reader(got.decode().splitlines()))
+        want_rows = list(csv.reader((LAB_SMOOTH_REF / f"{name}.csv").read_text().splitlines()))
+        assert [len(r) for r in got_rows] == [len(r) for r in want_rows], name
+        cells = [(g, w) for gr, wr in zip(got_rows, want_rows) for g, w in zip(gr, wr)]
+        assert all(_scaled_match(g, w) for g, w in cells), name
+    got = json.loads((tmp_path / "c" / "classification.json").read_text())
+    want = json.loads((LAB_SMOOTH_REF / "classification.json").read_text())
+    assert set(got) == set(want)
+    assert all(_scaled_match(got[k], want[k]) for k in want), (got, want)
 
 
 def test_cli_classify_holder_and_forced(tmp_path, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hyplab import energy
-from hyplab.coefficients import CoefficientSpec
-from hyplab.companion import HyperbolicOperatorSpec
+from hyplab.coefficients import CoefficientSpec, Mollifier
+from hyplab.companion import HyperbolicOperatorSpec, _root_gaps, roots_on_times
 from hyplab.conjugation import (
     ThetaSpec,
     integrate_theta0,
@@ -12,6 +12,7 @@ from hyplab.conjugation import (
     theta0,
     theta_integral_bound,
 )
+from hyplab.diagonalizers import m3_weights
 from hyplab.energy import (
     EnergyTrace,
     FrequencyExperiment,
@@ -502,3 +503,28 @@ def test_theta_integral_linearity():
     for a, b in zip(knots[1:-1], knots[2:]):
         doubled += _simpson(lambda s: 2.0 * np.asarray(theta0(ts, s, xi)), a, b, 512)
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
+
+
+def test_theta_integrals_batched_match_per_frequency_loop():
+    # from the floor M up, so the low frequencies' cutoff knots collapse onto T
+    rho = power_law(1.0, role="rho")
+    for eta, M in ((ETA_LL, 2.0), (power_law(0.5), 4.0)):
+        ts = ThetaSpec(eta, rho, ZoneParams(2.0, M, 0.5))
+        grid = np.geomspace(M, 1e6, 25)
+        batched = integrate_theta0(ts, grid)
+        loop = np.array([integrate_theta0(ts, x) for x in grid])
+        assert np.max(np.abs(batched / loop - 1.0)) <= 1e-14
+        assert np.array_equal(theta_integral_bound(ts, grid).integrals, batched)
+
+
+def test_m3_weights_keep_the_scalar_simpson_rule():
+    spec = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.5), None))
+    xi, t, n = 256.0, 0.5, 512
+    xs = np.linspace(0.0, t, n + 1)
+    lam, lam_dot = roots_on_times(spec, xs, None, xi, Mollifier())
+    G, _ = _root_gaps(lam)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    want = (xs[1] - xs[0]) / 3.0 * (w @ (-1j * lam_dot / G.sum(axis=-1)))
+    assert np.array_equal(m3_weights(spec, None, xi, t, quadrature=n).integrals, want)

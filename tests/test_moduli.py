@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from hyplab import tables
 from hyplab.moduli import (
     AuxiliaryFunction,
     ModulusOfContinuity,
@@ -113,6 +115,50 @@ def test_inverse_bisect_array_matches_scalar_loop(f):
     assert isinstance(f.inverse_bisect(float(ts[1, 2])), float)
     with pytest.raises(ValueError):
         f.inverse_bisect(np.array([0.5 * f.range_max, 0.0]))
+
+
+def test_domain_check_and_cached_range_max():
+    f = log_reciprocal(1.0)
+    with pytest.raises(ValueError, match=r"argument 0.6 outside \(0, r0=0.5\]"):
+        f.value(np.array([[0.25, 0.6], [0.1, 0.2]]))
+    with pytest.raises(ValueError, match="argument 0.0 outside"):
+        f.derivative(0.0)
+    assert f.range_max == f.value(f.r0)
+    assert "range_max" in vars(f)  # computed once per instance
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g.range_max == f.range_max
+
+
+def test_fd_derivative_calls_fn_once_on_the_stacked_stencil():
+    eta = log_reciprocal(1.0)
+    fn = lambda s: -1.0 / eta.inverse_bisect(s)
+    shapes = []
+
+    def spy(s):
+        shapes.append(np.shape(s))
+        return fn(s)
+
+    t = np.geomspace(0.01, 0.3, 12).reshape(3, 4)
+    got = fd_derivative(spy, t, 2e-4)
+    assert shapes == [(4,) + t.shape]
+    h = np.maximum(np.abs(t), 1e-12) * 2e-4
+    four_calls = (-fn(t + 2 * h) + 8.0 * fn(t + h) - 8.0 * fn(t - h) + fn(t - 2 * h)) / (12.0 * h)
+    assert np.array_equal(got, four_calls)
+
+
+def test_table_builders_bisect_once_per_stencil(monkeypatch):
+    calls = []
+    bisect = AuxiliaryFunction.inverse_bisect
+
+    def spy(self, t):
+        calls.append(np.shape(t))
+        return bisect(self, t)
+
+    monkeypatch.setattr(AuxiliaryFunction, "inverse_bisect", spy)
+    for builder in tables.TABLE_BUILDERS.values():
+        builder()
+    assert len(calls) == 8  # one per decay-rate row
+    assert all(shape == (4, 25) for shape in calls)
 
 
 def test_inverse_range_error():

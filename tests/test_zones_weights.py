@@ -6,6 +6,7 @@ import pytest
 from hyplab.moduli import fd_derivative, log_grid, log_reciprocal, power_law
 from hyplab.weights import (
     SymbolWeight,
+    _top_window,
     classify,
     estimate_order,
     fit_loglog_slope,
@@ -125,6 +126,38 @@ def test_estimate_order_power_law():
             SymbolWeight("w3", eta, zp, rho=rho),
         ):
             assert estimate_order(w, GRID) == pytest.approx(1.0 - alpha, abs=0.05)
+
+
+def _estimate_order_loop(w, xi, t_samples=48):
+    """Oracle: estimate_order with one t-grid per frequency, as a scalar loop."""
+    jb = jbracket(xi)
+    sup = np.full_like(xi, np.nan)
+    for i, x in enumerate(xi):
+        t_lo = max(zone_boundary(w.eta, w.zone, x), float(w.eta.value(1.0 / jb[i])) + 2.0 / jb[i])
+        if w.kind == "w1":
+            sup[i] = float(w.value(x))
+        elif t_lo < w.zone.T * (1.0 - 1e-12):
+            sup[i] = float(np.max(w.value(x, np.geomspace(t_lo, w.zone.T, t_samples))))
+    mask = _top_window(xi, 2.0) & np.isfinite(sup)
+    slope, _ = fit_loglog_slope(jbracket(xi[mask]), sup[mask])
+    return max(slope, 0.0)
+
+
+@pytest.mark.parametrize("eta", [log_reciprocal(1.0), power_law(0.5)], ids=["loglip", "holder"])
+@pytest.mark.parametrize(
+    "kind,rho",
+    [("w1", None), ("w2", None), ("w3", power_law(1.0, role="rho")), ("w3", power_law(0.7, role="rho"))],
+    ids=["w1", "w2", "w3-id", "w3-rho07"],
+)
+def test_estimate_order_batched_matches_scalar_loop(eta, kind, rho):
+    zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
+    w = SymbolWeight(kind, eta, zp, rho=rho)
+    assert estimate_order(w, GRID) == _estimate_order_loop(w, GRID)
+    # from the floor up, the lowest frequencies have an empty window [t_xi, T];
+    # for the log family some of them fall inside the top two decades
+    low = np.geomspace(zp.M, zp.M * 1e3, 31)
+    assert zone_boundary(eta, zp, low[0]) >= zp.T
+    assert estimate_order(w, low, t_samples=33) == _estimate_order_loop(w, low, t_samples=33)
 
 
 def test_estimate_order_loglip_small_and_shrinking():
