@@ -13,7 +13,7 @@ import numpy as np
 from hyplab.coefficients import CoefficientSpec
 from hyplab.companion import HyperbolicOperatorSpec
 from hyplab.conjugation import ThetaSpec, theta_integral_bound
-from hyplab.energy import FrequencyExperiment, estimate_loss, evolve_frequency, sobolev_energy
+from hyplab.energy import FrequencyExperiment, estimate_loss, evolve_sweep, sobolev_energy
 from hyplab.moduli import log_reciprocal, power_law
 from hyplab.weights import jbracket
 from hyplab.zones import ZoneParams
@@ -28,7 +28,7 @@ def sweep(gamma, delta, grid, step):
         2, (CoefficientSpec("log_power_oscillation", base=2.0, delta=delta, gamma_osc=gamma), None)
     )
     exp = FrequencyExperiment(op, grid, ZONE, ETA, rho=RHO, step_factor=step)
-    return [evolve_frequency(exp, float(x)) for x in grid]
+    return evolve_sweep(exp)
 
 
 print("== very slow oscillation: flat amplification ==")

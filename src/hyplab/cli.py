@@ -25,10 +25,14 @@ import sys
 import numpy as np
 
 from .coefficients import verify_reg_bounds
+from .companion import HyperbolicityViolation, NearMultipleRoot
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugation import ThetaSpec, theta_integral_bound
 from .diagonalizers import m3_weights
-from .energy import FrequencyExperiment, StiffnessError, _loss_window, estimate_loss, evolve_frequency
+from .energy import FrequencyExperiment, StiffnessError, _loss_window, estimate_loss, evolve_sweep
+
+# not called here; perfbench/test_perfbench.py checks that its tracer wraps this binding
+from .energy import evolve_frequency  # noqa: F401
 from .moduli import admissibility_check, certification_grid, decay_rate, decay_rate_pair
 from .tables import TABLE_BUILDERS
 from .weights import _top_window, classify
@@ -58,12 +62,20 @@ def _outdir(cfg: ExperimentConfig, override):
 
 
 def _sweep(exp: FrequencyExperiment, jobs: int):
-    worker = functools.partial(evolve_frequency, exp)
-    xis = [float(x) for x in exp.xi_grid]
+    """Every trace of the sweep, in grid order; with jobs > 1 the workers take strided index chunks."""
+    n = exp.xi_grid.size
     if jobs <= 1:
-        return [worker(x) for x in xis]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, xis))
+        return evolve_sweep(exp)
+    chunks = [range(j, n, jobs) for j in range(min(jobs, n))]
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(functools.partial(evolve_sweep, exp), chunks))
+    except (StiffnessError, HyperbolicityViolation, NearMultipleRoot):
+        return evolve_sweep(exp)  # raises at the first failing frequency in grid order
+    traces = [None] * n
+    for j, part in enumerate(parts):
+        traces[j::jobs] = part
+    return traces
 
 
 def cmd_tables(cfg: ExperimentConfig, args) -> int:

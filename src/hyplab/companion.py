@@ -99,21 +99,23 @@ class RootSet:
 
 
 def _row_scale(xi, m):
-    """Last-row factors xi^(m-j) <xi>^-(m-1-j) of the companion symbol, j = 0..m-1."""
-    jb = float(jbracket(xi))
-    return np.array([xi ** (m - j) * jb ** (j + 1 - m) for j in range(m)])
+    """Last-row factors xi^(m-j) <xi>^-(m-1-j) of the companion symbol, j = 0..m-1, on a new last axis of xi."""
+    xi = np.asarray(xi, dtype=float)[..., None]
+    j = np.arange(m)
+    return xi ** (m - j) * jbracket(xi) ** (j + 1 - m)
 
 
 def _companion(vals, xi):
     """Companion symbol for coefficient values vals[..., j] = a_{m-j}.
 
-    Batched over the leading axes: <xi> on the superdiagonal, last-row entry
-    in column j equal to a_{m-j} xi^(m-j) <xi>^-(m-1-j).
+    Batched over the leading axes, against which xi broadcasts: <xi> on the
+    superdiagonal, last-row entry in column j equal to
+    a_{m-j} xi^(m-j) <xi>^-(m-1-j).
     """
     vals = np.asarray(vals, dtype=float)
     m = vals.shape[-1]
     A = np.zeros(vals.shape + (m,))
-    A[..., np.arange(m - 1), np.arange(1, m)] = float(jbracket(xi))
+    A[..., np.arange(m - 1), np.arange(1, m)] = jbracket(xi)[..., None]
     A[..., m - 1, :] = vals * _row_scale(xi, m)
     return A
 
@@ -121,21 +123,33 @@ def _companion(vals, xi):
 def _roots(vals, xi, delta_sep):
     """Settled ascending roots for each row of coefficient values, shape (n, m).
 
-    Eigenvalues of the companion symbol, checked for the whole batch at once:
-    imaginary parts within IMAG_TOL <xi>, gaps at least delta_sep <xi>.
+    ``xi`` is one frequency or one per row.  Eigenvalues of the companion
+    symbol, checked for the whole batch at once: imaginary parts within
+    IMAG_TOL <xi>, gaps at least delta_sep <xi>.  An error names the
+    frequency of the first failing row and the worst value at it.
     """
-    jb = float(jbracket(xi))
+    xi = np.broadcast_to(np.asarray(xi, dtype=float), vals.shape[:-1])
+    jb = jbracket(xi)
+
+    def first(bad, value, reduce):
+        x = float(xi.flat[np.argmax(bad)])
+        return x, float(reduce(value[xi == x])), float(jbracket(x))
+
     raw = np.linalg.eigvals(_companion(vals, xi))
-    worst = float(np.max(np.abs(raw.imag)))
-    if worst > IMAG_TOL * jb:
+    imag = np.max(np.abs(raw.imag), axis=-1)
+    bad = imag > IMAG_TOL * jb
+    if bad.any():
+        x, worst, jx = first(bad, imag, np.max)
         raise HyperbolicityViolation(
-            f"complex characteristic roots at xi={xi}: max |Im| = {worst:.3e} > {IMAG_TOL * jb:.3e}"
+            f"complex characteristic roots at xi={x}: max |Im| = {worst:.3e} > {IMAG_TOL * jx:.3e}"
         )
     lam = np.sort(raw.real, axis=-1)
     if lam.shape[-1] > 1:
-        gap = float(np.min(np.diff(lam, axis=-1)))
-        if gap < delta_sep * jb:
-            raise NearMultipleRoot(f"root gap {gap:.3e} below margin {delta_sep * jb:.3e} at xi={xi}")
+        gap = np.min(np.diff(lam, axis=-1), axis=-1)
+        bad = gap < delta_sep * jb
+        if bad.any():
+            x, gap, jx = first(bad, gap, np.min)
+            raise NearMultipleRoot(f"root gap {gap:.3e} below margin {delta_sep * jx:.3e} at xi={x}")
     return lam
 
 
@@ -143,11 +157,12 @@ def _root_gaps(lam, tol=0.0):
     """Gap matrix G[..., p, i] = lam_i - lam_p (zero diagonal) of ascending roots.
 
     Returns ``(G, P)`` with P[..., p] = prod_{i != p} G[..., p, i].  A gap
-    below ``tol`` raises NearMultipleRoot (underflow guard).
+    below ``tol`` (one value, or one per row of roots) raises
+    NearMultipleRoot (underflow guard).
     """
     m = lam.shape[-1]
-    if m > 1 and np.min(np.diff(lam, axis=-1)) < tol:
-        raise NearMultipleRoot(f"root gap underflow below {tol:.3e}")
+    if m > 1 and np.any(np.diff(lam, axis=-1) < np.asarray(tol)[..., None]):
+        raise NearMultipleRoot(f"root gap underflow below {np.min(tol):.3e}")
     G = lam[..., None, :] - lam[..., :, None]
     return G, np.prod(G + np.eye(m), axis=-1)
 
@@ -194,10 +209,10 @@ def _root_rates(lam, vals_dot, xi):
         lam_k' = sum_j b_j' lam_k^j / p'(lam_k),
 
     with p'(lam_k) = prod_{i != k}(lam_k - lam_i) = (-1)^(m-1) P_k from the
-    gap matrix.  Batched over the leading axes.
+    gap matrix.  Batched over the leading axes, against which xi broadcasts.
     """
     m = lam.shape[-1]
-    b_dot = vals_dot * xi ** (m - np.arange(m))
+    b_dot = vals_dot * np.asarray(xi, dtype=float)[..., None] ** (m - np.arange(m))
     num = np.sum(b_dot[..., None, :] * lam[..., :, None] ** np.arange(m), axis=-1)
     _, P = _root_gaps(lam)
     return num / ((-1) ** (m - 1) * P)

@@ -86,15 +86,21 @@ def _simpson(fn, a, b, n):
 
 
 def integrate_theta0(ts: ThetaSpec, xi):
-    """Time integral of theta0 on [0, T], split at the cutoff knots; elementwise in xi."""
+    """Time integral of theta0 on [0, T], split at the cutoff knots; elementwise in xi.
+
+    Simpson's rule runs only on the (interval, frequency) pairs whose
+    interval is not empty: where N eta(1/<xi>) reaches T, knots collapse onto T.
+    """
     T = ts.zone.T
-    e = ts.eta.value(1.0 / jbracket(xi))
+    xi = np.asarray(xi, dtype=float)
+    e = np.asarray(ts.eta.value(1.0 / jbracket(xi)))
     ne = ts.zone.N * e
-    knots = [0.0, np.minimum(ne / 2.0, T), np.minimum(ne, T), np.minimum(2.0 * ne, T), T]
-    total = knots[1] / e  # first branch alone, exactly 1/eta * length
-    for a, b in zip(knots[1:-1], knots[2:]):
-        total += _simpson(lambda s: theta0(ts, s, xi), a, b, 512)
-    return total
+    knots = [np.minimum(ne / 2.0, T), np.minimum(ne, T), np.minimum(2.0 * ne, T), np.full_like(ne, T)]
+    total = np.asarray(knots[0] / e)  # first branch alone, exactly 1/eta * length
+    for a, b in zip(knots[:-1], knots[1:]):
+        live = b > a
+        total[live] += _simpson(lambda s: theta0(ts, s, xi[live]), a[live], b[live], 512)
+    return total[()]
 
 
 @dataclass(frozen=True)

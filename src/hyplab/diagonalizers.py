@@ -81,10 +81,10 @@ def _c1(lam, roots_dt, xi):
     """C1 and the reciprocal gaps R[..., p, i] = 1/(lam_i - lam_p), zero on the diagonal.
 
     Batched over the leading axes of the ascending roots ``lam`` and their
-    rates ``roots_dt``.
+    rates ``roots_dt``, against which xi broadcasts.
     """
     m = lam.shape[-1]
-    G, P = _root_gaps(lam, _UNDERFLOW * float(jbracket(xi)))
+    G, P = _root_gaps(lam, _UNDERFLOW * jbracket(xi))
     eye = np.eye(m)
     R = 1.0 / (G + eye) - eye
     dt = -1j * np.asarray(roots_dt, dtype=float)[..., None, :]  # D_t lam_q, along the columns

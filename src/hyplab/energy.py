@@ -36,24 +36,34 @@ exceeds that of RK4.  An RK4 step longer than 2 sqrt(2) / |A|_inf, RK4's
 stability bound on the imaginary axis, raises ``StiffnessError`` before
 integrating.
 
-RK4.  Each interval splits into rows of at most ``BATCH`` consecutive steps,
-and consecutive rows pack into batches of at most ``BATCH`` steps, each row
-padded to the batch's longest with steps of length zero.  Per batch, one
-``extended_time_value`` call per coefficient evaluates all stage times
-t = s_k + h_k i, t + h/2, t + h, and the RK4 step propagators
-P = I + h/6 (B0 + 2 K2 + 2 K3 + K4) with B = iA, K2 = Bm (I + h/2 B0),
-K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3) are formed at once, stored as
-(m, m, row, step) arrays so that every product broadcasts over the short m
-axes (a padded step has h = 0, so its propagator is exactly I).  A pairwise
-tree, later steps on the left, reduces each row to one propagator; only the
-grouping of the products differs from applying the steps one by one.
-Running products of a batch's row propagators give the state at the end of
-each row, and one batched norm over the sample times gives the trace.
+RK4 and the sweep.  ``evolve_sweep`` integrates every frequency of a sweep
+in one pass, and ``evolve_frequency`` is its call on one grid index.  The
+step plan above is one array expression over (frequency, interval), and the
+roots at the probes and interval starts of every frequency take one
+``companion._roots`` call, a frequency per row.  Every interval reduces to
+one propagator: it splits into rows of at most ``BATCH`` consecutive steps,
+and the rows of all frequencies, longest first, pack into batches of at
+most ``BATCH`` steps, each row padded to the batch's longest with steps
+whose propagator is exactly I.  Per RK4 batch, one ``extended_time_value``
+call per coefficient evaluates all stage times t = s_k + h_k i, t + h/2,
+t + h, and the RK4 step propagators P = I + h/6 (B0 + 2 K2 + 2 K3 + K4)
+with B = iA, K2 = Bm (I + h/2 B0), K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3)
+are formed at once, stored as (m, m, row, step) arrays so that every
+product broadcasts over the short m axes (a padded step has h = 0).  A
+pairwise tree, later steps on the left, reduces each row, and another each
+interval's rows; only the grouping of the products differs from applying
+the steps one by one.  The grouping depends on step positions alone and I
+multiplies exactly, so a frequency's trace does not depend on the
+frequencies that share its batches.  M1^-1 is folded into each frequency's
+first frame interval, one doubling prefix scan over the rectangular
+(m, m, frequency, interval) stack gives the states at the sample times, and
+one batched norm gives the traces.  A failed pass is repeated one frequency
+at a time, so that an error names the frequency a loop would fail at first.
 
 The frame.  The roots lam_p of the raw symbol at the nodes (one
-``companion._roots`` call per frequency; another, on the interval starts
-that may take the frame and three probe times, gates strict hyperbolicity
-and gives kappa) and their exact rates
+``companion._roots`` call for the nodes of every frequency; the one at the
+interval starts that may take the frame and three probe times gates strict
+hyperbolicity and gives kappa) and their exact rates
 (``companion._root_rates`` on ``CoefficientSpec.time_derivative``) turn
 V = M1^-1 U into
 
@@ -68,9 +78,10 @@ the Filon moments of K_pq exp(i s_pq), the amplitude K_pq / s_pq' linear in
 each pair's phase s_pq = Phi_q - Phi_p (on the diagonal, the trapezoid in
 t).  Omega2 is the second Magnus term with K frozen at the step's mean and
 the phases linear in t, whose moments are divided differences of exp
-(``_commutator_moments``).  Node propagators are formed ``BATCH`` steps at a
-time and reduced like the RK4 ones, V enters as M1^-1 U at the first frame
-node, and the norm at a frame sample time is |M1 V|.
+(``_commutator_moments``).  The node propagators of the whole sweep are
+formed ``BATCH`` // 2 steps at a time and reduced like the RK4 ones, V
+enters as M1^-1 U at a frequency's first frame node, and the norm at a frame
+sample time is |M1 V|.
 
 Amplification per frequency is the supremum of |U(t)|/|U(0)| over a fixed
 sample grid; the loss-of-derivatives exponent is the least-squares slope of
@@ -85,7 +96,8 @@ from typing import Optional
 
 import numpy as np
 
-from .companion import HyperbolicOperatorSpec, RootSet, _roots, _root_rates, _row_scale, characteristic_roots
+from .companion import HyperbolicityViolation, HyperbolicOperatorSpec, NearMultipleRoot, RootSet
+from .companion import _roots, _root_rates, _row_scale, characteristic_roots
 from .diagonalizers import _c1, _vandermonde, m1_inverse_symbol, m1_symbol
 from .moduli import AuxiliaryFunction
 from .weights import _top_window, fit_loglog_slope, jbracket
@@ -97,6 +109,7 @@ __all__ = [
     "EnergyTrace",
     "LossEstimate",
     "evolve_frequency",
+    "evolve_sweep",
     "estimate_loss",
     "sobolev_energy",
     "closed_form_constant_trace",
@@ -227,23 +240,21 @@ def _prefix_product(P):
 def _expm(X):
     """exp of every matrix of an (m, m, ...) stack: Taylor polynomial, scaled and squared.
 
-    The stack is scaled by 2^-s until its largest 1-norm theta is at most
-    1/8, and the Taylor degree K is the least with theta^(K+1)/(K+1)! below
-    1e-17; a zero matrix maps to I exactly.
+    Each matrix is scaled by 2^-s, the least s that brings its 1-norm to at
+    most 1/8, and its Taylor polynomial of degree 10 (remainder below
+    (1/8)^11/11! < 1e-17) is squared s times, so that every result depends
+    on its own matrix alone; a zero matrix maps to I exactly.
     """
-    theta = float(np.max(np.abs(X).sum(axis=0), initial=0.0))
-    s = max(0, int(np.ceil(np.log2(8.0 * theta)))) if theta > 0.0 else 0
+    theta = np.abs(X).sum(axis=0).max(axis=0)
+    s = np.ceil(np.log2(np.fmin(np.fmax(8.0 * theta, 1.0), 2.0**60))).astype(int)  # NaN: s = 0
     X = X / 2.0**s
-    theta /= 2.0**s
-    degree = 1
-    while theta ** (degree + 1) / math.factorial(degree + 1) > 1e-17:
-        degree += 1
     eye = np.eye(X.shape[0]).reshape(X.shape[:2] + (1,) * (X.ndim - 2))
-    E = eye + X / degree
-    for k in range(degree - 1, 0, -1):
+    E = eye + X / 10.0
+    for k in range(9, 0, -1):
         E = eye + _mul(X, E) / k
-    for _ in range(s):
-        E = _mul(E, E)
+    for r in range(int(s.max(initial=0))):
+        more = s > r
+        E[:, :, more] = _mul(E[:, :, more], E[:, :, more])
     return E
 
 
@@ -294,46 +305,54 @@ def _commutator_moments(ds, e, p1):
     return D
 
 
-def _frame_propagators(pts, lam, lam_dot, xi):
-    """Propagators diag(exp(i dPhi)) exp(Omega1 + Omega2) of V = M1^-1 U between the nodes pts.
+def _frame_propagators(pts, lam, lam_dot, xi, start):
+    """Propagators diag(exp(i dPhi)) exp(Omega1 + Omega2) of V = M1^-1 U, from node start[j] to the next.
 
-    ``lam`` and ``lam_dot`` hold the roots and their rates at the nodes
-    (module docstring).  The shape is (m, m, n + 1); the last propagator is
-    I, for padded steps.  Formed BATCH steps at a time.
+    ``lam`` and ``lam_dot`` hold the roots and their rates at the nodes pts,
+    of frequencies xi (module docstring).  The shape is (m, m, n + 1) for n
+    steps; the last propagator is I, for padded steps.  Formed BATCH // 2
+    steps at a time: a frame step's temporaries are about twice an RK4 step's.
     """
     m = lam.shape[-1]
-    n = pts.size - 1
+    n = start.size
     P = np.empty((m, m, n + 1), dtype=complex)
     P[:, :, n] = np.eye(m)
     diag = np.eye(m, dtype=bool)
-    for lo in range(0, n, BATCH):
-        hi = min(lo + BATCH, n)
-        lm, ld = lam[lo : hi + 1], lam_dot[lo : hi + 1]
-        coupling = (-1j * _c1(lm, ld, xi)[0]).real  # V' = i Lam V + coupling V
-        h = np.diff(pts[lo : hi + 1])[:, None]
-        dphi = 0.5 * h * (lm[:-1] + lm[1:]) + h**2 / 12.0 * (ld[:-1] - ld[1:])
+    chunk = max(1, BATCH // 2)
+    for lo in range(0, n, chunk):
+        a = start[lo : lo + chunk]
+        nodes = slice(a[0], a[-1] + 2)  # the nodes these steps touch
+        lm, ld = lam[nodes], lam_dot[nodes]
+        coupling = (-1j * _c1(lm, ld, xi[nodes])[0]).real  # V' = i Lam V + coupling V
+        i, j = a - a[0], a + 1 - a[0]  # the two nodes of each step, within the slice
+        h = (pts[a + 1] - pts[a])[:, None]
+        dphi = 0.5 * h * (lm[i] + lm[j]) + h**2 / 12.0 * (ld[i] - ld[j])
         ds = dphi[:, None, :] - dphi[:, :, None]  # increment of s_pq = Phi_q - Phi_p
         gap = lm[:, None, :] - lm[:, :, None]  # s_pq' = lam_q - lam_p
         # coupling per unit s_pq at either end, times the increment of s_pq
         # (on the diagonal s_pp = 0, and the variable is t)
-        left = coupling[:-1] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[:-1]))
-        right = coupling[1:] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[1:]))
+        left = coupling[i] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[i]))
+        right = coupling[j] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[j]))
         w0 = _phi2(ds)
         p1 = 1.0 + 1j * ds * w0  # phi_1; the Filon weights are phi_2 and phi_1 - phi_2
         omega = left * w0 + right * (p1 - w0)
         # second Magnus term with the coupling K frozen at the step's mean and the
         # phases linear: 1/2 h^2 sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr))
-        mean = 0.5 * (coupling[:-1] + coupling[1:])
+        mean = 0.5 * (coupling[i] + coupling[j])
         D = _commutator_moments(ds, np.exp(1j * ds), p1)
         omega = omega + 0.5 * h[..., None] ** 2 * (mean[:, :, :, None] * mean[:, None] * D).sum(2)
         omega = np.ascontiguousarray(omega.transpose(1, 2, 0))  # steps last, for _mul
-        P[:, :, lo:hi] = np.exp(1j * dphi.T)[:, None] * _expm(omega)
+        P[:, :, lo : lo + a.size] = np.exp(1j * dphi.T)[:, None] * _expm(omega)
     return P
 
 
 def _rk4_propagators(coeffs, scale, jb, t0, h):
-    """RK4 step propagators for steps of length h from t0, shape (m, m) + t0.shape."""
-    m = scale.size
+    """RK4 step propagators for steps of length h from t0, shape (m, m) + t0.shape.
+
+    The m entries of ``scale`` (the last row of B = iA per unit coefficient)
+    and ``jb`` (<xi>) broadcast against t0.
+    """
+    m = len(scale)
     stage_t = np.stack((t0, t0 + 0.5 * h, t0 + h))
     B = np.zeros((m, m) + stage_t.shape, dtype=complex)
     B[np.arange(m - 1), np.arange(1, m)] = 1j * jb
@@ -348,125 +367,182 @@ def _rk4_propagators(coeffs, scale, jb, t0, h):
     return eye + (h / 6.0) * (B0 + 2.0 * (K2 + K3) + K4)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite norm, which raises
-def evolve_frequency(
-    exp: FrequencyExperiment, xi: float, u0=None, step_scale: float = 1.0
-) -> EnergyTrace:
-    """Integrate the companion system at one frequency of the sweep.
+def _interval_propagators(m, counts, step_propagators):
+    """One propagator per interval of counts[i] steps, shape (m, m, counts.size).
 
-    Raises ``StiffnessError`` when an RK4 step falls below ``MIN_STEP``,
-    exceeds RK4's stability bound, or a recorded norm is not finite.
+    Each interval splits into rows of at most BATCH consecutive steps, and
+    the rows, longest first, pack into batches of at most BATCH padded
+    steps.  ``step_propagators(i, step, live)`` returns the (m, m, row, step)
+    propagators of a batch, row r holding steps step[r] of interval i[r],
+    and exactly I where ``live`` is False.  A pairwise tree reduces each
+    row, and another each interval's rows, later factors on the left.
     """
-    xi = float(xi)
-    if not np.any(np.isclose(exp.xi_grid, xi, rtol=1e-12)):
-        raise ValueError(f"xi={xi} is not a grid point of this experiment")
-    idx = int(np.argmin(np.abs(exp.xi_grid - xi)))
+    rows = -(-counts // BATCH)
+    first = np.cumsum(rows) - rows  # each interval's first row
+    row_i = np.repeat(np.arange(counts.size), rows)
+    row_lo = (np.arange(row_i.size) - first[row_i]) * BATCH
+    row_n = np.minimum(counts[row_i] - row_lo, BATCH)
+    order = np.argsort(-row_n, kind="stable")
+    P = np.empty((m, m, row_i.size + 1), dtype=complex)
+    P[:, :, -1] = np.eye(m)  # pads the intervals with fewer rows
+    lo = 0
+    while lo < order.size:
+        batch = order[lo : lo + BATCH // row_n[order[lo]]]
+        col = np.arange(row_n[batch[0]])
+        step = row_lo[batch, None] + col
+        P[:, :, batch] = _tree_product(step_propagators(row_i[batch], step, col < row_n[batch, None]))
+        lo += batch.size
+    k = np.arange(rows.max(initial=1))
+    return _tree_product(P[:, :, np.where(k < rows[:, None], first[:, None] + k, -1)])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite norm, which raises
+def _evolve(exp: FrequencyExperiment, idx, U0, step_scale):
+    """Traces at the grid indices idx from the initial vectors U0[f], in one pass (module docstring)."""
     spec = exp.operator
     m = spec.m
-    jb = float(jbracket(xi))
+    xi = exp.xi_grid[idx]
+    jb = jbracket(xi)
     sup_a = spec.sup_abs()
     coeffs = [(j, c) for j, c in enumerate(spec.coeffs) if c is not None]
-    scale = 1j * _row_scale(xi, m)  # last row of B = iA, per unit coefficient
 
     sample_times = np.linspace(0.0, exp.T, exp.n_samples)
     widths = np.diff(sample_times)
     n_int = widths.size
     c_h = exp.step_factor * step_scale
-    # every interval's RK4 step bound h_k and frame node bound tau_k (module docstring)
-    starts = np.maximum(sample_times[:-1], 1.0 / jb)
+    # the step plan, one entry per (frequency, interval): the RK4 step bound
+    # h_k and the frame node bound tau_k (module docstring)
+    starts = np.maximum(sample_times[:-1], 1.0 / jb[:, None])
     rate = np.max([c.rate_bound(starts) for _, c in coeffs], axis=0)
-    h_max = c_h / (jb * sup_a + 1.0 + rate / sup_a)
-    i = int(np.argmin(h_max))
-    if h_max[i] < MIN_STEP:
-        raise StiffnessError(f"step {h_max[i]:.3e} below floor at t={sample_times[i]:.6g}, xi={xi:.6g}")
+    h_max = c_h / (jb[:, None] * sup_a + 1.0 + rate / sup_a)
+    low = h_max.min(axis=1) < MIN_STEP
+    if low.any():
+        f = int(np.argmax(low))
+        i = int(np.argmin(h_max[f]))
+        raise StiffnessError(f"step {h_max[f, i]:.3e} below floor at t={sample_times[i]:.6g}, xi={xi[f]:.6g}")
     s = sample_times[1:-1]
     r1, r2 = (np.max([c.rate_bound(s, order) for _, c in coeffs], axis=0) for order in (1, 2))
     rest = np.divide(r2, r1, out=np.zeros_like(r2), where=r1 > 0.0) + 1.0 / s
     # tau_k <= c_h / rest: the intervals before k1 cannot take the frame
-    near = c_h / rest <= FRAME_RATIO * h_max[1:]
-    k1 = int(np.argmin(near)) if not near.all() else s.size
-    # roots at the probes and the later interval starts: the strict hyperbolicity gate and kappa
+    near = c_h / rest <= FRAME_RATIO * h_max[:, 1:]
+    k1 = np.where(near.all(axis=1), s.size, np.argmin(near, axis=1))
+    # roots at the probes and at the interval starts from k1 on, of every
+    # frequency in one call: the strict hyperbolicity gate and kappa
     probes = exp.T * np.array([1e-3, 0.5, 1.0])
-    vals = np.zeros((probes.size + s.size - k1, m))
+    vals = np.zeros((probes.size + s.size, m))
     for j, c in coeffs:
-        vals[:, j] = np.concatenate((c.value(probes), c.extended_time_value(s[k1:])))
-    lam_s = _roots(vals, xi, spec.delta_sep)[probes.size :]
-    tau = np.zeros(n_int)
-    if k1 < s.size:
-        kappa = np.zeros(s.size - k1)
-        for j, c in coeffs:
-            unit = np.zeros_like(lam_s)
-            unit[:, j] = 1.0  # the coupling per unit rate of a_{m-j}
-            per_unit = _c1(lam_s, _root_rates(lam_s, unit, xi), xi)[0]
-            kappa += c.rate_bound(s[k1:]) * np.abs(per_unit).max(axis=(1, 2))
-        tau[1 + k1 :] = c_h / (4.0 * kappa + rest[k1:])
+        vals[:, j] = np.concatenate((c.value(probes), c.extended_time_value(s)))
+    pos = np.arange(-probes.size, s.size)  # the probes, then the interval starts
+    f_of, row = np.nonzero((pos < 0) | (pos >= k1[:, None]))
+    lam_s = _roots(vals[row], xi[f_of], spec.delta_sep)
+    cand = pos[row] >= 0
+    f_c, k_c, lam_s = f_of[cand], pos[row[cand]], lam_s[cand]
+    kappa = np.zeros(k_c.size)
+    for j, c in coeffs:
+        unit = np.zeros_like(lam_s)
+        unit[:, j] = 1.0  # the coupling per unit rate of a_{m-j}
+        per_unit = _c1(lam_s, _root_rates(lam_s, unit, xi[f_c]), xi[f_c])[0]
+        kappa += c.rate_bound(s[k_c]) * np.abs(per_unit).max(axis=(1, 2))
+    tau = np.zeros((xi.size, n_int))
+    tau[f_c, 1 + k_c] = c_h / (4.0 * kappa + rest[k_c])
     frame = tau > FRAME_RATIO * h_max
-    k0 = int(np.argmax(frame)) if frame.any() else n_int  # intervals k0.. take the frame
-    counts = np.ceil(widths / np.where(np.arange(n_int) < k0, h_max, tau)).astype(int)
+    k0 = np.where(frame.any(axis=1), np.argmax(frame, axis=1), n_int)  # intervals k0.. take the frame
+    rk4 = np.arange(n_int) < k0[:, None]
+    counts = np.ceil(widths / np.where(rk4, h_max, tau)).astype(int)
     h_k = widths / counts
     lam_bound = jb * max(1.0, sum(c.sup_abs for _, c in coeffs))  # |lam| <= |A|_inf
-    if h_k[:k0].max() * lam_bound > RK4_LIMIT:
-        raise StiffnessError(f"RK4 step {h_k[:k0].max():.3e} beyond the stability bound at xi={xi:.6g}")
+    h_rk4 = np.max(np.where(rk4, h_k, 0.0), axis=1)
+    unstable = h_rk4 * lam_bound > RK4_LIMIT
+    if unstable.any():
+        f = int(np.argmax(unstable))
+        raise StiffnessError(f"RK4 step {h_rk4[f]:.3e} beyond the stability bound at xi={xi[f]:.6g}")
 
-    # frame nodes: n_k equal steps per interval k >= k0, then T
-    nodes = counts[k0:]
-    off = np.concatenate(([0], np.cumsum(nodes)))  # first frame step of each frame interval
-    k_of = np.repeat(np.arange(k0, n_int), nodes)
-    step_of = np.arange(off[-1]) - np.repeat(off[:-1], nodes)
-    pts = np.append(sample_times[k_of] + h_k[k_of] * step_of, exp.T)
-    if k0 < n_int:
-        raw = np.zeros((2, pts.size, m))  # a_{m-j} and its rate at the nodes
-        for j, c in coeffs:
-            raw[:, :, j] = c.extended_time_value(pts), c.time_derivative(pts)
-        lam = _roots(raw[0], xi, spec.delta_sep)
-        P_frame = _frame_propagators(pts, lam, _root_rates(lam, raw[1], xi), xi)
+    stack = np.empty((m, m, xi.size, n_int), dtype=complex)  # the interval propagators
+    rf, rk = np.nonzero(rk4)
+    scale = 1j * _row_scale(xi, m).T  # last row of B = iA per unit coefficient, per frequency
 
-    # row r: steps row_lo[r] .. row_lo[r] + row_n[r] - 1 of interval row_k[r]
-    rows = [(k, lo, min(n - lo, BATCH)) for k, n in enumerate(counts) for lo in range(0, n, BATCH)]
-    row_k, row_lo, row_n = np.array(rows).T
-    row_ends = row_lo + row_n == counts[row_k]
-    enter = int(np.searchsorted(row_k, k0))  # the first frame row
+    def rk4_steps(i, step, live):
+        f, k = rf[i, None], rk[i, None]
+        h = np.where(live, h_k[f, k], 0.0)  # a padded step has h = 0: its propagator is exactly I
+        return _rk4_propagators(coeffs, scale[:, f], jb[f], sample_times[k] + h * step, h)
 
-    if u0 is None:
-        u0 = exp.initial_vector(idx)
-    U = np.asarray(u0, dtype=complex).copy()
-    ends = np.empty((exp.n_samples, m), dtype=complex)  # U at the sample times (V on the frame)
-    ends[0] = U
-    first = 0
-    while first < row_k.size:
-        # the next batch: as many rows of one path as fit in BATCH steps, padded to the longest
-        last, width = first + 1, row_n[first]
-        while (
-            last < row_k.size
-            and last != enter
-            and (last + 1 - first) * max(width, row_n[last]) <= BATCH
-        ):
-            width = max(width, row_n[last])
-            last += 1
-        k = row_k[first:last]
-        col = np.arange(width)
-        live = col < row_n[first:last, None]
-        step = row_lo[first:last, None] + col
-        if first < enter:
-            # padded steps have h = 0, so their propagators are exactly I
-            h = np.where(live, h_k[k, None], 0.0)
-            P = _rk4_propagators(coeffs, scale, jb, sample_times[k, None] + h * step, h)
-        else:
-            if first == enter:
-                U = m1_inverse_symbol(RootSet(lam[0], xi)) @ U  # V = M1^-1 U
-            P = P_frame[:, :, np.where(live, off[k - k0, None] + step, off[-1])]
-        X = np.einsum("pqr,q->rp", _prefix_product(_tree_product(P)), U)  # the state after each row
-        done = row_ends[first:last]
-        ends[k[done] + 1] = X[done]
-        U = X[-1]
-        first = last
-    if k0 < n_int:
-        ends[k0 + 1 :] = np.einsum("kpq,kq->kp", _vandermonde(lam[off[1:]] / jb), ends[k0 + 1 :])  # U = M1 V
-    norms = np.linalg.norm(ends, axis=1)
+    stack[:, :, rf, rk] = _interval_propagators(m, counts[rf, rk], rk4_steps)
+
+    # frame nodes: n_k equal steps per frame interval, then T after a frequency's last
+    ff, fk = np.nonzero(~rk4)
+    n_f = counts[ff, fk]
+    closes = np.diff(ff, append=-1) != 0  # the last frame interval of its frequency
+    per = n_f + closes
+    node0 = np.cumsum(per) - per  # each frame interval's first node
+    iv = np.repeat(np.arange(ff.size), per)
+    step_of = np.arange(per.sum()) - node0[iv]
+    inner = step_of < n_f[iv]
+    pts = np.where(inner, sample_times[fk[iv]] + h_k[ff[iv], fk[iv]] * step_of, exp.T)
+    xi_n = xi[ff[iv]]
+    raw = np.zeros((2, pts.size, m))  # a_{m-j} and its rate at the nodes
+    for j, c in coeffs:
+        raw[:, :, j] = c.extended_time_value(pts), c.time_derivative(pts)
+    lam = _roots(raw[0], xi_n, spec.delta_sep)
+    P_frame = _frame_propagators(pts, lam, _root_rates(lam, raw[1], xi_n), xi_n, np.flatnonzero(inner))
+    off = np.cumsum(n_f) - n_f  # each frame interval's first step
+
+    def frame_steps(i, step, live):
+        return P_frame[:, :, np.where(live, off[i, None] + step, -1)]
+
+    stack[:, :, ff, fk] = _interval_propagators(m, n_f, frame_steps)
+    if ff.size:  # V = M1^-1 U enters with each frequency's first frame interval
+        enter = np.diff(ff, prepend=-1) != 0
+        fe, ke = ff[enter], fk[enter]
+        M1_inv = [m1_inverse_symbol(RootSet(lam[n], x)) for n, x in zip(node0[enter], xi[fe])]
+        stack[:, :, fe, ke] = _mul(stack[:, :, fe, ke], np.stack(M1_inv, axis=-1))
+
+    ends = np.empty((xi.size, exp.n_samples, m), dtype=complex)  # U at the sample times (V on the frame)
+    ends[:, 0] = U0
+    ends[:, 1:] = np.moveaxis((_prefix_product(stack) * U0.T[None, :, :, None]).sum(1), 0, -1)
+    V = ends[ff, fk + 1]  # U = M1 V, M1 at the node that closes each frame interval
+    ends[ff, fk + 1] = (_vandermonde(lam[node0 + n_f] / jb[ff, None]) * V[:, None, :]).sum(-1)
+    norms = np.linalg.norm(ends, axis=-1)
     bad = ~np.isfinite(norms)
     if bad.any():
-        raise StiffnessError(f"norm not finite at t={sample_times[np.argmax(bad)]:.6g}, xi={xi:.6g}")
-    return EnergyTrace.from_history(xi, sample_times, norms, int(counts[:k0].sum()), int(counts[k0:].sum()))
+        f = int(np.argmax(bad.any(axis=1)))
+        raise StiffnessError(f"norm not finite at t={sample_times[np.argmax(bad[f])]:.6g}, xi={xi[f]:.6g}")
+    steps = (counts * rk4).sum(axis=1)
+    return [
+        EnergyTrace.from_history(float(x), sample_times, n, int(k), int(c.sum() - k))
+        for x, n, k, c in zip(xi, norms, steps, counts)
+    ]
+
+
+def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0, u0=None) -> list[EnergyTrace]:
+    """Integrate the companion system at every grid frequency, or at the grid indices given, in one pass.
+
+    ``u0`` holds one initial vector per frequency (default
+    ``exp.initial_vector``).  Raises ``StiffnessError`` when an RK4 step
+    falls below ``MIN_STEP``, exceeds RK4's stability bound, or a recorded
+    norm is not finite.  An error names the frequency that a loop over the
+    indices would fail at first: a failed pass is repeated one frequency at
+    a time.
+    """
+    idx = np.arange(exp.xi_grid.size) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
+    if u0 is None:
+        u0 = [exp.initial_vector(int(i)) for i in idx]
+    U0 = np.array(u0, dtype=complex).reshape(idx.size, exp.operator.m)
+    try:
+        return _evolve(exp, idx, U0, step_scale)
+    except (StiffnessError, HyperbolicityViolation, NearMultipleRoot):
+        if idx.size > 1:
+            for i in range(idx.size):
+                _evolve(exp, idx[i : i + 1], U0[i : i + 1], step_scale)
+        raise
+
+
+def evolve_frequency(exp: FrequencyExperiment, xi: float, u0=None, step_scale: float = 1.0) -> EnergyTrace:
+    """Integrate the companion system at one grid frequency: ``evolve_sweep`` on its index."""
+    xi = float(xi)
+    if not np.any(np.isclose(exp.xi_grid, xi, rtol=1e-12)):
+        raise ValueError(f"xi={xi} is not a grid point of this experiment")
+    idx = int(np.argmin(np.abs(exp.xi_grid - xi)))
+    return evolve_sweep(exp, [idx], step_scale, None if u0 is None else [u0])[0]
 
 
 def _loss_window(xi):

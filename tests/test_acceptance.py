@@ -19,6 +19,7 @@ from hyplab.energy import (
     closed_form_constant_trace,
     estimate_loss,
     evolve_frequency,
+    evolve_sweep,
 )
 from hyplab.moduli import log_reciprocal, power_law
 from hyplab.tables import numeric_decay_rate
@@ -151,7 +152,7 @@ def test_criterion_05_no_loss_very_slow_oscillation():
     exp = FrequencyExperiment(
         op, grid, ZoneParams(2.0, 2.0, 0.5), log_reciprocal(1.0), step_factor=0.05
     )
-    traces = [evolve_frequency(exp, float(x)) for x in grid]
+    traces = evolve_sweep(exp)
     loss = estimate_loss(traces)
     elapsed = time.time() - start
     ok = loss.nu0_hat <= 0.05
@@ -172,7 +173,7 @@ def test_criterion_06_loss_ordering():
         exp = FrequencyExperiment(
             op, grid, ZoneParams(2.0, 2.0, 0.5), log_reciprocal(1.0), step_factor=0.1
         )
-        traces = [evolve_frequency(exp, float(x)) for x in grid]
+        traces = evolve_sweep(exp)
         nu.append(estimate_loss(traces).nu0_hat)
     elapsed = time.time() - start
     nondecreasing = all(nu[i] <= nu[i + 1] for i in range(3))

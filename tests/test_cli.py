@@ -98,7 +98,7 @@ def test_cli_sweep_rejects_settings_before_integrating(tmp_path, capsys, monkeyp
     def integrate(*args, **kwargs):
         raise AssertionError("a frequency was integrated before the settings were checked")
 
-    monkeypatch.setattr(cli, "evolve_frequency", integrate)
+    monkeypatch.setattr(cli, "evolve_sweep", integrate)  # the entry _sweep calls
     text = Path(cfg_path("loss_sweep.cfg")).read_text(encoding="utf-8")
     assert text.count(old) == 1
     bad = tmp_path / "bad.cfg"
@@ -260,6 +260,38 @@ def test_cli_energy_jobs_parallel_identical(tmp_path):
     assert main(["energy", "--config", cfg_path("constant.cfg"), "--out", str(out1)]) == 0
     assert main(["energy", "--config", cfg_path("constant.cfg"), "--out", str(out2), "--jobs", "2"]) == 0
     assert (out1 / "traces.csv").read_bytes() == (out2 / "traces.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["energy", "--config", cfg_path("loglip.cfg"), "--seed", "3"], "traces.csv"),
+        (["loss", "--config", os.path.join(CONFIGS, "..", "perfbench", "configs", "loss_sweep.cfg")], "loss.csv"),
+    ],
+    ids=["energy_loglip", "loss_sweep"],
+)
+def test_cli_sweep_jobs_byte_identical(tmp_path, argv, output):
+    # the workers take strided index chunks; each trace is the same whichever
+    # frequencies share its batches, and the chunks come back in grid order
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(argv + ["--out", str(out), "--jobs", jobs]) == 0
+        outs.append((out / output).read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_cli_sweep_jobs_failure_names_the_first_failing_frequency(tmp_path, capsys):
+    # RK4 turns unstable from grid index 15 (xi = 540.04) on: the second of
+    # two strided chunks holds it, the first fails later, at index 16
+    text = Path(cfg_path("loss_sweep.cfg")).read_text(encoding="utf-8")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace("step_factor = 0.1\n\n[energy]", "step_factor = 40\n\n[energy]"))
+    errs = []
+    for jobs in ("1", "2"):
+        assert main(["loss", "--config", str(bad), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].endswith("stability bound at xi=540.04\n")
 
 
 def test_cli_classify_reruns_byte_identical(tmp_path):

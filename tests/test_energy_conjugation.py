@@ -19,6 +19,7 @@ from hyplab.energy import (
     closed_form_constant_trace,
     estimate_loss,
     evolve_frequency,
+    evolve_sweep,
     sobolev_energy,
 )
 from hyplab.moduli import log_reciprocal, power_law
@@ -76,13 +77,13 @@ def test_constant_amplification_frequency_independent():
     # unit speed: the norm peaks at t = 0, so the sampled sup carries no
     # beat-granularity error and the amplification is flat to 1e-6
     exp = small_experiment()
-    amps = [evolve_frequency(exp, xi).amplification for xi in exp.xi_grid[(exp.xi_grid >= 40.0)]]
+    amps = [tr.amplification for tr in evolve_sweep(exp, np.flatnonzero(exp.xi_grid >= 40.0))]
     assert (max(amps) - min(amps)) / min(amps) < 1e-6
     # speed two: beats appear; amplification is bounded by the conditioning
     # of the Vandermonde diagonalizer and flat up to the sampling granularity
     op = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=4.0), None))
     exp4 = small_experiment(operator=op)
-    amps4 = [evolve_frequency(exp4, xi).amplification for xi in exp4.xi_grid[(exp4.xi_grid >= 40.0)]]
+    amps4 = [tr.amplification for tr in evolve_sweep(exp4, np.flatnonzero(exp4.xi_grid >= 40.0))]
     assert (max(amps4) - min(amps4)) / min(amps4) < 1e-3
     from hyplab.companion import characteristic_roots
     from hyplab.diagonalizers import m1_inverse_symbol, m1_symbol
@@ -292,6 +293,76 @@ def test_frame_batch_size_does_not_change_the_trace(monkeypatch):
     assert np.max(np.abs(got.norms - ref.norms) / ref.norms) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "exp, batch",
+    [(loss_experiment(1.5), None), (rough_experiment(3), None), (log_power_experiment(16.0), 5)],
+    ids=["log_power_m2", "rough_m3_random", "log_power_batch5"],
+)
+def test_sweep_matches_per_frequency_evolution(monkeypatch, exp, batch):
+    # every frequency alone from its grid index's initial vector (random for
+    # the rough case), against all of them in one pass; at BATCH = 5 the
+    # intervals split into rows and rows of different frequencies share batches
+    ref = [evolve_frequency(exp, xi, u0=exp.initial_vector(i)) for i, xi in enumerate(exp.xi_grid)]
+    shared = []
+    if batch:
+        monkeypatch.setattr(energy, "BATCH", batch)
+        rk4 = energy._rk4_propagators
+
+        def spy(coeffs, scale, jb, t0, h):
+            shared.append(np.unique(jb).size > 1)
+            return rk4(coeffs, scale, jb, t0, h)
+
+        monkeypatch.setattr(energy, "_rk4_propagators", spy)
+    got = evolve_sweep(exp)
+    assert [(tr.xi, tr.steps, tr.nodes) for tr in got] == [(tr.xi, tr.steps, tr.nodes) for tr in ref]
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g.norms - r.norms) / r.norms) < 1e-12
+    assert sum(tr.nodes for tr in got) > 0
+    if batch:
+        assert any(shared) and max(tr.steps for tr in got) > batch * (exp.n_samples - 1)
+
+
+def test_sweep_trace_does_not_depend_on_its_batch_mates():
+    exp = loss_experiment(1.0)
+    full = evolve_sweep(exp)
+    part = evolve_sweep(exp, [9, 2, 6])
+    assert [tr.xi for tr in part] == [full[i].xi for i in (9, 2, 6)]
+    for tr, i in zip(part, (9, 2, 6)):
+        assert np.array_equal(tr.norms, full[i].norms)
+
+
+def test_sweep_errors_name_the_first_failing_frequency():
+    from hyplab.companion import HyperbolicityViolation
+    from hyplab.energy import StiffnessError
+
+    # RK4 is unstable below xi = 4e13 and its steps fall below the floor
+    # above: the batched step plan meets the floor first, a loop over the
+    # grid meets the instability first
+    exp = small_experiment(xi_grid=np.geomspace(1e12, 1e14, 9), step_factor=40.0)
+    messages = []
+    for xi in exp.xi_grid:
+        with pytest.raises(StiffnessError) as err:
+            evolve_frequency(exp, xi)
+        messages.append(str(err.value))
+    assert "stability bound" in messages[0] and "below floor" in messages[-1]
+    for indices, first in ((None, 0), ([8, 3], 8)):
+        with pytest.raises(StiffnessError) as err:
+            evolve_sweep(exp, indices)
+        assert str(err.value) == messages[first]
+
+    class ComplexLate(CoefficientSpec):
+        # a_2 < 0, complex roots, from t = 0.25 on
+        def _time_value(self, t):
+            return np.where(np.asarray(t) < 0.25, 1.0, -1.0)
+
+    exp = small_experiment(operator=HyperbolicOperatorSpec(2, (ComplexLate("constant", base=1.0), None)))
+    with pytest.raises(HyperbolicityViolation) as err:
+        evolve_frequency(exp, exp.xi_grid[0])
+    with pytest.raises(HyperbolicityViolation) as swept:
+        evolve_sweep(exp)
+    assert str(swept.value) == str(err.value) and f"xi={exp.xi_grid[0]}:" in str(err.value)
+
+
 def test_commutator_moments_match_quadrature():
     # J(a, b) - J(b, a), J(a, b) = int_0^1 du int_0^u dv exp(i(a u + b v)), on
     # both sides of the series switch and at phases of many radians
@@ -325,6 +396,9 @@ def test_expm_matches_eigendecomposition():
                 ref = V @ np.diag(np.exp(w)) @ np.linalg.inv(V)
                 assert np.max(np.abs(got[:, :, i] - ref)) < 1e-11 * np.max(np.abs(ref))
     assert np.array_equal(energy._expm(np.zeros((2, 2, 3))), np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 3)))
+    # each result depends on its own matrix alone: a large batch mate changes no bit
+    X = np.concatenate((0.01 * rng.standard_normal((2, 2, 3)), 10.0 * rng.standard_normal((2, 2, 1))), axis=-1)
+    assert np.array_equal(energy._expm(X)[..., :3], energy._expm(X[..., :3]))
 
 
 def test_amplification_definition():
@@ -340,7 +414,7 @@ def test_amplification_definition():
 def test_estimate_loss_constant_is_flat():
     op = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=4.0), None))
     exp = small_experiment(operator=op)
-    traces = [evolve_frequency(exp, xi) for xi in exp.xi_grid]
+    traces = evolve_sweep(exp)
     loss = estimate_loss(traces)
     assert abs(loss.nu0_hat) <= 0.02
     assert loss.stderr >= 0.0
@@ -388,7 +462,7 @@ def test_sobolev_loss_transfer_constant_across_nu():
     )
     grid = np.geomspace(2.0**4, 2.0**11, 15)
     exp = small_experiment(operator=op, xi_grid=grid, zone=ZoneParams(2.0, 2.0, 0.5), step_factor=0.1)
-    traces = [evolve_frequency(exp, float(x)) for x in grid]
+    traces = evolve_sweep(exp)
     nu0 = max(estimate_loss(traces).nu0_hat, 0.0)
     cs = []
     for nu in (1.0, 2.0):
