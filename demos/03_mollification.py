@@ -13,7 +13,6 @@ import numpy as np
 
 from hyplab.coefficients import (
     CoefficientSpec,
-    Mollifier,
     mollify,
     oscillation_class,
     verify_reg_bounds,
@@ -31,20 +30,19 @@ for g in (0.0, 0.5, 1.0, 1.5):
 
 print()
 print("== mollification sanity ==")
-mol = Mollifier()
 const = CoefficientSpec("constant")
-print(f"constant preserved: {mollify(const, mol, 0.01, 0.2)[0]:.15f}")
+print(f"constant preserved: {mollify(const, 0.01, 0.2)[0]:.15f}")
 rough = CoefficientSpec("holder_rough", delta=0.5, alpha=0.5)
 for eps in (0.1, 0.02, 0.004):
-    err = abs(mollify(rough, mol, eps, 0.31)[0] - rough.value(0.31))
+    err = abs(mollify(rough, eps, 0.31)[0] - rough.value(0.31))
     print(f"  eps = {eps:5g}: |a_eps - a|(0.31) = {err:.3e}")
 
 print()
 print("== fitted regularization rates for the rough family ==")
 eps_grid = 1.0 / jbracket(np.geomspace(2**5, 2**14, 19))
 ts = np.linspace(0.05, 0.45, 41)
-sup_diff = [np.max(np.abs(mollify(rough, mol, float(e), ts)[0] - rough.value(ts))) for e in eps_grid]
-sup_d1 = [np.max(np.abs(mollify(rough, mol, float(e), ts)[1])) for e in eps_grid]
+sup_diff = [np.max(np.abs(mollify(rough, float(e), ts)[0] - rough.value(ts))) for e in eps_grid]
+sup_d1 = [np.max(np.abs(mollify(rough, float(e), ts)[1])) for e in eps_grid]
 print(f"  |a_eps - a| ~ eps^{fit_loglog_slope(eps_grid, sup_diff)[0]:.3f} (target +0.5)")
 print(f"  |d_t a_eps| ~ eps^{fit_loglog_slope(eps_grid, sup_d1)[0]:.3f} (target -0.5)")
 

@@ -9,7 +9,7 @@ time integrals stay bounded along the frequency sweep.
 
 import numpy as np
 
-from hyplab.coefficients import CoefficientSpec, Mollifier
+from hyplab.coefficients import CoefficientSpec
 from hyplab.companion import (
     HyperbolicOperatorSpec,
     RootSet,
@@ -44,7 +44,7 @@ print()
 print("== the first-step correction and the second diagonalizer ==")
 osc = HyperbolicOperatorSpec(2, (CoefficientSpec("holder_rough", delta=0.5, alpha=0.5), None))
 t = 0.25
-lam, lam_dot = roots_on_times(osc, np.array([t]), None, xi, Mollifier())
+lam, lam_dot = roots_on_times(osc, np.array([t]), None, xi)
 rs = RootSet(lam[0], xi)
 C1 = c1_entries(rs, lam_dot[0])
 M2 = m2_symbol(rs, lam_dot[0], Zone.HYPERBOLIC)

@@ -240,12 +240,16 @@ def _verify_checks(cfg: ExperimentConfig):
         yield (f"oscillation_bound_d1{suffix}", bool(np.isfinite(r1)), f"C={r1:.4g}")
         yield (f"oscillation_bound_d2{suffix}", bool(np.isfinite(r2)), f"C={r2:.4g}")
 
-    theta_rep = theta_integral_bound(ThetaSpec(cfg.eta, cfg.rho, cfg.zone), cfg.xi_grid)
-    yield (
-        "theta_integral_flat",
-        bool(theta_rep.top_decade_slope <= cfg.theta_slope_max),
-        f"slope={theta_rep.top_decade_slope:.4f} max={theta_rep.max_integral:.4g}",
-    )
+    try:
+        theta_rep = theta_integral_bound(ThetaSpec(cfg.eta, cfg.rho, cfg.zone), cfg.xi_grid)
+    except ValueError as exc:  # the config's grid cannot be fitted
+        yield ("theta_integral_flat", False, str(exc))
+    else:
+        yield (
+            "theta_integral_flat",
+            bool(theta_rep.top_decade_slope <= cfg.theta_slope_max),
+            f"slope={theta_rep.top_decade_slope:.4f} max={theta_rep.max_integral:.4g}",
+        )
 
     sub = cfg.xi_grid[:: max(1, cfg.xi_grid.size // 8)]
     m3 = np.array(

@@ -12,10 +12,11 @@ Hoelder-alpha modulus.  An optional spatial factor (1 + b(x)) with a lacunary
 periodic profile b keeps everything uniformly elliptic.
 
 Mollification is a time convolution with a fixed even C-infinity bump of unit
-mass at width eps, evaluated by a composite midpoint rule whose weights sum
-to one exactly (constants are preserved to machine precision).  ``mollify``
-returns the jet a_eps, d_t a_eps, d_t^2 a_eps: the time derivatives
-differentiate the bump, never the rough coefficient.  For the lacunary family
+mass at width eps, evaluated by one composite midpoint rule of
+``MOLLIFIER_NODES`` nodes whose weights sum to one exactly (constants are
+preserved to machine precision).  ``mollify`` returns the jet a_eps,
+d_t a_eps, d_t^2 a_eps: the time derivatives differentiate the bump, never
+the rough coefficient.  For the lacunary family
 angle addition sums each cosine term over the window in closed form, so a
 window above the t = 0 freeze costs O(depth) cosines per time instead of
 O(nodes * depth); every other window evaluates the coefficient once at its
@@ -39,7 +40,6 @@ from .zones import ZoneParams, validate_zone, zone_boundary
 __all__ = [
     "SpatialProfile",
     "CoefficientSpec",
-    "Mollifier",
     "oscillation_class",
     "mollify",
     "RegBoundsReport",
@@ -52,6 +52,9 @@ SPATIAL_TERMS = 10  # lacunary terms of the spatial profile b(x)
 # freeze point of the constant continuation below t = 0 for profiles with no
 # one-sided limit there
 _T_FLOOR = 2.0**-40
+
+# midpoint nodes of the mollifier rule across the bump's support (-1, 1)
+MOLLIFIER_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -258,8 +261,14 @@ def _bump_d2(y):
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _mollifier_grids(n):
+@functools.lru_cache(maxsize=1)
+def _mollifier_grids():
+    """Midpoint nodes y on (-1, 1) and the weight rows w0, w1, w2 of the bump exp(-1/(1-y^2)) and its derivatives.
+
+    w0 sums to one exactly; w1 and w2 are recentred so they annihilate
+    constants exactly.
+    """
+    n = MOLLIFIER_NODES
     y = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
     raw = _bump(y)
     mass = raw.sum()
@@ -269,30 +278,6 @@ def _mollifier_grids(n):
     w2 = _bump_d2(y) / mass
     w2 = w2 - w2.mean()
     return y, w0, w1, w2
-
-
-@dataclass(frozen=True)
-class Mollifier:
-    """Fixed even unit-mass bump exp(-1/(1-y^2)) on (-1, 1), discretized.
-
-    ``nodes`` midpoint points per support width; the discrete weights are
-    normalized to sum to one exactly, and the derivative weights are
-    recentred so they annihilate constants exactly.
-    """
-
-    nodes: int = 256
-
-    def __post_init__(self):
-        if self.nodes < 64:
-            raise ValueError("need at least 64 quadrature nodes per width")
-
-    def _grids(self):
-        return _mollifier_grids(self.nodes)
-
-    def profile(self, y):
-        """Normalized bump value psi(y) (continuum normalization)."""
-        norm = 0.4439938161680794
-        return _bump(np.asarray(y, dtype=float)) / norm
 
 
 def _lacunary_window_sums(spec: CoefficientSpec, eps: float, t, y, weights):
@@ -313,7 +298,7 @@ def _lacunary_window_sums(spec: CoefficientSpec, eps: float, t, y, weights):
     return spec.base * W.sum(axis=1)[:, None] + terms.T
 
 
-def mollify(spec: CoefficientSpec, mol: Mollifier, eps: float, t, x=None):
+def mollify(spec: CoefficientSpec, eps: float, t, x=None):
     """Jet of (a *_t psi_eps) at times t: rows a_eps, d_t a_eps, d_t^2 a_eps.
 
     The rows are the bump's midpoint rule and its derivative weights over eps
@@ -326,7 +311,7 @@ def mollify(spec: CoefficientSpec, mol: Mollifier, eps: float, t, x=None):
         raise ValueError("mollification width must be positive")
     shape = np.shape(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    y, w0, w1, w2 = mol._grids()
+    y, w0, w1, w2 = _mollifier_grids()
     jet = np.empty((3, t.size))
     closed = np.zeros(t.shape, bool)
     if spec.profile == "holder_rough":
@@ -386,7 +371,6 @@ def verify_reg_bounds(
     zp: ZoneParams,
     xi_grid,
     t_grid,
-    mol: Optional[Mollifier] = None,
     t_samples: int = 33,
 ) -> RegBoundsReport:
     """Measure the six regularized-coefficient bounds with eps = 1/<xi>.
@@ -412,7 +396,6 @@ def verify_reg_bounds(
     eta; a mismatch shows up as top-decade growth.
     """
     validate_zone(eta, zp)
-    mol = mol or Mollifier()
     xi = np.asarray(xi_grid, dtype=float)
     tg = np.asarray(t_grid, dtype=float)
     if np.any(xi < zp.M):
@@ -425,8 +408,8 @@ def verify_reg_bounds(
         factor = float(np.max(np.abs(1.0 + spec.spatial.value(xs))))
     # summation error bound n u sum|w_k| sup|a| of the quadrature behind jet row
     # k, before its division by eps^k
-    _, *weights = mol._grids()
-    roundoff = mol.nodes * np.finfo(float).eps * spec.sup_abs * np.array([np.abs(w).sum() for w in weights])
+    _, *weights = _mollifier_grids()
+    roundoff = MOLLIFIER_NODES * np.finfo(float).eps * spec.sup_abs * np.array([np.abs(w).sum() for w in weights])
     row_order = np.array([0, 0, 1, 2])
 
     def measured(ts, eps):
@@ -435,7 +418,7 @@ def verify_reg_bounds(
         One mollification of the window feeds all four rows.  A value within
         the round-off bound of the quadrature that made it counts as zero.
         """
-        jet = mollify(spec, mol, eps, ts)
+        jet = mollify(spec, eps, t=ts)
         rows = np.abs(np.stack([jet[0], jet[0] - spec._time_value(ts), jet[1], jet[2]])) * factor
         tol = roundoff[row_order] / eps**row_order
         return np.where(rows > tol[:, None], rows, 0.0)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSpec, Mollifier, mollify
+from .coefficients import CoefficientSpec, mollify
 from .weights import jbracket
 
 __all__ = [
@@ -175,13 +175,7 @@ def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -
     return RootSet(_roots(spec.coeff_values(t, x)[None, :], xi, spec.delta_sep)[0], xi)
 
 
-def roots_on_times(
-    spec: HyperbolicOperatorSpec,
-    ts,
-    x,
-    xi: float,
-    mollifier: Mollifier,
-) -> tuple[np.ndarray, np.ndarray]:
+def roots_on_times(spec: HyperbolicOperatorSpec, ts, x, xi: float) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the mollified symbol along a time grid, and their time rates.
 
     The coefficients are mollified at width eps = 1/<xi>.  Returns
@@ -196,7 +190,7 @@ def roots_on_times(
     vals = np.zeros((2, ts.size, m))  # a_{m-j} and its rate
     for j, c in enumerate(spec.coeffs):
         if c is not None:
-            vals[:, :, j] = mollify(c, mollifier, eps, ts, x=x)[:2]
+            vals[:, :, j] = mollify(c, eps, t=ts, x=x)[:2]
     lam = _roots(vals[0], xi, spec.delta_sep)
     return lam, _root_rates(lam, vals[1], xi)
 

@@ -23,12 +23,10 @@ plain complex m x m array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .companion import HyperbolicOperatorSpec, RootSet, _root_gaps, roots_on_times
-from .coefficients import Mollifier
 from .conjugation import _simpson
 from .weights import jbracket
 from .zones import Zone
@@ -141,14 +139,7 @@ class M3Weights:
     magnitudes: np.ndarray
 
 
-def m3_weights(
-    spec: HyperbolicOperatorSpec,
-    x,
-    xi: float,
-    t: float,
-    quadrature: int = 1024,
-    mollifier: Optional[Mollifier] = None,
-) -> M3Weights:
+def m3_weights(spec: HyperbolicOperatorSpec, x, xi: float, t: float, quadrature: int = 1024) -> M3Weights:
     """Composite-Simpson evaluation of the absorption integrals on [0, t].
 
     Roots and their exact time rates come from the coefficients mollified at
@@ -156,10 +147,9 @@ def m3_weights(
     """
     if quadrature < 8:
         raise ValueError("quadrature needs at least 8 intervals")
-    mol = mollifier or Mollifier()
 
     def integrand(ss):
-        lam, lam_dot = roots_on_times(spec, ss, x, xi, mol)
+        lam, lam_dot = roots_on_times(spec, ss, x, xi)
         G, _ = _root_gaps(lam)
         return -1j * lam_dot / G.sum(axis=-1)  # D_s lam_p / sum_i (lam_i - lam_p)
 

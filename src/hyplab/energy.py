@@ -513,20 +513,17 @@ def _evolve(exp: FrequencyExperiment, idx, U0, step_scale):
     ]
 
 
-def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0, u0=None) -> list[EnergyTrace]:
+def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0) -> list[EnergyTrace]:
     """Integrate the companion system at every grid frequency, or at the grid indices given, in one pass.
 
-    ``u0`` holds one initial vector per frequency (default
-    ``exp.initial_vector``).  Raises ``StiffnessError`` when an RK4 step
-    falls below ``MIN_STEP``, exceeds RK4's stability bound, or a recorded
-    norm is not finite.  An error names the frequency that a loop over the
-    indices would fail at first: a failed pass is repeated one frequency at
-    a time.
+    Each frequency starts from ``exp.initial_vector``.  Raises
+    ``StiffnessError`` when an RK4 step falls below ``MIN_STEP``, exceeds
+    RK4's stability bound, or a recorded norm is not finite.  An error names
+    the frequency that a loop over the indices would fail at first: a failed
+    pass is repeated one frequency at a time.
     """
     idx = np.arange(exp.xi_grid.size) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
-    if u0 is None:
-        u0 = [exp.initial_vector(int(i)) for i in idx]
-    U0 = np.array(u0, dtype=complex).reshape(idx.size, exp.operator.m)
+    U0 = np.array([exp.initial_vector(int(i)) for i in idx], dtype=complex).reshape(idx.size, exp.operator.m)
     try:
         return _evolve(exp, idx, U0, step_scale)
     except (StiffnessError, HyperbolicityViolation, NearMultipleRoot):
@@ -536,13 +533,13 @@ def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0
         raise
 
 
-def evolve_frequency(exp: FrequencyExperiment, xi: float, u0=None, step_scale: float = 1.0) -> EnergyTrace:
+def evolve_frequency(exp: FrequencyExperiment, xi: float, step_scale: float = 1.0) -> EnergyTrace:
     """Integrate the companion system at one grid frequency: ``evolve_sweep`` on its index."""
     xi = float(xi)
     if not np.any(np.isclose(exp.xi_grid, xi, rtol=1e-12)):
         raise ValueError(f"xi={xi} is not a grid point of this experiment")
     idx = int(np.argmin(np.abs(exp.xi_grid - xi)))
-    return evolve_sweep(exp, [idx], step_scale, None if u0 is None else [u0])[0]
+    return evolve_sweep(exp, [idx], step_scale)[0]
 
 
 def _loss_window(xi):

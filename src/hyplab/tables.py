@@ -9,6 +9,8 @@ grid.  The excluded Lipschitz modulus appears as a marked row.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .moduli import (
@@ -45,24 +47,31 @@ def numeric_decay_rate_pair(eta, rho, t):
     return fd_derivative(lambda s: -1.0 / np.asarray(rho.value(eta.inverse_bisect(s))), t, FD_STEP)
 
 
-def _rate_row(family, param, eta, closed_fn, t_lo=0.01, t_hi=1.0, n=25):
-    t_hi = min(t_hi, eta.range_max)
-    ts = np.geomspace(t_lo, t_hi, n)
+def _rate_row(family, param, closed_fn, numeric_fn, t_hi):
+    """Closed form against finite differences at T_REF, with the worst relative gap over [0.01, t_hi]."""
+    ts = np.geomspace(0.01, t_hi, 25)
     closed = closed_fn(ts)
-    numeric = numeric_decay_rate(eta, ts)
-    rel = float(np.max(np.abs(numeric / closed - 1.0)))
+    numeric = numeric_fn(ts)
     i_ref = int(np.argmin(np.abs(ts - T_REF)))
     return {
         "family": family,
         "param": param,
         "closed_form": float(closed[i_ref]),
         "fitted": float(numeric[i_ref]),
-        "rel_err": rel,
+        "rel_err": float(np.max(np.abs(numeric / closed - 1.0))),
     }
 
 
 def local_condition_rows(alpha=0.5):
     """Decay rates -d/dt(1/eta^{-1}(t)) per modulus of continuity."""
+    eta_ll = log_reciprocal(1.0)
+    # r0 slightly above 1 keeps the finite-difference stencil inside the
+    # inverse's range at the top of the t-window
+    eta_h = power_law(1.0 - alpha, r0=1.1)
+    combos = [
+        ("log_lipschitz", 1.0, eta_ll, lambda t: np.exp(1.0 / t) / t**2),
+        ("holder", alpha, eta_h, lambda t: (1.0 / (1.0 - alpha)) * t ** (-(2.0 - alpha) / (1.0 - alpha))),
+    ]
     rows = [
         {
             "family": "lipschitz",
@@ -70,22 +79,11 @@ def local_condition_rows(alpha=0.5):
             "closed_form": "excluded",
             "fitted": "excluded",
             "rel_err": "",
-        },
-        _rate_row(
-            "log_lipschitz",
-            1.0,
-            log_reciprocal(1.0),
-            lambda t: np.exp(1.0 / t) / t**2,
-        ),
-        # r0 slightly above 1 keeps the finite-difference stencil inside the
-        # inverse's range at the top of the t-window
-        _rate_row(
-            "holder",
-            alpha,
-            power_law(1.0 - alpha, r0=1.1),
-            lambda t: (1.0 / (1.0 - alpha)) * t ** (-(2.0 - alpha) / (1.0 - alpha)),
-        ),
+        }
     ]
+    for family, param, eta, closed_fn in combos:
+        numeric_fn = functools.partial(numeric_decay_rate, eta)
+        rows.append(_rate_row(family, param, closed_fn, numeric_fn, min(1.0, eta.range_max)))
     return rows
 
 
@@ -111,19 +109,8 @@ def additional_local_condition_rows(alpha=0.5, beta=0.7):
     for family, param, eta, rho, closed_fn in combos:
         # stay inside both inverse ranges: eta^{-1}(t) must not exceed rho's r0
         t_hi = min(1.0, eta.range_max, float(eta.value(min(eta.r0, rho.r0))))
-        ts = np.geomspace(0.01, t_hi * 0.999, 25)
-        closed = closed_fn(ts)
-        numeric = numeric_decay_rate_pair(eta, rho, ts)
-        i_ref = int(np.argmin(np.abs(ts - T_REF)))
-        rows.append(
-            {
-                "family": family,
-                "param": param,
-                "closed_form": float(closed[i_ref]),
-                "fitted": float(numeric[i_ref]),
-                "rel_err": float(np.max(np.abs(numeric / closed - 1.0))),
-            }
-        )
+        numeric_fn = functools.partial(numeric_decay_rate_pair, eta, rho)
+        rows.append(_rate_row(family, param, closed_fn, numeric_fn, t_hi * 0.999))
     return rows
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hyplab.coefficients import CoefficientSpec, Mollifier, mollify
+from hyplab.coefficients import CoefficientSpec, mollify
 from hyplab.companion import HyperbolicOperatorSpec, RootSet, characteristic_roots, companion_symbol
 from hyplab.conjugation import ThetaSpec, theta_integral_bound
 from hyplab.diagonalizers import m1_inverse_symbol, m1_symbol
@@ -206,13 +206,12 @@ def test_criterion_08_regularization_rates():
     start = time.time()
     alpha = 0.5
     spec = CoefficientSpec("holder_rough", delta=0.5, alpha=alpha)
-    mol = Mollifier()
     # whole octaves: the lacunary constant is log2-periodic in the width
     eps_grid = 1.0 / jbracket(np.geomspace(2.0**5, 2.0**14, 19))
     ts = np.linspace(0.05, 0.45, 41)
     sup_diff, sup_d1 = [], []
     for eps in eps_grid:
-        a_eps, d1_eps, _ = mollify(spec, mol, float(eps), ts)
+        a_eps, d1_eps, _ = mollify(spec, float(eps), ts)
         sup_diff.append(np.max(np.abs(a_eps - spec.value(ts))))
         sup_d1.append(np.max(np.abs(d1_eps)))
     s_diff, _ = fit_loglog_slope(eps_grid, sup_diff)

@@ -149,6 +149,19 @@ def test_cli_verify_constant_reg_bounds_pass(capsys):
     assert all(ln.split()[1] == "PASS" for ln in lines), lines
 
 
+def test_cli_verify_sparse_grid_reports_theta_failure(tmp_path, capsys):
+    # one point per decade leaves too few in the top decade to fit the theta slope
+    sparse = tmp_path / "sparse.cfg"
+    text = Path(cfg_path("loglip.cfg")).read_text()
+    sparse.write_text(text.replace("points_per_decade = 8", "points_per_decade = 1"))
+    assert main(["verify", "--config", str(sparse), "--out", str(tmp_path)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    theta = [ln for ln in out if ln.startswith("theta_integral_flat")]
+    assert len(theta) == 1 and theta[0].split()[1] == "FAIL"
+    assert "need at least 3 points in the top decade" in theta[0]
+    assert out[-1].endswith("check(s) failed")
+
+
 def test_shipped_configs_load():
     bench = os.path.join(CONFIGS, "..", "perfbench", "configs")
     paths = [os.path.join(d, f) for d in (CONFIGS, bench) for f in sorted(os.listdir(d))]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hyplab.coefficients import (
+    MOLLIFIER_NODES,
     CoefficientSpec,
-    Mollifier,
     SpatialProfile,
+    _mollifier_grids,
     mollify,
     oscillation_class,
     verify_reg_bounds,
@@ -14,8 +15,6 @@ from hyplab.coefficients import (
 from hyplab.moduli import fd_derivative, log_reciprocal, power_law
 from hyplab.weights import fit_loglog_slope, jbracket
 from hyplab.zones import ZoneParams
-
-MOL = Mollifier()
 
 
 def test_value_examples():
@@ -132,21 +131,18 @@ def test_closed_form_derivatives_match_fd(profile, kw):
 
 
 def test_mollifier_mass_and_shape():
-    y, w0, w1, w2 = MOL._grids()
+    y, w0, w1, w2 = _mollifier_grids()
+    assert y.size == MOLLIFIER_NODES
+    assert np.all(w0 > 0.0) and np.array_equal(w0, w0[::-1])  # even bump, positive inside its support
     assert abs(w0.sum() - 1.0) < 1e-14
     assert abs(w1.sum()) < 1e-15 and abs(w2.sum()) < 1e-15
-    psi = MOL.profile(np.linspace(-1.2, 1.2, 481))
-    assert np.all(psi >= 0.0) and np.all(psi <= 1.0)
-    assert MOL.profile(1.0) == 0.0 and MOL.profile(-1.05) == 0.0
-    with pytest.raises(ValueError):
-        Mollifier(nodes=32)
 
 
 def test_mollify_constant_exact():
     spec = CoefficientSpec("constant", base=2.0)
     for eps in (0.3, 1e-3):
-        assert mollify(spec, MOL, eps, 0.17)[0] == pytest.approx(2.0, abs=1e-12)
-        assert mollify(spec, MOL, eps, 0.0)[0] == pytest.approx(2.0, abs=1e-12)
+        assert mollify(spec, eps, 0.17)[0] == pytest.approx(2.0, abs=1e-12)
+        assert mollify(spec, eps, 0.0)[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mollify_kills_linear_moment():
@@ -156,7 +152,7 @@ def test_mollify_kills_linear_moment():
             return np.asarray(t, dtype=float) + 1.0
 
     spec = Linear("constant", base=1.0)
-    got = mollify(spec, MOL, 0.05, np.array([0.3, 0.5]))[0]
+    got = mollify(spec, 0.05, np.array([0.3, 0.5]))[0]
     assert np.max(np.abs(got - np.array([1.3, 1.5]))) < 1e-8
 
 
@@ -166,12 +162,12 @@ def test_mollify_lacunary_closed_form_matches_window(alpha, x):
     # t = eps, and the rows whose window reaches the t = 0 freeze keep it
     spatial = SpatialProfile() if x is not None else None
     spec = CoefficientSpec("holder_rough", delta=0.5, alpha=alpha, spatial=spatial)
-    y, *weights = MOL._grids()
+    y, *weights = _mollifier_grids()
     for eps in (0.1, 1e-3, 1e-5):
         t = np.concatenate([np.linspace(0.0, 3.0 * eps, 31), np.geomspace(eps, 0.9, 41)])
         vals = spec.extended_time_value(t[:, None] - eps * y)
         want = np.stack([vals @ w / eps**k for k, w in enumerate(weights)]) * spec._spatial_factor(x)
-        got = mollify(spec, MOL, eps, t, x=x)
+        got = mollify(spec, eps, t, x=x)
         sup = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-9 * sup), (alpha, eps)
 
@@ -179,14 +175,14 @@ def test_mollify_lacunary_closed_form_matches_window(alpha, x):
 def test_mollify_bounded_by_sup():
     spec = CoefficientSpec("log_power_oscillation", delta=0.9, gamma_osc=1.0)
     ts = np.linspace(0.0, 0.5, 101)
-    vals = mollify(spec, MOL, 0.02, ts)[0]
+    vals = mollify(spec, 0.02, ts)[0]
     assert np.max(np.abs(vals)) <= spec.sup_abs + 1e-12
 
 
 def test_mollify_converges_pointwise():
     spec = CoefficientSpec("holder_rough", delta=0.5, alpha=0.5)
     t = 0.31
-    errs = [abs(mollify(spec, MOL, eps, t)[0] - spec.value(t)) for eps in (0.1, 0.02, 0.004)]
+    errs = [abs(mollify(spec, eps, t)[0] - spec.value(t)) for eps in (0.1, 0.02, 0.004)]
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -196,12 +192,12 @@ def test_mollify_loglip_rate_constant_is_finite():
     cs = []
     for eps in (0.01, 0.003, 0.001):
         ts = np.geomspace(2 * eps, 0.5, 33)
-        jet = mollify(spec, MOL, eps, ts)
+        jet = mollify(spec, eps, ts)
         err = np.max(np.abs(jet[0] - spec.value(ts)))
         cs.append(err / (eps / eta.value(eps)))
         # rows 1 and 2 of the jet are the time derivatives of row 0
         h = eps / 256.0
-        lo, hi = mollify(spec, MOL, eps, ts - h)[0], mollify(spec, MOL, eps, ts + h)[0]
+        lo, hi = mollify(spec, eps, ts - h)[0], mollify(spec, eps, ts + h)[0]
         fd1 = (hi - lo) / (2.0 * h)
         fd2 = (hi - 2.0 * jet[0] + lo) / h**2
         assert np.max(np.abs(fd1 - jet[1])) < 1e-4 * np.max(np.abs(jet[1]))
@@ -217,7 +213,7 @@ def test_mollified_derivative_rates_holder():
     ts = np.linspace(0.05, 0.45, 41)
     sup_diff, sup_d1 = [], []
     for eps in eps_grid:
-        a_eps, d1_eps, _ = mollify(spec, MOL, eps, ts)
+        a_eps, d1_eps, _ = mollify(spec, eps, ts)
         sup_diff.append(np.max(np.abs(a_eps - spec.value(ts))))
         sup_d1.append(np.max(np.abs(d1_eps)))
     s_diff, _ = fit_loglog_slope(eps_grid, sup_diff)

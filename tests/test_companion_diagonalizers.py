@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyplab.coefficients import CoefficientSpec, Mollifier, mollify
+from hyplab.coefficients import CoefficientSpec, mollify
 from hyplab.companion import (
     HyperbolicityViolation,
     HyperbolicOperatorSpec,
@@ -182,12 +182,11 @@ def test_m2_entries_shrink_along_zone_boundary():
     spec = HyperbolicOperatorSpec(2, (CoefficientSpec("holder_rough", delta=0.5, alpha=0.5), None))
     eta = power_law(0.5)
     zp = ZoneParams(N=2.0, M=4.0, T=0.5)
-    mol = Mollifier()
     offs = []
     xis = np.geomspace(2.0**6, 2.0**14, 9)
     for xi in xis:
         t = min(2.0 * zone_boundary(eta, zp, xi), 0.45)
-        lam, dt = roots_on_times(spec, np.array([t]), None, xi, mol)
+        lam, dt = roots_on_times(spec, np.array([t]), None, xi)
         D = m2_symbol(RootSet(lam[0], xi), dt[0], Zone.HYPERBOLIC)
         offs.append(np.max(np.abs(D - np.eye(2))))
     slope, _ = fit_loglog_slope(xis, offs)
@@ -212,13 +211,12 @@ ROUGH3 = HyperbolicOperatorSpec(
 )
 def test_root_rates_match_centred_differences(spec, xi):
     # centred differences of the roots converge to the exact rates at order two
-    mol = Mollifier()
     eps = 1.0 / float(jbracket(xi))
     ts = np.linspace(0.05, 0.45, 9)
-    _, lam_dot = roots_on_times(spec, ts, None, xi, mol)
+    _, lam_dot = roots_on_times(spec, ts, None, xi)
     errs = []
     for h in (eps / 8.0, eps / 32.0, eps / 128.0):
-        fd = (roots_on_times(spec, ts + h, None, xi, mol)[0] - roots_on_times(spec, ts - h, None, xi, mol)[0]) / (2.0 * h)
+        fd = (roots_on_times(spec, ts + h, None, xi)[0] - roots_on_times(spec, ts - h, None, xi)[0]) / (2.0 * h)
         errs.append(np.max(np.abs(fd - lam_dot)) / np.max(np.abs(lam_dot)))
     assert errs[0] > 10.0 * errs[1] > 100.0 * errs[2]
     assert errs[2] < 1e-3
@@ -237,7 +235,7 @@ def test_m3_weights_match_telescoped_integral(xi):
     coeff = CoefficientSpec("log_power_oscillation", delta=0.5)
     spec = HyperbolicOperatorSpec(2, (coeff, None))
     T = 0.5
-    a_eps = mollify(coeff, Mollifier(), 1.0 / float(jbracket(xi)), np.array([0.0, T]))[0]
+    a_eps = mollify(coeff, 1.0 / float(jbracket(xi)), np.array([0.0, T]))[0]
     expect = 0.25 * abs(np.log(a_eps[1] / a_eps[0]))
     res = m3_weights(spec, None, xi, T)
     assert np.abs(res.integrals) == pytest.approx([expect, expect], rel=5e-3)
