@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import json
@@ -61,15 +62,24 @@ def _outdir(cfg: ExperimentConfig, override):
     return out
 
 
-def _sweep(exp: FrequencyExperiment, jobs: int):
-    """Every trace of the sweep, in grid order; with jobs > 1 the workers take strided index chunks."""
-    n = exp.xi_grid.size
+@contextlib.contextmanager
+def _workers(jobs: int, n: int):
+    """One process pool for all of a command's sweeps over n frequencies; None (no pool) for jobs <= 1."""
     if jobs <= 1:
+        yield None
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+        yield pool
+
+
+def _sweep(exp: FrequencyExperiment, jobs: int, pool):
+    """Every trace of the sweep, in grid order; with a pool its workers take strided index chunks."""
+    if pool is None:
         return evolve_sweep(exp)
+    n = exp.xi_grid.size
     chunks = [range(j, n, jobs) for j in range(min(jobs, n))]
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(functools.partial(evolve_sweep, exp), chunks))
+        parts = list(pool.map(functools.partial(evolve_sweep, exp), chunks))
     except (StiffnessError, HyperbolicityViolation, NearMultipleRoot):
         return evolve_sweep(exp)  # raises at the first failing frequency in grid order
     traces = [None] * n
@@ -134,7 +144,8 @@ def cmd_energy(cfg: ExperimentConfig, args) -> int:
     except ValueError as exc:  # the experiment rejects the config's settings
         raise ConfigError(f"energy: {exc}") from exc
     try:
-        traces = _sweep(exp, args.jobs)
+        with _workers(args.jobs, exp.xi_grid.size) as pool:
+            traces = _sweep(exp, args.jobs, pool)
     except StiffnessError as exc:  # the step factor is too small or too large
         raise ConfigError(f"energy: {exc}") from exc
     out = _outdir(cfg, args.out)  # only once the sweep succeeded
@@ -170,22 +181,23 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
     except ValueError as exc:
         raise ConfigError(f"loss: {exc}") from exc
     rows = []
-    for gamma, exp in zip(cfg.loss_gammas, exps):
-        try:
-            traces = _sweep(exp, args.jobs)
-        except StiffnessError as exc:
-            raise ConfigError(f"loss: gamma={gamma:g}: {exc}") from exc
-        loss = estimate_loss(traces)
-        rows.append(
-            {
-                "gamma": gamma,
-                "nu0_hat": loss.nu0_hat,
-                "stderr": loss.stderr,
-                "xi_min": loss.xi_min,
-                "xi_max": loss.xi_max,
-            }
-        )
-        print(f"gamma={gamma:g}: nu0_hat={loss.nu0_hat:+.4f} (stderr {loss.stderr:.4f})")
+    with _workers(args.jobs, grid.size) as pool:
+        for gamma, exp in zip(cfg.loss_gammas, exps):
+            try:
+                traces = _sweep(exp, args.jobs, pool)
+            except StiffnessError as exc:
+                raise ConfigError(f"loss: gamma={gamma:g}: {exc}") from exc
+            loss = estimate_loss(traces)
+            rows.append(
+                {
+                    "gamma": gamma,
+                    "nu0_hat": loss.nu0_hat,
+                    "stderr": loss.stderr,
+                    "xi_min": loss.xi_min,
+                    "xi_max": loss.xi_max,
+                }
+            )
+            print(f"gamma={gamma:g}: nu0_hat={loss.nu0_hat:+.4f} (stderr {loss.stderr:.4f})")
     out = _outdir(cfg, args.out)  # only once every sweep succeeded
     _write_csv(os.path.join(out, "loss.csv"), ["gamma", "nu0_hat", "stderr", "xi_min", "xi_max"], rows)
     return 0
@@ -227,12 +239,14 @@ def _verify_checks(cfg: ExperimentConfig):
     for suffix, spec in coeffs:
         rep = verify_reg_bounds(spec, cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, ts, t_samples=cfg.t_samples)
         for name, clause in rep.clauses.items():
-            ok = not np.isinf(clause.max_ratio) and clause.top_decade_growth <= cfg.growth_tol
-            yield (
-                f"reg_bound_{name}{suffix}",
-                bool(ok),
-                f"C={clause.max_ratio:.4g} growth=x{clause.top_decade_growth:.3g}",
-            )
+            growth = clause.top_decade_growth  # NaN: too few measured ratios in the top decade
+            ok = not np.isinf(clause.max_ratio) and growth <= cfg.growth_tol
+            at = f"at (t={clause.argmax_t:.4g}, xi={clause.argmax_xi:.4g})"
+            if np.isnan(growth):
+                fit = f"{at}: need at least 3 points in the top decade"
+            else:
+                fit = f"growth=x{growth:.3g} {at}"
+            yield (f"reg_bound_{name}{suffix}", bool(ok), f"C={clause.max_ratio:.4g} {fit}")
         d1 = np.abs(spec.time_derivative(ts_osc, 1))
         d2 = np.abs(spec.time_derivative(ts_osc, 2))
         r1 = float(np.max(d1 / np.sqrt(decay_rate(cfg.eta, ts_osc))))
@@ -252,9 +266,7 @@ def _verify_checks(cfg: ExperimentConfig):
         )
 
     sub = cfg.xi_grid[:: max(1, cfg.xi_grid.size // 8)]
-    m3 = np.array(
-        [np.max(np.abs(m3_weights(cfg.operator, None, float(x), cfg.zone.T, quadrature=512).integrals)) for x in sub]
-    )
+    m3 = np.max(np.abs(m3_weights(cfg.operator, None, sub, cfg.zone.T, quadrature=512).integrals), axis=-1)
     in_top = _top_window(sub, 1.0)
     top = m3[in_top]
     rest = m3[~in_top]

@@ -21,7 +21,9 @@ angle addition sums each cosine term over the window in closed form, so a
 window above the t = 0 freeze costs O(depth) cosines per time instead of
 O(nodes * depth); every other window evaluates the coefficient once at its
 nodes.  Both are the same midpoint rule, so coarse eps aliases the top
-lacunary terms alike.
+lacunary terms alike.  The width may differ per time (eps = 1/<xi> on each
+frequency row of a (frequency, time) array), so ``verify_reg_bounds``
+measures a whole frequency grid in one call per time grid.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ _T_FLOOR = 2.0**-40
 
 # midpoint nodes of the mollifier rule across the bump's support (-1, 1)
 MOLLIFIER_NODES = 256
+
+# window or phase points per block of mollify's evaluation (temporaries of a
+# few hundred KB)
+BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -280,7 +286,26 @@ def _mollifier_grids():
     return y, w0, w1, w2
 
 
-def _lacunary_window_sums(spec: CoefficientSpec, eps: float, t, y, weights):
+def _row_blocks(n, width):
+    """Slices covering range(n) in blocks of about ``BLOCK`` points at ``width`` points a row."""
+    step = max(1, BLOCK // width)
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+@functools.lru_cache(maxsize=256)
+def _lacunary_node_sums(spec: CoefficientSpec, eps: float):
+    """C_w(om eps), S_w(om eps): each weight row's cosine and sine sums at the nodes, one column per lacunary term.
+
+    Kept per width: the t grid, the zone grids and the roots of a ``verify``
+    run all mollify at the same widths 1/<xi>.
+    """
+    y, *weights = _mollifier_grids()
+    W = np.stack(weights)
+    node_phase = np.multiply.outer(eps * y, spec._lacunary_terms()[0])
+    return W @ np.cos(node_phase), W @ np.sin(node_phase)
+
+
+def _lacunary_window_sums(spec: CoefficientSpec, eps: float, t):
     """Rows sum_i w_i a(t - eps y_i) of the holder_rough profile, one per weight row.
 
     Angle addition splits every lacunary term,
@@ -289,39 +314,60 @@ def _lacunary_window_sums(spec: CoefficientSpec, eps: float, t, y, weights):
     contributes base * sum_i w_i.  This is the midpoint rule term for term.
     """
     freqs, amps = spec._lacunary_terms()
-    W = np.stack(weights)
-    node_phase = np.multiply.outer(eps * y, freqs)
-    C, S = W @ np.cos(node_phase), W @ np.sin(node_phase)  # (rows, terms)
-    phase = np.multiply.outer(t, freqs)
+    _, *weights = _mollifier_grids()
+    C, S = _lacunary_node_sums(spec, eps)
     c = spec.delta * amps / np.sum(amps)
-    terms = (np.cos(phase) * c) @ C.T + (np.sin(phase) * c) @ S.T
-    return spec.base * W.sum(axis=1)[:, None] + terms.T
+    terms = np.empty((len(weights), t.size))
+    for b in _row_blocks(t.size, freqs.size):
+        phase = np.multiply.outer(t[b], freqs)
+        terms[:, b] = ((np.cos(phase) * c) @ C.T + (np.sin(phase) * c) @ S.T).T
+    return spec.base * np.sum(weights, axis=1)[:, None] + terms
 
 
-def mollify(spec: CoefficientSpec, eps: float, t, x=None):
-    """Jet of (a *_t psi_eps) at times t: rows a_eps, d_t a_eps, d_t^2 a_eps.
-
-    The rows are the bump's midpoint rule and its derivative weights over eps
-    and eps^2.  A holder_rough row whose window stays above the t = 0 freeze
-    sums the window in closed form (``_lacunary_window_sums``); every other
-    row evaluates the coefficient once on its window (constant continuation
-    below t = 0) for all three rows.  The shape is (3,) + shape(t).
-    """
-    if not (eps > 0.0):
-        raise ValueError("mollification width must be positive")
-    shape = np.shape(t)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    y, w0, w1, w2 = _mollifier_grids()
+def _jet_at_width(spec: CoefficientSpec, eps: float, t):
+    """Jet rows, shape (3, t.size), at the 1-d times t for one width eps; no spatial factor."""
+    y, *weights = _mollifier_grids()
     jet = np.empty((3, t.size))
     closed = np.zeros(t.shape, bool)
     if spec.profile == "holder_rough":
         closed = t - eps * y.max() >= _T_FLOOR
-        jet[:, closed] = _lacunary_window_sums(spec, eps, t[closed], y, (w0, w1, w2))
-    vals = spec.extended_time_value(t[~closed, None] - eps * y[None, :])
-    jet[:, ~closed] = np.stack([vals @ w0, vals @ w1, vals @ w2])
+        jet[:, closed] = _lacunary_window_sums(spec, eps, t[closed])
+    windowed = np.flatnonzero(~closed)
+    for b in _row_blocks(windowed.size, y.size):
+        rows = windowed[b]
+        vals = spec.extended_time_value(t[rows, None] - eps * y[None, :])
+        jet[:, rows] = [vals @ w for w in weights]
     jet[1] /= eps
     jet[2] /= eps**2
-    return (jet * spec._spatial_factor(x)).reshape((3,) + shape)
+    return jet
+
+
+def mollify(spec: CoefficientSpec, eps, t, x=None):
+    """Jet of (a *_t psi_eps) at times t: rows a_eps, d_t a_eps, d_t^2 a_eps.
+
+    ``eps`` is one width or one per time: it broadcasts against t, e.g. one
+    width per frequency row of a (frequency, time) array.  The rows are the
+    bump's midpoint rule and its derivative weights over eps and eps^2.  A
+    holder_rough time whose window stays above the t = 0 freeze sums the
+    window in closed form (``_lacunary_window_sums``); every other time
+    evaluates the coefficient once on its window (constant continuation
+    below t = 0) for all three rows.  The times of each width are evaluated
+    together, in blocks of about ``BLOCK`` window or phase points so that
+    every temporary stays in cache: a time's jet does not depend on the
+    other widths in the call, and only its rounding on the block it falls
+    in.  The shape is (3,) + the broadcast shape of t and eps.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if not np.all(eps > 0.0):
+        raise ValueError("mollification width must be positive")
+    t, eps = np.broadcast_arrays(np.asarray(t, dtype=float), eps)
+    shape = t.shape
+    t, eps = t.ravel(), eps.ravel()
+    jet = np.empty((3, t.size))
+    order = np.argsort(eps, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(eps[order])) + 1) if t.size else ():
+        jet[:, rows] = _jet_at_width(spec, eps[rows[0]], t[rows])
+    return jet.reshape((3,) + shape) * spec._spatial_factor(x)
 
 
 # ----------------------------------------------------------------------------
@@ -355,9 +401,17 @@ class RegBoundsReport:
 
 
 def _growth_over_top_decade(xi_grid, ratios):
+    """Fitted growth factor of the ratios per frequency decade, over the top decade.
+
+    NaN (unmeasured) with fewer than 3 finite ratios there; 1 when fewer
+    than 3 of those are positive (a bound met with zero is bounded).
+    """
     xi = np.asarray(xi_grid, dtype=float)
     r = np.asarray(ratios, dtype=float)
-    good = _top_window(xi, 1.0) & (r > 0.0)
+    good = _top_window(xi, 1.0) & np.isfinite(r)
+    if int(good.sum()) < 3:
+        return float("nan")
+    good &= r > 0.0
     if int(good.sum()) < 3:
         return 1.0
     slope, _ = fit_loglog_slope(xi[good], r[good])
@@ -385,9 +439,14 @@ def verify_reg_bounds(
       (vi)  |d_t^2 a_eps|      vs <xi> rho(1/|xi|) (-d/dt 1/rho(eta^-1(t - 1/|xi|)))
 
     Every clause reports the largest measured/bound ratio (a finite constant
-    means "verified"), where it occurred, and the fitted growth of the ratio
-    across the top frequency decade (growth near or below one means the bound
-    is stable; the caller decides the pass threshold).
+    means "verified"), where it occurred (the earliest frequency attaining
+    it, at that frequency's earliest time of its largest ratio), and the
+    fitted growth of the ratio across the top frequency decade (growth near
+    or below one means the bound is stable; the caller decides the pass
+    threshold).  The growth is NaN when fewer than 3 frequencies of the top
+    decade were measured.  All frequencies are measured at once: one
+    mollification of the (frequency, t_grid) windows and one of the
+    (frequency, zone grid) windows.
 
     A measured value within the summation error bound of the quadrature
     that made it is round-off and counts as zero.
@@ -415,54 +474,53 @@ def verify_reg_bounds(
     def measured(ts, eps):
         """|a_eps|, |a_eps - a|, |d_t a_eps|, |d_t^2 a_eps| at times ts, max over x (if any).
 
-        One mollification of the window feeds all four rows.  A value within
-        the round-off bound of the quadrature that made it counts as zero.
+        One mollification of every (frequency, time) window feeds all four
+        rows.  A value within the round-off bound of the quadrature that
+        made it counts as zero.
         """
         jet = mollify(spec, eps, t=ts)
         rows = np.abs(np.stack([jet[0], jet[0] - spec._time_value(ts), jet[1], jet[2]])) * factor
-        tol = roundoff[row_order] / eps**row_order
-        return np.where(rows > tol[:, None], rows, 0.0)
+        tol = roundoff[row_order, None, None] / eps ** row_order[:, None, None]
+        return np.where(rows > tol, rows, 0.0)
 
-    jb = jbracket(xi)
-    names = ("i", "ii", "iii", "iv", "v", "vi")
-    ratios = {n: np.full(xi.size, np.nan) for n in names}
-    arg = {n: (0.0, 0.0, -1.0) for n in names}
-
-    for k, (x_abs, jbx) in enumerate(zip(xi, jb)):
-        eps = 1.0 / jbx
-        t_lo = zone_boundary(eta, zp, x_abs)
-        zone_alive = t_lo < zp.T * (1.0 - 1e-12)
-        t_hyp = np.geomspace(max(t_lo, 4.0 / jbx), zp.T, t_samples) if zone_alive else None
-
-        bounds = {
-            "i": np.ones_like(tg),
-            "ii": np.full_like(tg, 1.0 / (jbx * eta.value(1.0 / x_abs))),
-            "iv": np.full_like(tg, 1.0 / eta.value(1.0 / x_abs)),
-        }
-        aeps, diff, d1, _ = measured(tg, eps)
-        meas = {"i": aeps, "ii": diff, "iv": d1}
-        if zone_alive:
-            bounds["iii"] = rho.value(1.0 / x_abs) / jbx * decay_rate_pair(eta, rho, t_hyp - 1.0 / x_abs)
-            bounds["v"] = np.sqrt(decay_rate(eta, t_hyp - 1.0 / x_abs))
-            bounds["vi"] = jbx * rho.value(1.0 / x_abs) * decay_rate_pair(eta, rho, t_hyp - 1.0 / x_abs)
-            _, meas["iii"], meas["v"], meas["vi"] = measured(t_hyp, eps)
-        for n in meas:
-            ts = tg if n in ("i", "ii", "iv") else t_hyp
-            r = meas[n] / bounds[n]
-            i_best = int(np.argmax(r))
-            ratios[n][k] = r[i_best]
-            if r[i_best] > arg[n][2]:
-                arg[n] = (float(ts[i_best]), float(x_abs), float(r[i_best]))
-
+    # one row per frequency, on the shared t grid and, where the hyperbolic
+    # zone is alive, on the frequency's own zone grid
+    jb = jbracket(xi)[:, None]
+    inv_xi = 1.0 / xi[:, None]
+    e = np.asarray(eta.value(1.0 / xi))[:, None]
+    aeps, diff, d1, _ = measured(tg, 1.0 / jb)
+    t_lo = zone_boundary(eta, zp, xi)
+    hyp = np.flatnonzero(t_lo < zp.T * (1.0 - 1e-12))
+    t_hyp = np.geomspace(np.maximum(t_lo[hyp], 4.0 / jb[hyp, 0]), zp.T, t_samples, axis=-1)
+    rho_h = np.asarray(rho.value(1.0 / xi[hyp]))[:, None]
+    pair = decay_rate_pair(eta, rho, t_hyp - inv_xi[hyp])
+    _, diff_h, d1_h, d2_h = measured(t_hyp, 1.0 / jb[hyp])
+    on_tg = (np.arange(xi.size), np.broadcast_to(tg, aeps.shape))
+    on_hyp = (hyp, t_hyp)
+    checks = {
+        "i": (aeps, on_tg),
+        "ii": (diff / (1.0 / (jb * e)), on_tg),
+        "iii": (diff_h / (rho_h / jb[hyp] * pair), on_hyp),
+        "iv": (d1 / (1.0 / e), on_tg),
+        "v": (d1_h / np.sqrt(decay_rate(eta, t_hyp - inv_xi[hyp])), on_hyp),
+        "vi": (d2_h / (jb[hyp] * rho_h * pair), on_hyp),
+    }
     clauses = {}
-    for n in names:
-        t_at, xi_at, peak = arg[n]
+    for n, (r, (rows, ts)) in checks.items():
+        # each frequency's largest ratio at its earliest time; the clause's at
+        # the earliest frequency attaining it
+        i_best = np.argmax(r, axis=1)[:, None]
+        ratio_by_xi, t_by_xi = np.full((2, xi.size), np.nan)
+        ratio_by_xi[rows] = np.take_along_axis(r, i_best, 1)[:, 0]
+        t_by_xi[rows] = np.take_along_axis(ts, i_best, 1)[:, 0]
+        k = int(np.argmax(np.where(np.isnan(ratio_by_xi), -np.inf, ratio_by_xi)))
+        peak = (np.nan,) * 3 if np.isnan(ratio_by_xi[k]) else (ratio_by_xi[k], t_by_xi[k], xi[k])
         clauses[n] = ClauseCheck(
             name=n,
-            max_ratio=float(peak) if peak >= 0.0 else float("nan"),
-            argmax_t=t_at,
-            argmax_xi=xi_at,
-            ratio_by_xi=ratios[n],
-            top_decade_growth=_growth_over_top_decade(xi, ratios[n]),
+            max_ratio=float(peak[0]),
+            argmax_t=float(peak[1]),
+            argmax_xi=float(peak[2]),
+            ratio_by_xi=ratio_by_xi,
+            top_decade_growth=_growth_over_top_decade(xi, ratio_by_xi),
         )
     return RegBoundsReport(spec, eta, rho, clauses)

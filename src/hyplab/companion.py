@@ -9,11 +9,12 @@ Strict hyperbolicity means the roots are real and separated by a fixed
 fraction of <xi> = sqrt(1 + xi^2).  One builder, batched over leading axes,
 makes the companion symbol (<xi> on the superdiagonal, the <xi>-normalized
 coefficient entries in the last row); its eigenvalues are the characteristic
-roots, settled a whole batch at a time.  Along a time grid the roots of the
-mollified symbol come with their exact rates, by implicit differentiation of
-the characteristic polynomial over the root-gap matrix that the diagonalizer
-chain is built from; the same differentiation (``_root_rates``) gives the
-rates of the raw roots that the integrator's frame follows.
+roots, settled a whole batch at a time.  Along a time grid, for one
+frequency or an array of them, the roots of the mollified symbol come with
+their exact rates, by implicit differentiation of the characteristic
+polynomial over the root-gap matrix that the diagonalizer chain is built
+from; the same differentiation (``_root_rates``) gives the rates of the raw
+roots that the integrator's frame follows.
 """
 
 from __future__ import annotations
@@ -175,22 +176,25 @@ def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -
     return RootSet(_roots(spec.coeff_values(t, x)[None, :], xi, spec.delta_sep)[0], xi)
 
 
-def roots_on_times(spec: HyperbolicOperatorSpec, ts, x, xi: float) -> tuple[np.ndarray, np.ndarray]:
+def roots_on_times(spec: HyperbolicOperatorSpec, ts, x, xi) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the mollified symbol along a time grid, and their time rates.
 
-    The coefficients are mollified at width eps = 1/<xi>.  Returns
-    ``(lam, lam_dot)``, both of shape (len(ts), m).  The rates come from
-    implicit differentiation of the characteristic polynomial
-    (``_root_rates``), whose derivative at a root is nonzero because the
-    roots are separated by at least delta_sep <xi>.
+    Elementwise in ``ts`` and ``xi``, which broadcast against each other
+    (e.g. times by frequencies as a (time, 1) and an (n,) array).  The
+    coefficients are mollified at width eps = 1/<xi>.  Returns
+    ``(lam, lam_dot)``, both of the broadcast shape plus a last axis of m;
+    a scalar time counts as a grid of one.  The rates come from implicit
+    differentiation of the characteristic polynomial (``_root_rates``),
+    whose derivative at a root is nonzero because the roots are separated
+    by at least delta_sep <xi>.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    eps = 1.0 / float(jbracket(xi))
-    m = spec.m
-    vals = np.zeros((2, ts.size, m))  # a_{m-j} and its rate
+    xi = np.asarray(xi, dtype=float)
+    eps = 1.0 / jbracket(xi)
+    vals = np.zeros((2,) + np.broadcast_shapes(ts.shape, xi.shape) + (spec.m,))  # a_{m-j} and its rate
     for j, c in enumerate(spec.coeffs):
         if c is not None:
-            vals[:, :, j] = mollify(c, eps, t=ts, x=x)[:2]
+            vals[..., j] = mollify(c, eps, t=ts, x=x)[:2]
     lam = _roots(vals[0], xi, spec.delta_sep)
     return lam, _root_rates(lam, vals[1], xi)
 

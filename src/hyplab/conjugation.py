@@ -73,7 +73,10 @@ def theta(ts: ThetaSpec, t, xi):
 def _simpson(fn, a, b, n):
     """Composite Simpson rule on n (made even) intervals, one per pair of (array) endpoints.
 
-    The nodes carry the endpoints' shape after the node axis; fn's trailing axes are kept.
+    The nodes carry the endpoints' shape after the node axis.  The sum is a
+    matrix product with fn's values, so it runs over their first axis in one
+    or two dimensions and over the second-to-last in more (axes before the
+    node axis batch).
     """
     if np.all(b <= a):
         return 0.0

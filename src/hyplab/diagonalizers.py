@@ -139,19 +139,24 @@ class M3Weights:
     magnitudes: np.ndarray
 
 
-def m3_weights(spec: HyperbolicOperatorSpec, x, xi: float, t: float, quadrature: int = 1024) -> M3Weights:
-    """Composite-Simpson evaluation of the absorption integrals on [0, t].
+def m3_weights(spec: HyperbolicOperatorSpec, x, xi, t: float, quadrature: int = 1024) -> M3Weights:
+    """Composite-Simpson evaluation of the absorption integrals on [0, t]; elementwise in xi.
 
     Roots and their exact time rates come from the coefficients mollified at
-    width 1/<xi> (``roots_on_times``).
+    width 1/<xi> (``roots_on_times``), for every frequency of an array at
+    once on the shared Simpson nodes.  The integrals have the shape of xi
+    plus a last axis of m.
     """
     if quadrature < 8:
         raise ValueError("quadrature needs at least 8 intervals")
+    xi = np.asarray(xi, dtype=float)
 
     def integrand(ss):
-        lam, lam_dot = roots_on_times(spec, ss, x, xi)
+        lam, lam_dot = roots_on_times(spec, ss.reshape(ss.shape + (1,) * xi.ndim), x, xi)
         G, _ = _root_gaps(lam)
-        return -1j * lam_dot / G.sum(axis=-1)  # D_s lam_p / sum_i (lam_i - lam_p)
+        # D_s lam_p / sum_i (lam_i - lam_p); nodes second to last, so that
+        # Simpson's sum runs per frequency as for one frequency
+        return np.moveaxis(-1j * lam_dot / G.sum(axis=-1), 0, -2)
 
     integrals = _simpson(integrand, 0.0, t, quadrature)
     return M3Weights(integrals=integrals, magnitudes=np.abs(np.exp(integrals)))

@@ -159,6 +159,10 @@ def test_cli_verify_sparse_grid_reports_theta_failure(tmp_path, capsys):
     theta = [ln for ln in out if ln.startswith("theta_integral_flat")]
     assert len(theta) == 1 and theta[0].split()[1] == "FAIL"
     assert "need at least 3 points in the top decade" in theta[0]
+    # the growth fits of the six regularization bounds cannot be made either
+    reg = [ln for ln in out if ln.startswith("reg_bound_")]
+    assert len(reg) == 6
+    assert all(ln.split()[1] == "FAIL" and ln.endswith("need at least 3 points in the top decade") for ln in reg), reg
     assert out[-1].endswith("check(s) failed")
 
 
@@ -214,6 +218,31 @@ def test_cli_tables_and_classify_match_benchmark_reference(tmp_path):
     want = json.loads((LAB_SMOOTH_REF / "classification.json").read_text())
     assert set(got) == set(want)
     assert all(_scaled_match(got[k], want[k]) for k in want), (got, want)
+
+
+@pytest.mark.parametrize("name", ["holder05", "loglip"])
+def test_cli_verify_matches_benchmark_reference_verdicts(tmp_path, capsys, name):
+    # the benchmark's verify gate: the same checks, verdicts and exit code
+    want = json.loads((LAB_SMOOTH_REF.parent / f"verify_{name}.json").read_text())
+    rc = main(["verify", "--config", cfg_path(f"{name}.cfg"), "--out", str(tmp_path)])
+    lines = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+    got = {p[0]: p[1] for p in lines if len(p) >= 2 and p[1] in ("PASS", "FAIL")}
+    assert (got, rc) == (want["verdicts"], want["exit"])
+    if name == "holder05":
+        assert rc == 3 and sorted(k for k, v in got.items() if v == "FAIL") == ["reg_bound_iii", "reg_bound_vi"]
+
+
+def test_cli_verify_reg_bound_lines_name_the_peak(capsys):
+    cfg = load_config(cfg_path("holder05.cfg"))
+    main(["verify", "--config", cfg_path("holder05.cfg")])
+    lines = [ln.split() for ln in capsys.readouterr().out.splitlines() if ln.startswith("reg_bound_")]
+    assert len(lines) == 6
+    for parts in lines:
+        assert parts[2].startswith("C=") and parts[3].startswith("growth=x")
+        t = float(parts[5].removeprefix("(t=").rstrip(","))
+        xi = float(parts[6].removeprefix("xi=").rstrip(")"))
+        assert parts[4] == "at" and 0.0 < t <= cfg.zone.T
+        assert np.min(np.abs(cfg.xi_grid / xi - 1.0)) < 1e-3
 
 
 def test_cli_classify_holder_and_forced(tmp_path, capsys):
@@ -292,6 +321,23 @@ def test_cli_sweep_jobs_byte_identical(tmp_path, argv, output):
         assert main(argv + ["--out", str(out), "--jobs", jobs]) == 0
         outs.append((out / output).read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_loss_starts_one_pool_per_command(tmp_path, monkeypatch):
+    # the four gamma sweeps share one pool of workers; --jobs 1 starts none
+    pools = []
+
+    class Counted(cli.concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Counted)
+    argv = ["loss", "--config", os.path.join(CONFIGS, "..", "perfbench", "configs", "loss_sweep.cfg")]
+    assert main(argv + ["--out", str(tmp_path / "1"), "--jobs", "1"]) == 0
+    assert pools == []
+    assert main(argv + ["--out", str(tmp_path / "2"), "--jobs", "2"]) == 0
+    assert pools == [2]
 
 
 def test_cli_sweep_jobs_failure_names_the_first_failing_frequency(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hyplab import coefficients
 from hyplab.coefficients import (
     MOLLIFIER_NODES,
     CoefficientSpec,
@@ -220,6 +221,122 @@ def test_mollified_derivative_rates_holder():
     s_d1, _ = fit_loglog_slope(eps_grid, sup_d1)
     assert s_diff == pytest.approx(alpha, abs=0.1)
     assert s_d1 == pytest.approx(alpha - 1.0, abs=0.1)
+
+
+# times reaching below the t = 0 freeze (window rule) and above it (closed
+# form for holder_rough), at widths from 1/<16> to 1/<4096>
+BATCH_SPECS = [
+    CoefficientSpec("holder_rough", delta=0.5, alpha=0.5),
+    CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=1.5),
+    CoefficientSpec("holder_rough", delta=0.5, alpha=0.3, spatial=SpatialProfile()),
+]
+BATCH_EPS = 1.0 / jbracket(np.geomspace(16, 4096, 7))
+BATCH_T = np.concatenate([np.linspace(0.0, 0.05, 41), np.geomspace(0.05, 0.9, 40)])
+
+
+def _assert_rel(got, want, rel=1e-14):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.abs(want)), np.max(np.abs(got - want) / np.abs(want))
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=["holder", "log_power", "holder_spatial"])
+def test_mollify_widths_per_row_match_one_call_per_width(spec):
+    x = 0.7 if spec.spatial is not None else None
+    want = np.stack([mollify(spec, eps, BATCH_T, x=x) for eps in BATCH_EPS], axis=1)
+    _assert_rel(mollify(spec, BATCH_EPS[:, None], BATCH_T, x=x), want)
+    # widths along the other axis, and one width per time
+    _assert_rel(mollify(spec, BATCH_EPS, BATCH_T[:, None], x=x), want.transpose(0, 2, 1))
+    eps_flat = np.repeat(BATCH_EPS, BATCH_T.size)
+    _assert_rel(mollify(spec, eps_flat, np.tile(BATCH_T, BATCH_EPS.size), x=x), want.reshape(3, -1))
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=["holder", "log_power", "holder_spatial"])
+def test_mollify_does_not_depend_on_the_block_size(monkeypatch, spec):
+    # at 600 points a block holds 2 windows of 256 nodes and 31 rows of
+    # phases, so every width's times split across blocks.  The BLAS sums of
+    # a window round differently when its block changes; the jet rows are
+    # sums with cancellation (up to ~1e-7 relative change in a second
+    # derivative), so the change is measured against the size of the terms,
+    # sup|a| sum_i |w_i| / eps^k, as the round-off bound of verify does
+    ref = mollify(spec, BATCH_EPS[:, None], BATCH_T)
+    monkeypatch.setattr(coefficients, "BLOCK", 600)
+    got = mollify(spec, BATCH_EPS[:, None], BATCH_T)
+    _, *weights = _mollifier_grids()
+    order = np.arange(3)[:, None, None]
+    terms = spec.sup_abs * np.array([np.abs(w).sum() for w in weights])[:, None, None] / BATCH_EPS[:, None] ** order
+    assert np.all(np.abs(got - ref) <= 1e-14 * terms)
+    _assert_rel(got[0], ref[0])
+
+
+def test_mollify_rejects_a_nonpositive_width():
+    spec = CoefficientSpec("holder_rough", delta=0.5)
+    with pytest.raises(ValueError, match="width must be positive"):
+        mollify(spec, np.array([0.01, 0.0]), np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize(
+    "spec, eta, M",
+    [
+        (CoefficientSpec("holder_rough", delta=0.5, alpha=0.5), power_law(0.5), 4.0),
+        (CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=0.0), log_reciprocal(1.0), 2.0),
+    ],
+    ids=["holder", "log_power"],
+)
+def test_verify_reg_bounds_frequency_does_not_depend_on_its_grid_mates(spec, eta, M):
+    rho = power_law(1.0, role="rho")
+    zp = ZoneParams(N=2.0, M=M, T=0.5)
+    xi = np.geomspace(M, 4096, 19)
+    ts = np.geomspace(0.02, 0.5, 17)
+    full = verify_reg_bounds(spec, eta, rho, zp, xi, ts)
+    # every fourth frequency, plus each clause's peak frequency
+    peaks = {int(np.flatnonzero(xi == c.argmax_xi)[0]) for c in full.clauses.values()}
+    keep = sorted(set(range(0, xi.size, 4)) | peaks)
+    part = verify_reg_bounds(spec, eta, rho, zp, xi[keep], ts)
+    for name, c in full.clauses.items():
+        got, want = part.clauses[name].ratio_by_xi, c.ratio_by_xi[keep]
+        measured = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), measured), name
+        assert np.all(np.abs(got - want)[measured] <= 1e-14 * want[measured]), name
+        p = part.clauses[name]
+        assert (p.max_ratio, p.argmax_t, p.argmax_xi) == (c.max_ratio, c.argmax_t, c.argmax_xi), name
+    # the hyperbolic zone dies below some frequency; those clauses are not measured there
+    assert np.isnan(full.clauses["iii"].ratio_by_xi[0]) and np.isfinite(full.clauses["iii"].ratio_by_xi[-1])
+
+
+def test_verify_reg_bounds_ties_go_to_the_earliest_frequency_and_time():
+    # a constant meets every difference bound with zero: each clause peaks
+    # at its first measured frequency, at that frequency's first time
+    eta = log_reciprocal(1.0)
+    rho = power_law(1.0, role="rho")
+    zp = ZoneParams(N=2.0, M=2.0, T=0.5)
+    xi, ts = np.geomspace(4, 4096, 10), np.geomspace(0.01, 0.5, 9)
+    rep = verify_reg_bounds(CoefficientSpec("constant"), eta, rho, zp, xi, ts)
+    for name in ("ii", "iv"):
+        assert (rep.clauses[name].argmax_t, rep.clauses[name].argmax_xi) == (ts[0], xi[0])
+    for name in ("iii", "v", "vi"):
+        c = rep.clauses[name]
+        first = int(np.flatnonzero(np.isfinite(c.ratio_by_xi))[0])
+        assert c.max_ratio == 0.0 and c.argmax_xi == xi[first] and c.argmax_t > ts[0]
+
+
+def test_verify_reg_bounds_growth_needs_three_measured_points():
+    spec = CoefficientSpec("holder_rough", delta=0.5, alpha=0.5)
+    eta = power_law(0.5)
+    rho = power_law(1.0, role="rho")
+    zp = ZoneParams(N=2.0, M=4.0, T=0.5)
+    ts = np.geomspace(0.02, 0.5, 17)
+    rep = verify_reg_bounds(spec, eta, rho, zp, np.array([64.0, 512.0, 4096.0]), ts)
+    assert all(np.isnan(c.top_decade_growth) for c in rep.clauses.values())
+    assert np.isfinite(rep.clauses["ii"].max_ratio)
+    rep = verify_reg_bounds(spec, eta, rho, zp, np.geomspace(64.0, 4096.0, 9), ts)
+    assert all(np.isfinite(c.top_decade_growth) for c in rep.clauses.values())
+    # below xi = 100 the zone boundary 2 eta(1/xi) reaches T = 0.2: the
+    # hyperbolic-zone clauses measure nothing, and say so
+    rep = verify_reg_bounds(spec, eta, rho, ZoneParams(N=2.0, M=4.0, T=0.2), np.geomspace(16.0, 64.0, 9), ts[ts <= 0.2])
+    for name, c in rep.clauses.items():
+        peak = (c.max_ratio, c.argmax_t, c.argmax_xi, c.top_decade_growth)
+        assert np.all(np.isnan(peak)) == (name in ("iii", "v", "vi")), (name, peak)
+        assert np.all(np.isnan(c.ratio_by_xi)) == (name in ("iii", "v", "vi"))
 
 
 def test_verify_reg_bounds_constant_spec_all_zero_diffs():

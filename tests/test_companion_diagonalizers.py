@@ -222,6 +222,32 @@ def test_root_rates_match_centred_differences(spec, xi):
     assert errs[2] < 1e-3
 
 
+def test_roots_on_times_is_elementwise_in_xi():
+    # times by frequencies against one call per frequency
+    xis = np.array([100.0, 1e3, 1e5])
+    ts = np.linspace(0.0, 0.5, 33)
+    lam, lam_dot = roots_on_times(ROUGH3, ts[:, None], None, xis)
+    assert lam.shape == lam_dot.shape == (ts.size, xis.size, 3)
+    for k, xi in enumerate(xis):
+        want, want_dot = roots_on_times(ROUGH3, ts, None, xi)
+        assert np.all(np.abs(lam[:, k] - want) <= 1e-14 * np.abs(want))
+        assert np.all(np.abs(lam_dot[:, k] - want_dot) <= 1e-14 * np.abs(want_dot))
+
+
+LOGPOW2 = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=1.0), None))
+
+
+@pytest.mark.parametrize("spec", [ROUGH2, ROUGH3, LOGPOW2], ids=["rough_m2", "rough_m3", "log_power_m2"])
+def test_m3_weights_on_an_array_of_xi_match_scalar_calls(spec):
+    xis = np.geomspace(64.0, 1e5, 5)
+    got = m3_weights(spec, None, xis, 0.5, quadrature=512)
+    assert got.integrals.shape == (xis.size, spec.m)
+    for k, xi in enumerate(xis):
+        want = m3_weights(spec, None, float(xi), 0.5, quadrature=512)
+        assert np.all(np.abs(got.integrals[k] - want.integrals) <= 1e-14 * np.abs(want.integrals))
+        assert np.all(np.abs(got.magnitudes[k] - want.magnitudes) <= 1e-14 * want.magnitudes)
+
+
 def test_m3_constant_coefficients_unit_weights():
     res = m3_weights(WAVE2, None, 32.0, 0.5, quadrature=256)
     assert res.magnitudes == pytest.approx([1.0, 1.0], abs=1e-12)
