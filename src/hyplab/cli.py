@@ -30,7 +30,7 @@ from .companion import HyperbolicityViolation, NearMultipleRoot
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugation import ThetaSpec, theta_integral_bound
 from .diagonalizers import m3_weights
-from .energy import FrequencyExperiment, StiffnessError, _loss_window, estimate_loss, evolve_sweep
+from .energy import FrequencyExperiment, StiffnessError, _loss_window, _plan, estimate_loss, evolve_sweep
 
 # not called here; perfbench/test_perfbench.py checks that its tracer wraps this binding
 from .energy import evolve_frequency  # noqa: F401
@@ -79,6 +79,7 @@ def _sweep(exp: FrequencyExperiment, jobs: int, pool):
     n = exp.xi_grid.size
     chunks = [range(j, n, jobs) for j in range(min(jobs, n))]
     try:
+        _plan(exp, np.arange(n), 1.0)  # the whole sweep's checks and work budget, as without a pool
         parts = list(pool.map(functools.partial(evolve_sweep, exp), chunks))
     except (StiffnessError, HyperbolicityViolation, NearMultipleRoot):
         return evolve_sweep(exp)  # raises at the first failing frequency in grid order

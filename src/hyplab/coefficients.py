@@ -130,7 +130,9 @@ class CoefficientSpec:
             if np.any(t >= 1.0) and self.gamma_osc > 0.0:
                 raise ValueError("log_power_oscillation with gamma > 0 needs t < 1")
             logs = np.log(1.0 / t)
-            return self.base + self.delta * np.sin(np.sign(logs) * np.abs(logs) ** (1.0 + self.gamma_osc))
+            # the phase sign(L) |L|^(1+gamma): L itself at gamma = 0, and L > 0 where gamma > 0
+            phase = logs ** (1.0 + self.gamma_osc) if self.gamma_osc > 0.0 else logs
+            return self.base + self.delta * np.sin(phase)
         freqs, amps = self._lacunary_terms()
         acc = np.zeros_like(t)
         for w, c in zip(freqs, amps):

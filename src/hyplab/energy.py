@@ -38,27 +38,42 @@ integrating.
 
 RK4 and the sweep.  ``evolve_sweep`` integrates every frequency of a sweep
 in one pass, and ``evolve_frequency`` is its call on one grid index.  The
-step plan above is one array expression over (frequency, interval), and the
-roots at the probes and interval starts of every frequency take one
-``companion._roots`` call, a frequency per row.  Every interval reduces to
-one propagator: it splits into rows of at most ``BATCH`` consecutive steps,
-and the rows of all frequencies, longest first, pack into batches of at
-most ``BATCH`` steps, each row padded to the batch's longest with steps
-whose propagator is exactly I.  Per RK4 batch, one ``extended_time_value``
-call per coefficient evaluates all stage times t = s_k + h_k i, t + h/2,
-t + h, and the RK4 step propagators P = I + h/6 (B0 + 2 K2 + 2 K3 + K4)
-with B = iA, K2 = Bm (I + h/2 B0), K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3)
-are formed at once, stored as (m, m, row, step) arrays so that every
-product broadcasts over the short m axes (a padded step has h = 0).  A
-pairwise tree, later steps on the left, reduces each row, and another each
-interval's rows; only the grouping of the products differs from applying
-the steps one by one.  The grouping depends on step positions alone and I
-multiplies exactly, so a frequency's trace does not depend on the
+step plan above (``_plan``) is one array expression over (frequency,
+interval), and the roots at the probes and interval starts of every
+frequency take one ``companion._roots`` call, a frequency per row.  The plan
+makes every check that needs no propagator: the step floor, strict
+hyperbolicity, RK4 stability, and ``WORK_BUDGET``, a bound on the pass's RK4
+steps plus frame nodes.  Every interval then reduces to one propagator
+(``_integrate``): it splits into rows of at most ``BATCH`` consecutive steps,
+and the rows of all frequencies, longest first, pack into batches of at most
+``BATCH`` steps, each row padded to the batch's longest with steps whose
+propagator is exactly I (h = 0).  The steps of a row are equal, so each
+starts where the one before it ends: per RK4 batch, one
+``extended_time_value`` call per coefficient evaluates each row's half-step
+grid s_k + (h_k / 2)(2 i_0 + j), j = 0..2n, from its first step i_0, which
+is 2n + 1 stage times for n steps.  With B = iA, the RK4 step propagator
+I + h/6 (B0 + 2 K2 + 2 K3 + K4), K2 = Bm (I + h/2 B0), K3 = Bm (I + h/2 K2),
+K4 = B1 (I + h K3), is R + iS with
+
+    R = I - h^2/6 (Am A0 + Am^2 + A1 Am) + h^4/24 A1 Am^2 A0,
+    S = h/6 (A0 + 4 Am + A1) - h^3/12 (Am^2 A0 + A1 Am^2),
+
+formed in real arithmetic from six products, each with a companion matrix
+on its left: m - 1 rows of the right factor shifted and scaled by <xi>,
+plus one last-row sum over the coefficients present.  The propagators of a
+batch are (m, m, row, step) arrays, so that every operation broadcasts over
+the short m axes; they and the real products live in work arrays allocated
+once per pass.  A pairwise tree, later steps on the left, reduces
+each row, and another each interval's rows; only the grouping of the
+products differs from applying the steps one by one.  The grouping depends
+on step positions alone (a level of odd length carries its last factor up),
+and I multiplies exactly, so a frequency's trace does not depend on the
 frequencies that share its batches.  M1^-1 is folded into each frequency's
 first frame interval, one doubling prefix scan over the rectangular
 (m, m, frequency, interval) stack gives the states at the sample times, and
 one batched norm gives the traces.  A failed pass is repeated one frequency
-at a time, so that an error names the frequency a loop would fail at first.
+at a time, so that an error names the first frequency that fails: the plans
+alone first, then, if they all pass, the integrations.
 
 The frame.  The roots lam_p of the raw symbol at the nodes (one
 ``companion._roots`` call for the nodes of every frequency; the one at the
@@ -122,10 +137,12 @@ BATCH = 2048
 FRAME_RATIO = 80.0
 # RK4 stays stable on the imaginary axis up to |h lam| = 2 sqrt(2)
 RK4_LIMIT = 2.0 * math.sqrt(2.0)
+# RK4 steps plus frame nodes one pass may plan: 16x the 25M of energy on configs/holder05.cfg
+WORK_BUDGET = 400_000_000
 
 
 class StiffnessError(Exception):
-    """The step rule asks for steps RK4 cannot take: below the floor, or unstable."""
+    """The step rule asks for steps RK4 cannot take: below the floor, unstable, or beyond the work budget."""
 
 
 @dataclass(frozen=True)
@@ -209,18 +226,26 @@ class FrequencyExperiment:
         return v / np.linalg.norm(v)
 
 
-def _mul(X, Y):
-    """Matrix products X Y of two stacks stored as (m, m, ...), step axes last."""
-    return (X[:, :, None] * Y[None]).sum(1)
+def _mul(X, Y, out=None):
+    """Matrix products X Y of two stacks stored as (m, m, ...), step axes last, summed in inner-index order."""
+    out = np.multiply(X[:, 0, None], Y[0], out=out)
+    for k in range(1, X.shape[1]):
+        out += X[:, k, None] * Y[k]
+    return out
 
 
 def _tree_product(P):
-    """Row products P[:, :, r, n-1] ... P[:, :, r, 0] of an (m, m, rows, n) stack, by a pairwise tree."""
+    """Row products P[:, :, r, n-1] ... P[:, :, r, 0] of an (m, m, rows, n) stack, by a pairwise tree.
+
+    A level of odd length carries its last factor to the next level unpaired.
+    """
     while P.shape[-1] > 1:
-        if P.shape[-1] % 2:
-            eye = np.broadcast_to(np.eye(P.shape[0])[:, :, None, None], P.shape[:-1] + (1,))
-            P = np.concatenate((P, eye), axis=-1)
-        P = _mul(P[..., 1::2], P[..., 0::2])  # later steps on the left
+        n = P.shape[-1]
+        up = np.empty(P.shape[:-1] + ((n + 1) // 2,), dtype=P.dtype)
+        _mul(P[..., 1::2], P[..., 0 : n - 1 : 2], out=up[..., : n // 2])  # later steps on the left
+        if n % 2:
+            up[..., -1] = P[..., -1]
+        P = up
     return P[..., 0]
 
 
@@ -346,25 +371,98 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
     return P
 
 
-def _rk4_propagators(coeffs, scale, jb, t0, h):
-    """RK4 step propagators for steps of length h from t0, shape (m, m) + t0.shape.
+class _Work:
+    """Work arrays shared by the batches of one integration, one flat array per name.
 
-    The m entries of ``scale`` (the last row of B = iA per unit coefficient)
-    and ``jb`` (<xi>) broadcast against t0.
+    ``work(name, shape, dtype)`` views the first entries of the name's array
+    as shape (..., rows, steps).  A batch has rows x steps <= BATCH, so each
+    array is allocated once, at its first request, with BATCH entries per
+    leading index, and no batch faults in fresh memory for it.
     """
-    m = len(scale)
-    stage_t = np.stack((t0, t0 + 0.5 * h, t0 + h))
-    B = np.zeros((m, m) + stage_t.shape, dtype=complex)
-    B[np.arange(m - 1), np.arange(1, m)] = 1j * jb
-    for j, c in coeffs:
-        B[m - 1, j] = c.extended_time_value(stage_t) * scale[j]
-    B0, Bm, B1 = B[:, :, 0], B[:, :, 1], B[:, :, 2]
-    eye = np.eye(m).reshape((m, m) + (1,) * t0.ndim)
-    # RK4 on the linear system collapses to one propagator per step
-    K2 = _mul(Bm, eye + 0.5 * h * B0)
-    K3 = _mul(Bm, eye + 0.5 * h * K2)
-    K4 = _mul(B1, eye + h * K3)
-    return eye + (h / 6.0) * (B0 + 2.0 * (K2 + K3) + K4)
+
+    def __init__(self):
+        self.flat = {}
+
+    def __call__(self, name, shape, dtype=float):
+        if name not in self.flat:
+            self.flat[name] = np.empty(math.prod(shape[:-2]) * BATCH, dtype)
+        return self.flat[name][: math.prod(shape)].reshape(shape)
+
+
+def _companion_stack(jb, last, out):
+    """The dense (m, m, ...) companion stack with <xi> = jb on its superdiagonal and last row ``last``.
+
+    ``last`` lists (j, A[m - 1, j]) for the coefficients present; every
+    other entry is zero.  ``companion._companion`` builds the same matrices
+    with the m axes last; this fills a work array with the m axes first.
+    """
+    m = out.shape[0]
+    out.fill(0.0)
+    for r in range(m - 1):
+        out[r, r + 1] = jb
+    for j, a in last:
+        out[m - 1, j] = a
+    return out
+
+
+def _companion_times(jb, last, X, out, tmp):
+    """out = A X for an (m, m, ...) stack X and the companion stack A of ``_companion_stack(jb, last)``.
+
+    Rows 0..m-2 of A X are rows 1..m-1 of X times jb; row m - 1 sums over
+    the coefficients present alone.  ``tmp`` holds one row of X.
+    """
+    np.multiply(X[1:], jb, out=out[:-1])
+    (j, a), *rest = last
+    np.multiply(X[j], a, out=out[-1])
+    for j, a in rest:
+        out[-1] += np.multiply(X[j], a, out=tmp)
+    return out
+
+
+def _rk4_propagators(coeffs, scale, jb, t, h, work):
+    """RK4 step propagators from t[:, 2i] to t[:, 2i + 2], of lengths h[:, i], shape (m, m) + h.shape.
+
+    ``t`` holds each row's half-step grid of 2n + 1 stage times, so that
+    step i takes its stages at columns 2i, 2i + 1 and 2i + 2.  The m rows of
+    ``scale`` (the last row of A per unit coefficient) and ``jb`` (<xi>)
+    broadcast against the rows.  The arithmetic is real, on ``work``'s arrays,
+    and the result is one of them: it holds until the next call.
+    """
+    m = scale.shape[0]
+    mats = (m, m) + h.shape
+    tmp = work("tmp", (m,) + h.shape)
+    stage = [(j, c.extended_time_value(t) * scale[j]) for j, c in coeffs]
+    # last rows of A at the starts, midpoints and ends of the steps
+    A0, Am, A1 = ([(j, a[:, k]) for j, a in stage] for k in (np.s_[0:-1:2], np.s_[1::2], np.s_[2::2]))
+    # B = iA: RK4's I + h/6 (B0 + 2 K2 + 2 K3 + K4) is R + iS with
+    # R = I - h^2/6 (Am A0 + Am^2 + A1 Am) + h^4/24 A1 Am^2 A0,
+    # S = h/6 (A0 + 4 Am + A1) - h^3/12 (Am^2 A0 + A1 Am^2)
+    D0 = _companion_stack(jb, A0, work("D0", mats))
+    Dm = _companion_stack(jb, Am, work("Dm", mats))
+    Q = _companion_times(jb, Am, D0, work("Q", mats), tmp)  # Am A0
+    M2 = _companion_times(jb, Am, Dm, work("M2", mats), tmp)  # Am^2
+    A1Am = _companion_times(jb, A1, Dm, work("A1Am", mats), tmp)
+    AmQ = _companion_times(jb, Am, Q, work("AmQ", mats), tmp)  # Am^2 A0
+    A1M2 = _companion_times(jb, A1, M2, work("A1M2", mats), tmp)  # A1 Am^2
+    A1AmQ = _companion_times(jb, A1, AmQ, D0, tmp)  # A1 Am^2 A0, over A0
+    h2 = h * h
+    R = Q  # Am A0 from here on holds R
+    R += M2
+    R += A1Am
+    R *= h2 / -6.0
+    R += np.multiply(A1AmQ, h2 * h2 / 24.0, out=A1AmQ)
+    for r in range(m):
+        R[r, r] += 1.0
+    S = AmQ  # Am^2 A0 from here on holds S
+    S += A1M2
+    S *= h2 * h / -12.0
+    for r in range(m - 1):
+        S[r, r + 1] += h * jb
+    for (j, a0), (_, am), (_, a1) in zip(A0, Am, A1):
+        S[m - 1, j] += h / 6.0 * (a0 + 4.0 * am + a1)
+    P = work("P", mats, complex)
+    P.real, P.imag = R, S
+    return P
 
 
 def _interval_propagators(m, counts, step_propagators):
@@ -374,8 +472,9 @@ def _interval_propagators(m, counts, step_propagators):
     the rows, longest first, pack into batches of at most BATCH padded
     steps.  ``step_propagators(i, step, live)`` returns the (m, m, row, step)
     propagators of a batch, row r holding steps step[r] of interval i[r],
-    and exactly I where ``live`` is False.  A pairwise tree reduces each
-    row, and another each interval's rows, later factors on the left.
+    and exactly I where ``live`` is False; they need to hold only until the
+    next call.  A pairwise tree reduces each row, and another each
+    interval's rows, later factors on the left.
     """
     rows = -(-counts // BATCH)
     first = np.cumsum(rows) - rows  # each interval's first row
@@ -396,9 +495,14 @@ def _interval_propagators(m, counts, step_propagators):
     return _tree_product(P[:, :, np.where(k < rows[:, None], first[:, None] + k, -1)])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite norm, which raises
-def _evolve(exp: FrequencyExperiment, idx, U0, step_scale):
-    """Traces at the grid indices idx from the initial vectors U0[f], in one pass (module docstring)."""
+@np.errstate(over="ignore", invalid="ignore")  # huge frequencies overflow to steps below the floor
+def _plan(exp: FrequencyExperiment, idx, step_scale):
+    """Step lengths h_k, counts and RK4 mask, each (frequency, interval), at the grid indices idx (module docstring).
+
+    Every check that needs no propagator raises here: the step floor, strict
+    hyperbolicity at the probes and candidate frame starts, RK4 stability and
+    ``WORK_BUDGET``.
+    """
     spec = exp.operator
     m = spec.m
     xi = exp.xi_grid[idx]
@@ -456,17 +560,38 @@ def _evolve(exp: FrequencyExperiment, idx, U0, step_scale):
     if unstable.any():
         f = int(np.argmax(unstable))
         raise StiffnessError(f"RK4 step {h_rk4[f]:.3e} beyond the stability bound at xi={xi[f]:.6g}")
+    planned = int(counts.sum())
+    if planned > WORK_BUDGET:
+        budget = f"the budget of {WORK_BUDGET} per pass (xi up to {xi.max():.6g})"
+        raise StiffnessError(f"{planned} planned RK4 steps and frame nodes exceed {budget}")
+    return h_k, counts, rk4
 
-    stack = np.empty((m, m, xi.size, n_int), dtype=complex)  # the interval propagators
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite norm, which raises
+def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, rk4):
+    """Traces at the grid indices idx from the initial vectors U0[f], in one pass along ``_plan``'s plan."""
+    spec = exp.operator
+    m = spec.m
+    xi = exp.xi_grid[idx]
+    jb = jbracket(xi)
+    coeffs = [(j, c) for j, c in enumerate(spec.coeffs) if c is not None]
+    sample_times = np.linspace(0.0, exp.T, exp.n_samples)
+
+    stack = np.empty((m, m) + rk4.shape, dtype=complex)  # the interval propagators
     rf, rk = np.nonzero(rk4)
-    scale = 1j * _row_scale(xi, m).T  # last row of B = iA per unit coefficient, per frequency
+    scale = _row_scale(xi, m).T  # last row of A per unit coefficient, per frequency
+    work = _Work()
 
     def rk4_steps(i, step, live):
         f, k = rf[i, None], rk[i, None]
-        h = np.where(live, h_k[f, k], 0.0)  # a padded step has h = 0: its propagator is exactly I
-        return _rk4_propagators(coeffs, scale[:, f], jb[f], sample_times[k] + h * step, h)
+        h = h_k[f, k]
+        # each row's half-step grid: 2n + 1 stage times from its first step on
+        t = sample_times[k] + 0.5 * h * (2 * step[:, :1] + np.arange(2 * step.shape[1] + 1))
+        # a padded step has h = 0: its propagator is exactly I
+        return _rk4_propagators(coeffs, scale[:, f], jb[f], t, np.where(live, h, 0.0), work)
 
     stack[:, :, rf, rk] = _interval_propagators(m, counts[rf, rk], rk4_steps)
+    del work  # the frame's temporaries need not add to the RK4 kernel's at the peak
 
     # frame nodes: n_k equal steps per frame interval, then T after a frequency's last
     ff, fk = np.nonzero(~rk4)
@@ -518,18 +643,27 @@ def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0
 
     Each frequency starts from ``exp.initial_vector``.  Raises
     ``StiffnessError`` when an RK4 step falls below ``MIN_STEP``, exceeds
-    RK4's stability bound, or a recorded norm is not finite.  An error names
-    the frequency that a loop over the indices would fail at first: a failed
-    pass is repeated one frequency at a time.
+    RK4's stability bound, the pass plans more than ``WORK_BUDGET`` steps,
+    or a recorded norm is not finite.  A failed pass is repeated one
+    frequency at a time, so that an error names the first frequency whose
+    plan fails or, when the plans pass, the first whose integration fails;
+    a failed plan is repeated without integrating.
     """
     idx = np.arange(exp.xi_grid.size) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
     U0 = np.array([exp.initial_vector(int(i)) for i in idx], dtype=complex).reshape(idx.size, exp.operator.m)
+    one = [idx[i : i + 1] for i in range(idx.size)] if idx.size > 1 else []
+    errors = (StiffnessError, HyperbolicityViolation, NearMultipleRoot)
     try:
-        return _evolve(exp, idx, U0, step_scale)
-    except (StiffnessError, HyperbolicityViolation, NearMultipleRoot):
-        if idx.size > 1:
-            for i in range(idx.size):
-                _evolve(exp, idx[i : i + 1], U0[i : i + 1], step_scale)
+        plan = _plan(exp, idx, step_scale)
+    except errors:
+        for i in one:
+            _plan(exp, i, step_scale)
+        raise
+    try:
+        return _integrate(exp, idx, U0, *plan)
+    except errors:
+        for n, i in enumerate(one):
+            _integrate(exp, i, U0[n : n + 1], *_plan(exp, i, step_scale))
         raise
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,31 @@ def test_cli_verify_passes_on_matched_config(capsys):
     ):
         assert fragment in out
     assert out.count("PASS") >= 15
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("xi_max", ["1e300", "1e9"])
+def test_cli_energy_over_the_work_budget_exits_before_integrating(tmp_path, capsys, monkeypatch, xi_max, jobs):
+    # at xi_max = 1e300 the steps also fall below the floor from xi = 5e9 on;
+    # the plans alone find the first frequency to fail, here on the budget
+    from hyplab import energy
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("a propagator was formed over the work budget")
+
+    monkeypatch.setattr(energy, "_integrate", integrate)
+    text = Path(CONFIGS, "..", "perfbench", "configs", "constant_random.cfg").read_text(encoding="utf-8")
+    assert text.count("xi_max = 512") == 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace("xi_max = 512", f"xi_max = {xi_max}"))
+    start = time.perf_counter()
+    assert main(["energy", "--config", str(bad), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: energy: ") and len(err.splitlines()) == 1
+    planned = int(err.split(": ")[2].split()[0])
+    assert planned > energy.WORK_BUDGET and f"budget of {energy.WORK_BUDGET}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_energy_jobs_parallel_identical(tmp_path):

@@ -26,6 +26,19 @@ def test_value_examples():
         osc.value(0.0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.5])
+def test_log_power_phase_is_the_signed_power_bit_for_bit(gamma):
+    # the phase skips sign, abs and the power where they change nothing:
+    # at gamma = 0 on both sides of t = 1, and where gamma > 0 (then t < 1)
+    spec = CoefficientSpec("log_power_oscillation", base=2.0, delta=0.5, gamma_osc=gamma)
+    t = np.geomspace(1e-12, 0.999, 4001)
+    if gamma == 0.0:
+        t = np.concatenate((t, [1.0], np.geomspace(1.001, 1e6, 500)))
+    logs = np.log(1.0 / t)
+    old = spec.base + spec.delta * np.sin(np.sign(logs) * np.abs(logs) ** (1.0 + gamma))
+    assert np.array_equal(spec.value(t), old)
+
+
 def test_uniform_ellipticity():
     for spec in (
         CoefficientSpec("log_power_oscillation", delta=0.9, gamma_osc=1.5),

@@ -187,7 +187,7 @@ def test_batch_size_does_not_change_the_trace(monkeypatch):
     tree_product = energy._tree_product
 
     def spy(P):
-        trees.append(P)
+        trees.append(P.copy())  # the RK4 propagators live in work arrays that the next batch reuses
         return tree_product(P)
 
     monkeypatch.setattr(energy, "BATCH", 5)
@@ -308,9 +308,9 @@ def test_sweep_matches_per_frequency_evolution(monkeypatch, exp, batch):
         monkeypatch.setattr(energy, "BATCH", batch)
         rk4 = energy._rk4_propagators
 
-        def spy(coeffs, scale, jb, t0, h):
+        def spy(coeffs, scale, jb, *rest):
             shared.append(np.unique(jb).size > 1)
-            return rk4(coeffs, scale, jb, t0, h)
+            return rk4(coeffs, scale, jb, *rest)
 
         monkeypatch.setattr(energy, "_rk4_propagators", spy)
     got = evolve_sweep(exp)
@@ -329,6 +329,77 @@ def test_sweep_trace_does_not_depend_on_its_batch_mates():
     assert [tr.xi for tr in part] == [full[i].xi for i in (9, 2, 6)]
     for tr, i in zip(part, (9, 2, 6)):
         assert np.array_equal(tr.norms, full[i].norms)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_rk4_kernel_matches_the_textbook_complex_step(m):
+    # every coefficient present: a holder_rough, a log-power and constants;
+    # three rows of different frequencies, the last with two padded steps
+    from hyplab.companion import _companion, _row_scale
+
+    present = [
+        CoefficientSpec("holder_rough", base=2.0, delta=0.5, alpha=0.5, depth=6),
+        CoefficientSpec("log_power_oscillation", base=2.0, delta=0.5, gamma_osc=0.5),
+        CoefficientSpec("constant", base=0.4),
+        CoefficientSpec("constant", base=1.3),
+    ][:m]
+    coeffs = list(enumerate(present))
+    xi = np.array([20.0, 300.0, 4000.0])
+    jb = jbracket(xi)[:, None]
+    h = 0.3 / (jb * 2.5)  # h |A| about 0.3
+    n = 6
+    live = np.ones((3, n), dtype=bool)
+    live[2, 4:] = False
+    t = np.array([[0.01], [0.2], [0.45]]) + 0.5 * h * (2 * np.array([[0], [7], [3]]) + np.arange(2 * n + 1))
+    P = energy._rk4_propagators(coeffs, _row_scale(xi, m).T[:, :, None], jb, t, np.where(live, h, 0.0), energy._Work())
+    assert P.shape == (m, m, 3, n)
+    eye = np.eye(m)
+    for r in range(3):
+
+        def B(tt):
+            vals = np.array([c.extended_time_value(tt) for c in present])
+            return 1j * _companion(vals, xi[r])
+
+        for i in range(n):
+            if not live[r, i]:
+                assert np.array_equal(P[:, :, r, i], eye)  # a padded step is exactly I
+                continue
+            hr = h[r, 0]
+            B0, Bm, B1 = B(t[r, 2 * i]), B(t[r, 2 * i + 1]), B(t[r, 2 * i + 2])
+            K2 = Bm @ (eye + 0.5 * hr * B0)
+            K3 = Bm @ (eye + 0.5 * hr * K2)
+            K4 = B1 @ (eye + hr * K3)
+            ref = eye + hr / 6.0 * (B0 + 2.0 * K2 + 2.0 * K3 + K4)
+            assert np.max(np.abs(P[:, :, r, i] - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
+def test_rk4_batches_evaluate_each_coefficient_once_on_the_half_step_grid(monkeypatch):
+    # n consecutive steps share their ends: 2n + 1 stage times per row, not 3n;
+    # at BATCH = 5 rows of several lengths share padded batches
+    monkeypatch.setattr(energy, "BATCH", 5)
+    evaluate = CoefficientSpec.extended_time_value
+    kernel = energy._rk4_propagators
+    batches = []
+
+    def spy(coeffs, scale, jb, t, h, work):
+        shapes = []
+        batches.append((h.shape, len(coeffs), shapes))
+
+        def counted(c, tt):
+            shapes.append(np.shape(tt))
+            return evaluate(c, tt)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(CoefficientSpec, "extended_time_value", counted)
+            return kernel(coeffs, scale, jb, t, h, work)
+
+    monkeypatch.setattr(energy, "_rk4_propagators", spy)
+    for exp in (rough_experiment(3), log_power_experiment(16.0)):
+        evolve_sweep(exp, [0, 4])
+    assert len(batches) > 1 and {c for _, c, _ in batches} == {1, 2}
+    assert any(rows > 1 for (rows, _), _, _ in batches)
+    for (rows, n), count, shapes in batches:
+        assert shapes == [(rows, 2 * n + 1)] * count
 
 
 def test_sweep_errors_name_the_first_failing_frequency():
