@@ -30,7 +30,7 @@ from .companion import HyperbolicityViolation, NearMultipleRoot
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugation import ThetaSpec, theta_integral_bound
 from .diagonalizers import m3_weights
-from .energy import FrequencyExperiment, StiffnessError, _loss_window, _plan, estimate_loss, evolve_sweep
+from .energy import EnergyTrace, FrequencyExperiment, StiffnessError, _plan, estimate_loss, evolve_sweep
 
 # not called here; perfbench/test_perfbench.py checks that its tracer wraps this binding
 from .energy import evolve_frequency  # noqa: F401
@@ -147,7 +147,7 @@ def cmd_energy(cfg: ExperimentConfig, args) -> int:
     try:
         with _workers(args.jobs, exp.xi_grid.size) as pool:
             traces = _sweep(exp, args.jobs, pool)
-    except StiffnessError as exc:  # the step factor is too small or too large
+    except (StiffnessError, HyperbolicityViolation, NearMultipleRoot) as exc:  # bad steps or roots
         raise ConfigError(f"energy: {exc}") from exc
     out = _outdir(cfg, args.out)  # only once the sweep succeeded
     rows = [
@@ -178,7 +178,7 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
             coeffs[j] = dataclasses.replace(coeffs[j], gamma_osc=gamma, delta=cfg.loss_delta)
             op = dataclasses.replace(cfg.operator, coeffs=tuple(coeffs))
             exps.append(_energy_experiment(cfg, args.seed, xi_grid=grid, operator=op, step=cfg.loss_step_factor))
-        _loss_window(exps[0].xi_grid)
+        estimate_loss([EnergyTrace.from_history(x, [0.0], [1.0]) for x in grid])  # the fit's gates, on unit traces
     except ValueError as exc:
         raise ConfigError(f"loss: {exc}") from exc
     rows = []
@@ -186,7 +186,7 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
         for gamma, exp in zip(cfg.loss_gammas, exps):
             try:
                 traces = _sweep(exp, args.jobs, pool)
-            except StiffnessError as exc:
+            except (StiffnessError, HyperbolicityViolation, NearMultipleRoot) as exc:
                 raise ConfigError(f"loss: gamma={gamma:g}: {exc}") from exc
             loss = estimate_loss(traces)
             rows.append(
@@ -267,13 +267,15 @@ def _verify_checks(cfg: ExperimentConfig):
         )
 
     sub = cfg.xi_grid[:: max(1, cfg.xi_grid.size // 8)]
-    m3 = np.max(np.abs(m3_weights(cfg.operator, None, sub, cfg.zone.T, quadrature=512).integrals), axis=-1)
-    in_top = _top_window(sub, 1.0)
-    top = m3[in_top]
-    rest = m3[~in_top]
-    cap = max(2.0 * float(np.max(rest)) if rest.size else 0.0, 0.05)
-    ok = bool(np.all(np.isfinite(m3)) and float(np.max(top)) <= cap)
-    yield ("m3_integral_bounded", ok, f"max={float(np.max(m3)):.4g}")
+    try:
+        m3 = np.max(np.abs(m3_weights(cfg.operator, None, sub, cfg.zone.T, quadrature=512).integrals), axis=-1)
+    except (HyperbolicityViolation, NearMultipleRoot) as exc:  # roots not real and separated
+        yield ("m3_integral_bounded", False, str(exc))
+    else:
+        in_top = _top_window(sub, 1.0)
+        cap = max(2.0 * float(np.max(m3[~in_top], initial=0.0)), 0.05)
+        ok = bool(np.all(np.isfinite(m3)) and float(np.max(m3[in_top])) <= cap)
+        yield ("m3_integral_bounded", ok, f"max={float(np.max(m3)):.4g}")
 
     profile = None
     for c in cfg.operator.coeffs:

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .moduli import AuxiliaryFunction, decay_rate, decay_rate_pair
-from .weights import _top_window, fit_loglog_slope, jbracket
+from .weights import _check_grid, _top_decade_fit, jbracket
 from .zones import ZoneParams, validate_zone, zone_boundary
 
 __all__ = [
@@ -405,19 +405,16 @@ class RegBoundsReport:
 def _growth_over_top_decade(xi_grid, ratios):
     """Fitted growth factor of the ratios per frequency decade, over the top decade.
 
-    NaN (unmeasured) with fewer than 3 finite ratios there; 1 when fewer
-    than 3 of those are positive (a bound met with zero is bounded).
+    NaN (unmeasured) with fewer than 3 finite ratios there; 1, the fit of 1 at each of
+    them, when fewer than 3 of those are positive (a bound met with zero is bounded).
     """
-    xi = np.asarray(xi_grid, dtype=float)
     r = np.asarray(ratios, dtype=float)
-    good = _top_window(xi, 1.0) & np.isfinite(r)
-    if int(good.sum()) < 3:
-        return float("nan")
-    good &= r > 0.0
-    if int(good.sum()) < 3:
-        return 1.0
-    slope, _ = fit_loglog_slope(xi[good], r[good])
-    return float(10.0**slope)
+    for y in (np.where(r > 0.0, r, np.nan), np.where(np.isfinite(r), 1.0, np.nan)):
+        try:
+            return float(10.0 ** _top_decade_fit(xi_grid, y, 1, 3)[0])
+        except ValueError:  # too few points for this fit
+            pass
+    return float("nan")
 
 
 def verify_reg_bounds(
@@ -457,10 +454,8 @@ def verify_reg_bounds(
     eta; a mismatch shows up as top-decade growth.
     """
     validate_zone(eta, zp)
-    xi = np.asarray(xi_grid, dtype=float)
+    xi = _check_grid(xi_grid, zp.M)
     tg = np.asarray(t_grid, dtype=float)
-    if np.any(xi < zp.M):
-        raise ValueError("frequency grid starts below the floor M")
     if np.any(tg <= 0.0) or np.any(tg > zp.T):
         raise ValueError("t grid must lie in (0, T]")
     factor = 1.0

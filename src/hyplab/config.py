@@ -258,8 +258,12 @@ def load_config(path) -> ExperimentConfig:
 
     if not (0.0 < cfg.t_min < zone.T):
         raise ConfigError("[grids] t_min must lie in (0, T)")
+    if cfg.t_samples < 2:
+        raise ConfigError("[grids] t_samples must be at least 2")
     if cfg.eps <= 0.0:
         raise ConfigError("[fits] eps must be positive")
+    if not (0.0 < cfg.table_alpha < 1.0):
+        raise ConfigError("[fits] table_alpha must lie in (0, 1)")
     if cfg.energy_initial not in ("canonical", "random"):
         raise ConfigError("[energy] initial must be 'canonical' or 'random'")
     # the classify sweep needs eta^{-1} defined up to T - 1/<xi> on the grid

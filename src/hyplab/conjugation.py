@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .moduli import AuxiliaryFunction
-from .weights import _top_window, fit_loglog_slope, jbracket, weight_w2, weight_w3
+from .weights import _check_grid, _top_decade_fit, jbracket, weight_w2, weight_w3
 from .zones import ZoneParams, validate_zone
 from .zygmund import _smoothstep
 
@@ -116,14 +116,6 @@ class ThetaIntegralReport:
 
 def theta_integral_bound(ts: ThetaSpec, xi_grid) -> ThetaIntegralReport:
     """Integral of theta0 per frequency, with a top-decade flatness fit."""
-    xi = np.asarray(xi_grid, dtype=float)
-    if np.any(np.diff(xi) <= 0.0):
-        raise ValueError("frequency grid must be strictly increasing")
-    if xi[0] < ts.zone.M:
-        raise ValueError("frequency grid starts below the floor M")
+    xi = _check_grid(xi_grid, ts.zone.M)
     vals = integrate_theta0(ts, xi)
-    mask = _top_window(xi, 1.0)
-    if int(mask.sum()) < 3:
-        raise ValueError("need at least 3 points in the top decade")
-    slope, _ = fit_loglog_slope(jbracket(xi[mask]), vals[mask])
-    return ThetaIntegralReport(xi, vals, float(np.max(vals)), float(slope))
+    return ThetaIntegralReport(xi, vals, float(np.max(vals)), _top_decade_fit(xi, vals, 1, 3)[0])

@@ -60,19 +60,26 @@ def m1_symbol(roots: RootSet) -> np.ndarray:
     return _vandermonde(roots.lam / float(jbracket(roots.xi))).astype(complex)
 
 
-def m1_inverse_symbol(roots: RootSet) -> np.ndarray:
-    """Explicit inverse of the Vandermonde.
+def _vandermonde_inverse(z):
+    """Inverse of ``_vandermonde(z)`` from the explicit formula, batched over leading axes.
 
-    Entry (p, q) is (-1)^(q-1) <xi>^(q-1) e_{m-q}(roots without p) divided by
-    prod_{i != p}(lam_i - lam_p), where e_k is the k-th elementary symmetric
-    function.  Built from the formula, not from a numeric inverse.
+    Row p holds the coefficients, constant term first, of prod_{i != p}(x - z_i)/(z_p - z_i): the
+    numerator's from e[1:] -= z_i e[:-1] over ascending i != p (as ``np.poly``), the denominator
+    (-1)^(m-1) times the row product of the root gaps.
     """
-    m = roots.m
-    lam = roots.lam / float(jbracket(roots.xi))  # normalized roots; powers of <xi> then cancel
-    _, P = _root_gaps(lam, _UNDERFLOW)
-    # row p: coefficients of prod_{i != p}(z - lam_i), entry k = (-1)^k e_k
-    poly = np.array([np.atleast_1d(np.poly(np.delete(lam, p))) for p in range(m)])
-    return ((-1.0) ** (m - 1) * poly[:, ::-1] / P[:, None]).astype(complex)
+    m = z.shape[-1]
+    _, P = _root_gaps(z, _UNDERFLOW)
+    e = np.zeros(z.shape + (m,))  # e[..., p, k], highest power first
+    e[..., 0] = 1.0
+    for i in range(m):
+        rows = np.arange(m) != i
+        e[..., rows, 1:] -= z[..., i, None, None] * e[..., rows, :-1]
+    return ((-1.0) ** (m - 1) * e[..., ::-1] / P[..., None]).astype(complex)
+
+
+def m1_inverse_symbol(roots: RootSet) -> np.ndarray:
+    """Explicit inverse of the Vandermonde ``m1_symbol``, from the formula, not from a numeric inverse."""
+    return _vandermonde_inverse(roots.lam / float(jbracket(roots.xi)))  # normalized roots; powers of <xi> cancel
 
 
 def _c1(lam, roots_dt, xi):

@@ -111,11 +111,11 @@ from typing import Optional
 
 import numpy as np
 
-from .companion import HyperbolicityViolation, HyperbolicOperatorSpec, NearMultipleRoot, RootSet
+from .companion import HyperbolicityViolation, HyperbolicOperatorSpec, NearMultipleRoot
 from .companion import _roots, _root_rates, _row_scale, characteristic_roots
-from .diagonalizers import _c1, _vandermonde, m1_inverse_symbol, m1_symbol
+from .diagonalizers import _c1, _vandermonde, _vandermonde_inverse, m1_inverse_symbol, m1_symbol
 from .moduli import AuxiliaryFunction
-from .weights import _top_window, fit_loglog_slope, jbracket
+from .weights import _check_grid, _top_decade_fit, jbracket
 from .zones import ZoneParams, validate_zone
 
 __all__ = [
@@ -193,16 +193,9 @@ class FrequencyExperiment:
     seed: int = 0
 
     def __post_init__(self):
-        xi = np.asarray(self.xi_grid, dtype=float)
-        object.__setattr__(self, "xi_grid", xi)
         if not self.operator.x_independent:
             raise ValueError("frequency-wise evolution needs x-independent coefficients")
-        if xi.ndim != 1 or xi.size < 2 or np.any(np.diff(xi) <= 0.0):
-            raise ValueError("xi grid must be strictly increasing")
-        if xi[-1] / xi[0] < 100.0 * (1.0 - 1e-9):
-            raise ValueError("xi grid must span at least two decades")
-        if np.any(xi < self.zone.M):
-            raise ValueError("xi grid must stay above the frequency floor M")
+        object.__setattr__(self, "xi_grid", _check_grid(self.xi_grid, self.zone.M, 2))
         validate_zone(self.eta, self.zone)
         if not (self.step_factor > 0.0):
             raise ValueError("step factor must be positive")
@@ -618,8 +611,8 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, rk4):
     if ff.size:  # V = M1^-1 U enters with each frequency's first frame interval
         enter = np.diff(ff, prepend=-1) != 0
         fe, ke = ff[enter], fk[enter]
-        M1_inv = [m1_inverse_symbol(RootSet(lam[n], x)) for n, x in zip(node0[enter], xi[fe])]
-        stack[:, :, fe, ke] = _mul(stack[:, :, fe, ke], np.stack(M1_inv, axis=-1))
+        M1_inv = _vandermonde_inverse(lam[node0[enter]] / jb[fe, None])
+        stack[:, :, fe, ke] = _mul(stack[:, :, fe, ke], np.moveaxis(M1_inv, 0, -1))
 
     ends = np.empty((xi.size, exp.n_samples, m), dtype=complex)  # U at the sample times (V on the frame)
     ends[:, 0] = U0
@@ -676,25 +669,14 @@ def evolve_frequency(exp: FrequencyExperiment, xi: float, step_scale: float = 1.
     return evolve_sweep(exp, [idx], step_scale)[0]
 
 
-def _loss_window(xi):
-    """Top two decades of an ascending grid, which must span two and hold 8 points there."""
-    if xi[-1] / xi[0] < 100.0 * (1.0 - 1e-9):
-        raise ValueError("loss fit needs at least two decades of frequencies")
-    mask = _top_window(xi, 2.0)
-    if int(mask.sum()) < 8:
-        raise ValueError("loss fit needs at least 8 frequencies in the top two decades")
-    return mask
-
-
 def estimate_loss(traces) -> LossEstimate:
-    """Growth exponent of amplification over the top two decades of the sweep."""
+    """Growth exponent of amplification over the top two decades of a sweep that spans two, with 8 points there."""
     xi = np.array([tr.xi for tr in traces], dtype=float)
     amps = np.array([tr.amplification for tr in traces], dtype=float)
     order = np.argsort(xi)
-    xi, amps = xi[order], amps[order]
-    mask = _loss_window(xi)
-    slope, stderr = fit_loglog_slope(jbracket(xi[mask]), amps[mask])
-    return LossEstimate(slope, stderr, float(xi[mask][0]), float(xi[-1]))
+    xi = _check_grid(xi[order], 0.0, 2)  # the floor M is the experiment's to check
+    slope, stderr, xi_min = _top_decade_fit(xi, amps[order], 2, 8)
+    return LossEstimate(slope, stderr, xi_min, float(xi[-1]))
 
 
 def sobolev_energy(traces, nu: float, spectrum):

@@ -113,8 +113,35 @@ def fit_loglog_slope(x, y):
 
 
 def _top_window(values, top_decades):
-    hi = values[-1]
-    return values >= hi / 10.0**top_decades * (1.0 - 1e-9)
+    return values >= values[-1] / 10.0**top_decades * (1.0 - 1e-9)
+
+
+def _decades(n):
+    return "decade" if n == 1 else f"{('two', 'three')[n - 2]} decades"
+
+
+def _check_grid(xi_grid, M, span_decades=0):
+    """A sweep's frequency grid as a float array: 1-d, strictly increasing, at or above M, spanning decades."""
+    xi = np.asarray(xi_grid, dtype=float)
+    if xi.ndim != 1 or xi.size == 0 or np.any(np.diff(xi) <= 0.0):
+        raise ValueError("frequency grid must be strictly increasing")
+    if xi[0] < M:
+        raise ValueError("frequency grid starts below the floor M")
+    if xi[-1] / xi[0] < 10.0**span_decades * (1.0 - 1e-9):
+        raise ValueError(f"frequency grid must span at least {_decades(span_decades)}")
+    return xi
+
+
+def _top_decade_fit(xi, y, top_decades, min_points):
+    """Log-log slope and stderr of y against <xi> over an ascending grid's top decades, and the lowest xi fitted.
+
+    Points where y is not finite drop out; fewer than min_points left raise ValueError.
+    """
+    mask = _top_window(xi, top_decades) & np.isfinite(y)
+    if int(mask.sum()) < min_points:
+        raise ValueError(f"need at least {min_points} points in the top {_decades(top_decades)}")
+    slope, stderr = fit_loglog_slope(jbracket(xi[mask]), y[mask])
+    return slope, stderr, float(xi[mask][0])
 
 
 def estimate_order(w: SymbolWeight, xi_grid, t_samples=48) -> float:
@@ -124,13 +151,7 @@ def estimate_order(w: SymbolWeight, xi_grid, t_samples=48) -> float:
     over a log-spaced t-grid from max(t_xi, eta(1/<xi>) + 2/<xi>) up to T.
     The fitted slope is clamped below at zero.
     """
-    xi = np.asarray(xi_grid, dtype=float)
-    if np.any(np.diff(xi) <= 0.0):
-        raise ValueError("frequency grid must be strictly increasing")
-    if xi[0] < w.zone.M:
-        raise ValueError("frequency grid starts below the floor M")
-    if xi[-1] / xi[0] < 1e3 * (1.0 - 1e-9):
-        raise ValueError("frequency grid must span at least three decades")
+    xi = _check_grid(xi_grid, w.zone.M, 3)
     T = w.zone.T
 
     if w.kind == "w1":
@@ -145,11 +166,7 @@ def estimate_order(w: SymbolWeight, xi_grid, t_samples=48) -> float:
         sup = np.full_like(xi, np.nan)
         sup[ok] = np.max(w.value(xi[ok, None], tg), axis=-1)
 
-    mask = _top_window(xi, 2.0) & np.isfinite(sup)
-    if int(mask.sum()) < 8:
-        raise ValueError("fewer than 8 usable points in the top two decades; refine the grid")
-    slope, _ = fit_loglog_slope(jbracket(xi[mask]), sup[mask])
-    return max(slope, 0.0)
+    return max(_top_decade_fit(xi, sup, 2, 8)[0], 0.0)
 
 
 def zygmund_index_bound(m0, eps):

@@ -89,7 +89,7 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
     [
         ("energy", "xi_max = 4096", "xi_max = 100", "two decades"),
         ("loss", "xi_max = 16384", "xi_max = 1000", "two decades"),
-        ("loss", "points_per_decade = 16", "points_per_decade = 2", "8 frequencies"),
+        ("loss", "points_per_decade = 16", "points_per_decade = 2", "need at least 8 points in the top two decades"),
         ("loss", "delta = 0.95", "delta = 1.0", "base/2"),
         ("loss", "gammas = 0, 0.5, 1.0, 1.5", "gammas = 0, -0.5", "nonnegative"),
     ],
@@ -131,6 +131,38 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
     assert err.startswith(f"configuration error: {command}: ") and len(err.splitlines()) == 1
     assert not (out / output).exists()
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, old, new, code",
+    [
+        ("energy", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2),
+        ("loss", "loss_sweep.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2),
+        ("verify", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 3),
+        ("verify", "loglip.cfg", "t_samples = 48", "t_samples = 0", 2),
+        ("classify", "loglip.cfg", "t_samples = 48", "t_samples = -3", 2),
+        ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 1.5", 2),
+    ],
+    ids=["energy_root_gap", "loss_root_gap", "verify_root_gap", "t_samples_zero", "t_samples_negative", "table_alpha"],
+)
+def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code):
+    # roots closer than delta_sep and out-of-range config values end with an
+    # exit code and a message, never with an exception out of main
+    text = Path(cfg_path(name)).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err.startswith("configuration error: ") and len(captured.err.splitlines()) == 1
+        assert not out.exists()
+    else:  # verify reports the failed check and goes on to the others
+        assert captured.err == ""
+        m3 = [ln for ln in captured.out.splitlines() if ln.startswith("m3_integral_bounded ")]
+        assert len(m3) == 1 and m3[0].split()[1] == "FAIL" and "root gap" in m3[0]
+        assert captured.out.splitlines()[-1] == "1 check(s) failed"
 
 
 @pytest.mark.parametrize("name", ["constant.cfg", "loss_sweep.cfg"])

@@ -352,6 +352,13 @@ def test_verify_reg_bounds_growth_needs_three_measured_points():
         assert np.all(np.isnan(c.ratio_by_xi)) == (name in ("iii", "v", "vi"))
 
 
+def test_verify_reg_bounds_rejects_a_descending_grid():
+    zp = ZoneParams(N=2.0, M=2.0, T=0.5)
+    args = (CoefficientSpec("constant"), log_reciprocal(1.0), power_law(1.0, role="rho"), zp)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        verify_reg_bounds(*args, np.geomspace(4, 64, 7)[::-1], np.geomspace(0.01, 0.5, 9))
+
+
 def test_verify_reg_bounds_constant_spec_all_zero_diffs():
     spec = CoefficientSpec("constant")
     eta = log_reciprocal(1.0)

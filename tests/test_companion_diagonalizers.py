@@ -17,6 +17,8 @@ from hyplab.companion import (
 from hyplab.diagonalizers import (
     DiagonalizerIllConditioned,
     _c1,
+    _vandermonde,
+    _vandermonde_inverse,
     c1_entries,
     m1_inverse_symbol,
     m1_symbol,
@@ -344,6 +346,25 @@ def test_property_companion_eigenvalues_and_m1_inverse(m):
         assert np.max(np.abs(roots - ev)) < 1e-9 * jb
         rs = RootSet(roots, xi)
         assert np.max(np.abs(m1_symbol(rs) @ m1_inverse_symbol(rs) - np.eye(m))) < 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_batched_m1_inverse_is_the_per_frequency_formula_bit_for_bit(m):
+    # a (frequency, node) stack of root sets against m1_inverse_symbol set by
+    # set, and against the elementary symmetric functions of np.poly
+    rng = np.random.default_rng(500 + m)
+    xi = rng.uniform(10.0, 1e4, size=4)
+    jb = jbracket(xi)[:, None, None]
+    lam = np.array([[_separated(rng, m) for _ in range(3)] for _ in xi]) * jb
+    inv = _vandermonde_inverse(lam / jb)
+    assert inv.shape == (4, 3, m, m) and inv.dtype == complex
+    for f, n in np.ndindex(4, 3):
+        assert np.array_equal(inv[f, n], m1_inverse_symbol(RootSet(lam[f, n], xi[f])))
+        z = lam[f, n] / jb[f, 0, 0]
+        e = np.array([np.poly(np.delete(z, p)) for p in range(m)])
+        P = np.prod(z[None, :] - z[:, None] + np.eye(m), axis=-1)
+        assert np.array_equal(inv[f, n], (-1.0) ** (m - 1) * e[:, ::-1] / P[:, None])
+    assert np.max(np.abs(_vandermonde(lam / jb) @ inv - np.eye(m))) < 1e-9
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hyplab.coefficients import CoefficientSpec, verify_reg_bounds
+from hyplab.conjugation import ThetaSpec, theta_integral_bound
+from hyplab.energy import EnergyTrace, estimate_loss
 from hyplab.moduli import fd_derivative, log_grid, log_reciprocal, power_law
 from hyplab.weights import (
     SymbolWeight,
@@ -180,6 +183,45 @@ def test_estimate_order_needs_enough_points():
     w = SymbolWeight("w1", log_reciprocal(1.0), zp)
     with pytest.raises(ValueError):
         estimate_order(w, np.geomspace(1e3, 1e6, 9))  # only ~6 points in top two decades
+
+
+def _order_fit(n):
+    w = SymbolWeight("w1", log_reciprocal(1.0), ZoneParams(N=2.0, M=2.0, T=0.5))
+    return estimate_order(w, np.concatenate(([1e3], np.geomspace(1e4, 1e6, n))))
+
+
+def _loss_fit(n):
+    traces = [EnergyTrace.from_history(x, [0.0, 1.0], [1.0, x**0.25]) for x in np.geomspace(1e2, 1e4, n)]
+    return estimate_loss(traces).nu0_hat
+
+
+def _theta_fit(n):
+    ts = ThetaSpec(log_reciprocal(1.0), power_law(1.0, role="rho"), ZoneParams(N=2.0, M=2.0, T=0.5))
+    return theta_integral_bound(ts, np.concatenate(([64.0], np.geomspace(1e2, 1e3, n)))).top_decade_slope
+
+
+def _reg_growths(n):
+    spec = CoefficientSpec("holder_rough", delta=0.5, alpha=0.5)
+    xi = np.concatenate(([64.0], np.geomspace(512.0, 4096.0, n)))
+    zp = ZoneParams(N=2.0, M=4.0, T=0.5)
+    rep = verify_reg_bounds(spec, power_law(0.5), power_law(1.0, role="rho"), zp, xi, np.geomspace(0.02, 0.5, 17))
+    return np.array([c.top_decade_growth for c in rep.clauses.values()])
+
+
+@pytest.mark.parametrize(
+    "fit, min_points, window",
+    [(_order_fit, 8, "two decades"), (_loss_fit, 8, "two decades"), (_theta_fit, 3, "decade"), (_reg_growths, 3, None)],
+    ids=["order", "loss", "theta", "reg_bounds"],
+)
+def test_every_top_decade_fit_gates_at_its_min_points(fit, min_points, window):
+    # n points in the top window, one more below it: min_points - 1 fails
+    # (a ValueError, or NaN growth for the reg bounds), min_points fits
+    if window is None:
+        assert np.all(np.isnan(fit(min_points - 1)))
+    else:
+        with pytest.raises(ValueError, match=f"need at least {min_points} points in the top {window}$"):
+            fit(min_points - 1)
+    assert np.all(np.isfinite(fit(min_points)))
 
 
 def test_zygmund_index_bound():
