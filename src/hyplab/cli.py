@@ -35,7 +35,7 @@ from .energy import EnergyTrace, FrequencyExperiment, StiffnessError, _plan, est
 # not called here; perfbench/test_perfbench.py checks that its tracer wraps this binding
 from .energy import evolve_frequency  # noqa: F401
 from .moduli import admissibility_check, certification_grid, decay_rate, decay_rate_pair
-from .tables import TABLE_BUILDERS
+from .tables import COLUMNS, TABLE_BUILDERS
 from .weights import _top_window, classify
 from .zygmund import GridFunction1D, norm_equivalence_report
 from .coefficients import SpatialProfile
@@ -90,22 +90,16 @@ def _sweep(exp: FrequencyExperiment, jobs: int, pool):
 
 
 def cmd_tables(cfg: ExperimentConfig, args) -> int:
-    out = _outdir(cfg, args.out)
-    header = ["family", "param", "closed_form", "fitted", "rel_err"]
-    for name, builder in TABLE_BUILDERS.items():
-        if name == "summary":
-            rows = builder(eps=cfg.eps)
-        elif name == "weight_orders":
-            rows = builder()
-        else:
-            rows = builder(alpha=cfg.table_alpha)
-        _write_csv(os.path.join(out, f"{name}.csv"), header, rows)
+    kwargs = {"summary": {"eps": cfg.eps}, "weight_orders": {}}  # the decay-rate tables take alpha
+    tables = {name: build(**kwargs.get(name, {"alpha": cfg.table_alpha})) for name, build in TABLE_BUILDERS.items()}
+    out = _outdir(cfg, args.out)  # only once every table is built
+    for name, rows in tables.items():
+        _write_csv(os.path.join(out, f"{name}.csv"), COLUMNS, rows)
         print(f"wrote {name}.csv ({len(rows)} rows)")
     return 0
 
 
 def cmd_classify(cfg: ExperimentConfig, args) -> int:
-    out = _outdir(cfg, args.out)
     try:
         rep = classify(
             cfg.eta,
@@ -118,6 +112,7 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
         )
     except ValueError as exc:  # the config's grid or zone cannot be classified
         raise ConfigError(f"classify: {exc}") from exc
+    out = _outdir(cfg, args.out)  # only once the fit succeeded
     payload = json.dumps(rep.to_json(), sort_keys=True, indent=2)
     with open(os.path.join(out, "classification.json"), "w", encoding="utf-8") as fh:
         fh.write(payload + "\n")
@@ -189,18 +184,10 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
             except (StiffnessError, HyperbolicityViolation, NearMultipleRoot) as exc:
                 raise ConfigError(f"loss: gamma={gamma:g}: {exc}") from exc
             loss = estimate_loss(traces)
-            rows.append(
-                {
-                    "gamma": gamma,
-                    "nu0_hat": loss.nu0_hat,
-                    "stderr": loss.stderr,
-                    "xi_min": loss.xi_min,
-                    "xi_max": loss.xi_max,
-                }
-            )
+            rows.append({"gamma": gamma, **dataclasses.asdict(loss)})
             print(f"gamma={gamma:g}: nu0_hat={loss.nu0_hat:+.4f} (stderr {loss.stderr:.4f})")
     out = _outdir(cfg, args.out)  # only once every sweep succeeded
-    _write_csv(os.path.join(out, "loss.csv"), ["gamma", "nu0_hat", "stderr", "xi_min", "xi_max"], rows)
+    _write_csv(os.path.join(out, "loss.csv"), list(rows[0]), rows)  # gamma, then the fields of LossEstimate
     return 0
 
 
@@ -240,13 +227,10 @@ def _verify_checks(cfg: ExperimentConfig):
     for suffix, spec in coeffs:
         rep = verify_reg_bounds(spec, cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, ts, t_samples=cfg.t_samples)
         for name, clause in rep.clauses.items():
-            growth = clause.top_decade_growth  # NaN: too few measured ratios in the top decade
+            growth = clause.top_decade_growth  # NaN, which fails, when the fit had too few points
             ok = not np.isinf(clause.max_ratio) and growth <= cfg.growth_tol
             at = f"at (t={clause.argmax_t:.4g}, xi={clause.argmax_xi:.4g})"
-            if np.isnan(growth):
-                fit = f"{at}: need at least 3 points in the top decade"
-            else:
-                fit = f"growth=x{growth:.3g} {at}"
+            fit = f"{at}: {clause.growth_error}" if clause.growth_error else f"growth=x{growth:.3g} {at}"
             yield (f"reg_bound_{name}{suffix}", bool(ok), f"C={clause.max_ratio:.4g} {fit}")
         d1 = np.abs(spec.time_derivative(ts_osc, 1))
         d2 = np.abs(spec.time_derivative(ts_osc, 2))
@@ -283,7 +267,7 @@ def _verify_checks(cfg: ExperimentConfig):
             profile = c.spatial
             break
     if profile is None:
-        profile = SpatialProfile(s=1.2, amplitude=0.25)
+        profile = SpatialProfile()
     u = GridFunction1D.from_callable(profile.value, n=1024)
     eq = norm_equivalence_report(u, profile.s)
     ok = bool(1.0 / 16.0 <= eq["ratio"] <= 16.0)

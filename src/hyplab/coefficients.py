@@ -76,8 +76,8 @@ class SpatialProfile:
             raise ValueError("only the lacunary spatial family is cataloged")
         if not (0.0 <= self.amplitude < 0.5):
             raise ValueError("spatial amplitude must lie in [0, 1/2)")
-        if self.s <= 0.0:
-            raise ValueError("spatial regularity index must be positive")
+        if not (0.0 < self.s < 2.0):  # the range of the direct Zygmund estimator verify compares against
+            raise ValueError("spatial regularity index must lie in (0, 2)")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -127,7 +127,7 @@ class CoefficientSpec:
         if self.profile == "constant":
             return np.broadcast_to(np.float64(self.base), t.shape).copy()
         if self.profile == "log_power_oscillation":
-            if np.any(t >= 1.0) and self.gamma_osc > 0.0:
+            if np.any(t >= self.t_end):
                 raise ValueError("log_power_oscillation with gamma > 0 needs t < 1")
             logs = np.log(1.0 / t)
             # the phase sign(L) |L|^(1+gamma): L itself at gamma = 0, and L > 0 where gamma > 0
@@ -166,6 +166,11 @@ class CoefficientSpec:
                 acc += c * (-(w**2)) * np.cos(w * t)
         return self.delta * acc / np.sum(amps)
 
+    @property
+    def t_end(self):
+        """End of the time domain: 1 where the phase (log 1/t)^(1+gamma) needs t < 1 (gamma > 0), else inf."""
+        return 1.0 if self.profile == "log_power_oscillation" and self.gamma_osc > 0.0 else np.inf
+
     # -- full value ------------------------------------------------------
 
     def _spatial_factor(self, x):
@@ -197,11 +202,7 @@ class CoefficientSpec:
         kink whose mollification pollutes second-derivative measurements at
         the horizon by a factor 1/eps.
         """
-        t = np.asarray(t, dtype=float)
-        hi = np.inf
-        if self.profile == "log_power_oscillation" and self.gamma_osc > 0.0:
-            hi = 1.0 - 1e-9
-        return self._time_value(np.clip(t, _T_FLOOR, hi))
+        return self._time_value(np.clip(np.asarray(t, dtype=float), _T_FLOOR, self.t_end - 1e-9))
 
     def rate_bound(self, t, order=1):
         """Envelope of |a'| (order 1) or |a''| (order 2) at times t > 0, for the integrator's step sizes.
@@ -383,6 +384,7 @@ class ClauseCheck:
     argmax_xi: float
     ratio_by_xi: np.ndarray
     top_decade_growth: float
+    growth_error: str  # why top_decade_growth is NaN (the fit's gate); empty when it was measured
 
 
 @dataclass
@@ -403,18 +405,18 @@ class RegBoundsReport:
 
 
 def _growth_over_top_decade(xi_grid, ratios):
-    """Fitted growth factor of the ratios per frequency decade, over the top decade.
+    """Fitted growth factor of the ratios per frequency decade, over the top decade, and "" or why it is NaN.
 
-    NaN (unmeasured) with fewer than 3 finite ratios there; 1, the fit of 1 at each of
-    them, when fewer than 3 of those are positive (a bound met with zero is bounded).
+    NaN (unmeasured), with the fit's message, with fewer than 3 finite ratios there; 1, the fit of 1 at
+    each of them, when fewer than 3 of those are positive (a bound met with zero is bounded).
     """
     r = np.asarray(ratios, dtype=float)
     for y in (np.where(r > 0.0, r, np.nan), np.where(np.isfinite(r), 1.0, np.nan)):
         try:
-            return float(10.0 ** _top_decade_fit(xi_grid, y, 1, 3)[0])
-        except ValueError:  # too few points for this fit
-            pass
-    return float("nan")
+            return float(10.0 ** _top_decade_fit(xi_grid, y, 1, 3)[0]), ""
+        except ValueError as exc:  # too few points for this fit
+            reason = str(exc)
+    return float("nan"), reason
 
 
 def verify_reg_bounds(
@@ -443,7 +445,7 @@ def verify_reg_bounds(
     fitted growth of the ratio across the top frequency decade (growth near
     or below one means the bound is stable; the caller decides the pass
     threshold).  The growth is NaN when fewer than 3 frequencies of the top
-    decade were measured.  All frequencies are measured at once: one
+    decade were measured, and the clause's ``growth_error`` says so.  All frequencies are measured at once: one
     mollification of the (frequency, t_grid) windows and one of the
     (frequency, zone grid) windows.
 
@@ -512,12 +514,14 @@ def verify_reg_bounds(
         t_by_xi[rows] = np.take_along_axis(ts, i_best, 1)[:, 0]
         k = int(np.argmax(np.where(np.isnan(ratio_by_xi), -np.inf, ratio_by_xi)))
         peak = (np.nan,) * 3 if np.isnan(ratio_by_xi[k]) else (ratio_by_xi[k], t_by_xi[k], xi[k])
+        growth, growth_error = _growth_over_top_decade(xi, ratio_by_xi)
         clauses[n] = ClauseCheck(
             name=n,
             max_ratio=float(peak[0]),
             argmax_t=float(peak[1]),
             argmax_xi=float(peak[2]),
             ratio_by_xi=ratio_by_xi,
-            top_decade_growth=_growth_over_top_decade(xi, ratio_by_xi),
+            top_decade_growth=growth,
+            growth_error=growth_error,
         )
     return RegBoundsReport(spec, eta, rho, clauses)

@@ -8,7 +8,8 @@ Sections and keys:
     [zone]         N, M (number or "auto"), T
     [operator]     m, delta_sep
     [coefficient.K]  profile, base, delta, gamma_osc, alpha, and optional
-                   spatial.family, spatial.s, spatial.amplitude; the K in
+                   spatial.family, spatial.s, spatial.amplitude (any of
+                   them adds the spatial factor); the K in
                    the section name is the coefficient subscript (a_K
                    multiplies xi^K)
     [grids]        xi_min, xi_max, points_per_decade, t_samples, t_min
@@ -147,13 +148,15 @@ def _coefficient(parser, section):
         gamma_osc=_get(parser, section, "gamma_osc", _finite, default=0.0),
         alpha=_get(parser, section, "alpha", _finite, default=0.5),
     )
+    # any spatial.* key makes the coefficient x-dependent; SpatialProfile owns the defaults of the others
+    spatial = {
+        key: _get(parser, section, f"spatial.{key}", cast)
+        for key, cast in (("family", str), ("s", _finite), ("amplitude", _finite))
+        if parser.has_option(section, f"spatial.{key}")
+    }
     try:
-        if parser.has_option(section, "spatial.family"):
-            kwargs["spatial"] = SpatialProfile(
-                family=_get(parser, section, "spatial.family", str),
-                s=_get(parser, section, "spatial.s", _finite, default=1.2),
-                amplitude=_get(parser, section, "spatial.amplitude", _finite, default=0.25),
-            )
+        if spatial:
+            kwargs["spatial"] = SpatialProfile(**spatial)
         return CoefficientSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"[{section}]: {exc}") from exc
@@ -206,7 +209,9 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"[{section}]: subscript must be an integer") from exc
         if not (1 <= k <= m):
             raise ConfigError(f"[{section}]: subscript must lie in 1..{m}")
-        coeffs[m - k] = _coefficient(parser, section)
+        coeffs[m - k] = spec = _coefficient(parser, section)
+        if zone.T >= spec.t_end:
+            raise ConfigError(f"[zone] T={zone.T} must lie below {spec.t_end:g}, the end of [{section}]'s time domain")
     if all(c is None for c in coeffs):
         raise ConfigError("no [coefficient.K] sections given")
     try:

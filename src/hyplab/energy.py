@@ -172,6 +172,8 @@ class EnergyTrace:
 
 @dataclass(frozen=True)
 class LossEstimate:
+    """Fitted loss exponent of a sweep; its fields, in order, are the loss.csv columns after gamma."""
+
     nu0_hat: float
     stderr: float
     xi_min: float
@@ -197,6 +199,9 @@ class FrequencyExperiment:
             raise ValueError("frequency-wise evolution needs x-independent coefficients")
         object.__setattr__(self, "xi_grid", _check_grid(self.xi_grid, self.zone.M, 2))
         validate_zone(self.eta, self.zone)
+        t_end = min((c.t_end for c in self.operator.coeffs if c is not None), default=np.inf)
+        if self.zone.T >= t_end:
+            raise ValueError(f"horizon T={self.zone.T:g} must lie below {t_end:g}, where a coefficient's domain ends")
         if not (self.step_factor > 0.0):
             raise ValueError("step factor must be positive")
         if self.n_samples < 256:

@@ -1,6 +1,6 @@
 """Reproduction of the reference tables: decay rates, weights and indices.
 
-Each builder returns rows of (family, param, closed_form, fitted, rel_err):
+Each builder returns rows keyed by ``COLUMNS``, in that order:
 ``closed_form`` is the catalog formula evaluated at a reference point,
 ``fitted`` the numeric counterpart (finite differences on the inverse, or a
 fitted growth order), ``rel_err`` the worst relative gap over the working
@@ -32,10 +32,17 @@ __all__ = [
     "weight_order_rows",
     "summary_rows",
     "TABLE_BUILDERS",
+    "COLUMNS",
 ]
+
+COLUMNS = ("family", "param", "closed_form", "fitted", "rel_err")
 
 T_REF = 0.1
 FD_STEP = 2e-4  # relative step of the finite differences on the bisection inverse
+
+
+def _row(*values):
+    return dict(zip(COLUMNS, values))
 
 
 def numeric_decay_rate(eta: AuxiliaryFunction, t):
@@ -53,13 +60,8 @@ def _rate_row(family, param, closed_fn, numeric_fn, t_hi):
     closed = closed_fn(ts)
     numeric = numeric_fn(ts)
     i_ref = int(np.argmin(np.abs(ts - T_REF)))
-    return {
-        "family": family,
-        "param": param,
-        "closed_form": float(closed[i_ref]),
-        "fitted": float(numeric[i_ref]),
-        "rel_err": float(np.max(np.abs(numeric / closed - 1.0))),
-    }
+    rel_err = float(np.max(np.abs(numeric / closed - 1.0)))
+    return _row(family, param, float(closed[i_ref]), float(numeric[i_ref]), rel_err)
 
 
 def local_condition_rows(alpha=0.5):
@@ -72,15 +74,7 @@ def local_condition_rows(alpha=0.5):
         ("log_lipschitz", 1.0, eta_ll, lambda t: np.exp(1.0 / t) / t**2),
         ("holder", alpha, eta_h, lambda t: (1.0 / (1.0 - alpha)) * t ** (-(2.0 - alpha) / (1.0 - alpha))),
     ]
-    rows = [
-        {
-            "family": "lipschitz",
-            "param": 1.0,
-            "closed_form": "excluded",
-            "fitted": "excluded",
-            "rel_err": "",
-        }
-    ]
+    rows = [_row("lipschitz", 1.0, "excluded", "excluded", "")]
     for family, param, eta, closed_fn in combos:
         numeric_fn = functools.partial(numeric_decay_rate, eta)
         rows.append(_rate_row(family, param, closed_fn, numeric_fn, min(1.0, eta.range_max)))
@@ -126,15 +120,7 @@ def weight_order_rows(alpha_values=(0.2, 0.5)):
         zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
         w = SymbolWeight(kind, eta, zp, rho=rho)
         fitted = estimate_order(w, _XI_GRID)
-        rows.append(
-            {
-                "family": f"{kind}|{label}",
-                "param": eta.param,
-                "closed_form": target,
-                "fitted": fitted,
-                "rel_err": abs(fitted - target),
-            }
-        )
+        rows.append(_row(f"{kind}|{label}", eta.param, target, fitted, abs(fitted - target)))
 
     eta_ll = log_reciprocal(1.0)
     add("w1", "log_lipschitz", eta_ll, None, 0.0)
@@ -150,45 +136,16 @@ def weight_order_rows(alpha_values=(0.2, 0.5)):
 
 
 def summary_rows(eps=0.01, alpha_values=(0.2, 1.0 / 3.0, 0.5)):
-    """Admissible index s per modulus; the m0 = 1 row is pinned by hand."""
+    """Admissible index s per modulus against its target, with the gap relative to it; m0 = 1 is pinned by hand."""
     rho_id = power_law(1.0, role="rho")
-    rows = []
-
     rep = classify(log_reciprocal(1.0), rho_id, ZoneParams(2.0, 2.0, 0.5), _XI_GRID, eps)
-    rows.append(
-        {
-            "family": "log_lipschitz",
-            "param": 1.0,
-            "closed_form": 1.0 + eps,
-            "fitted": rep.s_min,
-            "rel_err": abs(rep.s_min - (1.0 + eps)) / (1.0 + eps),
-        }
-    )
+    cases = [("log_lipschitz", 1.0, 1.0 + eps, rep.s_min)]  # (family, param, target, fitted s)
     for alpha in alpha_values:
         eta = power_law(1.0 - alpha)
-        zp = ZoneParams(2.0, zone_floor(eta), 0.5)
-        rep = classify(eta, rho_id, zp, _XI_GRID, eps)
-        target = max(1.0 + eps, 2.0 * (1.0 - alpha) / (1.0 + alpha))
-        rows.append(
-            {
-                "family": "holder",
-                "param": alpha,
-                "closed_form": target,
-                "fitted": rep.s_min,
-                "rel_err": abs(rep.s_min - target) / target,
-            }
-        )
-    forced = zygmund_index_bound(1.0, eps)
-    rows.append(
-        {
-            "family": "forced_m0",
-            "param": 1.0,
-            "closed_form": 2.0,
-            "fitted": forced,
-            "rel_err": abs(forced - 2.0) / 2.0,
-        }
-    )
-    return rows
+        rep = classify(eta, rho_id, ZoneParams(2.0, zone_floor(eta), 0.5), _XI_GRID, eps)
+        cases.append(("holder", alpha, max(1.0 + eps, 2.0 * (1.0 - alpha) / (1.0 + alpha)), rep.s_min))
+    cases.append(("forced_m0", 1.0, 2.0, zygmund_index_bound(1.0, eps)))
+    return [_row(family, param, target, s, abs(s - target) / target) for family, param, target, s in cases]
 
 
 TABLE_BUILDERS = {

@@ -15,7 +15,7 @@ the resulting m0 feeds the Zygmund-index bound max(1+eps, 2*m0/(2-m0)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -190,14 +190,8 @@ class ClassificationReport:
     eps: float
 
     def to_json(self) -> dict:
-        return {
-            "m0_w1": self.m0_w1,
-            "m0_w2": self.m0_w2,
-            "m0_w3": self.m0_w3,
-            "m0": self.m0,
-            "s_min": self.s_min,
-            "eps": self.eps,
-        }
+        """The fields by name: the keys of classification.json."""
+        return asdict(self)
 
 
 def classify(

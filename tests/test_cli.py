@@ -14,6 +14,13 @@ from hyplab.config import ConfigError, load_config
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 # the benchmark's reference outputs of the lab_smooth workload (read only)
 LAB_SMOOTH_REF = Path(CONFIGS, "..", "perfbench", "reference", "lab_smooth")
+# loglip.cfg from its horizon to its oscillation exponent, and the same span
+# with T = 1.2 and gamma_osc = 0.5: the phase (log 1/t)^1.5 ends at t = 1
+T_TO_GAMMA = (
+    "T = 0.5\n\n[operator]\nm = 2\n\n"
+    "[coefficient.2]\nprofile = log_power_oscillation\nbase = 2.0\ndelta = 0.5\ngamma_osc = 0.0"
+)
+T_PAST_GAMMA_END = T_TO_GAMMA.replace("T = 0.5", "T = 1.2").replace("gamma_osc = 0.0", "gamma_osc = 0.5")
 
 
 def cfg_path(name):
@@ -69,8 +76,14 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.family = lacunary\nspatial.amplitude = 0.9", "amplitude"),
         ("t_min = 0.01", "t_min = 0.01\nt_min = 0.02", "already exists"),
         ("[moduli]", "", "no section headers"),
+        ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.amplitude = 0.9", "amplitude"),
+        ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.s = 2", r"spatial regularity index must lie in \(0, 2\)"),
+        (T_TO_GAMMA, T_PAST_GAMMA_END, r"\[zone\] T=1.2 must lie below 1, the end of \[coefficient.2\]'s time domain"),
     ],
-    ids=["inf", "nan", "unknown_section", "unknown_key", "spatial_amplitude", "repeated_key", "no_section_header"],
+    ids=[
+        "inf", "nan", "unknown_section", "unknown_key", "spatial_amplitude", "repeated_key", "no_section_header",
+        "spatial_amplitude_without_family", "spatial_s_without_family", "horizon_past_log_power_end",
+    ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
     text = Path(cfg_path("loglip.cfg")).read_text(encoding="utf-8")
@@ -92,8 +105,13 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
         ("loss", "points_per_decade = 16", "points_per_decade = 2", "need at least 8 points in the top two decades"),
         ("loss", "delta = 0.95", "delta = 1.0", "base/2"),
         ("loss", "gammas = 0, 0.5, 1.0, 1.5", "gammas = 0, -0.5", "nonnegative"),
+        # the configured gamma is 0, but the sweep's gamma = 0.5 ends the coefficient at t = 1
+        ("loss", "T = 0.5", "T = 1.2", "horizon T=1.2 must lie below 1"),
     ],
-    ids=["energy_short_grid", "loss_short_grid", "loss_sparse_fit", "loss_delta", "loss_negative_gamma"],
+    ids=[
+        "energy_short_grid", "loss_short_grid", "loss_sparse_fit", "loss_delta", "loss_negative_gamma",
+        "loss_horizon_past_log_power_end",
+    ],
 )
 def test_cli_sweep_rejects_settings_before_integrating(tmp_path, capsys, monkeypatch, command, old, new, message):
     def integrate(*args, **kwargs):
@@ -142,8 +160,14 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
         ("verify", "loglip.cfg", "t_samples = 48", "t_samples = 0", 2),
         ("classify", "loglip.cfg", "t_samples = 48", "t_samples = -3", 2),
         ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 1.5", 2),
+        ("classify", "loglip.cfg", "xi_max = 4096", "xi_max = 100", 2),
+        ("energy", "loglip.cfg", T_TO_GAMMA, T_PAST_GAMMA_END, 2),
+        ("verify", "loglip.cfg", T_TO_GAMMA, T_PAST_GAMMA_END, 2),
     ],
-    ids=["energy_root_gap", "loss_root_gap", "verify_root_gap", "t_samples_zero", "t_samples_negative", "table_alpha"],
+    ids=[
+        "energy_root_gap", "loss_root_gap", "verify_root_gap", "t_samples_zero", "t_samples_negative", "table_alpha",
+        "classify_short_grid", "energy_horizon_past_log_power_end", "verify_horizon_past_log_power_end",
+    ],
 )
 def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code):
     # roots closer than delta_sep and out-of-range config values end with an
@@ -396,6 +420,18 @@ def test_cli_loss_starts_one_pool_per_command(tmp_path, monkeypatch):
     assert pools == []
     assert main(argv + ["--out", str(tmp_path / "2"), "--jobs", "2"]) == 0
     assert pools == [2]
+
+
+def test_cli_loss_writes_the_benchmark_reference_columns(tmp_path):
+    # loss.csv holds gamma and then the fields of LossEstimate, in order: a
+    # field added there shows up here as a header the reference lacks
+    argv = ["loss", "--config", os.path.join(CONFIGS, "..", "perfbench", "configs", "loss_sweep.cfg")]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    got = list(csv.reader((tmp_path / "loss.csv").read_text().splitlines()))
+    want = list(csv.reader((LAB_SMOOTH_REF.parent / "loss_sweep.csv").read_text().splitlines()))
+    assert got[0] == want[0] and len(got) == len(want)
+    cols = [want[0].index(name) for name in ("gamma", "xi_min", "xi_max")]
+    assert all(_scaled_match(g[i], w[i]) for g, w in zip(got[1:], want[1:]) for i in cols), (got, want)
 
 
 def test_cli_sweep_jobs_failure_names_the_first_failing_frequency(tmp_path, capsys):

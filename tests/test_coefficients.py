@@ -14,7 +14,7 @@ from hyplab.coefficients import (
     verify_reg_bounds,
 )
 from hyplab.moduli import fd_derivative, log_reciprocal, power_law
-from hyplab.weights import fit_loglog_slope, jbracket
+from hyplab.weights import _top_decade_fit, fit_loglog_slope, jbracket
 from hyplab.zones import ZoneParams
 
 
@@ -338,11 +338,16 @@ def test_verify_reg_bounds_growth_needs_three_measured_points():
     rho = power_law(1.0, role="rho")
     zp = ZoneParams(N=2.0, M=4.0, T=0.5)
     ts = np.geomspace(0.02, 0.5, 17)
-    rep = verify_reg_bounds(spec, eta, rho, zp, np.array([64.0, 512.0, 4096.0]), ts)
+    sparse = np.array([64.0, 512.0, 4096.0])  # two points in the top decade
+    rep = verify_reg_bounds(spec, eta, rho, zp, sparse, ts)
     assert all(np.isnan(c.top_decade_growth) for c in rep.clauses.values())
     assert np.isfinite(rep.clauses["ii"].max_ratio)
+    # the clauses carry the fit's own reason
+    with pytest.raises(ValueError) as gate:
+        _top_decade_fit(sparse, np.ones(3), 1, 3)
+    assert all(c.growth_error == str(gate.value) for c in rep.clauses.values())
     rep = verify_reg_bounds(spec, eta, rho, zp, np.geomspace(64.0, 4096.0, 9), ts)
-    assert all(np.isfinite(c.top_decade_growth) for c in rep.clauses.values())
+    assert all(np.isfinite(c.top_decade_growth) and c.growth_error == "" for c in rep.clauses.values())
     # below xi = 100 the zone boundary 2 eta(1/xi) reaches T = 0.2: the
     # hyperbolic-zone clauses measure nothing, and say so
     rep = verify_reg_bounds(spec, eta, rho, ZoneParams(N=2.0, M=4.0, T=0.2), np.geomspace(16.0, 64.0, 9), ts[ts <= 0.2])

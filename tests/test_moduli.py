@@ -161,6 +161,12 @@ def test_table_builders_bisect_once_per_stencil(monkeypatch):
     assert all(shape == (4, 25) for shape in calls)
 
 
+def test_table_rows_follow_the_columns():
+    for name, builder in tables.TABLE_BUILDERS.items():
+        rows = builder()
+        assert rows and all(tuple(row) == tables.COLUMNS for row in rows), name
+
+
 def test_inverse_range_error():
     f = power_law(0.5)
     with pytest.raises(ValueError):
