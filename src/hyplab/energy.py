@@ -5,9 +5,9 @@ For x-independent coefficients the system decouples over frequencies:
     U'(t) = i A(t, xi) U(t),   U(0) = e_1,
 
 with A the companion symbol built from the raw (unmollified) coefficients.
-One composite path serves every order m: classical four-stage Runge-Kutta
-(RK4) near the origin, then the diagonalized, phase-removed frame.  Sample
-interval k, of length D_k and start s_k, has the RK4 step bound and the
+One composite path serves every order m: a fourth-order commutator-free
+Magnus step near the origin, then the diagonalized, phase-removed frame.
+Sample interval k, of length D_k and start s_k, has the step bound and the
 frame node bound
 
     h_k   = c_h / (<xi> sup|a| + r(t_k) / sup|a| + 1),   t_k = max(s_k, 1/<xi>),
@@ -17,63 +17,66 @@ where c_h = step_factor * step_scale, and r and r2 are the largest
 coefficient envelopes ``CoefficientSpec.rate_bound`` of |a'| and |a''| (the
 raw rate diverges like 1/t at the origin, while the frequency-smoothed
 coefficient oscillates no faster than <xi>).  r does not increase with t, so
-no RK4 step exceeds its bound at its own start.  kappa bounds the frame's
+h_k bounds the step at every time of interval k.  kappa bounds the frame's
 coupling K below: the sum over the coefficients a_{m-j} of their envelopes
 times the largest entry of K per unit rate of a_{m-j}, from the roots at s_k
 (for m = 2, 4 kappa = r/a).  tau_k is h_k without its <xi> sup|a| term: it
 resolves the coupling, the rate r2/r at which the coupling changes (read as
 0 where r = 0) and t, but not the phase rotation at rate ~<xi>.  Interval k
 and every later one take the frame once tau_k > R h_k, R = ``FRAME_RATIO``,
-with n_k = ceil(D_k / tau_k) equal frame steps, one per node; the others
-take ceil(D_k / h_k) equal RK4 steps.  The ratio tau_k / h_k does not depend
-on step_scale and vanishes as t -> 0, so the intervals near the origin, and
-every interval at low <xi> or of a coefficient rougher than RK4's step, stay
-on RK4.  ``EnergyTrace.steps`` counts the RK4 steps and ``nodes`` the frame
-steps; every count is fixed before integrating.  R = 80 weighs a node,
-about 14 RK4 steps of work, against accuracy: nearer the origin the coupling
-is strong against a node's length, and the frame's second-order error
-exceeds that of RK4.  An RK4 step longer than 2 sqrt(2) / |A|_inf, RK4's
-stability bound on the imaginary axis, raises ``StiffnessError`` before
-integrating.
+with n_k = ceil(D_k / tau_k) equal frame steps, one per node.  The others
+take ceil(D_k / g_k) equal Magnus steps, g_0 = h_0 and, with Theta =
+``MAGNUS_STRETCH``, g_k = clip(c_h / (r2/r + 1/s_k), h_k, Theta h_k): the
+Magnus step integrates a frozen symbol exactly, so it need resolve only the
+coefficient's variation, not the phase rotation.  The ratio tau_k / h_k does
+not depend on step_scale and vanishes as t -> 0, so the intervals near the
+origin, and every interval at low <xi> or of a rough coefficient, stay on
+the Magnus step.  ``EnergyTrace.steps`` counts the Magnus steps and
+``nodes`` the frame steps; every count is fixed before integrating.  R = 80
+weighs a node, about 14 steps of length h_k, against accuracy: nearer the
+origin the coupling is strong against a node's length.  A step that turns
+g_k |A|_inf > ``PHASE_LIMIT`` raises ``StiffnessError`` before integrating.
 
-RK4 and the sweep.  ``evolve_sweep`` integrates every frequency of a sweep
-in one pass, and ``evolve_frequency`` is its call on one grid index.  The
-step plan above (``_plan``) is one array expression over (frequency,
-interval), and the roots at the probes and interval starts of every
-frequency take one ``companion._roots`` call, a frequency per row.  The plan
-makes every check that needs no propagator: the step floor, strict
-hyperbolicity, RK4 stability, and ``WORK_BUDGET``, a bound on the pass's RK4
-steps plus frame nodes.  Every interval then reduces to one propagator
-(``_integrate``): it splits into rows of at most ``BATCH`` consecutive steps,
-and the rows of all frequencies, longest first, pack into batches of at most
-``BATCH`` steps, each row padded to the batch's longest with steps whose
-propagator is exactly I (h = 0).  The steps of a row are equal, so each
-starts where the one before it ends: per RK4 batch, one
+The Magnus step and the sweep.  ``evolve_sweep`` integrates every frequency
+of a sweep in one pass, and ``evolve_frequency`` is its call on one grid
+index.  The step plan above (``_plan``) is one array expression over
+(frequency, interval), and the roots at the probes and interval starts of
+every frequency take one ``companion._roots`` call, a frequency per row.
+The plan makes every check that needs no propagator: the step floor, strict
+hyperbolicity, the phase limit, and ``WORK_BUDGET``, a bound on the pass's
+Magnus steps plus frame nodes.  Every interval then reduces to one
+propagator (``_integrate``): it splits into rows of at most ``BATCH``
+consecutive steps, and the rows of all frequencies, longest first, pack into
+batches of at most ``BATCH`` steps, each row padded to the batch's longest
+with steps whose propagator is exactly I (h = 0).  The steps of a row are
+equal, so each starts where the one before it ends: per Magnus batch, one
 ``extended_time_value`` call per coefficient evaluates each row's half-step
-grid s_k + (h_k / 2)(2 i_0 + j), j = 0..2n, from its first step i_0, which
-is 2n + 1 stage times for n steps.  With B = iA, the RK4 step propagator
-I + h/6 (B0 + 2 K2 + 2 K3 + K4), K2 = Bm (I + h/2 B0), K3 = Bm (I + h/2 K2),
-K4 = B1 (I + h K3), is R + iS with
+grid s_k + (g_k / 2)(2 i_0 + j), j = 0..2n, from its first step i_0, which
+is 2n + 1 times for n steps.  Each step is the fourth-order commutator-free
+Magnus step (Blanes & Moan, Appl. Numer. Math. 56, 2006) on Simpson
+moments: with a0, am and a1 the last rows of A at its start, midpoint and
+end, and C(a) the companion symbol with last row a, it is
 
-    R = I - h^2/6 (Am A0 + Am^2 + A1 Am) + h^4/24 A1 Am^2 A0,
-    S = h/6 (A0 + 4 Am + A1) - h^3/12 (Am^2 A0 + A1 Am^2),
+    exp(i h/2 C(a_L)) exp(i h/2 C(a_R)),   a_R = (3 a0 + 4 am - a1) / 6,   a_L = (-a0 + 4 am + 3 a1) / 6.
 
-formed in real arithmetic from six products, each with a companion matrix
-on its left: m - 1 rows of the right factor shifted and scaled by <xi>,
-plus one last-row sum over the coefficients present.  The propagators of a
-batch are (m, m, row, step) arrays, so that every operation broadcasts over
-the short m axes; they and the real products live in work arrays allocated
-once per pass.  A pairwise tree, later steps on the left, reduces
-each row, and another each interval's rows; only the grouping of the
-products differs from applying the steps one by one.  The grouping depends
-on step positions alone (a level of odd length carries its last factor up),
-and I multiplies exactly, so a frequency's trace does not depend on the
-frequencies that share its batches.  M1^-1 is folded into each frequency's
-first frame interval, one doubling prefix scan over the rectangular
-(m, m, frequency, interval) stack gives the states at the sample times, and
-one batched norm gives the traces.  A failed pass is repeated one frequency
-at a time, so that an error names the first frequency that fails: the plans
-alone first, then, if they all pass, the integrations.
+(Gauss nodes sample the unresolved origin layer at other points; tried,
+they moved the traces away from a refined reference.)  For m = 2 a factor is
+e^{i tau mu} (cos(tau w) I + i sin(tau w) / w (C - mu I)), mu = c1 / 2 and
+w^2 = mu^2 + <xi> c0 (cosh and sinh where w^2 < 0), and the product is
+formed in real arithmetic in work arrays allocated once per pass; for m > 2
+each factor is ``_expm``.  The propagators of a batch are (m, m, row, step)
+arrays, so that every operation broadcasts over the short m axes.  A
+pairwise tree, later steps on the left, reduces each row, and another each
+interval's rows; only the grouping of the products differs from applying
+the steps one by one.  The grouping depends on step positions alone (a
+level of odd length carries its last factor up), and I multiplies exactly,
+so a frequency's trace does not depend on the frequencies that share its
+batches.  M1^-1 is folded into each frequency's first frame interval, one
+doubling prefix scan over the rectangular (m, m, frequency, interval) stack
+gives the states at the sample times, and one batched norm gives the
+traces.  A failed pass is repeated one frequency at a time, so that an
+error names the first frequency that fails: the plans alone first, then, if
+they all pass, the integrations.
 
 The frame.  The roots lam_p of the raw symbol at the nodes (one
 ``companion._roots`` call for the nodes of every frequency; the one at the
@@ -94,7 +97,7 @@ each pair's phase s_pq = Phi_q - Phi_p (on the diagonal, the trapezoid in
 t).  Omega2 is the second Magnus term with K frozen at the step's mean and
 the phases linear in t, whose moments are divided differences of exp
 (``_commutator_moments``).  The node propagators of the whole sweep are
-formed ``BATCH`` // 2 steps at a time and reduced like the RK4 ones, V
+formed ``BATCH`` // 2 steps at a time and reduced like the Magnus ones, V
 enters as M1^-1 U at a frequency's first frame node, and the norm at a frame
 sample time is |M1 V|.
 
@@ -135,14 +138,16 @@ MIN_STEP = 1e-12
 BATCH = 2048
 # R: an interval takes the frame once its node bound exceeds R step bounds (module docstring)
 FRAME_RATIO = 80.0
-# RK4 stays stable on the imaginary axis up to |h lam| = 2 sqrt(2)
-RK4_LIMIT = 2.0 * math.sqrt(2.0)
-# RK4 steps plus frame nodes one pass may plan: 16x the 25M of energy on configs/holder05.cfg
+# Theta: past interval 0 a Magnus step is at most Theta step bounds h_k (module docstring)
+MAGNUS_STRETCH = 10.0
+# the most phase g_k |A|_inf a Magnus step may turn; shipped configs plan 1.0, tests 1.85
+PHASE_LIMIT = 4.0
+# Magnus steps plus frame nodes one pass may plan: about 20x the 19.5M of energy on configs/holder05.cfg
 WORK_BUDGET = 400_000_000
 
 
 class StiffnessError(Exception):
-    """The step rule asks for steps RK4 cannot take: below the floor, unstable, or beyond the work budget."""
+    """The step rule asks for steps the integrator cannot take: below the floor, past the phase limit or the budget."""
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,8 @@ class EnergyTrace:
     """Euclidean norm history of one frequency component.
 
     ``amplification`` is the sup over recorded times of |U(t)| / |U(0)|
-    (zero for a zero initial vector).  ``steps`` is the number of RK4 steps
-    and ``nodes`` the number of frame steps taken (both zero for a
+    (zero for a zero initial vector).  ``steps`` is the number of Magnus
+    steps and ``nodes`` the number of frame steps taken (both zero for a
     closed-form trace); they stay out of the CSV outputs.
     """
 
@@ -334,7 +339,7 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
     ``lam`` and ``lam_dot`` hold the roots and their rates at the nodes pts,
     of frequencies xi (module docstring).  The shape is (m, m, n + 1) for n
     steps; the last propagator is I, for padded steps.  Formed BATCH // 2
-    steps at a time: a frame step's temporaries are about twice an RK4 step's.
+    steps at a time, which bounds the temporaries.
     """
     m = lam.shape[-1]
     n = start.size
@@ -387,79 +392,65 @@ class _Work:
         return self.flat[name][: math.prod(shape)].reshape(shape)
 
 
-def _companion_stack(jb, last, out):
-    """The dense (m, m, ...) companion stack with <xi> = jb on its superdiagonal and last row ``last``.
+def _magnus_propagators(coeffs, scale, jb, t, h, work):
+    """CF4 Magnus step propagators from t[:, 2i] to t[:, 2i + 2], of lengths h[:, i], shape (m, m) + h.shape.
 
-    ``last`` lists (j, A[m - 1, j]) for the coefficients present; every
-    other entry is zero.  ``companion._companion`` builds the same matrices
-    with the m axes last; this fills a work array with the m axes first.
-    """
-    m = out.shape[0]
-    out.fill(0.0)
-    for r in range(m - 1):
-        out[r, r + 1] = jb
-    for j, a in last:
-        out[m - 1, j] = a
-    return out
-
-
-def _companion_times(jb, last, X, out, tmp):
-    """out = A X for an (m, m, ...) stack X and the companion stack A of ``_companion_stack(jb, last)``.
-
-    Rows 0..m-2 of A X are rows 1..m-1 of X times jb; row m - 1 sums over
-    the coefficients present alone.  ``tmp`` holds one row of X.
-    """
-    np.multiply(X[1:], jb, out=out[:-1])
-    (j, a), *rest = last
-    np.multiply(X[j], a, out=out[-1])
-    for j, a in rest:
-        out[-1] += np.multiply(X[j], a, out=tmp)
-    return out
-
-
-def _rk4_propagators(coeffs, scale, jb, t, h, work):
-    """RK4 step propagators from t[:, 2i] to t[:, 2i + 2], of lengths h[:, i], shape (m, m) + h.shape.
-
-    ``t`` holds each row's half-step grid of 2n + 1 stage times, so that
-    step i takes its stages at columns 2i, 2i + 1 and 2i + 2.  The m rows of
+    ``t`` holds each row's half-step grid of 2n + 1 times, so that step i
+    takes the coefficients at columns 2i, 2i + 1 and 2i + 2.  The m rows of
     ``scale`` (the last row of A per unit coefficient) and ``jb`` (<xi>)
-    broadcast against the rows.  The arithmetic is real, on ``work``'s arrays,
-    and the result is one of them: it holds until the next call.
+    broadcast against the rows.  For m = 2 the result is one of ``work``'s
+    arrays, formed in real arithmetic: it holds until the next call.
     """
     m = scale.shape[0]
-    mats = (m, m) + h.shape
-    tmp = work("tmp", (m,) + h.shape)
-    stage = [(j, c.extended_time_value(t) * scale[j]) for j, c in coeffs]
-    # last rows of A at the starts, midpoints and ends of the steps
-    A0, Am, A1 = ([(j, a[:, k]) for j, a in stage] for k in (np.s_[0:-1:2], np.s_[1::2], np.s_[2::2]))
-    # B = iA: RK4's I + h/6 (B0 + 2 K2 + 2 K3 + K4) is R + iS with
-    # R = I - h^2/6 (Am A0 + Am^2 + A1 Am) + h^4/24 A1 Am^2 A0,
-    # S = h/6 (A0 + 4 Am + A1) - h^3/12 (Am^2 A0 + A1 Am^2)
-    D0 = _companion_stack(jb, A0, work("D0", mats))
-    Dm = _companion_stack(jb, Am, work("Dm", mats))
-    Q = _companion_times(jb, Am, D0, work("Q", mats), tmp)  # Am A0
-    M2 = _companion_times(jb, Am, Dm, work("M2", mats), tmp)  # Am^2
-    A1Am = _companion_times(jb, A1, Dm, work("A1Am", mats), tmp)
-    AmQ = _companion_times(jb, Am, Q, work("AmQ", mats), tmp)  # Am^2 A0
-    A1M2 = _companion_times(jb, A1, M2, work("A1M2", mats), tmp)  # A1 Am^2
-    A1AmQ = _companion_times(jb, A1, AmQ, D0, tmp)  # A1 Am^2 A0, over A0
-    h2 = h * h
-    R = Q  # Am A0 from here on holds R
-    R += M2
-    R += A1Am
-    R *= h2 / -6.0
-    R += np.multiply(A1AmQ, h2 * h2 / 24.0, out=A1AmQ)
-    for r in range(m):
-        R[r, r] += 1.0
-    S = AmQ  # Am^2 A0 from here on holds S
-    S += A1M2
-    S *= h2 * h / -12.0
-    for r in range(m - 1):
-        S[r, r + 1] += h * jb
-    for (j, a0), (_, am), (_, a1) in zip(A0, Am, A1):
-        S[m - 1, j] += h / 6.0 * (a0 + 4.0 * am + a1)
-    P = work("P", mats, complex)
-    P.real, P.imag = R, S
+    tau = 0.5 * h
+    last = {}  # per coefficient, its last-row entries of the later and the earlier factor (module docstring)
+    for j, c in coeffs:
+        a = c.extended_time_value(t) * scale[j]
+        a0, am, a1 = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
+        mean, slope = (a0 + 4.0 * am + a1) / 6.0, (a1 - a0) / 3.0
+        last[j] = np.stack((mean + slope, mean - slope))
+    if m > 2:  # the dense symbols of both factors, then their exponentials
+        C = np.zeros((m, m, 2) + h.shape)
+        C[np.arange(m - 1), np.arange(1, m)] = jb
+        for j, a in last.items():
+            C[m - 1, j] = a
+        E = _expm(1j * tau * C)
+        return _mul(E[:, :, 0], E[:, :, 1])
+    # exp(i tau C) = e^{i tau mu} (c I + i s N) with N = C - mu I = [[-mu, jb], [c0, mu]],
+    # N^2 = w^2 I: mu = c1 / 2, w^2 = mu^2 + jb c0, c = cos(tau w), s = sin(tau w) / w
+    c0 = last[0] if 0 in last else np.zeros((2,) + h.shape)
+    mu = 0.5 * last[1] if 1 in last else 0.0
+    jc = jb * c0
+    w2 = mu * mu + jc
+    w = np.sqrt(np.abs(w2))
+    x = tau * w
+    c, s = np.cos(x, out=work("c", w.shape)), np.sin(x, out=work("s", w.shape))
+    neg = w2 < 0.0
+    if neg.any():
+        c[neg], s[neg] = np.cosh(x[neg]), np.sinh(x[neg])
+    np.divide(s, w, out=s, where=w > 0.0)
+    np.copyto(s, tau, where=w == 0.0)  # so that tau = 0 gives c = 1 and s = 0 exactly
+    # (cL I + i sL NL)(cR I + i sR NR) = cL cR I - sL sR NL NR + i (cL sR NR + sL cR NL),
+    # L = 0 the later factor, R = 1 the earlier
+    P = work("P", (2, 2) + h.shape, complex)
+    R, S = P.real, P.imag
+    cc, ss, cs, sc = c[0] * c[1], s[0] * s[1], c[0] * s[1], s[0] * c[1]
+    R[0, 0] = cc - ss * jc[1]
+    R[1, 1] = cc - ss * jc[0]
+    S[0, 1] = jb * (cs + sc)
+    S[1, 0] = cs * c0[1] + sc * c0[0]
+    if 1 not in last:
+        R[0, 1] = R[1, 0] = S[0, 0] = S[1, 1] = 0.0
+        return P
+    # the terms in mu, and the phase e^{i tau (mu_L + mu_R)}
+    mm = ss * mu[0] * mu[1]
+    R[0, 0] -= mm
+    R[1, 1] -= mm
+    R[0, 1] = ss * jb * (mu[0] - mu[1])
+    R[1, 0] = ss * (mu[1] * c0[0] - mu[0] * c0[1])
+    S[1, 1] = cs * mu[1] + sc * mu[0]
+    S[0, 0] = -S[1, 1]
+    P *= np.exp(1j * tau * (mu[0] + mu[1]))
     return P
 
 
@@ -495,10 +486,10 @@ def _interval_propagators(m, counts, step_propagators):
 
 @np.errstate(over="ignore", invalid="ignore")  # huge frequencies overflow to steps below the floor
 def _plan(exp: FrequencyExperiment, idx, step_scale):
-    """Step lengths h_k, counts and RK4 mask, each (frequency, interval), at the grid indices idx (module docstring).
+    """Step lengths, counts and Magnus mask, each (frequency, interval), at the grid indices idx (module docstring).
 
     Every check that needs no propagator raises here: the step floor, strict
-    hyperbolicity at the probes and candidate frame starts, RK4 stability and
+    hyperbolicity at the probes and candidate frame starts, the phase limit and
     ``WORK_BUDGET``.
     """
     spec = exp.operator
@@ -512,7 +503,7 @@ def _plan(exp: FrequencyExperiment, idx, step_scale):
     widths = np.diff(sample_times)
     n_int = widths.size
     c_h = exp.step_factor * step_scale
-    # the step plan, one entry per (frequency, interval): the RK4 step bound
+    # the step plan, one entry per (frequency, interval): the step bound
     # h_k and the frame node bound tau_k (module docstring)
     starts = np.maximum(sample_times[:-1], 1.0 / jb[:, None])
     rate = np.max([c.rate_bound(starts) for _, c in coeffs], axis=0)
@@ -549,24 +540,26 @@ def _plan(exp: FrequencyExperiment, idx, step_scale):
     tau[f_c, 1 + k_c] = c_h / (4.0 * kappa + rest[k_c])
     frame = tau > FRAME_RATIO * h_max
     k0 = np.where(frame.any(axis=1), np.argmax(frame, axis=1), n_int)  # intervals k0.. take the frame
-    rk4 = np.arange(n_int) < k0[:, None]
-    counts = np.ceil(widths / np.where(rk4, h_max, tau)).astype(int)
+    magnus = np.arange(n_int) < k0[:, None]
+    # the Magnus step bound g_k: past interval 0 the step stretches to the
+    # variation term c_h / rest, between one and MAGNUS_STRETCH step bounds
+    h_max[:, 1:] = np.clip(c_h / rest, h_max[:, 1:], MAGNUS_STRETCH * h_max[:, 1:])
+    counts = np.ceil(widths / np.where(magnus, h_max, tau)).astype(int)
     h_k = widths / counts
     lam_bound = jb * max(1.0, sum(c.sup_abs for _, c in coeffs))  # |lam| <= |A|_inf
-    h_rk4 = np.max(np.where(rk4, h_k, 0.0), axis=1)
-    unstable = h_rk4 * lam_bound > RK4_LIMIT
-    if unstable.any():
-        f = int(np.argmax(unstable))
-        raise StiffnessError(f"RK4 step {h_rk4[f]:.3e} beyond the stability bound at xi={xi[f]:.6g}")
+    turn = np.max(np.where(magnus, h_k, 0.0), axis=1) * lam_bound
+    if (turn > PHASE_LIMIT).any():
+        f = int(np.argmax(turn > PHASE_LIMIT))
+        raise StiffnessError(f"Magnus step turns {turn[f]:.3g} rad, past the limit {PHASE_LIMIT:g}, at xi={xi[f]:.6g}")
     planned = int(counts.sum())
     if planned > WORK_BUDGET:
         budget = f"the budget of {WORK_BUDGET} per pass (xi up to {xi.max():.6g})"
-        raise StiffnessError(f"{planned} planned RK4 steps and frame nodes exceed {budget}")
-    return h_k, counts, rk4
+        raise StiffnessError(f"{planned} planned Magnus steps and frame nodes exceed {budget}")
+    return h_k, counts, magnus
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in a non-finite norm, which raises
-def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, rk4):
+def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
     """Traces at the grid indices idx from the initial vectors U0[f], in one pass along ``_plan``'s plan."""
     spec = exp.operator
     m = spec.m
@@ -575,24 +568,24 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, rk4):
     coeffs = [(j, c) for j, c in enumerate(spec.coeffs) if c is not None]
     sample_times = np.linspace(0.0, exp.T, exp.n_samples)
 
-    stack = np.empty((m, m) + rk4.shape, dtype=complex)  # the interval propagators
-    rf, rk = np.nonzero(rk4)
+    stack = np.empty((m, m) + magnus.shape, dtype=complex)  # the interval propagators
+    rf, rk = np.nonzero(magnus)
     scale = _row_scale(xi, m).T  # last row of A per unit coefficient, per frequency
     work = _Work()
 
-    def rk4_steps(i, step, live):
+    def magnus_steps(i, step, live):
         f, k = rf[i, None], rk[i, None]
         h = h_k[f, k]
-        # each row's half-step grid: 2n + 1 stage times from its first step on
+        # each row's half-step grid: 2n + 1 times from its first step on
         t = sample_times[k] + 0.5 * h * (2 * step[:, :1] + np.arange(2 * step.shape[1] + 1))
         # a padded step has h = 0: its propagator is exactly I
-        return _rk4_propagators(coeffs, scale[:, f], jb[f], t, np.where(live, h, 0.0), work)
+        return _magnus_propagators(coeffs, scale[:, f], jb[f], t, np.where(live, h, 0.0), work)
 
-    stack[:, :, rf, rk] = _interval_propagators(m, counts[rf, rk], rk4_steps)
-    del work  # the frame's temporaries need not add to the RK4 kernel's at the peak
+    stack[:, :, rf, rk] = _interval_propagators(m, counts[rf, rk], magnus_steps)
+    del work  # the frame's temporaries need not add to the Magnus kernel's at the peak
 
     # frame nodes: n_k equal steps per frame interval, then T after a frequency's last
-    ff, fk = np.nonzero(~rk4)
+    ff, fk = np.nonzero(~magnus)
     n_f = counts[ff, fk]
     closes = np.diff(ff, append=-1) != 0  # the last frame interval of its frequency
     per = n_f + closes
@@ -629,7 +622,7 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, rk4):
     if bad.any():
         f = int(np.argmax(bad.any(axis=1)))
         raise StiffnessError(f"norm not finite at t={sample_times[np.argmax(bad[f])]:.6g}, xi={xi[f]:.6g}")
-    steps = (counts * rk4).sum(axis=1)
+    steps = (counts * magnus).sum(axis=1)
     return [
         EnergyTrace.from_history(float(x), sample_times, n, int(k), int(c.sum() - k))
         for x, n, k, c in zip(xi, norms, steps, counts)
@@ -640,12 +633,12 @@ def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0
     """Integrate the companion system at every grid frequency, or at the grid indices given, in one pass.
 
     Each frequency starts from ``exp.initial_vector``.  Raises
-    ``StiffnessError`` when an RK4 step falls below ``MIN_STEP``, exceeds
-    RK4's stability bound, the pass plans more than ``WORK_BUDGET`` steps,
-    or a recorded norm is not finite.  A failed pass is repeated one
-    frequency at a time, so that an error names the first frequency whose
-    plan fails or, when the plans pass, the first whose integration fails;
-    a failed plan is repeated without integrating.
+    ``StiffnessError`` when a step bound falls below ``MIN_STEP``, a Magnus
+    step turns more phase than ``PHASE_LIMIT``, the pass plans more than
+    ``WORK_BUDGET`` steps, or a recorded norm is not finite.  A failed pass
+    is repeated one frequency at a time, so that an error names the first
+    frequency whose plan fails or, when the plans pass, the first whose
+    integration fails; a failed plan is repeated without integrating.
     """
     idx = np.arange(exp.xi_grid.size) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
     U0 = np.array([exp.initial_vector(int(i)) for i in idx], dtype=complex).reshape(idx.size, exp.operator.m)

@@ -137,7 +137,7 @@ def test_cli_sweep_rejects_settings_before_integrating(tmp_path, capsys, monkeyp
     ids=["energy_step_below_floor", "loss_unstable_steps"],
 )
 def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name, old, new, output):
-    # a step below the floor, or steps so long that RK4 overflows, is a
+    # a step below the floor, or steps that turn too much phase, is a
     # configuration error: no traceback, no output file, no nan rows
     text = Path(cfg_path(name)).read_text(encoding="utf-8")
     assert text.count(old) == 1
@@ -434,9 +434,31 @@ def test_cli_loss_writes_the_benchmark_reference_columns(tmp_path):
     assert all(_scaled_match(g[i], w[i]) for g, w in zip(got[1:], want[1:]) for i in cols), (got, want)
 
 
+def test_benchmark_configs_plan_their_steps_and_frame_nodes(tmp_path, monkeypatch):
+    # hardware-independent work counts of the benchmark's integrator
+    # workloads, from the step plans alone; a change to the step rule
+    # updates these numbers
+    from hyplab.energy import EnergyTrace, _plan
+
+    planned = []
+
+    def plan_only(exp, jobs, pool):
+        h_k, counts, magnus = _plan(exp, np.arange(exp.xi_grid.size), 1.0)
+        planned.append((int((counts * magnus).sum()), int((counts * ~magnus).sum())))
+        return [EnergyTrace.from_history(x, [0.0], [1.0]) for x in exp.xi_grid]
+
+    monkeypatch.setattr(cli, "_sweep", plan_only)
+    bench = os.path.join(CONFIGS, "..", "perfbench", "configs")
+    for command, name in (("loss", "loss_sweep.cfg"), ("energy", "constant_random.cfg")):
+        assert main([command, "--config", os.path.join(bench, name), "--out", str(tmp_path / command)]) == 0
+    # Magnus steps and frame nodes: the four gammas of the loss sweep, then energy
+    assert len(planned) == 5
+    assert tuple(np.sum(planned[:4], axis=0)) == (65875, 7496) and planned[4] == (7851, 1857)
+
+
 def test_cli_sweep_jobs_failure_names_the_first_failing_frequency(tmp_path, capsys):
-    # RK4 turns unstable from grid index 15 (xi = 540.04) on: the second of
-    # two strided chunks holds it, the first fails later, at index 16
+    # Magnus steps turn too much phase from grid index 17 (xi = 717.671) on:
+    # the second of two strided chunks holds it, the first fails later, at index 18
     text = Path(cfg_path("loss_sweep.cfg")).read_text(encoding="utf-8")
     bad = tmp_path / "bad.cfg"
     bad.write_text(text.replace("step_factor = 0.1\n\n[energy]", "step_factor = 40\n\n[energy]"))
@@ -444,7 +466,7 @@ def test_cli_sweep_jobs_failure_names_the_first_failing_frequency(tmp_path, caps
     for jobs in ("1", "2"):
         assert main(["loss", "--config", str(bad), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
         errs.append(capsys.readouterr().err)
-    assert errs[0] == errs[1] and errs[0].endswith("stability bound at xi=540.04\n")
+    assert errs[0] == errs[1] and errs[0].endswith("rad, past the limit 4, at xi=717.671\n")
 
 
 def test_cli_classify_reruns_byte_identical(tmp_path):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -174,20 +176,89 @@ def test_time_varying_coefficients_match_fixed_step_rk4(m):
     assert np.max(np.abs(got - ref) / ref) < 1e-8
 
 
+class InverseSquare(CoefficientSpec):
+    """a(t) = c / (t + T0)^2, c = base T0^2, with the closed-form envelopes 2c / (t + T0)^3 and 6c / (t + T0)^4.
+
+    u'' + a xi^2 u = 0 is then an Euler equation, solved by
+    u = (t + T0)^(1/2 +- i w), w = sqrt(c xi^2 - 1/4).
+    """
+
+    T0 = 0.25
+
+    def _time_value(self, t):
+        return self.base * self.T0**2 / (np.asarray(t, dtype=float) + self.T0) ** 2
+
+    def _time_derivative(self, t, order=1):
+        s = np.asarray(t, dtype=float) + self.T0
+        return self.base * self.T0**2 * (-2.0 / s**3 if order == 1 else 6.0 / s**4)
+
+    def rate_bound(self, t, order=1):
+        return np.abs(self._time_derivative(t, order))
+
+
+def euler_experiment():
+    op = HyperbolicOperatorSpec(2, (InverseSquare("constant", base=4.0), None))
+    grid = np.geomspace(16.0, 16384.0, 13)
+    return small_experiment(operator=op, xi_grid=grid, zone=ZoneParams(2.0, 2.0, 0.5), step_factor=0.1)
+
+
+def _euler_norms(exp, xi):
+    """Exact |U(t)| on the sample grid from U(0) = e_1: U = (u, u' / (i <xi>)) with u(0) = 1, u'(0) = 0."""
+    a = exp.operator.coeffs[0]
+    w = np.sqrt(a.base * a.T0**2 * xi**2 - 0.25)
+    r = np.array([0.5 + 1j * w, 0.5 - 1j * w])
+
+    def basis(t):  # the two solutions and their derivatives, last axis
+        s = np.asarray(t, dtype=float)[..., None] + a.T0
+        return s**r, r * s ** (r - 1.0)
+
+    weights = np.linalg.solve(np.array(basis(0.0)), [1.0, 0.0])
+    u, du = (b @ weights for b in basis(np.linspace(0.0, exp.T, exp.n_samples)))
+    return np.sqrt(np.abs(u) ** 2 + np.abs(du / jbracket(xi)) ** 2)
+
+
+@pytest.mark.parametrize("idx", [8, 10])
+def test_magnus_path_converges_at_order_four_on_the_exact_oracle(monkeypatch, idx):
+    # the Magnus step throughout, at step_scale 1, 1/2 and 1/4 (about 13, 26
+    # and 53 steps per interval at xi = 1625.5, index 8)
+    exp = euler_experiment()
+    xi = float(exp.xi_grid[idx])
+    exact = _euler_norms(exp, xi)
+    monkeypatch.setattr(energy, "FRAME_RATIO", np.inf)
+    errs = []
+    for scale in (1.0, 0.5, 0.25):
+        tr = evolve_frequency(exp, xi, step_scale=scale)
+        assert tr.nodes == 0
+        errs.append(np.max(np.abs(tr.norms - exact) / exact))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((orders > 3.7) & (orders < 4.3)), (errs, orders)
+
+
+def test_composite_path_matches_the_exact_oracle_across_the_frame_switch():
+    # the frame takes over between xi = 161 and 287; above, its second-order
+    # nodes set the error, 1.9e-6
+    exp = euler_experiment()
+    traces = evolve_sweep(exp, [2, 4, 5, 8, 12])
+    assert [tr.nodes > 0 for tr in traces] == [False, False, True, True, True]
+    for tr in traces:
+        exact = _euler_norms(exp, tr.xi)
+        assert np.max(np.abs(tr.norms - exact) / exact) < 2.5e-6
+
+
 def test_batch_size_does_not_change_the_trace(monkeypatch):
-    # at BATCH = 5 the log-power run at xi = 128 (7-8 steps per interval)
-    # splits every interval into rows and meets odd tree levels; the one at
-    # xi = 17.5 (1-2 steps) packs several rows per batch and pads one
+    # at BATCH = 5 the log-power run at xi = 128 (1 to 8 steps per interval)
+    # splits its first intervals into rows and meets odd tree levels; the one
+    # at xi = 17.5 (1-2 steps) packs several rows per batch and pads the shorter
     runs = [(rough_experiment(2), 15.0), (rough_experiment(3), 15.0)]
     runs += [(log_power_experiment(xi), xi) for xi in (128.0, 17.5)]
     ref = [evolve_frequency(exp, xi) for exp, xi in runs]
-    intervals = runs[0][0].n_samples - 1
-    assert ref[2].steps > 5 * intervals and ref[3].steps < 2 * intervals
+    counts = [energy._plan(exp, [0], 1.0)[1] for exp, _ in runs[2:]]
+    assert counts[0].max() > 5 and set(counts[1].ravel()) == {1, 2}
     trees = []
     tree_product = energy._tree_product
 
     def spy(P):
-        trees.append(P.copy())  # the RK4 propagators live in work arrays that the next batch reuses
+        trees.append(P.copy())  # the Magnus propagators live in work arrays that the next batch reuses
         return tree_product(P)
 
     monkeypatch.setattr(energy, "BATCH", 5)
@@ -251,38 +322,39 @@ def m4_log_power_experiment():
     ids=["log_power_gamma0", "log_power_gamma1.5", "log_power_gamma0_xi1024", "log_power_m3", "log_power_m4", "rough_m3"],
 )
 def test_frame_matches_refined_rk4(monkeypatch, exp, xi, tol):
-    # the composite path against RK4 throughout at a quarter of the step;
-    # each tolerance is measured, and shipped RK4 meets it too
+    # the composite path against the Magnus step throughout at a quarter of
+    # the step; each tolerance is measured, and the shipped Magnus step meets it too
     xi = float(exp.xi_grid[np.argmin(np.abs(exp.xi_grid - xi))])
     got = evolve_frequency(exp, xi)
     with monkeypatch.context() as mp:
         mp.setattr(energy, "FRAME_RATIO", np.inf)
         ref = evolve_frequency(exp, xi, step_scale=0.25).norms
-        rk4 = evolve_frequency(exp, xi).norms
+        magnus = evolve_frequency(exp, xi).norms
     assert got.nodes > 0
     assert np.max(np.abs(got.norms - ref) / ref) < tol
-    assert np.max(np.abs(rk4 - ref) / ref) < tol
+    assert np.max(np.abs(magnus - ref) / ref) < tol
 
 
 def test_frame_takes_over_only_where_rk4_needs_many_steps(monkeypatch):
-    # 4, 1.2 and 7.0 RK4 steps per interval: no interval leaves RK4
+    # 4, 1.2 and 1.5 Magnus steps per interval: no interval leaves the Magnus path
     runs = [(rough_experiment(2), 15.0), (rough_experiment(3), 15.0)]
     runs += [(log_power_experiment(xi), xi) for xi in (17.5, 128.0)]
     for exp, xi in runs:
         tr = evolve_frequency(exp, xi)
         assert tr.nodes == 0 and tr.steps > 0
-    # about 977 RK4 steps per interval: the frame takes most of the trace
+    # about 130 Magnus steps per interval, each up to MAGNUS_STRETCH step
+    # bounds long: the frame takes most of the trace
     exp = loss_experiment(1.5)
     tr = evolve_frequency(exp, 16384.0)
     monkeypatch.setattr(energy, "FRAME_RATIO", np.inf)
-    rk4 = evolve_frequency(exp, 16384.0)
-    assert rk4.nodes == 0 and 0 < tr.nodes < 0.01 * rk4.steps
-    assert tr.steps < 0.2 * rk4.steps
+    magnus = evolve_frequency(exp, 16384.0)
+    assert magnus.nodes == 0 and 0 < tr.nodes < 0.02 * magnus.steps
+    assert tr.steps < 0.4 * magnus.steps
 
 
 def test_frame_batch_size_does_not_change_the_trace(monkeypatch):
     # at BATCH = 5 the frame's node propagators form in chunks and its rows
-    # split, pack and pad like the RK4 ones
+    # split, pack and pad like the Magnus ones
     exp = loss_experiment(1.0)
     xi = float(exp.xi_grid[6])
     ref = evolve_frequency(exp, xi)
@@ -306,20 +378,21 @@ def test_sweep_matches_per_frequency_evolution(monkeypatch, exp, batch):
     shared = []
     if batch:
         monkeypatch.setattr(energy, "BATCH", batch)
-        rk4 = energy._rk4_propagators
+        kernel = energy._magnus_propagators
 
         def spy(coeffs, scale, jb, *rest):
             shared.append(np.unique(jb).size > 1)
-            return rk4(coeffs, scale, jb, *rest)
+            return kernel(coeffs, scale, jb, *rest)
 
-        monkeypatch.setattr(energy, "_rk4_propagators", spy)
+        monkeypatch.setattr(energy, "_magnus_propagators", spy)
     got = evolve_sweep(exp)
     assert [(tr.xi, tr.steps, tr.nodes) for tr in got] == [(tr.xi, tr.steps, tr.nodes) for tr in ref]
     for g, r in zip(got, ref):
         assert np.max(np.abs(g.norms - r.norms) / r.norms) < 1e-12
     assert sum(tr.nodes for tr in got) > 0
     if batch:
-        assert any(shared) and max(tr.steps for tr in got) > batch * (exp.n_samples - 1)
+        h_k, counts, magnus = energy._plan(exp, np.arange(exp.xi_grid.size), 1.0)
+        assert any(shared) and (counts * magnus).max() > batch
 
 
 def test_sweep_trace_does_not_depend_on_its_batch_mates():
@@ -331,10 +404,17 @@ def test_sweep_trace_does_not_depend_on_its_batch_mates():
         assert np.array_equal(tr.norms, full[i].norms)
 
 
+def _exp_i(tau, C):
+    """exp(i tau C) of one matrix, by an eigendecomposition."""
+    w, V = np.linalg.eig(C)
+    return V @ np.diag(np.exp(1j * tau * w)) @ np.linalg.inv(V)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_rk4_kernel_matches_the_textbook_complex_step(m):
-    # every coefficient present: a holder_rough, a log-power and constants;
-    # three rows of different frequencies, the last with two padded steps
+def test_magnus_kernel_matches_the_dense_complex_step(m):
+    # every coefficient present (for m = 2 both last-row entries): a
+    # holder_rough, a log-power and constants; three rows of different
+    # frequencies, the last with two padded steps
     from hyplab.companion import _companion, _row_scale
 
     present = [
@@ -346,39 +426,52 @@ def test_rk4_kernel_matches_the_textbook_complex_step(m):
     coeffs = list(enumerate(present))
     xi = np.array([20.0, 300.0, 4000.0])
     jb = jbracket(xi)[:, None]
-    h = 0.3 / (jb * 2.5)  # h |A| about 0.3
+    h = 1.5 / (jb * 2.5)  # h |A| about 1.5
     n = 6
     live = np.ones((3, n), dtype=bool)
     live[2, 4:] = False
     t = np.array([[0.01], [0.2], [0.45]]) + 0.5 * h * (2 * np.array([[0], [7], [3]]) + np.arange(2 * n + 1))
-    P = energy._rk4_propagators(coeffs, _row_scale(xi, m).T[:, :, None], jb, t, np.where(live, h, 0.0), energy._Work())
+    P = energy._magnus_propagators(coeffs, _row_scale(xi, m).T[:, :, None], jb, t, np.where(live, h, 0.0), energy._Work())
     assert P.shape == (m, m, 3, n)
     eye = np.eye(m)
     for r in range(3):
 
-        def B(tt):
-            vals = np.array([c.extended_time_value(tt) for c in present])
-            return 1j * _companion(vals, xi[r])
+        def C(tt):
+            return _companion(np.array([c.extended_time_value(tt) for c in present]), xi[r])
 
         for i in range(n):
             if not live[r, i]:
                 assert np.array_equal(P[:, :, r, i], eye)  # a padded step is exactly I
                 continue
-            hr = h[r, 0]
-            B0, Bm, B1 = B(t[r, 2 * i]), B(t[r, 2 * i + 1]), B(t[r, 2 * i + 2])
-            K2 = Bm @ (eye + 0.5 * hr * B0)
-            K3 = Bm @ (eye + 0.5 * hr * K2)
-            K4 = B1 @ (eye + hr * K3)
-            ref = eye + hr / 6.0 * (B0 + 2.0 * K2 + 2.0 * K3 + K4)
-            assert np.max(np.abs(P[:, :, r, i] - ref)) < 1e-14 * np.max(np.abs(ref))
+            C0, Cm, C1 = C(t[r, 2 * i]), C(t[r, 2 * i + 1]), C(t[r, 2 * i + 2])
+            tau = 0.5 * h[r, 0]
+            ref = _exp_i(tau, (-C0 + 4.0 * Cm + 3.0 * C1) / 6.0) @ _exp_i(tau, (3.0 * C0 + 4.0 * Cm - C1) / 6.0)
+            assert np.max(np.abs(P[:, :, r, i] - ref)) < 1e-13 * np.max(np.abs(ref))
+    # a constant coefficient is integrated exactly: one step over the whole horizon
+    base = {2: (4.0, 1.3), 3: (0.5, 2.0, 0.25), 4: (0.42, 2.882, 4.03, 0.4)}[m]
+    op = HyperbolicOperatorSpec(m, tuple(CoefficientSpec("constant", base=b) for b in base))
+    exp = small_experiment(operator=op, xi_grid=np.geomspace(4.0, 450.0, 10))
+    x = exp.xi_grid[5]
+    step = np.array([[exp.T]])
+    scale = _row_scale(x, m)[:, None, None]
+    P = energy._magnus_propagators(list(enumerate(op.coeffs)), scale, jbracket(x), step * [0.0, 0.5, 1.0], step, energy._Work())
+    oracle = closed_form_constant_trace(exp, x)
+    assert np.linalg.norm(P[:, 0, 0, 0]) == pytest.approx(oracle.norms[-1], rel=1e-12)
+    if m == 2:  # complex roots (w^2 < 0: cosh and sinh) and a vanishing last row (w = 0)
+        step = np.array([[0.01]])
+        for level in (-1.0, 0.0):
+            flat = SimpleNamespace(extended_time_value=lambda tt, v=level: np.full_like(tt, v))
+            P = energy._magnus_propagators([(0, flat)], scale, jbracket(x), step * [0.0, 0.5, 1.0], step, energy._Work())
+            ref = energy._expm(1j * step[0, 0] * _companion(np.array([level, 0.0]), x)[:, :, None])[:, :, 0]
+            assert np.max(np.abs(P[:, :, 0, 0] - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
-def test_rk4_batches_evaluate_each_coefficient_once_on_the_half_step_grid(monkeypatch):
-    # n consecutive steps share their ends: 2n + 1 stage times per row, not 3n;
+def test_magnus_batches_evaluate_each_coefficient_once_per_half_step(monkeypatch):
+    # n consecutive steps share their ends: 2n + 1 times per row, not 3n;
     # at BATCH = 5 rows of several lengths share padded batches
     monkeypatch.setattr(energy, "BATCH", 5)
     evaluate = CoefficientSpec.extended_time_value
-    kernel = energy._rk4_propagators
+    kernel = energy._magnus_propagators
     batches = []
 
     def spy(coeffs, scale, jb, t, h, work):
@@ -393,7 +486,7 @@ def test_rk4_batches_evaluate_each_coefficient_once_on_the_half_step_grid(monkey
             mp.setattr(CoefficientSpec, "extended_time_value", counted)
             return kernel(coeffs, scale, jb, t, h, work)
 
-    monkeypatch.setattr(energy, "_rk4_propagators", spy)
+    monkeypatch.setattr(energy, "_magnus_propagators", spy)
     for exp in (rough_experiment(3), log_power_experiment(16.0)):
         evolve_sweep(exp, [0, 4])
     assert len(batches) > 1 and {c for _, c, _ in batches} == {1, 2}
@@ -406,16 +499,16 @@ def test_sweep_errors_name_the_first_failing_frequency():
     from hyplab.companion import HyperbolicityViolation
     from hyplab.energy import StiffnessError
 
-    # RK4 is unstable below xi = 4e13 and its steps fall below the floor
-    # above: the batched step plan meets the floor first, a loop over the
-    # grid meets the instability first
+    # Magnus steps turn too much phase below xi = 4e13 and fall below the
+    # floor above: the batched step plan meets the floor first, a loop over
+    # the grid meets the phase limit first
     exp = small_experiment(xi_grid=np.geomspace(1e12, 1e14, 9), step_factor=40.0)
     messages = []
     for xi in exp.xi_grid:
         with pytest.raises(StiffnessError) as err:
             evolve_frequency(exp, xi)
         messages.append(str(err.value))
-    assert "stability bound" in messages[0] and "below floor" in messages[-1]
+    assert "turns 40 rad, past the limit" in messages[0] and "below floor" in messages[-1]
     for indices, first in ((None, 0), ([8, 3], 8)):
         with pytest.raises(StiffnessError) as err:
             evolve_sweep(exp, indices)
