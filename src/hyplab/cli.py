@@ -30,7 +30,7 @@ from .companion import HyperbolicityViolation, NearMultipleRoot
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugation import ThetaSpec, theta_integral_bound
 from .diagonalizers import m3_weights
-from .energy import EnergyTrace, FrequencyExperiment, StiffnessError, _plan, estimate_loss, evolve_sweep
+from .energy import INTEGRATOR_ERRORS, EnergyTrace, FrequencyExperiment, _plan, estimate_loss, evolve_sweep
 
 # not called here; perfbench/test_perfbench.py checks that its tracer wraps this binding
 from .energy import evolve_frequency  # noqa: F401
@@ -41,6 +41,11 @@ from .zygmund import GridFunction1D, norm_equivalence_report
 from .coefficients import SpatialProfile
 
 __all__ = ["main"]
+
+# what a verify check raises when the config leaves it unevaluable: a value
+# outside a function's domain, a floating-point overflow, division by zero or
+# invalid operation, or roots that are not real, separated and finite
+_UNEVALUABLE = (ValueError, FloatingPointError, np.linalg.LinAlgError, HyperbolicityViolation, NearMultipleRoot)
 
 
 def _fmt(v):
@@ -81,7 +86,7 @@ def _sweep(exp: FrequencyExperiment, jobs: int, pool):
     try:
         _plan(exp, np.arange(n), 1.0)  # the whole sweep's checks and work budget, as without a pool
         parts = list(pool.map(functools.partial(evolve_sweep, exp), chunks))
-    except (StiffnessError, HyperbolicityViolation, NearMultipleRoot):
+    except INTEGRATOR_ERRORS:
         return evolve_sweep(exp)  # raises at the first failing frequency in grid order
     traces = [None] * n
     for j, part in enumerate(parts):
@@ -91,7 +96,10 @@ def _sweep(exp: FrequencyExperiment, jobs: int, pool):
 
 def cmd_tables(cfg: ExperimentConfig, args) -> int:
     kwargs = {"summary": {"eps": cfg.eps}, "weight_orders": {}}  # the decay-rate tables take alpha
-    tables = {name: build(**kwargs.get(name, {"alpha": cfg.table_alpha})) for name, build in TABLE_BUILDERS.items()}
+    try:
+        tables = {name: build(**kwargs.get(name, {"alpha": cfg.table_alpha})) for name, build in TABLE_BUILDERS.items()}
+    except ValueError as exc:  # the config's alpha leaves a modulus's range
+        raise ConfigError(f"tables: {exc}") from exc
     out = _outdir(cfg, args.out)  # only once every table is built
     for name, rows in tables.items():
         _write_csv(os.path.join(out, f"{name}.csv"), COLUMNS, rows)
@@ -142,7 +150,7 @@ def cmd_energy(cfg: ExperimentConfig, args) -> int:
     try:
         with _workers(args.jobs, exp.xi_grid.size) as pool:
             traces = _sweep(exp, args.jobs, pool)
-    except (StiffnessError, HyperbolicityViolation, NearMultipleRoot) as exc:  # bad steps or roots
+    except INTEGRATOR_ERRORS as exc:
         raise ConfigError(f"energy: {exc}") from exc
     out = _outdir(cfg, args.out)  # only once the sweep succeeded
     rows = [
@@ -181,7 +189,7 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
         for gamma, exp in zip(cfg.loss_gammas, exps):
             try:
                 traces = _sweep(exp, args.jobs, pool)
-            except (StiffnessError, HyperbolicityViolation, NearMultipleRoot) as exc:
+            except INTEGRATOR_ERRORS as exc:
                 raise ConfigError(f"loss: gamma={gamma:g}: {exc}") from exc
             loss = estimate_loss(traces)
             rows.append({"gamma": gamma, **dataclasses.asdict(loss)})
@@ -196,11 +204,16 @@ def _verify_checks(cfg: ExperimentConfig):
 
     The regularization and oscillation bounds run for every nonzero
     coefficient; with more than one, each name carries the coefficient's
-    subscript (``reg_bound_iii_a1``).
+    subscript (``reg_bound_iii_a1``).  A check that the config leaves
+    unevaluable fails, with the reason as its detail.
     """
 
     for fn in (cfg.eta, cfg.rho):
-        adm = admissibility_check(fn, certification_grid(fn))
+        try:
+            adm = admissibility_check(fn, certification_grid(fn))
+        except _UNEVALUABLE as exc:
+            yield (f"admissible_{fn.role}", False, str(exc))
+            continue
         yield (
             f"admissible_{fn.role}",
             adm.passed,
@@ -214,7 +227,7 @@ def _verify_checks(cfg: ExperimentConfig):
             bool(np.isfinite(cls.s_min) and cls.s_min >= 1.0 + cfg.eps - 1e-12),
             f"m0={cls.m0:.4f} s_min={cls.s_min:.4f}",
         )
-    except ValueError as exc:
+    except _UNEVALUABLE as exc:
         yield ("classification", False, str(exc))
 
     ts = cfg.t_grid()
@@ -225,23 +238,30 @@ def _verify_checks(cfg: ExperimentConfig):
     if len(coeffs) == 1:
         coeffs = [("", coeffs[0][1])]  # a single coefficient keeps the plain names
     for suffix, spec in coeffs:
-        rep = verify_reg_bounds(spec, cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, ts, t_samples=cfg.t_samples)
-        for name, clause in rep.clauses.items():
+        try:
+            clauses = verify_reg_bounds(spec, cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, ts, t_samples=cfg.t_samples).clauses
+        except _UNEVALUABLE as exc:
+            clauses = {}
+            yield (f"reg_bound{suffix}", False, str(exc))
+        for name, clause in clauses.items():
             growth = clause.top_decade_growth  # NaN, which fails, when the fit had too few points
             ok = not np.isinf(clause.max_ratio) and growth <= cfg.growth_tol
             at = f"at (t={clause.argmax_t:.4g}, xi={clause.argmax_xi:.4g})"
             fit = f"{at}: {clause.growth_error}" if clause.growth_error else f"growth=x{growth:.3g} {at}"
             yield (f"reg_bound_{name}{suffix}", bool(ok), f"C={clause.max_ratio:.4g} {fit}")
-        d1 = np.abs(spec.time_derivative(ts_osc, 1))
-        d2 = np.abs(spec.time_derivative(ts_osc, 2))
-        r1 = float(np.max(d1 / np.sqrt(decay_rate(cfg.eta, ts_osc))))
-        r2 = float(np.max(d2 / decay_rate_pair(cfg.eta, cfg.rho, ts_osc)))
-        yield (f"oscillation_bound_d1{suffix}", bool(np.isfinite(r1)), f"C={r1:.4g}")
-        yield (f"oscillation_bound_d2{suffix}", bool(np.isfinite(r2)), f"C={r2:.4g}")
+        rates = (lambda: np.sqrt(decay_rate(cfg.eta, ts_osc)), lambda: decay_rate_pair(cfg.eta, cfg.rho, ts_osc))
+        for order, rate in enumerate(rates, start=1):
+            name = f"oscillation_bound_d{order}{suffix}"
+            try:
+                r = float(np.max(np.abs(spec.time_derivative(ts_osc, order)) / rate()))
+            except _UNEVALUABLE as exc:
+                yield (name, False, str(exc))
+            else:
+                yield (name, bool(np.isfinite(r)), f"C={r:.4g}")
 
     try:
         theta_rep = theta_integral_bound(ThetaSpec(cfg.eta, cfg.rho, cfg.zone), cfg.xi_grid)
-    except ValueError as exc:  # the config's grid cannot be fitted
+    except _UNEVALUABLE as exc:
         yield ("theta_integral_flat", False, str(exc))
     else:
         yield (
@@ -253,7 +273,7 @@ def _verify_checks(cfg: ExperimentConfig):
     sub = cfg.xi_grid[:: max(1, cfg.xi_grid.size // 8)]
     try:
         m3 = np.max(np.abs(m3_weights(cfg.operator, None, sub, cfg.zone.T, quadrature=512).integrals), axis=-1)
-    except (HyperbolicityViolation, NearMultipleRoot) as exc:  # roots not real and separated
+    except _UNEVALUABLE as exc:
         yield ("m3_integral_bounded", False, str(exc))
     else:
         in_top = _top_window(sub, 1.0)
@@ -278,9 +298,11 @@ def _verify_checks(cfg: ExperimentConfig):
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
     failures = 0
-    for name, ok, detail in _verify_checks(cfg):
-        print(f"{name:<28} {'PASS' if ok else 'FAIL'}  {detail}")
-        failures += 0 if ok else 1
+    # an overflow, a division by zero or an invalid operation leaves a check unevaluable: it fails
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for name, ok, detail in _verify_checks(cfg):
+            print(f"{name:<28} {'PASS' if ok else 'FAIL'}  {detail}")
+            failures += 0 if ok else 1
     if failures:
         print(f"{failures} check(s) failed")
         return 3

@@ -1,17 +1,16 @@
 """Experiment configuration: flat sectioned key-value files.
 
 The format is INI-style; every experiment is fully determined by its file.
-Sections and keys:
+Sections and keys, each with its parser in ``_SCHEMA``:
 
     [moduli]       eta_family, eta_param, rho_family, rho_param,
                    optional eta_r0 / rho_r0
     [zone]         N, M (number or "auto"), T
     [operator]     m, delta_sep
     [coefficient.K]  profile, base, delta, gamma_osc, alpha, and optional
-                   spatial.family, spatial.s, spatial.amplitude (any of
-                   them adds the spatial factor); the K in
-                   the section name is the coefficient subscript (a_K
-                   multiplies xi^K)
+                   spatial.family, spatial.s, spatial.amplitude (any of them
+                   adds the spatial factor); K is the coefficient subscript
+                   (a_K multiplies xi^K)
     [grids]        xi_min, xi_max, points_per_decade, t_samples, t_min
     [fits]         eps, theta_slope_max, growth_tol, table_alpha
     [loss]         gammas, delta, xi_min, xi_max, points_per_decade,
@@ -19,14 +18,19 @@ Sections and keys:
     [energy]       step_factor, n_samples, initial
     [output]       directory
 
-Validation happens before any computation and reports the offending
-section and key; unknown sections and keys and non-finite numbers are
-rejected.
+A key absent from the file is not passed on, so it takes the default of the
+object it builds (``ExperimentConfig``, ``ZoneParams``, ``CoefficientSpec``,
+``SpatialProfile``, ``HyperbolicOperatorSpec``; a family's r0 comes from
+``moduli.DEFAULT_R0``).  Only M = auto, m = 2 and the two frequency grids
+default here.  Validation happens before any computation and reports the
+offending section and key; unknown sections and keys and non-finite numbers
+are rejected.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,7 +39,7 @@ import numpy as np
 
 from .coefficients import CoefficientSpec, SpatialProfile
 from .companion import HyperbolicOperatorSpec
-from .moduli import AuxiliaryFunction
+from .moduli import DEFAULT_R0, AuxiliaryFunction
 from .weights import jbracket
 from .zones import ZoneParams, validate_zone, zone_floor
 
@@ -46,41 +50,74 @@ class ConfigError(Exception):
     """A configuration file failed validation."""
 
 
-# accepted keys per section, lowercased as configparser stores them
-_KEYS = {
-    "moduli": {"eta_family", "eta_param", "rho_family", "rho_param", "eta_r0", "rho_r0"},
-    "zone": {"n", "m", "t"},
-    "operator": {"m", "delta_sep"},
-    "grids": {"xi_min", "xi_max", "points_per_decade", "t_samples", "t_min"},
-    "fits": {"eps", "theta_slope_max", "growth_tol", "table_alpha"},
-    "loss": {"gammas", "delta", "xi_min", "xi_max", "points_per_decade", "step_factor"},
-    "energy": {"step_factor", "n_samples", "initial"},
-    "output": {"directory"},
-}
-_COEFFICIENT_KEYS = {
-    "profile", "base", "delta", "gamma_osc", "alpha",
-    "spatial.family", "spatial.s", "spatial.amplitude",
-}
-
-
-def _check_names(parser):
-    for section in parser.sections():
-        if section.startswith("coefficient."):
-            known = _COEFFICIENT_KEYS
-        elif section in _KEYS:
-            known = _KEYS[section]
-        else:
-            raise ConfigError(f"unknown section [{section}]")
-        unknown = sorted(set(parser[section]) - known)
-        if unknown:
-            raise ConfigError(f"[{section}] unknown key '{unknown[0]}'")
-
-
 def _finite(raw):
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"{raw.strip()!r} is not a finite number")
     return value
+
+
+def _finite_list(raw):
+    return tuple(_finite(item) for item in raw.split(","))
+
+
+# section -> key -> parser, or (parser, field) for a key that sets the
+# ExperimentConfig field of another name; "coefficient.K" stands for every
+# [coefficient.K] section
+_SCHEMA = {
+    "moduli": {
+        "eta_family": str, "eta_param": _finite, "eta_r0": _finite,
+        "rho_family": str, "rho_param": _finite, "rho_r0": _finite,
+    },
+    "zone": {"N": _finite, "M": str, "T": _finite},
+    "operator": {"m": int, "delta_sep": _finite},
+    "coefficient.K": {
+        "profile": str, "base": _finite, "delta": _finite, "gamma_osc": _finite, "alpha": _finite,
+        "spatial.family": str, "spatial.s": _finite, "spatial.amplitude": _finite,
+    },
+    "grids": {"xi_min": _finite, "xi_max": _finite, "points_per_decade": _finite, "t_samples": int, "t_min": _finite},
+    "fits": {"eps": _finite, "theta_slope_max": _finite, "growth_tol": _finite, "table_alpha": _finite},
+    "loss": {
+        "gammas": (_finite_list, "loss_gammas"), "delta": (_finite, "loss_delta"),
+        "xi_min": _finite, "xi_max": _finite, "points_per_decade": _finite,
+        "step_factor": (_finite, "loss_step_factor"),
+    },
+    "energy": {
+        "step_factor": (_finite, "energy_step_factor"), "n_samples": (int, "energy_samples"),
+        "initial": (str, "energy_initial"),
+    },
+    "output": {"directory": (str, "outdir")},
+}
+
+
+def _parse(parser):
+    """Every value given in the file, {section: {key or field: value}}; names outside the schema are rejected."""
+    values = {}
+    for section in parser.sections():
+        schema = _SCHEMA.get("coefficient.K" if section.startswith("coefficient.") else section)
+        if schema is None:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser[section]) - {parser.optionxform(key) for key in schema})
+        if unknown:
+            raise ConfigError(f"[{section}] unknown key '{unknown[0]}'")
+        values[section] = {}
+        for key, parse in schema.items():
+            if key not in parser[section]:
+                continue
+            parse, name = parse if isinstance(parse, tuple) else (parse, key)
+            try:
+                values[section][name] = parse(parser[section][key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"[{section}] key '{key}': {exc}") from exc
+    return values
+
+
+def _required(values, section, key):
+    if section not in values:
+        raise ConfigError(f"missing section [{section}]")
+    if key not in values[section]:
+        raise ConfigError(f"[{section}] missing key '{key}'")
+    return values[section][key]
 
 
 @dataclass
@@ -109,51 +146,23 @@ class ExperimentConfig:
         return np.geomspace(self.t_min, self.zone.T, self.t_samples)
 
 
-def _get(parser, section, key, cast, default=None, *, where=None):
-    where = where or section
-    if not parser.has_section(section):
-        if default is not None:
-            return default
-        raise ConfigError(f"missing section [{where}]")
-    raw = parser.get(section, key, fallback=None)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"[{where}] missing key '{key}'")
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{where}] key '{key}': {exc}") from exc
-
-
-def _aux(parser, role):
-    fam = _get(parser, "moduli", f"{role}_family", str)
-    param = _get(parser, "moduli", f"{role}_param", _finite)
-    default_r0 = {"power_law": 1.0, "log_reciprocal": 0.5, "iterated_log": 0.2}.get(fam)
-    if default_r0 is None:
+def _aux(values, role):
+    fam = _required(values, "moduli", f"{role}_family")
+    param = _required(values, "moduli", f"{role}_param")
+    if fam not in DEFAULT_R0:
         raise ConfigError(f"[moduli] unknown {role}_family '{fam}'")
-    r0 = _get(parser, "moduli", f"{role}_r0", _finite, default=default_r0)
-    try:
-        return AuxiliaryFunction(fam, param, role, r0)
+    try:  # not the family's factory: iterated_log() would round a fractional depth
+        return AuxiliaryFunction(fam, param, role, values["moduli"].get(f"{role}_r0", DEFAULT_R0[fam]))
     except ValueError as exc:
         raise ConfigError(f"[moduli] {role}: {exc}") from exc
 
 
-def _coefficient(parser, section):
-    prof = _get(parser, section, "profile", str)
-    kwargs = dict(
-        profile=prof,
-        base=_get(parser, section, "base", _finite, default=2.0),
-        delta=_get(parser, section, "delta", _finite, default=0.0),
-        gamma_osc=_get(parser, section, "gamma_osc", _finite, default=0.0),
-        alpha=_get(parser, section, "alpha", _finite, default=0.5),
-    )
-    # any spatial.* key makes the coefficient x-dependent; SpatialProfile owns the defaults of the others
-    spatial = {
-        key: _get(parser, section, f"spatial.{key}", cast)
-        for key, cast in (("family", str), ("s", _finite), ("amplitude", _finite))
-        if parser.has_option(section, f"spatial.{key}")
-    }
+def _coefficient(values, section):
+    _required(values, section, "profile")
+    given = values[section]
+    kwargs = {key: v for key, v in given.items() if not key.startswith("spatial.")}
+    # any spatial.* key makes the coefficient x-dependent
+    spatial = {key.removeprefix("spatial."): v for key, v in given.items() if key.startswith("spatial.")}
     try:
         if spatial:
             kwargs["spatial"] = SpatialProfile(**spatial)
@@ -162,7 +171,10 @@ def _coefficient(parser, section):
         raise ConfigError(f"[{section}]: {exc}") from exc
 
 
-def _xi_grid(lo, hi, per_decade, where):
+def _xi_grid(values, where, **defaults):
+    """The geometric grid of a section's xi_min, xi_max and points_per_decade, or of the defaults for absent keys."""
+    given = {**defaults, **values.get(where, {})}
+    lo, hi, per_decade = given["xi_min"], given["xi_max"], given["points_per_decade"]
     if not (0.0 < lo < hi):
         raise ConfigError(f"[{where}] needs 0 < xi_min < xi_max")
     n = int(round(per_decade * np.log10(hi / lo))) + 1
@@ -179,26 +191,23 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    _check_names(parser)
+    values = _parse(parser)
 
-    eta = _aux(parser, "eta")
-    rho = _aux(parser, "rho")
+    eta = _aux(values, "eta")
+    rho = _aux(values, "rho")
 
-    N = _get(parser, "zone", "N", _finite, default=2.0)
-    T = _get(parser, "zone", "T", _finite, default=0.5)
-    m_raw = _get(parser, "zone", "M", str, default="auto")
+    zone_values = dict(values.get("zone", {}))
+    m_raw = zone_values.pop("M", "auto")
     try:
-        if m_raw.strip().lower() == "auto":
-            M = zone_floor(eta, N)
-        else:
-            M = _finite(m_raw)
-        zone = ZoneParams(N=N, M=M, T=T)
+        zone = ZoneParams(**zone_values)
+        M = zone_floor(eta, zone.N) if m_raw.strip().lower() == "auto" else _finite(m_raw)
+        zone = dataclasses.replace(zone, M=M)
         validate_zone(eta, zone)
     except ValueError as exc:
         raise ConfigError(f"[zone]: {exc}") from exc
 
-    m = _get(parser, "operator", "m", int, default=2)
-    delta_sep = _get(parser, "operator", "delta_sep", _finite, default=1e-6)
+    operator_values = dict(values.get("operator", {}))
+    m = operator_values.pop("m", 2)
     coeffs = [None] * m
     for section in parser.sections():
         if not section.startswith("coefficient."):
@@ -209,57 +218,27 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"[{section}]: subscript must be an integer") from exc
         if not (1 <= k <= m):
             raise ConfigError(f"[{section}]: subscript must lie in 1..{m}")
-        coeffs[m - k] = spec = _coefficient(parser, section)
+        coeffs[m - k] = spec = _coefficient(values, section)
         if zone.T >= spec.t_end:
             raise ConfigError(f"[zone] T={zone.T} must lie below {spec.t_end:g}, the end of [{section}]'s time domain")
     if all(c is None for c in coeffs):
         raise ConfigError("no [coefficient.K] sections given")
     try:
-        operator = HyperbolicOperatorSpec(m, coeffs, delta_sep)
+        operator = HyperbolicOperatorSpec(m, coeffs, **operator_values)
     except ValueError as exc:
         raise ConfigError(f"[operator]: {exc}") from exc
 
-    xi_grid = _xi_grid(
-        _get(parser, "grids", "xi_min", _finite, default=float(max(zone.M, 16.0))),
-        _get(parser, "grids", "xi_max", _finite, default=4096.0),
-        _get(parser, "grids", "points_per_decade", _finite, default=8.0),
-        "grids",
-    )
+    xi_grid = _xi_grid(values, "grids", xi_min=float(max(zone.M, 16.0)), xi_max=4096.0, points_per_decade=8.0)
     if xi_grid[0] < zone.M:
         raise ConfigError(f"[grids] xi_min {xi_grid[0]} below the frequency floor M={zone.M}")
-
-    cfg = ExperimentConfig(
-        eta=eta,
-        rho=rho,
-        zone=zone,
-        operator=operator,
-        xi_grid=xi_grid,
-        t_samples=_get(parser, "grids", "t_samples", int, default=48),
-        t_min=_get(parser, "grids", "t_min", _finite, default=0.01),
-        eps=_get(parser, "fits", "eps", _finite, default=0.01),
-        theta_slope_max=_get(parser, "fits", "theta_slope_max", _finite, default=0.05),
-        growth_tol=_get(parser, "fits", "growth_tol", _finite, default=2.0),
-        table_alpha=_get(parser, "fits", "table_alpha", _finite, default=0.5),
-        loss_delta=_get(parser, "loss", "delta", _finite, default=0.95),
-        loss_step_factor=_get(parser, "loss", "step_factor", _finite, default=0.1),
-        energy_step_factor=_get(parser, "energy", "step_factor", _finite, default=0.02),
-        energy_samples=_get(parser, "energy", "n_samples", int, default=257),
-        energy_initial=_get(parser, "energy", "initial", str, default="canonical"),
-        outdir=_get(parser, "output", "directory", str, default="out"),
-    )
-
-    if parser.has_section("loss"):
-        gammas_raw = parser.get("loss", "gammas", fallback="0, 0.5, 1.0, 1.5")
-        try:
-            cfg.loss_gammas = tuple(_finite(g) for g in gammas_raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"[loss] key 'gammas': {exc}") from exc
-        cfg.loss_xi_grid = _xi_grid(
-            _get(parser, "loss", "xi_min", _finite, default=64.0),
-            _get(parser, "loss", "xi_max", _finite, default=16384.0),
-            _get(parser, "loss", "points_per_decade", _finite, default=16.0),
-            "loss",
-        )
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    given = {
+        name: v for section in ("grids", "fits", "loss", "energy", "output")
+        for name, v in values.get(section, {}).items() if name in fields
+    }
+    if "loss" in values:
+        given["loss_xi_grid"] = _xi_grid(values, "loss", xi_min=64.0, xi_max=16384.0, points_per_decade=16.0)
+    cfg = ExperimentConfig(eta=eta, rho=rho, zone=zone, operator=operator, xi_grid=xi_grid, **given)
 
     if not (0.0 < cfg.t_min < zone.T):
         raise ConfigError("[grids] t_min must lie in (0, T)")

@@ -63,20 +63,19 @@ end, and C(a) the companion symbol with last row a, it is
 they moved the traces away from a refined reference.)  For m = 2 a factor is
 e^{i tau mu} (cos(tau w) I + i sin(tau w) / w (C - mu I)), mu = c1 / 2 and
 w^2 = mu^2 + <xi> c0 (cosh and sinh where w^2 < 0), and the product is
-formed in real arithmetic in work arrays allocated once per pass; for m > 2
-each factor is ``_expm``.  The propagators of a batch are (m, m, row, step)
-arrays, so that every operation broadcasts over the short m axes.  A
-pairwise tree, later steps on the left, reduces each row, and another each
-interval's rows; only the grouping of the products differs from applying
-the steps one by one.  The grouping depends on step positions alone (a
+formed in real arithmetic; for m > 2 each factor is ``_expm``.  The
+propagators of a batch are (m, m, row, step) arrays, so that every operation
+broadcasts over the short m axes.  A pairwise tree, later steps on the left,
+reduces each row, and another each interval's rows; only the grouping of the
+products differs from applying the steps one by one.  The grouping depends on step positions alone (a
 level of odd length carries its last factor up), and I multiplies exactly,
 so a frequency's trace does not depend on the frequencies that share its
 batches.  M1^-1 is folded into each frequency's first frame interval, one
 doubling prefix scan over the rectangular (m, m, frequency, interval) stack
 gives the states at the sample times, and one batched norm gives the
 traces.  A failed pass is repeated one frequency at a time, so that an
-error names the first frequency that fails: the plans alone first, then, if
-they all pass, the integrations.
+error names the first frequency that fails: the plans first, in grid order,
+then the integrations.
 
 The frame.  The roots lam_p of the raw symbol at the nodes (one
 ``companion._roots`` call for the nodes of every frequency; the one at the
@@ -148,6 +147,10 @@ WORK_BUDGET = 400_000_000
 
 class StiffnessError(Exception):
     """The step rule asks for steps the integrator cannot take: below the floor, past the phase limit or the budget."""
+
+
+# what a sweep raises on a config it cannot integrate: bad steps, or roots not real and separated
+INTEGRATOR_ERRORS = (StiffnessError, HyperbolicityViolation, NearMultipleRoot)
 
 
 @dataclass(frozen=True)
@@ -374,32 +377,14 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
     return P
 
 
-class _Work:
-    """Work arrays shared by the batches of one integration, one flat array per name.
-
-    ``work(name, shape, dtype)`` views the first entries of the name's array
-    as shape (..., rows, steps).  A batch has rows x steps <= BATCH, so each
-    array is allocated once, at its first request, with BATCH entries per
-    leading index, and no batch faults in fresh memory for it.
-    """
-
-    def __init__(self):
-        self.flat = {}
-
-    def __call__(self, name, shape, dtype=float):
-        if name not in self.flat:
-            self.flat[name] = np.empty(math.prod(shape[:-2]) * BATCH, dtype)
-        return self.flat[name][: math.prod(shape)].reshape(shape)
-
-
-def _magnus_propagators(coeffs, scale, jb, t, h, work):
+def _magnus_propagators(coeffs, scale, jb, t, h):
     """CF4 Magnus step propagators from t[:, 2i] to t[:, 2i + 2], of lengths h[:, i], shape (m, m) + h.shape.
 
     ``t`` holds each row's half-step grid of 2n + 1 times, so that step i
     takes the coefficients at columns 2i, 2i + 1 and 2i + 2.  The m rows of
     ``scale`` (the last row of A per unit coefficient) and ``jb`` (<xi>)
-    broadcast against the rows.  For m = 2 the result is one of ``work``'s
-    arrays, formed in real arithmetic: it holds until the next call.
+    broadcast against the rows.  For m = 2 the result is formed in real
+    arithmetic.
     """
     m = scale.shape[0]
     tau = 0.5 * h
@@ -424,7 +409,7 @@ def _magnus_propagators(coeffs, scale, jb, t, h, work):
     w2 = mu * mu + jc
     w = np.sqrt(np.abs(w2))
     x = tau * w
-    c, s = np.cos(x, out=work("c", w.shape)), np.sin(x, out=work("s", w.shape))
+    c, s = np.cos(x), np.sin(x)
     neg = w2 < 0.0
     if neg.any():
         c[neg], s[neg] = np.cosh(x[neg]), np.sinh(x[neg])
@@ -432,7 +417,7 @@ def _magnus_propagators(coeffs, scale, jb, t, h, work):
     np.copyto(s, tau, where=w == 0.0)  # so that tau = 0 gives c = 1 and s = 0 exactly
     # (cL I + i sL NL)(cR I + i sR NR) = cL cR I - sL sR NL NR + i (cL sR NR + sL cR NL),
     # L = 0 the later factor, R = 1 the earlier
-    P = work("P", (2, 2) + h.shape, complex)
+    P = np.empty((2, 2) + h.shape, dtype=complex)
     R, S = P.real, P.imag
     cc, ss, cs, sc = c[0] * c[1], s[0] * s[1], c[0] * s[1], s[0] * c[1]
     R[0, 0] = cc - ss * jc[1]
@@ -571,7 +556,6 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
     stack = np.empty((m, m) + magnus.shape, dtype=complex)  # the interval propagators
     rf, rk = np.nonzero(magnus)
     scale = _row_scale(xi, m).T  # last row of A per unit coefficient, per frequency
-    work = _Work()
 
     def magnus_steps(i, step, live):
         f, k = rf[i, None], rk[i, None]
@@ -579,10 +563,9 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
         # each row's half-step grid: 2n + 1 times from its first step on
         t = sample_times[k] + 0.5 * h * (2 * step[:, :1] + np.arange(2 * step.shape[1] + 1))
         # a padded step has h = 0: its propagator is exactly I
-        return _magnus_propagators(coeffs, scale[:, f], jb[f], t, np.where(live, h, 0.0), work)
+        return _magnus_propagators(coeffs, scale[:, f], jb[f], t, np.where(live, h, 0.0))
 
     stack[:, :, rf, rk] = _interval_propagators(m, counts[rf, rk], magnus_steps)
-    del work  # the frame's temporaries need not add to the Magnus kernel's at the peak
 
     # frame nodes: n_k equal steps per frame interval, then T after a frequency's last
     ff, fk = np.nonzero(~magnus)
@@ -638,23 +621,17 @@ def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0
     ``WORK_BUDGET`` steps, or a recorded norm is not finite.  A failed pass
     is repeated one frequency at a time, so that an error names the first
     frequency whose plan fails or, when the plans pass, the first whose
-    integration fails; a failed plan is repeated without integrating.
+    integration fails.
     """
     idx = np.arange(exp.xi_grid.size) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
     U0 = np.array([exp.initial_vector(int(i)) for i in idx], dtype=complex).reshape(idx.size, exp.operator.m)
-    one = [idx[i : i + 1] for i in range(idx.size)] if idx.size > 1 else []
-    errors = (StiffnessError, HyperbolicityViolation, NearMultipleRoot)
     try:
-        plan = _plan(exp, idx, step_scale)
-    except errors:
-        for i in one:
-            _plan(exp, i, step_scale)
-        raise
-    try:
-        return _integrate(exp, idx, U0, *plan)
-    except errors:
-        for n, i in enumerate(one):
-            _integrate(exp, i, U0[n : n + 1], *_plan(exp, i, step_scale))
+        return _integrate(exp, idx, U0, *_plan(exp, idx, step_scale))
+    except INTEGRATOR_ERRORS:
+        if idx.size > 1:
+            plans = [_plan(exp, idx[n : n + 1], step_scale) for n in range(idx.size)]
+            for n, plan in enumerate(plans):
+                _integrate(exp, idx[n : n + 1], U0[n : n + 1], *plan)
         raise
 
 

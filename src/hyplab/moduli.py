@@ -41,7 +41,11 @@ __all__ = [
     "certification_grid",
 ]
 
-FAMILIES = ("power_law", "log_reciprocal", "iterated_log")
+# the catalog's families and the domain end r0 each takes when none is given;
+# log_reciprocal's 0.5 keeps log(1/r) positive with margin and the inverse
+# range wide enough for unit-scale experiments
+DEFAULT_R0 = {"power_law": 1.0, "log_reciprocal": 0.5, "iterated_log": 0.2}
+FAMILIES = tuple(DEFAULT_R0)
 ROLES = ("eta", "rho")
 
 
@@ -117,6 +121,9 @@ class AuxiliaryFunction:
                 raise ValueError("iterated_log depth must be a positive integer")
             if self._iterated_domain_cap(depth) <= self.r0:
                 raise ValueError("r0 too large for iterated_log depth (inner log not positive)")
+        with np.errstate(over="ignore"):  # a value past the float range is rejected here
+            if not (0.0 < self.range_max < math.inf):
+                raise ValueError(f"value {self.range_max:g} at r0={self.r0:g} is not a positive float")
 
     @staticmethod
     def _iterated_domain_cap(depth):
@@ -183,15 +190,16 @@ class AuxiliaryFunction:
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0) or np.any(t > self.range_max * (1.0 + 1e-12)):
             raise ValueError(f"target outside the range (0, {self.range_max}]")
-        if self.family == "power_law":
-            r = t ** (1.0 / self.param)
-        elif self.family == "log_reciprocal":
-            r = np.exp(-(t ** (-1.0 / self.param)))
-        else:
-            x = 1.0 / t
-            for _ in range(int(self.param) - 1):
-                x = np.exp(x)
-            r = np.exp(-x)
+        with np.errstate(over="ignore"):  # an exponent past the float range gives r = 0, rejected below
+            if self.family == "power_law":
+                r = t ** (1.0 / self.param)
+            elif self.family == "log_reciprocal":
+                r = np.exp(-(t ** (-1.0 / self.param)))
+            else:
+                x = 1.0 / t
+                for _ in range(int(self.param) - 1):
+                    x = np.exp(x)
+                r = np.exp(-x)
         if np.any(r <= 0.0):
             raise ValueError("inverse underflowed to zero; target too small for this family")
         return r if r.shape else float(r)
@@ -225,17 +233,15 @@ class AuxiliaryFunction:
         return r if r.shape else float(r)
 
 
-def power_law(beta, role="eta", r0=1.0):
+def power_law(beta, role="eta", r0=DEFAULT_R0["power_law"]):
     return AuxiliaryFunction("power_law", float(beta), role, r0)
 
 
-def log_reciprocal(alpha, role="eta", r0=0.5):
-    # default r0 = 0.5 keeps log(1/r) positive with margin and the inverse
-    # range wide enough for unit-scale experiments
+def log_reciprocal(alpha, role="eta", r0=DEFAULT_R0["log_reciprocal"]):
     return AuxiliaryFunction("log_reciprocal", float(alpha), role, r0)
 
 
-def iterated_log(depth, role="eta", r0=0.2):
+def iterated_log(depth, role="eta", r0=DEFAULT_R0["iterated_log"]):
     return AuxiliaryFunction("iterated_log", int(depth), role, r0)
 
 

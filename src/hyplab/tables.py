@@ -57,8 +57,8 @@ def numeric_decay_rate_pair(eta, rho, t):
 def _rate_row(family, param, closed_fn, numeric_fn, t_hi):
     """Closed form against finite differences at T_REF, with the worst relative gap over [0.01, t_hi]."""
     ts = np.geomspace(0.01, t_hi, 25)
+    numeric = numeric_fn(ts)  # first: it rejects an alpha whose stencil leaves eta's range
     closed = closed_fn(ts)
-    numeric = numeric_fn(ts)
     i_ref = int(np.argmin(np.abs(ts - T_REF)))
     rel_err = float(np.max(np.abs(numeric / closed - 1.0)))
     return _row(family, param, float(closed[i_ref]), float(numeric[i_ref]), rel_err)

@@ -152,24 +152,35 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
 
 
 @pytest.mark.parametrize(
-    "command, name, old, new, code",
+    "command, name, old, new, code, failing",
     [
-        ("energy", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2),
-        ("loss", "loss_sweep.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2),
-        ("verify", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 3),
-        ("verify", "loglip.cfg", "t_samples = 48", "t_samples = 0", 2),
-        ("classify", "loglip.cfg", "t_samples = 48", "t_samples = -3", 2),
-        ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 1.5", 2),
-        ("classify", "loglip.cfg", "xi_max = 4096", "xi_max = 100", 2),
-        ("energy", "loglip.cfg", T_TO_GAMMA, T_PAST_GAMMA_END, 2),
-        ("verify", "loglip.cfg", T_TO_GAMMA, T_PAST_GAMMA_END, 2),
+        ("energy", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2, None),
+        ("loss", "loss_sweep.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2, None),
+        ("verify", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 3, ("m3_integral_bounded", "root gap", 1)),
+        ("verify", "loglip.cfg", "t_samples = 48", "t_samples = 0", 2, None),
+        ("classify", "loglip.cfg", "t_samples = 48", "t_samples = -3", 2, None),
+        ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 1.5", 2, None),
+        ("classify", "loglip.cfg", "xi_max = 4096", "xi_max = 100", 2, None),
+        ("energy", "loglip.cfg", T_TO_GAMMA, T_PAST_GAMMA_END, 2, None),
+        ("verify", "loglip.cfg", T_TO_GAMMA, T_PAST_GAMMA_END, 2, None),
+        # eta(r0) = 0.69^-1e9 is past the float range
+        ("verify", "loglip.cfg", "eta_param = 1.0", "eta_param = 1e9", 2, None),
+        # eta^-1 underflows to zero on the oscillation bound's times
+        ("verify", "loglip.cfg", "eta_param = 1.0", "eta_param = 1e-9", 3, ("oscillation_bound_d1", "underflowed", 7)),
+        ("verify", "loglip.cfg", "t_min = 0.01", "t_min = 1e-300", 3, ("oscillation_bound_d1", "underflowed", 4)),
+        # xi^2 overflows in the companion symbol of the m3 check
+        ("verify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 3, ("m3_integral_bounded", "divide by zero", 4)),
+        # inside (0, 1), but the Hoelder table's difference stencil leaves eta's range
+        ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.999999", 2, None),
     ],
     ids=[
         "energy_root_gap", "loss_root_gap", "verify_root_gap", "t_samples_zero", "t_samples_negative", "table_alpha",
         "classify_short_grid", "energy_horizon_past_log_power_end", "verify_horizon_past_log_power_end",
+        "verify_eta_past_float_range", "verify_eta_inverse_underflow", "verify_t_min_underflow",
+        "verify_xi_max_overflow", "tables_alpha_near_one",
     ],
 )
-def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code):
+def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code, failing):
     # roots closer than delta_sep and out-of-range config values end with an
     # exit code and a message, never with an exception out of main
     text = Path(cfg_path(name)).read_text(encoding="utf-8")
@@ -182,11 +193,12 @@ def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, 
     if code == 2:
         assert captured.err.startswith("configuration error: ") and len(captured.err.splitlines()) == 1
         assert not out.exists()
-    else:  # verify reports the failed check and goes on to the others
+    else:  # verify reports the check it could not evaluate as failed and goes on to the others
+        check, reason, failures = failing
         assert captured.err == ""
-        m3 = [ln for ln in captured.out.splitlines() if ln.startswith("m3_integral_bounded ")]
-        assert len(m3) == 1 and m3[0].split()[1] == "FAIL" and "root gap" in m3[0]
-        assert captured.out.splitlines()[-1] == "1 check(s) failed"
+        lines = [ln for ln in captured.out.splitlines() if ln.startswith(f"{check} ")]
+        assert len(lines) == 1 and lines[0].split()[1] == "FAIL" and reason in lines[0]
+        assert captured.out.splitlines()[-1] == f"{failures} check(s) failed"
 
 
 @pytest.mark.parametrize("name", ["constant.cfg", "loss_sweep.cfg"])

@@ -258,7 +258,7 @@ def test_batch_size_does_not_change_the_trace(monkeypatch):
     tree_product = energy._tree_product
 
     def spy(P):
-        trees.append(P.copy())  # the Magnus propagators live in work arrays that the next batch reuses
+        trees.append(P.copy())
         return tree_product(P)
 
     monkeypatch.setattr(energy, "BATCH", 5)
@@ -321,7 +321,7 @@ def m4_log_power_experiment():
     ],
     ids=["log_power_gamma0", "log_power_gamma1.5", "log_power_gamma0_xi1024", "log_power_m3", "log_power_m4", "rough_m3"],
 )
-def test_frame_matches_refined_rk4(monkeypatch, exp, xi, tol):
+def test_frame_matches_refined_magnus(monkeypatch, exp, xi, tol):
     # the composite path against the Magnus step throughout at a quarter of
     # the step; each tolerance is measured, and the shipped Magnus step meets it too
     xi = float(exp.xi_grid[np.argmin(np.abs(exp.xi_grid - xi))])
@@ -335,7 +335,7 @@ def test_frame_matches_refined_rk4(monkeypatch, exp, xi, tol):
     assert np.max(np.abs(magnus - ref) / ref) < tol
 
 
-def test_frame_takes_over_only_where_rk4_needs_many_steps(monkeypatch):
+def test_frame_takes_over_only_where_magnus_needs_many_steps(monkeypatch):
     # 4, 1.2 and 1.5 Magnus steps per interval: no interval leaves the Magnus path
     runs = [(rough_experiment(2), 15.0), (rough_experiment(3), 15.0)]
     runs += [(log_power_experiment(xi), xi) for xi in (17.5, 128.0)]
@@ -431,7 +431,7 @@ def test_magnus_kernel_matches_the_dense_complex_step(m):
     live = np.ones((3, n), dtype=bool)
     live[2, 4:] = False
     t = np.array([[0.01], [0.2], [0.45]]) + 0.5 * h * (2 * np.array([[0], [7], [3]]) + np.arange(2 * n + 1))
-    P = energy._magnus_propagators(coeffs, _row_scale(xi, m).T[:, :, None], jb, t, np.where(live, h, 0.0), energy._Work())
+    P = energy._magnus_propagators(coeffs, _row_scale(xi, m).T[:, :, None], jb, t, np.where(live, h, 0.0))
     assert P.shape == (m, m, 3, n)
     eye = np.eye(m)
     for r in range(3):
@@ -454,14 +454,14 @@ def test_magnus_kernel_matches_the_dense_complex_step(m):
     x = exp.xi_grid[5]
     step = np.array([[exp.T]])
     scale = _row_scale(x, m)[:, None, None]
-    P = energy._magnus_propagators(list(enumerate(op.coeffs)), scale, jbracket(x), step * [0.0, 0.5, 1.0], step, energy._Work())
+    P = energy._magnus_propagators(list(enumerate(op.coeffs)), scale, jbracket(x), step * [0.0, 0.5, 1.0], step)
     oracle = closed_form_constant_trace(exp, x)
     assert np.linalg.norm(P[:, 0, 0, 0]) == pytest.approx(oracle.norms[-1], rel=1e-12)
     if m == 2:  # complex roots (w^2 < 0: cosh and sinh) and a vanishing last row (w = 0)
         step = np.array([[0.01]])
         for level in (-1.0, 0.0):
             flat = SimpleNamespace(extended_time_value=lambda tt, v=level: np.full_like(tt, v))
-            P = energy._magnus_propagators([(0, flat)], scale, jbracket(x), step * [0.0, 0.5, 1.0], step, energy._Work())
+            P = energy._magnus_propagators([(0, flat)], scale, jbracket(x), step * [0.0, 0.5, 1.0], step)
             ref = energy._expm(1j * step[0, 0] * _companion(np.array([level, 0.0]), x)[:, :, None])[:, :, 0]
             assert np.max(np.abs(P[:, :, 0, 0] - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -474,7 +474,7 @@ def test_magnus_batches_evaluate_each_coefficient_once_per_half_step(monkeypatch
     kernel = energy._magnus_propagators
     batches = []
 
-    def spy(coeffs, scale, jb, t, h, work):
+    def spy(coeffs, scale, jb, t, h):
         shapes = []
         batches.append((h.shape, len(coeffs), shapes))
 
@@ -484,7 +484,7 @@ def test_magnus_batches_evaluate_each_coefficient_once_per_half_step(monkeypatch
 
         with monkeypatch.context() as mp:
             mp.setattr(CoefficientSpec, "extended_time_value", counted)
-            return kernel(coeffs, scale, jb, t, h, work)
+            return kernel(coeffs, scale, jb, t, h)
 
     monkeypatch.setattr(energy, "_magnus_propagators", spy)
     for exp in (rough_experiment(3), log_power_experiment(16.0)):
@@ -661,8 +661,6 @@ def test_theta_spec_validation_and_chi_shape():
     assert np.all(np.diff(vals) >= -1e-15)
     with pytest.raises(ValueError):
         ThetaSpec(ETA_LL, rho, zp, K=0.0)
-    with pytest.raises(ValueError):
-        ThetaSpec(ETA_LL, rho, zp, chi=lambda x: np.asarray(x, dtype=float))
 
 
 def test_theta0_at_zero_equals_w1():
