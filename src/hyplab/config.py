@@ -231,10 +231,10 @@ def load_config(path) -> ExperimentConfig:
     xi_grid = _xi_grid(values, "grids", xi_min=float(max(zone.M, 16.0)), xi_max=4096.0, points_per_decade=8.0)
     if xi_grid[0] < zone.M:
         raise ConfigError(f"[grids] xi_min {xi_grid[0]} below the frequency floor M={zone.M}")
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    grid_keys = ("xi_min", "xi_max", "points_per_decade")  # read by _xi_grid
     given = {
         name: v for section in ("grids", "fits", "loss", "energy", "output")
-        for name, v in values.get(section, {}).items() if name in fields
+        for name, v in values.get(section, {}).items() if name not in grid_keys
     }
     if "loss" in values:
         given["loss_xi_grid"] = _xi_grid(values, "loss", xi_min=64.0, xi_max=16384.0, points_per_decade=16.0)

@@ -621,17 +621,21 @@ def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0
     ``WORK_BUDGET`` steps, or a recorded norm is not finite.  A failed pass
     is repeated one frequency at a time, so that an error names the first
     frequency whose plan fails or, when the plans pass, the first whose
-    integration fails.
+    integration fails; a failed pass plan is repeated without integrating,
+    so that a pass over ``WORK_BUDGET`` raises before any propagator is formed.
     """
     idx = np.arange(exp.xi_grid.size) if indices is None else np.asarray(indices, dtype=int).reshape(-1)
     U0 = np.array([exp.initial_vector(int(i)) for i in idx], dtype=complex).reshape(idx.size, exp.operator.m)
+    plan = None
     try:
-        return _integrate(exp, idx, U0, *_plan(exp, idx, step_scale))
+        plan = _plan(exp, idx, step_scale)
+        return _integrate(exp, idx, U0, *plan)
     except INTEGRATOR_ERRORS:
         if idx.size > 1:
             plans = [_plan(exp, idx[n : n + 1], step_scale) for n in range(idx.size)]
-            for n, plan in enumerate(plans):
-                _integrate(exp, idx[n : n + 1], U0[n : n + 1], *plan)
+            if plan is not None:
+                for n, one in enumerate(plans):
+                    _integrate(exp, idx[n : n + 1], U0[n : n + 1], *one)
         raise
 
 

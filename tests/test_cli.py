@@ -390,6 +390,28 @@ def test_cli_energy_over_the_work_budget_exits_before_integrating(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_energy_over_the_pass_budget_integrates_no_frequency(tmp_path, capsys, monkeypatch, jobs):
+    # a budget of 5000 lies above each frequency's own plan (at most 1090
+    # steps) but below the pass's 9708: the failed pass is re-planned one
+    # frequency at a time, and none of those plans may start integrating
+    from hyplab import energy
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("a propagator was formed over the work budget")
+
+    monkeypatch.setattr(energy, "_integrate", integrate)
+    monkeypatch.setattr(energy, "WORK_BUDGET", 5000)
+    cfg = str(Path(CONFIGS, "..", "perfbench", "configs", "constant_random.cfg"))
+    assert main(["energy", "--config", cfg, "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "configuration error: energy: 9708 planned Magnus steps and frame nodes exceed "
+        "the budget of 5000 per pass (xi up to 512)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_energy_jobs_parallel_identical(tmp_path):
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
