@@ -30,7 +30,8 @@ from .companion import HyperbolicityViolation, NearMultipleRoot
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugation import ThetaSpec, theta_integral_bound
 from .diagonalizers import m3_weights
-from .energy import INTEGRATOR_ERRORS, EnergyTrace, FrequencyExperiment, _plan, estimate_loss, evolve_sweep
+from .energy import INTEGRATOR_ERRORS, EnergyTrace, FrequencyExperiment, LossEstimate, _plan
+from .energy import estimate_loss, evolve_sweep
 
 # not called here; perfbench/test_perfbench.py checks that its tracer wraps this binding
 from .energy import evolve_frequency  # noqa: F401
@@ -48,17 +49,23 @@ __all__ = ["main"]
 _UNEVALUABLE = (ValueError, FloatingPointError, np.linalg.LinAlgError, HyperbolicityViolation, NearMultipleRoot)
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+def _fp_raise():
+    """Raise FloatingPointError on an overflow, a division by zero or an invalid operation, instead of warning."""
+    return np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 def _write_csv(path, header, rows):
+    """Write the header, then one line per row of cells in header order: a float as %.12g, any other cell as str.
+
+    ``rows`` is a sequence of equal-length rows or a 2-D array; the lines
+    are formatted by one %-format.
+    """
+    cells = np.asarray(rows, dtype=object).ravel().tolist()
+    fmt = [","] * (2 * len(cells))
+    fmt[::2] = ["%.12g" if isinstance(c, float) else "%s" for c in cells]
+    fmt[2 * len(header) - 1 :: 2 * len(header)] = ["\n"] * (len(cells) // len(header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[h]) for h in header) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(fmt) % tuple(cells))
 
 
 def _outdir(cfg: ExperimentConfig, override):
@@ -97,28 +104,32 @@ def _sweep(exp: FrequencyExperiment, jobs: int, pool):
 def cmd_tables(cfg: ExperimentConfig, args) -> int:
     kwargs = {"summary": {"eps": cfg.eps}, "weight_orders": {}}  # the decay-rate tables take alpha
     try:
-        tables = {name: build(**kwargs.get(name, {"alpha": cfg.table_alpha})) for name, build in TABLE_BUILDERS.items()}
-    except ValueError as exc:  # the config's alpha leaves a modulus's range
+        with _fp_raise():
+            tables = {
+                name: build(**kwargs.get(name, {"alpha": cfg.table_alpha})) for name, build in TABLE_BUILDERS.items()
+            }
+    except (ValueError, FloatingPointError) as exc:  # the config's alpha leaves a modulus's range, or overflows it
         raise ConfigError(f"tables: {exc}") from exc
     out = _outdir(cfg, args.out)  # only once every table is built
     for name, rows in tables.items():
-        _write_csv(os.path.join(out, f"{name}.csv"), COLUMNS, rows)
+        _write_csv(os.path.join(out, f"{name}.csv"), COLUMNS, [[row[c] for c in COLUMNS] for row in rows])
         print(f"wrote {name}.csv ({len(rows)} rows)")
     return 0
 
 
 def cmd_classify(cfg: ExperimentConfig, args) -> int:
     try:
-        rep = classify(
-            cfg.eta,
-            cfg.rho,
-            cfg.zone,
-            cfg.xi_grid,
-            cfg.eps,
-            t_samples=cfg.t_samples,
-            force_m0=args.force_m0,
-        )
-    except ValueError as exc:  # the config's grid or zone cannot be classified
+        with _fp_raise():
+            rep = classify(
+                cfg.eta,
+                cfg.rho,
+                cfg.zone,
+                cfg.xi_grid,
+                cfg.eps,
+                t_samples=cfg.t_samples,
+                force_m0=args.force_m0,
+            )
+    except (ValueError, FloatingPointError) as exc:  # the config's grid or zone cannot be classified
         raise ConfigError(f"classify: {exc}") from exc
     out = _outdir(cfg, args.out)  # only once the fit succeeded
     payload = json.dumps(rep.to_json(), sort_keys=True, indent=2)
@@ -153,12 +164,10 @@ def cmd_energy(cfg: ExperimentConfig, args) -> int:
     except INTEGRATOR_ERRORS as exc:
         raise ConfigError(f"energy: {exc}") from exc
     out = _outdir(cfg, args.out)  # only once the sweep succeeded
-    rows = [
-        {"xi": tr.xi, "t": float(t), "norm": float(n)}
-        for tr in traces
-        for t, n in zip(tr.times, tr.norms)
-    ]
-    _write_csv(os.path.join(out, "traces.csv"), ["xi", "t", "norm"], rows)
+    xi = np.repeat([tr.xi for tr in traces], [tr.times.size for tr in traces])
+    times = np.concatenate([tr.times for tr in traces])
+    norms = np.concatenate([tr.norms for tr in traces])
+    _write_csv(os.path.join(out, "traces.csv"), ["xi", "t", "norm"], np.column_stack((xi, times, norms)))
     print(f"wrote traces.csv ({len(traces)} frequencies x {cfg.energy_samples} samples)")
     return 0
 
@@ -192,10 +201,11 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
             except INTEGRATOR_ERRORS as exc:
                 raise ConfigError(f"loss: gamma={gamma:g}: {exc}") from exc
             loss = estimate_loss(traces)
-            rows.append({"gamma": gamma, **dataclasses.asdict(loss)})
+            rows.append((gamma, *dataclasses.astuple(loss)))
             print(f"gamma={gamma:g}: nu0_hat={loss.nu0_hat:+.4f} (stderr {loss.stderr:.4f})")
     out = _outdir(cfg, args.out)  # only once every sweep succeeded
-    _write_csv(os.path.join(out, "loss.csv"), list(rows[0]), rows)  # gamma, then the fields of LossEstimate
+    header = ["gamma"] + [f.name for f in dataclasses.fields(LossEstimate)]
+    _write_csv(os.path.join(out, "loss.csv"), header, rows)
     return 0
 
 
@@ -298,8 +308,7 @@ def _verify_checks(cfg: ExperimentConfig):
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
     failures = 0
-    # an overflow, a division by zero or an invalid operation leaves a check unevaluable: it fails
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
+    with _fp_raise():  # a floating-point error leaves a check unevaluable: it fails
         for name, ok, detail in _verify_checks(cfg):
             print(f"{name:<28} {'PASS' if ok else 'FAIL'}  {detail}")
             failures += 0 if ok else 1

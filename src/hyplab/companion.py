@@ -8,8 +8,11 @@ coefficient list a_{m-j}, j = 0..m-1; the characteristic polynomial is
 Strict hyperbolicity means the roots are real and separated by a fixed
 fraction of <xi> = sqrt(1 + xi^2).  One builder, batched over leading axes,
 makes the companion symbol (<xi> on the superdiagonal, the <xi>-normalized
-coefficient entries in the last row); its eigenvalues are the characteristic
-roots, settled a whole batch at a time.  Along a time grid, for one
+coefficient entries c in the last row), and the characteristic roots are
+settled a whole batch at a time.  For m = 2 they are mu +- w in closed form,
+mu = c1/2 and w^2 = mu^2 + <xi> c0, the smaller one as the product of the
+roots over the larger, which keeps its relative accuracy (``_quadratic_roots``);
+for m > 2 they are the symbol's eigenvalues.  Along a time grid, for one
 frequency or an array of them, the roots of the mollified symbol come with
 their exact rates, by implicit differentiation of the characteristic
 polynomial over the root-gap matrix that the diagonalizer chain is built
@@ -124,10 +127,11 @@ def _companion(vals, xi):
 def _roots(vals, xi, delta_sep):
     """Settled ascending roots for each row of coefficient values, shape (n, m).
 
-    ``xi`` is one frequency or one per row.  Eigenvalues of the companion
-    symbol, checked for the whole batch at once: imaginary parts within
-    IMAG_TOL <xi>, gaps at least delta_sep <xi>.  An error names the
-    frequency of the first failing row and the worst value at it.
+    ``xi`` is one frequency or one per row.  For m = 2 the closed form of
+    ``_quadratic_roots``, for m > 2 the eigenvalues of the companion symbol,
+    checked for the whole batch at once: imaginary parts within IMAG_TOL
+    <xi>, gaps at least delta_sep <xi>.  An error names the frequency of the
+    first failing row and the worst value at it.
     """
     xi = np.broadcast_to(np.asarray(xi, dtype=float), vals.shape[:-1])
     jb = jbracket(xi)
@@ -136,22 +140,46 @@ def _roots(vals, xi, delta_sep):
         x = float(xi.flat[np.argmax(bad)])
         return x, float(reduce(value[xi == x])), float(jbracket(x))
 
-    raw = np.linalg.eigvals(_companion(vals, xi))
-    imag = np.max(np.abs(raw.imag), axis=-1)
+    if vals.shape[-1] == 2:
+        lam, imag = _quadratic_roots(vals * _row_scale(xi, 2), jb)
+    else:
+        raw = np.linalg.eigvals(_companion(vals, xi))
+        lam, imag = np.sort(raw.real, axis=-1), np.max(np.abs(raw.imag), axis=-1)
     bad = imag > IMAG_TOL * jb
     if bad.any():
         x, worst, jx = first(bad, imag, np.max)
         raise HyperbolicityViolation(
             f"complex characteristic roots at xi={x}: max |Im| = {worst:.3e} > {IMAG_TOL * jx:.3e}"
         )
-    lam = np.sort(raw.real, axis=-1)
-    if lam.shape[-1] > 1:
-        gap = np.min(np.diff(lam, axis=-1), axis=-1)
-        bad = gap < delta_sep * jb
-        if bad.any():
-            x, gap, jx = first(bad, gap, np.min)
-            raise NearMultipleRoot(f"root gap {gap:.3e} below margin {delta_sep * jx:.3e} at xi={x}")
+    gap = np.min(np.diff(lam, axis=-1), axis=-1)
+    bad = gap < delta_sep * jb
+    if bad.any():
+        x, gap, jx = first(bad, gap, np.min)
+        raise NearMultipleRoot(f"root gap {gap:.3e} below margin {delta_sep * jx:.3e} at xi={x}")
     return lam
+
+
+def _quadratic_roots(c, jb):
+    """Ascending real parts and the |Im| of the roots of lam^2 - c1 lam - <xi> c0, for last rows c[..., :2].
+
+    With mu = c1 / 2 and w^2 = mu^2 + <xi> c0 the roots are mu +- w: the one
+    of larger magnitude is mu + sign(mu) w, and the other is the product
+    -<xi> c0 over it, which keeps a small root's relative accuracy where
+    mu - w would cancel.  Where w^2 < 0 both real parts are mu and
+    |Im| = sqrt(-w^2).  Like ``np.linalg.eigvals``, non-finite entries raise
+    ``LinAlgError``.
+    """
+    if not np.isfinite(c).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    jc = jb * c[..., 0]
+    mu = 0.5 * c[..., 1]
+    w2 = mu * mu + jc
+    w = np.sqrt(np.abs(w2))
+    real = w2 >= 0.0
+    big = np.where(real, mu + np.copysign(w, mu), mu)
+    small = np.where(real, np.divide(-jc, big, out=np.zeros_like(big), where=big != 0.0), mu)
+    lam = np.stack((np.minimum(big, small), np.maximum(big, small)), axis=-1)
+    return lam, np.where(real, 0.0, w)
 
 
 def _root_gaps(lam, tol=0.0):

@@ -20,11 +20,11 @@ Sections and keys, each with its parser in ``_SCHEMA``:
 
 A key absent from the file is not passed on, so it takes the default of the
 object it builds (``ExperimentConfig``, ``ZoneParams``, ``CoefficientSpec``,
-``SpatialProfile``, ``HyperbolicOperatorSpec``; a family's r0 comes from
-``moduli.DEFAULT_R0``).  Only M = auto, m = 2 and the two frequency grids
-default here.  Validation happens before any computation and reports the
-offending section and key; unknown sections and keys and non-finite numbers
-are rejected.
+``SpatialProfile``, ``HyperbolicOperatorSpec``, ``AuxiliaryFunction``, whose
+r0 is its family's ``moduli.DEFAULT_R0``).  Only M = auto, m = 2 and the two
+frequency grids default here.  Validation happens before any computation and
+reports the offending section and key; unknown sections and keys and
+non-finite numbers are rejected.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .coefficients import CoefficientSpec, SpatialProfile
 from .companion import HyperbolicOperatorSpec
-from .moduli import DEFAULT_R0, AuxiliaryFunction
+from .moduli import FAMILIES, AuxiliaryFunction
 from .weights import jbracket
 from .zones import ZoneParams, validate_zone, zone_floor
 
@@ -149,10 +149,10 @@ class ExperimentConfig:
 def _aux(values, role):
     fam = _required(values, "moduli", f"{role}_family")
     param = _required(values, "moduli", f"{role}_param")
-    if fam not in DEFAULT_R0:
+    if fam not in FAMILIES:
         raise ConfigError(f"[moduli] unknown {role}_family '{fam}'")
     try:  # not the family's factory: iterated_log() would round a fractional depth
-        return AuxiliaryFunction(fam, param, role, values["moduli"].get(f"{role}_r0", DEFAULT_R0[fam]))
+        return AuxiliaryFunction(fam, param, role, values["moduli"].get(f"{role}_r0"))
     except ValueError as exc:
         raise ConfigError(f"[moduli] {role}: {exc}") from exc
 

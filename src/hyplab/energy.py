@@ -94,11 +94,14 @@ trapezoid h (lam_n + lam_n+1)/2 + h^2 (lam_n' - lam_n+1')/12.  Omega1 holds
 the Filon moments of K_pq exp(i s_pq), the amplitude K_pq / s_pq' linear in
 each pair's phase s_pq = Phi_q - Phi_p (on the diagonal, the trapezoid in
 t).  Omega2 is the second Magnus term with K frozen at the step's mean and
-the phases linear in t, whose moments are divided differences of exp
-(``_commutator_moments``).  The node propagators of the whole sweep are
-formed ``BATCH`` // 2 steps at a time and reduced like the Magnus ones, V
-enters as M1^-1 U at a frequency's first frame node, and the norm at a frame
-sample time is |M1 V|.
+the phases linear in t (``_commutator_moments``).  Its moments on a triple
+with a repeated index are Filon weights again: 2 phi_2 - phi_1 of i s_pq
+on (p, p, q), its negative on (p, q, q), and phi_2(i s_pr) - phi_2(i s_rp)
+on (p, r, p); only the triples of three distinct indices (none for m = 2)
+take divided differences of exp.  The node propagators of the whole sweep
+are formed ``BATCH`` // 2 steps at a time and reduced like the Magnus ones,
+V enters as M1^-1 U at a frequency's first frame node, and the norm at a
+frame sample time is |M1 V|.
 
 Amplification per frequency is the supremum of |U(t)|/|U(0)| over a fixed
 sample grid; the loss-of-derivatives exponent is the least-squares slope of
@@ -304,22 +307,45 @@ def _phi2(ds):
     return np.where(small, series, (np.exp(safe) - 1.0 - safe) / safe**2)
 
 
-def _commutator_moments(ds, e, p1):
+def _commutator_moments(ds, w0, p1):
     """D[..., p, r, q] = J(s_pr, s_rq) - J(s_rq, s_pr) of the pair increments ds[..., p, q] = s_pq.
 
-    J(a, b) = int_0^1 du int_0^u dv exp(i (a u + b v)) is the divided
-    difference exp[0, ia, ic] with c = a + b = s_pq, and J(b, a) is
-    exp[0, ib, ic].  ``e`` and ``p1`` hold exp(i s) and phi_1(i s) =
-    (exp(i s) - 1)/(i s) of the same pairs.  Both differences are taken
-    across the widest of the gaps |a|, |b|, |c| between their points; where
-    all three are below 1/2, the Taylor series
-    sum_k i^k (h_k(a, c) - h_k(b, c))/(k + 2)! (h_k complete homogeneous,
-    terms to k = 10, each below 1e-10 of the first) replaces them.
+    J(a, b) = int_0^1 du int_0^u dv exp(i (a u + b v)).  ``w0`` and ``p1``
+    hold phi_2(i s) and phi_1(i s) = (exp(i s) - 1)/(i s) of the same pairs.
+    A triple with a repeated index needs no more: J(0, s) = phi_2(i s),
+    J(s, 0) = phi_1(i s) - phi_2(i s) and J(s, -s) = phi_2(i s), so
+
+        D[p, p, q] = -D[p, q, q] = 2 phi_2(i s_pq) - phi_1(i s_pq),   D[p, r, p] = phi_2(i s_pr) - phi_2(i s_rp),
+
+    and D[p, p, p] = 0.  Only the triples of distinct indices, none for
+    m = 2, take divided differences (``_divided_moments``).
     """
-    # axes (..., p, r, q): a = s_pr, b = s_rq, c = s_pq
-    a, b, c = np.broadcast_arrays(ds[..., :, :, None], ds[..., None, :, :], ds[..., :, None, :])
-    ea, eb = e[..., :, :, None], e[..., None, :, :]
-    pa, pb, pc = p1[..., :, :, None], p1[..., None, :, :], p1[..., :, None, :]
+    m = ds.shape[-1]
+    D = np.zeros(ds.shape[:-2] + (m, m, m), dtype=complex)
+    p, q = np.nonzero(~np.eye(m, dtype=bool))
+    D[..., p, p, q] = 2.0 * w0[..., p, q] - p1[..., p, q]
+    D[..., p, q, q] = -D[..., p, p, q]
+    D[..., p, q, p] = w0[..., p, q] - w0[..., q, p]
+    p, r, q = np.indices((m, m, m)).reshape(3, -1)
+    distinct = (p != r) & (r != q) & (p != q)
+    p, r, q = p[distinct], r[distinct], q[distinct]
+    if p.size:
+        pairs = (p, r), (r, q), (p, q)
+        D[..., p, r, q] = _divided_moments(*(ds[..., i, j] for i, j in pairs), *(p1[..., i, j] for i, j in pairs))
+    return D
+
+
+def _divided_moments(a, b, c, pa, pb, pc):
+    """J(a, b) - J(b, a) for c = a + b, from phi_1 of i a, i b and i c (``_commutator_moments``).
+
+    J(a, b) is the divided difference exp[0, ia, ic], and J(b, a) is
+    exp[0, ib, ic].  Both differences are taken across the widest of the
+    gaps |a|, |b|, |c| between their points; where all three are below 1/2,
+    the Taylor series sum_k i^k (h_k(a, c) - h_k(b, c))/(k + 2)! (h_k
+    complete homogeneous, terms to k = 10, each below 1e-10 of the first)
+    replaces them.
+    """
+    ea, eb = np.exp(1j * a), np.exp(1j * b)
     gaps = np.abs(np.stack((a, b, c)))
     wide = np.argmax(gaps, axis=0)
     small = gaps.max(axis=0) < 0.5
@@ -370,7 +396,7 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
         # second Magnus term with the coupling K frozen at the step's mean and the
         # phases linear: 1/2 h^2 sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr))
         mean = 0.5 * (coupling[i] + coupling[j])
-        D = _commutator_moments(ds, np.exp(1j * ds), p1)
+        D = _commutator_moments(ds, w0, p1)
         omega = omega + 0.5 * h[..., None] ** 2 * (mean[:, :, :, None] * mean[:, None] * D).sum(2)
         omega = np.ascontiguousarray(omega.transpose(1, 2, 0))  # steps last, for _mul
         P[:, :, lo : lo + a.size] = np.exp(1j * dphi.T)[:, None] * _expm(omega)

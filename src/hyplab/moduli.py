@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -93,16 +94,19 @@ class AuxiliaryFunction:
 
     ``param`` is the exponent beta for ``power_law``, the power alpha for
     ``log_reciprocal`` and the (integer) log depth for ``iterated_log``.
+    ``r0`` left as None is the family's ``DEFAULT_R0``.
     """
 
     family: str
     param: float
     role: str = "eta"
-    r0: float = 0.5
+    r0: Optional[float] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if self.r0 is None:
+            object.__setattr__(self, "r0", DEFAULT_R0[self.family])
         if self.role not in ROLES:
             raise ValueError(f"unknown role {self.role!r}, expected one of {ROLES}")
         if not (self.r0 > 0.0):
@@ -233,15 +237,15 @@ class AuxiliaryFunction:
         return r if r.shape else float(r)
 
 
-def power_law(beta, role="eta", r0=DEFAULT_R0["power_law"]):
+def power_law(beta, role="eta", r0=None):
     return AuxiliaryFunction("power_law", float(beta), role, r0)
 
 
-def log_reciprocal(alpha, role="eta", r0=DEFAULT_R0["log_reciprocal"]):
+def log_reciprocal(alpha, role="eta", r0=None):
     return AuxiliaryFunction("log_reciprocal", float(alpha), role, r0)
 
 
-def iterated_log(depth, role="eta", r0=DEFAULT_R0["iterated_log"]):
+def iterated_log(depth, role="eta", r0=None):
     return AuxiliaryFunction("iterated_log", int(depth), role, r0)
 
 

@@ -56,7 +56,7 @@ def validate_zone(eta: AuxiliaryFunction, zp: ZoneParams):
     return zp
 
 
-def zone_floor(eta: AuxiliaryFunction, N=2.0):
+def zone_floor(eta: AuxiliaryFunction, N=ZoneParams.N):
     """Smallest power of two M satisfying the frequency-floor constraints."""
     M = 1.0
     for _ in range(60):

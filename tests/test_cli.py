@@ -172,12 +172,16 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
         ("verify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 3, ("m3_integral_bounded", "divide by zero", 4)),
         # inside (0, 1), but the Hoelder table's difference stencil leaves eta's range
         ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.999999", 2, None),
+        # the Hoelder closed form t^(-(2-alpha)/(1-alpha)) overflows
+        ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.995", 2, None),
+        # 1/<xi> = 0 in the weights divides by zero in log(1/r)'s jet
+        ("classify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 2, None),
     ],
     ids=[
         "energy_root_gap", "loss_root_gap", "verify_root_gap", "t_samples_zero", "t_samples_negative", "table_alpha",
         "classify_short_grid", "energy_horizon_past_log_power_end", "verify_horizon_past_log_power_end",
         "verify_eta_past_float_range", "verify_eta_inverse_underflow", "verify_t_min_underflow",
-        "verify_xi_max_overflow", "tables_alpha_near_one",
+        "verify_xi_max_overflow", "tables_alpha_near_one", "tables_alpha_overflow", "classify_xi_max_overflow",
     ],
 )
 def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code, failing):

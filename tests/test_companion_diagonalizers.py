@@ -62,6 +62,43 @@ def test_roots_reject_complex_and_near_multiple():
         characteristic_roots(degenerate, 0.1, None, 4.0)
 
 
+def test_quadratic_roots_keep_each_root_to_its_relative_accuracy(monkeypatch):
+    # m = 2 roots from coefficients built from chosen (lam1, lam2), a root 1e-10
+    # the size of the other among them, each to its own relative accuracy;
+    # eigvals, which m = 2 does not call, is off by about 3e-7 on the small root
+    def no_eigvals(*args):
+        raise AssertionError("m = 2 roots called eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    pairs = [(1e-10, 1.0), (-1e-10, 1.0), (-1.0, 1e-10), (-1.0, -1e-10), (-1.0, 1.0), (0.3, 2.5), (-3.0, 0.5)]
+    for xi in (7.0, 1000.0, 2.0**20):
+        lam = np.array(pairs) * jbracket(xi)
+        vals = np.array([_coefficients(z, xi) for z in lam])
+        got = _roots(vals, xi, 1e-6)
+        assert np.max(np.abs(got - lam) / np.abs(lam)) <= 1e-14
+
+
+def test_quadratic_roots_gates_name_the_first_failing_frequency():
+    xi = np.array([2.0, 4.0, 4.0, 8.0])
+    jb = jbracket(xi)
+    # a_2 = -1: roots +- i xi from xi = 4 on
+    vals = np.zeros((4, 2))
+    vals[:, 0] = [1.0, -1.0, -0.25, -1.0]
+    with pytest.raises(HyperbolicityViolation) as err:
+        _roots(vals, xi, 1e-6)
+    assert str(err.value) == f"complex characteristic roots at xi=4.0: max |Im| = 4.000e+00 > {1e-8 * jb[1]:.3e}"
+    # roots (1, 1.25) <xi> at xi = 4, under the margin 0.5 <xi>
+    vals = np.array([_coefficients(np.array(z) * jb[1], 4.0) for z in [(-1.0, 1.0), (1.0, 1.25)]])
+    with pytest.raises(NearMultipleRoot) as err:
+        _roots(vals, 4.0, 0.5)
+    assert str(err.value) == f"root gap {0.25 * jb[1]:.3e} below margin {0.5 * jb[1]:.3e} at xi=4.0"
+    # w^2 < 0 inside the imaginary tolerance: both roots are real(mu), a gap of 0
+    vals = np.array([[-1e-18, 0.0]])
+    with pytest.raises(NearMultipleRoot) as err:
+        _roots(vals, 4.0, 1e-6)
+    assert str(err.value) == f"root gap 0.000e+00 below margin {1e-6 * jb[1]:.3e} at xi=4.0"
+
+
 def test_roots_homogeneity():
     spec = HyperbolicOperatorSpec(
         2, (CoefficientSpec("log_power_oscillation", delta=0.5), None)

@@ -529,14 +529,11 @@ def test_sweep_errors_name_the_first_failing_frequency():
 
 def test_commutator_moments_match_quadrature():
     # J(a, b) - J(b, a), J(a, b) = int_0^1 du int_0^u dv exp(i(a u + b v)), on
-    # both sides of the series switch and at phases of many radians
+    # both sides of the series switch and at phases of many radians: the
+    # triples of distinct indices (m = 3) and those with a repeated index (m = 2, 3)
     rng = np.random.default_rng(11)
     a = np.concatenate((rng.uniform(-0.5, 0.5, 16), rng.uniform(-40.0, 40.0, 16), [0.0, 0.0, 2.0, 0.49, -7.0]))
     b = np.concatenate((rng.uniform(-0.5, 0.5, 16), rng.uniform(-40.0, 40.0, 16), [0.0, 2.0, 0.0, -0.01, 7.0]))
-    dphi = np.stack((np.zeros_like(a), a, a + b), axis=1)  # s_01 = a, s_12 = b, s_02 = a + b
-    ds = dphi[:, None, :] - dphi[:, :, None]
-    p1 = 1.0 + 1j * ds * energy._phi2(ds)
-    got = energy._commutator_moments(ds, np.exp(1j * ds), p1)[:, 0, 1, 2]
     u, w = np.polynomial.legendre.leggauss(400)
     u, w = 0.5 * (u + 1.0), 0.5 * w
 
@@ -545,8 +542,15 @@ def test_commutator_moments_match_quadrature():
         inner = np.where(bu == 0.0, u, np.expm1(1j * bu) / (1j * np.where(bu == 0.0, 1.0, b[:, None])))
         return (np.exp(1j * np.multiply.outer(a, u)) * inner) @ w
 
-    ref = J(a, b) - J(b, a)
-    assert np.max(np.abs(got - ref)) < 1e-12
+    for dphi in (np.stack((a, a + b), axis=1), np.stack((np.zeros_like(a), a, a + b), axis=1)):
+        ds = dphi[:, None, :] - dphi[:, :, None]  # m = 3: s_01 = a, s_12 = b, s_02 = a + b
+        w0 = energy._phi2(ds)
+        got = energy._commutator_moments(ds, w0, 1.0 + 1j * ds * w0)
+        m = ds.shape[-1]
+        for p, r, q in np.ndindex(m, m, m):
+            ref = J(ds[:, p, r], ds[:, r, q]) - J(ds[:, r, q], ds[:, p, r])
+            bound = 1e-12 if len({p, r, q}) == 3 else 1e-13
+            assert np.max(np.abs(got[:, p, r, q] - ref)) < bound, (p, r, q)
 
 
 def test_expm_matches_eigendecomposition():

@@ -6,6 +6,7 @@ import pytest
 
 from hyplab import tables
 from hyplab.moduli import (
+    DEFAULT_R0,
     AuxiliaryFunction,
     ModulusOfContinuity,
     admissibility_check,
@@ -26,6 +27,14 @@ CATALOG = [
     log_reciprocal(2.0),
     iterated_log(2),
 ]
+
+
+def test_family_default_r0_is_owned_by_the_catalog():
+    # a member built without r0 takes its family's DEFAULT_R0, directly or through its factory
+    for factory, param in ((power_law, 0.5), (log_reciprocal, 1.0), (iterated_log, 2)):
+        built = AuxiliaryFunction(factory.__name__, param)
+        assert built == factory(param) and built.r0 == DEFAULT_R0[factory.__name__]
+    assert AuxiliaryFunction("power_law", 0.5, r0=0.25).r0 == 0.25
 
 
 def test_eval_closed_forms():
