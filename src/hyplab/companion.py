@@ -193,7 +193,11 @@ def _root_gaps(lam, tol=0.0):
     if m > 1 and np.any(np.diff(lam, axis=-1) < np.asarray(tol)[..., None]):
         raise NearMultipleRoot(f"root gap underflow below {np.min(tol):.3e}")
     G = lam[..., None, :] - lam[..., :, None]
-    return G, np.prod(G + np.eye(m), axis=-1)
+    H = G + np.eye(m)
+    P = H[..., 0].copy()
+    for i in range(1, m):  # the product in np.prod's order, without its reduction over a short axis
+        P *= H[..., i]
+    return G, P
 
 
 def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> RootSet:
@@ -239,7 +243,9 @@ def _root_rates(lam, vals_dot, xi):
     """
     m = lam.shape[-1]
     b_dot = vals_dot * np.asarray(xi, dtype=float)[..., None] ** (m - np.arange(m))
-    num = np.sum(b_dot[..., None, :] * lam[..., :, None] ** np.arange(m), axis=-1)
+    num = b_dot[..., m - 1 :] * np.ones_like(lam)  # by Horner in lam_k
+    for j in range(m - 2, -1, -1):
+        num = num * lam + b_dot[..., j : j + 1]
     _, P = _root_gaps(lam)
     return num / ((-1) ** (m - 1) * P)
 

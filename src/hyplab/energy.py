@@ -33,7 +33,8 @@ not depend on step_scale and vanishes as t -> 0, so the intervals near the
 origin, and every interval at low <xi> or of a rough coefficient, stay on
 the Magnus step.  ``EnergyTrace.steps`` counts the Magnus steps and
 ``nodes`` the frame steps; every count is fixed before integrating.  R = 80
-weighs a node, about 14 steps of length h_k, against accuracy: nearer the
+weighs a node against accuracy: at m = 2 a node (its roots, their rates and
+its propagator) costs about as much as 9 Magnus steps, but nearer the
 origin the coupling is strong against a node's length.  A step that turns
 g_k |A|_inf > ``PHASE_LIMIT`` raises ``StiffnessError`` before integrating.
 
@@ -93,15 +94,24 @@ diag(exp(i dPhi)) exp(Omega1 + Omega2).  dPhi is the Hermite-corrected
 trapezoid h (lam_n + lam_n+1)/2 + h^2 (lam_n' - lam_n+1')/12.  Omega1 holds
 the Filon moments of K_pq exp(i s_pq), the amplitude K_pq / s_pq' linear in
 each pair's phase s_pq = Phi_q - Phi_p (on the diagonal, the trapezoid in
-t).  Omega2 is the second Magnus term with K frozen at the step's mean and
-the phases linear in t (``_commutator_moments``).  Its moments on a triple
-with a repeated index are Filon weights again: 2 phi_2 - phi_1 of i s_pq
-on (p, p, q), its negative on (p, q, q), and phi_2(i s_pr) - phi_2(i s_rp)
-on (p, r, p); only the triples of three distinct indices (none for m = 2)
-take divided differences of exp.  The node propagators of the whole sweep
-are formed ``BATCH`` // 2 steps at a time and reduced like the Magnus ones,
-V enters as M1^-1 U at a frequency's first frame node, and the norm at a
-frame sample time is |M1 V|.
+t): its weights are phi_2 and phi_1 - phi_2 of i ds_pq, ds the step's
+increments of s.  ds is real and antisymmetric, so ``_phi2`` is evaluated
+on the m(m - 1)/2 pairs p < q alone: phi_2(i ds_qp) is its conjugate, and
+phi_2(0) = 1/2.  Omega2 is the second Magnus term with K frozen at the
+step's mean and the phases linear in t (``_commutator_moments``), from the
+same pair weights:
+
+    Omega2_pq = 1/2 h^2 K_pq (K_pp - K_qq) (2 phi_2 - phi_1)(i ds_pq)   (p != q),
+    Omega2_pp = 1/2 h^2 sum_r K_pr K_rp (phi_2(i ds_pr) - phi_2(i ds_rp)),
+
+plus, for m >= 3, the terms of three distinct indices, which take divided
+differences of exp.  For m = 2 the exponential is the closed form
+``_expm2``, e^mu (C I + S (Omega - mu I)) with mu half the trace,
+C = cosh sqrt(delta) and S = sinh sqrt(delta) / sqrt(delta) (Moler & Van
+Loan, SIAM Rev. 45, 2003); for m > 2 it is ``_expm``.  The node
+propagators of the whole sweep are formed ``BATCH`` // 2 steps at a time
+and reduced like the Magnus ones, V enters as M1^-1 U at a frequency's
+first frame node, and the norm at a frame sample time is |M1 V|.
 
 Amplification per frequency is the supremum of |U(t)|/|U(0)| over a fixed
 sample grid; the loss-of-derivatives exponent is the least-squares slope of
@@ -292,6 +302,43 @@ def _expm(X):
     return E
 
 
+def _expm2(X):
+    """exp of every matrix of a (2, 2, ...) stack in closed form (Cayley-Hamilton).
+
+    With mu = tr X / 2 and N = X - mu I, N^2 = delta I for
+    delta = ((X_00 - X_11) / 2)^2 + X_01 X_10, so
+
+        exp(X) = e^mu (C I + S N),   C = cosh sqrt(delta),   S = sinh sqrt(delta) / sqrt(delta).
+
+    Below |delta| = 1, C and S are their even series in delta to the term
+    delta^9 (remainder below 1/20! < 1e-18), so that a zero matrix maps to I
+    exactly; elsewhere ``np.sqrt``, ``np.cosh`` and ``np.sinh``.  Each result
+    depends on its own matrix alone.
+    """
+    mu = 0.5 * (X[0, 0] + X[1, 1])
+    d = 0.5 * (X[0, 0] - X[1, 1])
+    delta = d * d + X[0, 1] * X[1, 0]
+    wide = np.abs(delta) >= 1.0
+    z = np.where(wide, 0.0, delta)
+    C = z / math.factorial(18) + 1.0 / math.factorial(16)
+    S = z / math.factorial(19) + 1.0 / math.factorial(17)
+    for k in range(7, -1, -1):
+        C = C * z + 1.0 / math.factorial(2 * k)
+        S = S * z + 1.0 / math.factorial(2 * k + 1)
+    if wide.any():
+        root = np.sqrt(delta[wide])
+        C[wide], S[wide] = np.cosh(root), np.sinh(root) / root
+    e = np.exp(mu)
+    C *= e
+    S *= e
+    E = np.empty_like(C, shape=(2, 2) + C.shape)
+    E[0, 0] = C + S * d
+    E[1, 1] = C - S * d
+    E[0, 1] = S * X[0, 1]
+    E[1, 0] = S * X[1, 0]
+    return E
+
+
 def _phi2(ds):
     """Filon weight int_0^1 (1 - u) exp(i ds u) du of real phase increments ds.
 
@@ -307,32 +354,36 @@ def _phi2(ds):
     return np.where(small, series, (np.exp(safe) - 1.0 - safe) / safe**2)
 
 
-def _commutator_moments(ds, w0, p1):
-    """D[..., p, r, q] = J(s_pr, s_rq) - J(s_rq, s_pr) of the pair increments ds[..., p, q] = s_pq.
+def _commutator_moments(K, ds, w0, p1):
+    """sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr)) for real K[..., p, q] and the pair increments ds[..., p, q] = s_pq.
 
     J(a, b) = int_0^1 du int_0^u dv exp(i (a u + b v)).  ``w0`` and ``p1``
     hold phi_2(i s) and phi_1(i s) = (exp(i s) - 1)/(i s) of the same pairs.
-    A triple with a repeated index needs no more: J(0, s) = phi_2(i s),
-    J(s, 0) = phi_1(i s) - phi_2(i s) and J(s, -s) = phi_2(i s), so
+    A term with a repeated index needs no more: J(0, s) = phi_2(i s),
+    J(s, 0) = phi_1(i s) - phi_2(i s) and J(s, -s) = phi_2(i s), so the terms
+    r = p and r = q of an entry p != q add up to
 
-        D[p, p, q] = -D[p, q, q] = 2 phi_2(i s_pq) - phi_1(i s_pq),   D[p, r, p] = phi_2(i s_pr) - phi_2(i s_rp),
+        K_pq (K_pp - K_qq) (2 phi_2(i s_pq) - phi_1(i s_pq)),
 
-    and D[p, p, p] = 0.  Only the triples of distinct indices, none for
-    m = 2, take divided differences (``_divided_moments``).
+    and a diagonal entry is sum_r K_pr K_rp (phi_2(i s_pr) - phi_2(i s_rp)),
+    where phi_2(i s_rp) = conj phi_2(i s_pr) since ds is real and
+    antisymmetric.  Only the terms r outside {p, q} of an entry p != q
+    (m >= 3) take divided differences (``_divided_moments``).
     """
-    m = ds.shape[-1]
-    D = np.zeros(ds.shape[:-2] + (m, m, m), dtype=complex)
-    p, q = np.nonzero(~np.eye(m, dtype=bool))
-    D[..., p, p, q] = 2.0 * w0[..., p, q] - p1[..., p, q]
-    D[..., p, q, q] = -D[..., p, p, q]
-    D[..., p, q, p] = w0[..., p, q] - w0[..., q, p]
-    p, r, q = np.indices((m, m, m)).reshape(3, -1)
-    distinct = (p != r) & (r != q) & (p != q)
-    p, r, q = p[distinct], r[distinct], q[distinct]
-    if p.size:
+    m = K.shape[-1]
+    d = np.diagonal(K, axis1=-2, axis2=-1)
+    out = K * (d[..., :, None] - d[..., None, :]) * (2.0 * w0 - p1)
+    k = np.arange(m)
+    out[..., k, k] = 2j * (K * np.swapaxes(K, -1, -2) * w0.imag).sum(-1)
+    if m > 2:
+        p, q, r = np.indices((m, m, m)).reshape(3, -1)
+        distinct = (p != r) & (r != q) & (p != q)
+        p, q, r = p[distinct], q[distinct], r[distinct]  # m - 2 consecutive values of r per entry (p, q)
         pairs = (p, r), (r, q), (p, q)
-        D[..., p, r, q] = _divided_moments(*(ds[..., i, j] for i, j in pairs), *(p1[..., i, j] for i, j in pairs))
-    return D
+        D = _divided_moments(*(ds[..., i, j] for i, j in pairs), *(p1[..., i, j] for i, j in pairs))
+        terms = K[..., p, r] * K[..., r, q] * D
+        out[..., p[:: m - 2], q[:: m - 2]] += terms.reshape(terms.shape[:-1] + (-1, m - 2)).sum(-1)
+    return out
 
 
 def _divided_moments(a, b, c, pa, pb, pc):
@@ -375,6 +426,8 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
     P = np.empty((m, m, n + 1), dtype=complex)
     P[:, :, n] = np.eye(m)
     diag = np.eye(m, dtype=bool)
+    upper = np.triu_indices(m, 1)
+    expm = _expm2 if m == 2 else _expm
     chunk = max(1, BATCH // 2)
     for lo in range(0, n, chunk):
         a = start[lo : lo + chunk]
@@ -390,16 +443,20 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
         # (on the diagonal s_pp = 0, and the variable is t)
         left = coupling[i] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[i]))
         right = coupling[j] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[j]))
-        w0 = _phi2(ds)
-        p1 = 1.0 + 1j * ds * w0  # phi_1; the Filon weights are phi_2 and phi_1 - phi_2
+        # the Filon weights are phi_2 and phi_1 - phi_2; ds is real and antisymmetric,
+        # so phi_2 is evaluated on the pairs p < q, conjugated below them, 1/2 on the diagonal
+        w = _phi2(ds[:, upper[0], upper[1]])
+        w0 = np.full(ds.shape, 0.5, dtype=complex)
+        w0[:, upper[0], upper[1]] = w
+        w0[:, upper[1], upper[0]] = w.conj()
+        p1 = 1.0 + 1j * ds * w0  # phi_1
         omega = left * w0 + right * (p1 - w0)
         # second Magnus term with the coupling K frozen at the step's mean and the
         # phases linear: 1/2 h^2 sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr))
         mean = 0.5 * (coupling[i] + coupling[j])
-        D = _commutator_moments(ds, w0, p1)
-        omega = omega + 0.5 * h[..., None] ** 2 * (mean[:, :, :, None] * mean[:, None] * D).sum(2)
+        omega += 0.5 * h[..., None] ** 2 * _commutator_moments(mean, ds, w0, p1)
         omega = np.ascontiguousarray(omega.transpose(1, 2, 0))  # steps last, for _mul
-        P[:, :, lo : lo + a.size] = np.exp(1j * dphi.T)[:, None] * _expm(omega)
+        P[:, :, lo : lo + a.size] = np.exp(1j * dphi.T)[:, None] * expm(omega)
     return P
 
 

@@ -211,19 +211,25 @@ class AuxiliaryFunction:
     def inverse_bisect(self, t):
         """Monotone bisection meeting |value(r) - t| <= 1e-12 * t, elementwise.
 
-        Every target keeps its own bracket and stops once hi - lo <= 1e-13 hi,
-        so an array gives the same numbers as one call per element.
+        Halving r0 brackets each root in [lo, 2 lo] (or at r0), which the
+        bisection then narrows until hi - lo <= 1e-13 hi.  Every target keeps
+        its own bracket, so an array gives the same numbers as one call per
+        element.  Halving stops at the smallest normal float: a root below
+        that raises ValueError, as ``inverse`` does where it underflows.
         """
         t = np.asarray(t, dtype=float)
         if not np.all((t > 0.0) & (t <= self.range_max * (1.0 + 1e-12))):
             raise ValueError(f"target outside the range (0, {self.range_max}]")
-        hi = np.full(t.shape, self.r0)
-        lo = hi.copy()
+        lo = np.full(t.shape, self.r0)
+        tiny = np.finfo(float).tiny
         while True:
-            down = (self._value(lo) >= t) & (lo > 1e-300)
+            down = self._value(lo) >= t
             if not down.any():
                 break
+            if np.any(down & (lo <= tiny)):
+                raise ValueError("root below the smallest normal float; target too small for this family")
             lo = np.where(down, 0.5 * lo, lo)
+        hi = np.minimum(2.0 * lo, self.r0)
         live = np.ones(t.shape, dtype=bool)
         for _ in range(200):
             mid = 0.5 * (lo + hi)

@@ -117,7 +117,7 @@ def weight_order_rows(alpha_values=(0.2, 0.5)):
     rho_id = power_law(1.0, role="rho")
 
     def add(kind, label, eta, rho, target):
-        zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
+        zp = ZoneParams(M=zone_floor(eta))
         w = SymbolWeight(kind, eta, zp, rho=rho)
         fitted = estimate_order(w, _XI_GRID)
         rows.append(_row(f"{kind}|{label}", eta.param, target, fitted, abs(fitted - target)))
@@ -138,11 +138,11 @@ def weight_order_rows(alpha_values=(0.2, 0.5)):
 def summary_rows(eps=0.01, alpha_values=(0.2, 1.0 / 3.0, 0.5)):
     """Admissible index s per modulus against its target, with the gap relative to it; m0 = 1 is pinned by hand."""
     rho_id = power_law(1.0, role="rho")
-    rep = classify(log_reciprocal(1.0), rho_id, ZoneParams(2.0, 2.0, 0.5), _XI_GRID, eps)
+    rep = classify(log_reciprocal(1.0), rho_id, ZoneParams(), _XI_GRID, eps)
     cases = [("log_lipschitz", 1.0, 1.0 + eps, rep.s_min)]  # (family, param, target, fitted s)
     for alpha in alpha_values:
         eta = power_law(1.0 - alpha)
-        rep = classify(eta, rho_id, ZoneParams(2.0, zone_floor(eta), 0.5), _XI_GRID, eps)
+        rep = classify(eta, rho_id, ZoneParams(M=zone_floor(eta)), _XI_GRID, eps)
         cases.append(("holder", alpha, max(1.0 + eps, 2.0 * (1.0 - alpha) / (1.0 + alpha)), rep.s_min))
     cases.append(("forced_m0", 1.0, 2.0, zygmund_index_bound(1.0, eps)))
     return [_row(family, param, target, s, abs(s - target) / target) for family, param, target, s in cases]

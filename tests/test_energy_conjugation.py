@@ -528,12 +528,14 @@ def test_sweep_errors_name_the_first_failing_frequency():
 
 
 def test_commutator_moments_match_quadrature():
-    # J(a, b) - J(b, a), J(a, b) = int_0^1 du int_0^u dv exp(i(a u + b v)), on
-    # both sides of the series switch and at phases of many radians: the
-    # triples of distinct indices (m = 3) and those with a repeated index (m = 2, 3)
+    # sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr)), J(a, b) = int_0^1 du
+    # int_0^u dv exp(i(a u + b v)), for real K with entries in [-1, 1], on both
+    # sides of the series switch and at phases of many radians: the terms of
+    # distinct indices (m = 3, 4) and those with a repeated index (m = 2, 3, 4)
     rng = np.random.default_rng(11)
     a = np.concatenate((rng.uniform(-0.5, 0.5, 16), rng.uniform(-40.0, 40.0, 16), [0.0, 0.0, 2.0, 0.49, -7.0]))
     b = np.concatenate((rng.uniform(-0.5, 0.5, 16), rng.uniform(-40.0, 40.0, 16), [0.0, 2.0, 0.0, -0.01, 7.0]))
+    c = np.concatenate((rng.uniform(-0.5, 0.5, 16), rng.uniform(-40.0, 40.0, 16), [0.0, -2.0, 0.3, 0.0, 0.0]))
     u, w = np.polynomial.legendre.leggauss(400)
     u, w = 0.5 * (u + 1.0), 0.5 * w
 
@@ -542,15 +544,17 @@ def test_commutator_moments_match_quadrature():
         inner = np.where(bu == 0.0, u, np.expm1(1j * bu) / (1j * np.where(bu == 0.0, 1.0, b[:, None])))
         return (np.exp(1j * np.multiply.outer(a, u)) * inner) @ w
 
-    for dphi in (np.stack((a, a + b), axis=1), np.stack((np.zeros_like(a), a, a + b), axis=1)):
-        ds = dphi[:, None, :] - dphi[:, :, None]  # m = 3: s_01 = a, s_12 = b, s_02 = a + b
-        w0 = energy._phi2(ds)
-        got = energy._commutator_moments(ds, w0, 1.0 + 1j * ds * w0)
+    zero = np.zeros_like(a)
+    for dphi in (np.stack((a, a + b), axis=1), np.stack((zero, a, a + b), axis=1), np.stack((zero, a, a + b, c), axis=1)):
+        ds = dphi[:, None, :] - dphi[:, :, None]  # s_01 = a, s_12 = b, s_02 = a + b
         m = ds.shape[-1]
-        for p, r, q in np.ndindex(m, m, m):
-            ref = J(ds[:, p, r], ds[:, r, q]) - J(ds[:, r, q], ds[:, p, r])
-            bound = 1e-12 if len({p, r, q}) == 3 else 1e-13
-            assert np.max(np.abs(got[:, p, r, q] - ref)) < bound, (p, r, q)
+        K = rng.uniform(-1.0, 1.0, (a.size, m, m))
+        w0 = energy._phi2(ds)
+        got = energy._commutator_moments(K, ds, w0, 1.0 + 1j * ds * w0)
+        for p, q in np.ndindex(m, m):
+            ref = sum(K[:, p, r] * K[:, r, q] * (J(ds[:, p, r], ds[:, r, q]) - J(ds[:, r, q], ds[:, p, r])) for r in range(m))
+            bound = 1e-12 if m > 2 and p != q else 1e-13  # an entry p != q of m >= 3 has terms of distinct indices
+            assert np.max(np.abs(got[:, p, q] - ref)) < bound, (m, p, q)
 
 
 def test_expm_matches_eigendecomposition():
@@ -567,6 +571,21 @@ def test_expm_matches_eigendecomposition():
     # each result depends on its own matrix alone: a large batch mate changes no bit
     X = np.concatenate((0.01 * rng.standard_normal((2, 2, 3)), 10.0 * rng.standard_normal((2, 2, 1))), axis=-1)
     assert np.array_equal(energy._expm(X)[..., :3], energy._expm(X[..., :3]))
+
+
+def test_expm2_matches_expm():
+    # both branches of the closed form: |delta| below 1 (even series) and above (sqrt, cosh, sinh)
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((2, 2, 400)) + 1j * rng.standard_normal((2, 2, 400))
+    X *= np.geomspace(1e-3, 8.0, 400) / np.abs(X).sum(axis=0).max(axis=0)  # 1-norms from 1e-3 to 8
+    delta = ((X[0, 0] - X[1, 1]) / 2.0) ** 2 + X[0, 1] * X[1, 0]
+    assert (np.abs(delta) < 1.0).sum() > 20 and (np.abs(delta) >= 1.0).sum() > 20
+    got, ref = energy._expm2(X), energy._expm(X)
+    assert np.max(np.abs(got - ref).max(axis=(0, 1)) / np.abs(ref).max(axis=(0, 1))) < 1e-13
+    assert np.array_equal(energy._expm2(np.zeros((2, 2, 3), dtype=complex)), np.broadcast_to(np.eye(2)[:, :, None], (2, 2, 3)))
+    # each result depends on its own matrix alone: a large batch mate changes no bit
+    X = np.concatenate((0.01 * rng.standard_normal((2, 2, 3)), 10.0 * rng.standard_normal((2, 2, 1))), axis=-1) + 0j
+    assert np.array_equal(energy._expm2(X)[..., :3], energy._expm2(X[..., :3]))
 
 
 def test_amplification_definition():

@@ -99,11 +99,33 @@ def test_inverse_examples_and_bisection_agreement():
         assert f.inverse_bisect(t) == pytest.approx(f.inverse(t), rel=1e-9)
 
 
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: f"{f.family}-{f.param:g}-{f.role}")
+def test_inverse_bisect_matches_inverse_down_to_small_targets(f):
+    # the root of a small target lies many halvings below r0: log_reciprocal(1)
+    # at 1e-3 of its range needs r = exp(-693), below 1e-300
+    checked = 0
+    for t in np.geomspace(1e-3, 1.0, 40) * f.range_max:
+        try:
+            r = f.inverse(t)
+        except ValueError:  # underflows to zero
+            with pytest.raises(ValueError):
+                f.inverse_bisect(t)
+            continue
+        assert f.inverse_bisect(t) == pytest.approx(r, rel=1e-9), t
+        checked += 1
+    assert checked >= 10
+    with pytest.raises(ValueError, match="smallest normal float"):
+        log_reciprocal(1.0).inverse_bisect(1e-4 * log_reciprocal(1.0).range_max)
+
+
 def _bisect_one(f, t):
     # one target at a time: the loop that the array bisection reproduces
-    hi = lo = f.r0
-    while f.value(lo) >= t and lo > 1e-300:
+    lo = f.r0
+    while f.value(lo) >= t:
+        if lo <= np.finfo(float).tiny:
+            raise ValueError("root below the smallest normal float")
         lo *= 0.5
+    hi = min(2.0 * lo, f.r0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f.value(mid) < t:
@@ -118,6 +140,16 @@ def _bisect_one(f, t):
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f"{f.family}-{f.param:g}-{f.role}")
 def test_inverse_bisect_array_matches_scalar_loop(f):
     ts = np.geomspace(1e-3, 1.0, 40).reshape(5, 8) * f.range_max
+    solvable = np.ones(ts.shape, dtype=bool)  # roots at or above the smallest normal float
+    for k, t in np.ndenumerate(ts):
+        try:
+            _bisect_one(f, t)
+        except ValueError:
+            solvable[k] = False
+    if not solvable.all():  # one unsolvable target fails the array, as it fails the loop
+        with pytest.raises(ValueError, match="smallest normal float"):
+            f.inverse_bisect(ts)
+        ts = np.where(solvable, ts, f.range_max)
     got = f.inverse_bisect(ts)
     assert got.shape == ts.shape
     assert np.array_equal(got, [[_bisect_one(f, t) for t in row] for row in ts])

@@ -7,6 +7,8 @@ on any other build the tests skip.  A change that moves numbers on purpose
 regenerates the file with
 
     PYTHONPATH=src python tests/test_output_digests.py
+
+which first prints the runs whose digests changed.
 """
 
 import contextlib
@@ -81,5 +83,11 @@ def test_cli_output_matches_recorded_digests(command, name):
 
 if __name__ == "__main__":
     runs = {f"{command} {name}": run_case(command, name) for command, name in CASES}
+    old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {"build": None, "runs": {}}
+    if old["build"] != build():
+        print(f"recorded build {old['build']}, this build {build()}")
+    for run in sorted(set(runs) | set(old["runs"])):
+        if runs.get(run) != old["runs"].get(run):
+            print(f"changed: {run}")
     DIGESTS.write_text(json.dumps({"build": build(), "runs": runs}, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {DIGESTS.name}: {len(runs)} runs")
