@@ -11,13 +11,19 @@ plain complex m x m array.
   over the denominators P_p (never by numeric inversion);
 * the first-step correction C1 = M1^-1 (D_t M1), whose entries have closed
   forms in the roots and their time derivatives (D_t = -i d/dt), both
-  supplied by ``companion.roots_on_times``;
+  supplied by ``companion.roots_on_times``; C1 = i K with K real, the
+  coupling that the integrator's frame also takes from ``_c1``;
 * M2 = I + (off-diagonal of C1)/(lam_p - lam_q), active in the hyperbolic
   zone only;
 * the diagonal exponential weights w_p absorbing the remaining diagonal
-  derivative terms, over the row sums of G; their time integrals must stay
-  bounded in frequency for a no-loss estimate, which is exactly what the
-  laboratory measures.
+  derivative terms D_t lam_p / g_p, over the row sums g_p = sum_i G[p, i]
+  = S - m lam_p of G, S = sum_i lam_i = xi a_1.  Their time integrals must
+  stay bounded in frequency for a no-loss estimate, which is exactly what
+  the laboratory measures.  Since lam_p' = (S' - g_p')/m they telescope:
+
+      int_0^t D_s lam_p / g_p ds = (i/m) [log(g_p(t)/g_p(0)) - int_0^t S'/g_p ds],
+
+  and the remainder is zero unless a_1 depends on time.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ def m1_inverse_symbol(roots: RootSet) -> np.ndarray:
 
 
 def _c1(lam, roots_dt, xi):
-    """C1 and the reciprocal gaps R[..., p, i] = 1/(lam_i - lam_p), zero on the diagonal.
+    """The real coupling K = -i C1 and the reciprocal gaps R[..., p, i] = 1/(lam_i - lam_p), zero on the diagonal.
 
     Batched over the leading axes of the ascending roots ``lam`` and their
     rates ``roots_dt``, against which xi broadcasts.
@@ -92,11 +98,11 @@ def _c1(lam, roots_dt, xi):
     G, P = _root_gaps(lam, _UNDERFLOW * jbracket(xi))
     eye = np.eye(m)
     R = 1.0 / (G + eye) - eye
-    dt = -1j * np.asarray(roots_dt, dtype=float)[..., None, :]  # D_t lam_q, along the columns
-    E = dt * P[..., None, :] * R / P[..., :, None]
+    dt = np.asarray(roots_dt, dtype=float)[..., None, :]  # d/dt lam_q, along the columns
+    K = -dt * P[..., None, :] * R / P[..., :, None]
     diag = np.arange(m)
-    E[..., diag, diag] = -dt[..., 0, :] * R.sum(axis=-1)
-    return E, R
+    K[..., diag, diag] = dt[..., 0, :] * R.sum(axis=-1)
+    return K, R
 
 
 def c1_entries(roots: RootSet, roots_dt) -> np.ndarray:
@@ -109,7 +115,7 @@ def c1_entries(roots: RootSet, roots_dt) -> np.ndarray:
         e_pp = -D_t lam_p  sum_{i != p} 1/G[p, i]
         e_pq = -D_t lam_q  P_q / ((lam_p - lam_q) P_p)
     """
-    return _c1(roots.lam, roots_dt, roots.xi)[0]
+    return 1j * _c1(roots.lam, roots_dt, roots.xi)[0]
 
 
 def m2_symbol(roots: RootSet, roots_dt, zone_tag: Zone) -> np.ndarray:
@@ -122,8 +128,8 @@ def m2_symbol(roots: RootSet, roots_dt, zone_tag: Zone) -> np.ndarray:
     m = roots.m
     if zone_tag is not Zone.HYPERBOLIC:
         return np.eye(m, dtype=complex)
-    E, R = _c1(roots.lam, roots_dt, roots.xi)
-    D = np.eye(m) - E * R  # R = -1/(lam_p - lam_q) off the diagonal, zero on it
+    K, R = _c1(roots.lam, roots_dt, roots.xi)
+    D = np.eye(m) - 1j * K * R  # R = -1/(lam_p - lam_q) off the diagonal, zero on it
     off = np.max(np.abs(D - np.eye(m)))
     if off >= 1.0 / (2.0 * m):
         raise DiagonalizerIllConditioned(
@@ -147,23 +153,48 @@ class M3Weights:
 
 
 def m3_weights(spec: HyperbolicOperatorSpec, x, xi, t: float, quadrature: int = 1024) -> M3Weights:
-    """Composite-Simpson evaluation of the absorption integrals on [0, t]; elementwise in xi.
+    """The absorption integrals on [0, t] in closed form; elementwise in xi.
 
-    Roots and their exact time rates come from the coefficients mollified at
-    width 1/<xi> (``roots_on_times``), for every frequency of an array at
-    once on the shared Simpson nodes.  The integrals have the shape of xi
-    plus a last axis of m.
+    With S = sum_i lam_i the denominator sum_i (lam_i - lam_p) is
+    g_p = S - m lam_p, and lam_p' = (S' - g_p')/m, so
+
+        int_0^t D_s lam_p / g_p ds = (i/m) [log(g_p(t)/g_p(0)) - int_0^t S'/g_p ds].
+
+    The log term takes the roots at the two ends alone.  S = xi a_1 is
+    constant unless a_1 depends on time; only then does composite Simpson on
+    ``quadrature`` intervals evaluate the remainder.  Roots and their exact
+    rates come from the coefficients mollified at width 1/<xi>
+    (``roots_on_times``), for every frequency of an array at once.  A g_p of
+    opposite signs at the two ends puts a pole in the integrand and raises
+    ValueError; a pole crossed an even number of times goes unseen.  The
+    integrals have the shape of xi plus a last axis of m.
     """
     if quadrature < 8:
         raise ValueError("quadrature needs at least 8 intervals")
     xi = np.asarray(xi, dtype=float)
 
-    def integrand(ss):
+    def gap_sums(ss):
+        """Root rates and gap sums g_p at the times ss, times first."""
         lam, lam_dot = roots_on_times(spec, ss.reshape(ss.shape + (1,) * xi.ndim), x, xi)
-        G, _ = _root_gaps(lam)
-        # D_s lam_p / sum_i (lam_i - lam_p); nodes second to last, so that
-        # Simpson's sum runs per frequency as for one frequency
-        return np.moveaxis(-1j * lam_dot / G.sum(axis=-1), 0, -2)
+        return lam_dot, _root_gaps(lam)[0].sum(axis=-1)
 
-    integrals = _simpson(integrand, 0.0, t, quadrature)
+    g0, g1 = gap_sums(np.array([0.0, t]))[1]
+    if np.any(g0 * g1 <= 0.0):
+        k = tuple(np.argwhere(g0 * g1 <= 0.0)[0])
+        raise ValueError(
+            f"absorption integrand has a pole on [0, {t:g}]: the gap sum of root {k[-1]}"
+            f" changes sign at xi={float(xi[k[:-1]]):g}"
+        )
+    log_term = np.log(g1 / g0)
+    a1 = spec.coeffs[-1]
+    if a1 is not None and a1.profile != "constant":
+
+        def remainder(ss):
+            lam_dot, g = gap_sums(ss)
+            # S' / g_p, nodes second to last, so that Simpson's sum runs per
+            # frequency as for one frequency
+            return np.moveaxis(lam_dot.sum(axis=-1, keepdims=True) / g, 0, -2)
+
+        log_term = log_term - _simpson(remainder, 0.0, t, quadrature)
+    integrals = 1j / spec.m * log_term
     return M3Weights(integrals=integrals, magnitudes=np.abs(np.exp(integrals)))

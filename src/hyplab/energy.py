@@ -87,8 +87,8 @@ V = M1^-1 U into
 
     V' = i Lam V + K V,   K = -i C1 = -M1^-1 M1',
 
-with C1 the paper's first-step correction (``diagonalizers._c1``), of size
-|a'|/a whatever xi.  Only the phases Phi_p = int lam_p rotate at rate ~<xi>,
+with C1 the paper's first-step correction and K real (``diagonalizers._c1``),
+of size |a'|/a whatever xi.  Only the phases Phi_p = int lam_p rotate at rate ~<xi>,
 and each frame step removes them exactly: its propagator is
 diag(exp(i dPhi)) exp(Omega1 + Omega2).  dPhi is the Hermite-corrected
 trapezoid h (lam_n + lam_n+1)/2 + h^2 (lam_n' - lam_n+1')/12.  Omega1 holds
@@ -433,7 +433,7 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
         a = start[lo : lo + chunk]
         nodes = slice(a[0], a[-1] + 2)  # the nodes these steps touch
         lm, ld = lam[nodes], lam_dot[nodes]
-        coupling = (-1j * _c1(lm, ld, xi[nodes])[0]).real  # V' = i Lam V + coupling V
+        coupling = _c1(lm, ld, xi[nodes])[0]  # V' = i Lam V + coupling V
         i, j = a - a[0], a + 1 - a[0]  # the two nodes of each step, within the slice
         h = (pts[a + 1] - pts[a])[:, None]
         dphi = 0.5 * h * (lm[i] + lm[j]) + h**2 / 12.0 * (ld[i] - ld[j])

@@ -10,6 +10,7 @@ import pytest
 from hyplab import cli
 from hyplab.cli import main
 from hyplab.config import ConfigError, load_config
+from hyplab.diagonalizers import m3_weights
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 # the benchmark's reference outputs of the lab_smooth workload (read only)
@@ -316,6 +317,16 @@ def test_cli_verify_reg_bound_lines_name_the_peak(capsys):
         xi = float(parts[6].removeprefix("xi=").rstrip(")"))
         assert parts[4] == "at" and 0.0 < t <= cfg.zone.T
         assert np.min(np.abs(cfg.xi_grid / xi - 1.0)) < 1e-3
+
+
+def test_cli_verify_m3_line_names_the_peak(capsys):
+    # the absorption check runs on the whole grid and names the frequency of its maximum
+    cfg = load_config(cfg_path("holder05.cfg"))
+    main(["verify", "--config", cfg_path("holder05.cfg")])
+    (parts,) = [ln.split() for ln in capsys.readouterr().out.splitlines() if ln.startswith("m3_integral_bounded")]
+    m3 = np.max(np.abs(m3_weights(cfg.operator, None, cfg.xi_grid, cfg.zone.T).integrals), axis=-1)
+    assert parts[2] == f"max={np.max(m3):.4g}" and parts[3] == "at"
+    assert float(parts[4].removeprefix("xi=")) == pytest.approx(cfg.xi_grid[np.argmax(m3)], rel=1e-3)
 
 
 def test_cli_classify_holder_and_forced(tmp_path, capsys):

@@ -777,13 +777,19 @@ def test_theta_integrals_batched_match_per_frequency_loop():
 
 
 def test_m3_weights_keep_the_scalar_simpson_rule():
-    spec = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.5), None))
+    # a time-dependent a_1 leaves the remainder int S'/g_p, S = lam_1 + lam_2,
+    # g_p = S - 2 lam_p, to composite Simpson next to the log of the gap sums
+    spec = HyperbolicOperatorSpec(
+        2, (CoefficientSpec("constant", base=2.0), CoefficientSpec("log_power_oscillation", base=1.0, delta=0.4))
+    )
     xi, t, n = 256.0, 0.5, 512
+    ends = _root_gaps(roots_on_times(spec, np.array([0.0, t]), None, xi)[0])[0].sum(axis=-1)
     xs = np.linspace(0.0, t, n + 1)
     lam, lam_dot = roots_on_times(spec, xs, None, xi)
-    G, _ = _root_gaps(lam)
+    g = _root_gaps(lam)[0].sum(axis=-1)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    want = (xs[1] - xs[0]) / 3.0 * (w @ (-1j * lam_dot / G.sum(axis=-1)))
+    remainder = (xs[1] - xs[0]) / 3.0 * (w @ (lam_dot.sum(axis=-1, keepdims=True) / g))
+    want = 1j / 2 * (np.log(ends[1] / ends[0]) - remainder)
     assert np.array_equal(m3_weights(spec, None, xi, t, quadrature=n).integrals, want)
