@@ -9,7 +9,9 @@ where chi is the cutoff ``ramp_chi`` and W2 and W3 are the hyperbolic-zone
 weights.  The full weight is theta = K (2 + theta0) >= 2K.  The laboratory
 checks that the time integral of theta0 stays bounded along a frequency
 sweep (a zero-order quantity), which is the gate for a no-loss energy
-estimate.
+estimate.  W2 and W3 are exact time derivatives by definition, so that
+integral telescopes: only the cutoff ramp of the second branch is left to
+a quadrature.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moduli import AuxiliaryFunction
-from .weights import _check_grid, _top_decade_fit, jbracket, weight_w2, weight_w3
+from .weights import _check_grid, _shifted_arg, _top_decade_fit, jbracket, weight_w2, weight_w3
 from .zones import ZoneParams, validate_zone
 from .zygmund import _smoothstep
 
@@ -81,21 +83,48 @@ def _simpson(fn, a, b, n):
     return (xs[1] - xs[0]) / 3.0 * (w @ np.asarray(fn(xs)))
 
 
-def integrate_theta0(ts: ThetaSpec, xi):
-    """Time integral of theta0 on [0, T], split at the cutoff knots; elementwise in xi.
+def _weight_antiderivatives(ts: ThetaSpec, xi, t):
+    """The terms -1/(<xi> g(u)) and -rho(1/<xi>)/rho(g(u)) of F, g = eta^{-1}, u = t - 1/<xi>.
 
-    Simpson's rule runs only on the (interval, frequency) pairs whose
-    interval is not empty: where N eta(1/<xi>) reaches T, knots collapse onto T.
+    By the weights' definitions their t-derivatives are W2 and W3, so each
+    weight integrates to the difference of its term: no derivative jet.
+    """
+    jb, u = _shifted_arg(ts.eta, xi, t)
+    g = np.asarray(ts.eta.inverse(u))
+    return -1.0 / (jb * g), -np.asarray(ts.rho.value(1.0 / jb)) / np.asarray(ts.rho.value(g))
+
+
+def integrate_theta0(ts: ThetaSpec, xi):
+    """Time integral of theta0 on [0, T], elementwise in xi, from the antiderivatives of its branches.
+
+    With n = N eta(1/<xi>) and the knots n/2, n, 2n clipped at T:
+
+    * the first branch is 1/eta on [0, n] and (1 - s(t/n - 1))/eta on [n, 2n],
+      s the quintic ramp, whose integral int_0^x s = x^4 (5/2 - 3x + x^2) is closed form;
+    * the gated weights W2 + W3 = F' give F(T) - F(n) past the ramp, and on the
+      ramp [n/2, n], by parts, int chi F' = int chi' (F(n) - F(t)): the one
+      Simpson rule left, on 1024 intervals of an integrand with no derivative jet.
     """
     T = ts.zone.T
     xi = np.asarray(xi, dtype=float)
     e = np.asarray(ts.eta.value(1.0 / jbracket(xi)))
-    ne = ts.zone.N * e
-    knots = [np.minimum(ne / 2.0, T), np.minimum(ne, T), np.minimum(2.0 * ne, T), np.full_like(ne, T)]
-    total = np.asarray(knots[0] / e)  # first branch alone, exactly 1/eta * length
-    for a, b in zip(knots[:-1], knots[1:]):
-        live = b > a
-        total[live] += _simpson(lambda s: theta0(ts, s, xi[live]), a[live], b[live], 512)
+    n = ts.zone.N * e
+    k0, k1, k2 = (np.minimum(c * n, T) for c in (0.5, 1.0, 2.0))
+    x = (k2 - k1) / n
+    total = np.asarray((k1 + n * (x - x**4 * (2.5 - 3.0 * x + x * x))) / e)
+    live = k0 < T  # elsewhere n/2 reaches T and the weights never enter
+    if live.any():
+        xl, nl, k1l = xi[live], n[live], k1[live]
+
+        def F(t):
+            return sum(_weight_antiderivatives(ts, xl, t))
+
+        def by_parts(t):  # chi'(t) (F(k1) - F(t)), chi' = (2/n) s'(2t/n - 1), s'(y) = 30 y^2 (1 - y)^2
+            y = 2.0 * t / nl - 1.0
+            return 60.0 / nl * (y * (1.0 - y)) ** 2 * (Fk1 - F(t))
+
+        Fk1, FT = F(np.stack((k1l, np.full_like(k1l, T))))
+        total[live] += FT - Fk1 + _simpson(by_parts, k0[live], k1l, 1024)
     return total[()]
 
 

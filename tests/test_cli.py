@@ -169,8 +169,12 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
         # eta^-1 underflows to zero on the oscillation bound's times
         ("verify", "loglip.cfg", "eta_param = 1.0", "eta_param = 1e-9", 3, ("oscillation_bound_d1", "underflowed", 7)),
         ("verify", "loglip.cfg", "t_min = 0.01", "t_min = 1e-300", 3, ("oscillation_bound_d1", "underflowed", 4)),
-        # xi^2 overflows in the companion symbol of the m3 check
-        ("verify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 3, ("m3_integral_bounded", "divide by zero", 4)),
+        # xi^2 overflows in the companion symbol of the m3 check; the theta
+        # integral needs no derivative jet there and saturates at loglip's max
+        (
+            "verify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 3,
+            ("m3_integral_bounded", "divide by zero", 3, "theta_integral_flat PASS slope=-0.0000 max=3.237"),
+        ),
         # inside (0, 1), but the Hoelder table's difference stencil leaves eta's range
         ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.999999", 2, None),
         # the Hoelder closed form t^(-(2-alpha)/(1-alpha)) overflows
@@ -199,11 +203,12 @@ def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, 
         assert captured.err.startswith("configuration error: ") and len(captured.err.splitlines()) == 1
         assert not out.exists()
     else:  # verify reports the check it could not evaluate as failed and goes on to the others
-        check, reason, failures = failing
+        check, reason, failures, *passing = failing
         assert captured.err == ""
         lines = [ln for ln in captured.out.splitlines() if ln.startswith(f"{check} ")]
         assert len(lines) == 1 and lines[0].split()[1] == "FAIL" and reason in lines[0]
         assert captured.out.splitlines()[-1] == f"{failures} check(s) failed"
+        assert all(line in [" ".join(ln.split()) for ln in captured.out.splitlines()] for line in passing)
 
 
 @pytest.mark.parametrize("name", ["constant.cfg", "loss_sweep.cfg"])

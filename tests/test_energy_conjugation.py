@@ -8,6 +8,8 @@ from hyplab.coefficients import CoefficientSpec
 from hyplab.companion import HyperbolicOperatorSpec, _root_gaps, roots_on_times
 from hyplab.conjugation import (
     ThetaSpec,
+    _simpson,
+    _weight_antiderivatives,
     integrate_theta0,
     ramp_chi,
     theta,
@@ -24,9 +26,9 @@ from hyplab.energy import (
     evolve_sweep,
     sobolev_energy,
 )
-from hyplab.moduli import log_reciprocal, power_law
+from hyplab.moduli import iterated_log, log_reciprocal, power_law
 from hyplab.weights import jbracket, weight_w2, weight_w3
-from hyplab.zones import ZoneParams
+from hyplab.zones import ZoneParams, zone_floor
 
 CONST_OP = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=1.0), None))
 ETA_LL = log_reciprocal(1.0)
@@ -746,22 +748,42 @@ def test_theta_integral_bound_flat_for_catalog():
         assert np.isfinite(rep.max_integral)
 
 
-def test_theta_integral_linearity():
-    zp = ZoneParams(2.0, 2.0, 0.5)
+def test_theta_integral_matches_refined_simpson_of_theta0():
+    # the telescoped integral against composite Simpson of theta0 itself, 2^16 intervals per knot interval
     rho = power_law(1.0, role="rho")
-    ts = ThetaSpec(ETA_LL, rho, zp)
-    xi = 64.0
-    base = integrate_theta0(ts, xi)
-    from hyplab.conjugation import _simpson
+    for eta, M in ((ETA_LL, 2.0), (power_law(0.5), 4.0)):
+        ts = ThetaSpec(eta, rho, ZoneParams(2.0, M, 0.5))
+        for xi in (64.0, 1e3, 1e6):
+            e = float(eta.value(1.0 / jbracket(xi)))
+            knots = [min(c * 2.0 * e, 0.5) for c in (0.5, 1.0, 2.0)] + [0.5]
+            pieces = (_simpson(lambda s: theta0(ts, s, xi), a, b, 2**16) for a, b in zip(knots, knots[1:]))
+            assert integrate_theta0(ts, xi) == pytest.approx(knots[0] / e + sum(pieces), rel=2e-11)
 
-    jb = float(jbracket(xi))
-    e = float(ETA_LL.value(1.0 / jb))
-    ne = zp.N * e
-    knots = [0.0, min(ne / 2, 0.5), min(ne, 0.5), min(2 * ne, 0.5), 0.5]
-    doubled = knots[1] / e * 2.0
-    for a, b in zip(knots[1:-1], knots[2:]):
-        doubled += _simpson(lambda s: 2.0 * np.asarray(theta0(ts, s, xi)), a, b, 512)
-    assert doubled == pytest.approx(2.0 * base, rel=1e-12)
+
+@pytest.mark.parametrize("seed", range(8))
+def test_weight_antiderivatives_integrate_w2_and_w3(seed):
+    # each term of F changes by the integral of its own weight over a random
+    # piece of the hyperbolic window [N eta(1/<xi>), T]: a wrong sign, a
+    # missing 1/<xi> or rho(1/<xi>) would show
+    rng = np.random.default_rng(seed)
+    pairs = (
+        (log_reciprocal(rng.uniform(0.5, 2.0)), power_law(rng.uniform(0.3, 1.0), role="rho")),
+        (power_law(rng.uniform(0.2, 0.9)), power_law(rng.uniform(0.3, 1.0), role="rho")),
+        (iterated_log(2), log_reciprocal(rng.uniform(0.5, 2.0), role="rho")),
+    )
+    for eta, rho in pairs:
+        zone = ZoneParams(2.0, zone_floor(eta), 0.9 * eta.range_max)
+        ts = ThetaSpec(eta, rho, zone)
+        xi = np.exp(rng.uniform(np.log(zone.M), np.log(1e6), 4))
+        on = zone.N * np.asarray(eta.value(1.0 / jbracket(xi)))
+        xi, on = xi[on < zone.T], on[on < zone.T]
+        assert xi.size > 0
+        a, b = np.sort(on + (zone.T - on) * rng.uniform(size=(2, xi.size)), axis=0)
+        (f2a, f3a), (f2b, f3b) = _weight_antiderivatives(ts, xi, a), _weight_antiderivatives(ts, xi, b)
+        w2 = _simpson(lambda s: weight_w2(eta, xi, s), a, b, 2**14)
+        w3 = _simpson(lambda s: weight_w3(eta, rho, xi, s), a, b, 2**14)
+        assert w2 == pytest.approx(f2b - f2a, rel=1e-9)
+        assert w3 == pytest.approx(f3b - f3a, rel=1e-9)
 
 
 def test_theta_integrals_batched_match_per_frequency_loop():
