@@ -277,7 +277,8 @@ def _verify_checks(cfg: ExperimentConfig):
         yield (
             "theta_integral_flat",
             bool(theta_rep.top_decade_slope <= cfg.theta_slope_max),
-            f"slope={theta_rep.top_decade_slope:.4f} max={theta_rep.max_integral:.4g}",
+            f"slope={theta_rep.top_decade_slope:.4f} max={theta_rep.max_integral:.4g}"
+            f" at xi={theta_rep.xi_grid[np.argmax(theta_rep.integrals)]:.4g}",
         )
 
     try:

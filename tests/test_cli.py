@@ -173,7 +173,7 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
         # integral needs no derivative jet there and saturates at loglip's max
         (
             "verify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 3,
-            ("m3_integral_bounded", "divide by zero", 3, "theta_integral_flat PASS slope=-0.0000 max=3.237"),
+            ("m3_integral_bounded", "divide by zero", 3, "theta_integral_flat PASS slope=-0.0000 max=3.237 at xi=948.9"),
         ),
         # inside (0, 1), but the Hoelder table's difference stencil leaves eta's range
         ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.999999", 2, None),
