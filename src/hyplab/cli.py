@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .coefficients import verify_reg_bounds
+from .coefficients import SpatialProfile, verify_reg_bounds
 from .companion import HyperbolicityViolation, NearMultipleRoot
 from .config import ConfigError, ExperimentConfig, load_config
 from .conjugation import ThetaSpec, theta_integral_bound
@@ -39,7 +39,6 @@ from .moduli import admissibility_check, certification_grid, decay_rate, decay_r
 from .tables import COLUMNS, TABLE_BUILDERS
 from .weights import _top_window, classify
 from .zygmund import GridFunction1D, norm_equivalence_report
-from .coefficients import SpatialProfile
 
 __all__ = ["main"]
 
@@ -291,13 +290,7 @@ def _verify_checks(cfg: ExperimentConfig):
         ok = bool(np.all(np.isfinite(m3)) and float(np.max(m3[in_top])) <= cap)
         yield ("m3_integral_bounded", ok, f"max={float(np.max(m3)):.4g} at xi={cfg.xi_grid[np.argmax(m3)]:.4g}")
 
-    profile = None
-    for c in cfg.operator.coeffs:
-        if c is not None and c.spatial is not None:
-            profile = c.spatial
-            break
-    if profile is None:
-        profile = SpatialProfile()
+    profile = next((c.spatial for c in cfg.operator.coeffs if c is not None and c.spatial is not None), SpatialProfile())
     u = GridFunction1D.from_callable(profile.value, n=1024)
     eq = norm_equivalence_report(u, profile.s)
     ok = bool(1.0 / 16.0 <= eq["ratio"] <= 16.0)

@@ -120,51 +120,39 @@ class CoefficientSpec:
         js = np.arange(self.depth + 1)
         return 2.0**js, 2.0 ** (-js * self.alpha)
 
-    def _time_value(self, t):
+    def _time_jet(self, t, k=0):
+        """(a, ..., a^(k)) of the time profile at times t > 0, k in {0, 1, 2}, each row in closed form."""
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
             raise ValueError("coefficient evaluated at t <= 0")
         if self.profile == "constant":
-            return np.broadcast_to(np.float64(self.base), t.shape).copy()
+            return (np.broadcast_to(np.float64(self.base), t.shape).copy(),) + (np.zeros_like(t),) * k
         if self.profile == "log_power_oscillation":
             if np.any(t >= self.t_end):
                 raise ValueError("log_power_oscillation with gamma > 0 needs t < 1")
-            logs = np.log(1.0 / t)
-            # the phase sign(L) |L|^(1+gamma): L itself at gamma = 0, and L > 0 where gamma > 0
-            phase = logs ** (1.0 + self.gamma_osc) if self.gamma_osc > 0.0 else logs
-            return self.base + self.delta * np.sin(phase)
-        freqs, amps = self._lacunary_terms()
-        acc = np.zeros_like(t)
-        for w, c in zip(freqs, amps):
-            acc += c * np.cos(w * t)
-        return self.base + self.delta * acc / np.sum(amps)
-
-    def _time_derivative(self, t, order=1):
-        """Closed-form first or second time derivative of the profile."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise ValueError("coefficient derivative at t <= 0")
-        if order not in (1, 2):
-            raise ValueError("derivative order must be 1 or 2")
-        if self.profile == "constant":
-            return np.zeros_like(t)
-        if self.profile == "log_power_oscillation":
             g = self.gamma_osc
             L = np.log(1.0 / t)
-            phase = L ** (1.0 + g)
-            if order == 1:
-                return -self.delta * (1.0 + g) * L**g / t * np.cos(phase)
-            term1 = (g * L ** (g - 1.0) + L**g) * np.cos(phase)
-            term2 = -(1.0 + g) * L ** (2.0 * g) * np.sin(phase)
-            return self.delta * (1.0 + g) / t**2 * (term1 + term2)
+            # the phase sign(L) |L|^(1+gamma): L itself at gamma = 0, and L > 0 where gamma > 0
+            phase = L ** (1.0 + g) if g > 0.0 else L
+            jet = (self.base + self.delta * np.sin(phase),)
+            if k >= 1:
+                jet += (-self.delta * (1.0 + g) * L**g / t * np.cos(phase),)
+            if k >= 2:
+                term1 = (g * L ** (g - 1.0) + L**g) * np.cos(phase)
+                term2 = -(1.0 + g) * L ** (2.0 * g) * np.sin(phase)
+                jet += (self.delta * (1.0 + g) / t**2 * (term1 + term2),)
+            return jet
         freqs, amps = self._lacunary_terms()
-        acc = np.zeros_like(t)
+        # one array per row: += on a row of a 2-d array would copy the row back onto itself
+        acc = [np.zeros_like(t) for _ in range(k + 1)]
         for w, c in zip(freqs, amps):
-            if order == 1:
-                acc += c * (-w) * np.sin(w * t)
-            else:
-                acc += c * (-(w**2)) * np.cos(w * t)
-        return self.delta * acc / np.sum(amps)
+            acc[0] += c * np.cos(w * t)
+            if k >= 1:
+                acc[1] += c * (-w) * np.sin(w * t)
+            if k >= 2:
+                acc[2] += c * (-(w**2)) * np.cos(w * t)
+        jet = tuple(self.delta * a / np.sum(amps) for a in acc)
+        return (self.base + jet[0],) + jet[1:]
 
     @property
     def t_end(self):
@@ -179,11 +167,13 @@ class CoefficientSpec:
         return 1.0 + self.spatial.value(x)
 
     def value(self, t, x=None):
-        out = self._time_value(t) * self._spatial_factor(x)
+        out = self._time_jet(t)[0] * self._spatial_factor(x)
         return out if np.asarray(out).shape else float(out)
 
     def time_derivative(self, t, order=1, x=None):
-        out = self._time_derivative(t, order) * self._spatial_factor(x)
+        if order not in (1, 2):
+            raise ValueError("derivative order must be 1 or 2")
+        out = self._time_jet(t, order)[order] * self._spatial_factor(x)
         return out if np.asarray(out).shape else float(out)
 
     @property
@@ -202,7 +192,7 @@ class CoefficientSpec:
         kink whose mollification pollutes second-derivative measurements at
         the horizon by a factor 1/eps.
         """
-        return self._time_value(np.clip(np.asarray(t, dtype=float), _T_FLOOR, self.t_end - 1e-9))
+        return self._time_jet(np.clip(np.asarray(t, dtype=float), _T_FLOOR, self.t_end - 1e-9))[0]
 
     def rate_bound(self, t, order=1):
         """Envelope of |a'| (order 1) or |a''| (order 2) at times t > 0, for the integrator's step sizes.
@@ -246,28 +236,17 @@ def oscillation_class(gamma_osc: float) -> str:
 # ----------------------------------------------------------------------------
 # mollifier
 
-def _bump(y):
-    out = np.zeros_like(y)
-    inside = np.abs(y) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - y[inside] ** 2))
-    return out
-
-
-def _bump_d1(y):
-    out = np.zeros_like(y)
-    inside = np.abs(y) < 1.0
-    yi = y[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - yi**2)) * (-2.0 * yi) / (1.0 - yi**2) ** 2
-    return out
-
-
-def _bump_d2(y):
-    out = np.zeros_like(y)
+def _bump_jet(y):
+    """Rows exp(-1/(1-y^2)) and its first two derivatives at y, zero off (-1, 1)."""
+    jet = np.zeros((3,) + y.shape)
     inside = np.abs(y) < 1.0
     yi = y[inside]
     q = 1.0 - yi**2
-    out[inside] = np.exp(-1.0 / q) * ((2.0 * yi / q**2) ** 2 - (2.0 + 6.0 * yi**2) / q**3)
-    return out
+    e = np.exp(-1.0 / q)
+    jet[0, inside] = e
+    jet[1, inside] = e * (-2.0 * yi) / q**2
+    jet[2, inside] = e * ((2.0 * yi / q**2) ** 2 - (2.0 + 6.0 * yi**2) / q**3)
+    return jet
 
 
 @functools.lru_cache(maxsize=1)
@@ -279,12 +258,12 @@ def _mollifier_grids():
     """
     n = MOLLIFIER_NODES
     y = (np.arange(n) + 0.5) * (2.0 / n) - 1.0
-    raw = _bump(y)
+    raw, d1, d2 = _bump_jet(y)
     mass = raw.sum()
     w0 = raw / mass  # discrete measure of total mass one
-    w1 = _bump_d1(y) / mass
+    w1 = d1 / mass
     w1 = w1 - w1.mean()
-    w2 = _bump_d2(y) / mass
+    w2 = d2 / mass
     w2 = w2 - w2.mean()
     return y, w0, w1, w2
 
@@ -478,7 +457,7 @@ def verify_reg_bounds(
         made it counts as zero.
         """
         jet = mollify(spec, eps, t=ts)
-        rows = np.abs(np.stack([jet[0], jet[0] - spec._time_value(ts), jet[1], jet[2]])) * factor
+        rows = np.abs(np.stack([jet[0], jet[0] - spec._time_jet(ts)[0], jet[1], jet[2]])) * factor
         tol = roundoff[row_order, None, None] / eps ** row_order[:, None, None]
         return np.where(rows > tol, rows, 0.0)
 

@@ -81,9 +81,8 @@ then the integrations.
 The frame.  The roots lam_p of the raw symbol at the nodes (one
 ``companion._roots`` call for the nodes of every frequency; the one at the
 interval starts that may take the frame and three probe times gates strict
-hyperbolicity and gives kappa) and their exact rates
-(``companion._root_rates`` on ``CoefficientSpec.time_derivative``) turn
-V = M1^-1 U into
+hyperbolicity and gives kappa) and their exact rates (``companion._root_rates``
+on the rate row of ``CoefficientSpec._time_jet``) turn V = M1^-1 U into
 
     V' = i Lam V + K V,   K = -i C1 = -M1^-1 M1',
 
@@ -661,9 +660,9 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
     inner = step_of < n_f[iv]
     pts = np.where(inner, sample_times[fk[iv]] + h_k[ff[iv], fk[iv]] * step_of, exp.T)
     xi_n = xi[ff[iv]]
-    raw = np.zeros((2, pts.size, m))  # a_{m-j} and its rate at the nodes
+    raw = np.zeros((2, pts.size, m))  # a_{m-j} and its rate at the nodes, all in (0, T]
     for j, c in coeffs:
-        raw[:, :, j] = c.extended_time_value(pts), c.time_derivative(pts)
+        raw[:, :, j] = c._time_jet(pts, 1)
     lam = _roots(raw[0], xi_n, spec.delta_sep)
     P_frame = _frame_propagators(pts, lam, _root_rates(lam, raw[1], xi_n), xi_n, np.flatnonzero(inner))
     off = np.cumsum(n_f) - n_f  # each frame interval's first step

@@ -12,8 +12,10 @@ mu(r) = r / eta(r) that is strictly weaker than Lipschitz; a function in the
 ``rho`` role measures how far a first derivative is from C^1 (the identity
 ``power_law`` with beta = 1 is admissible there, but not as an eta).
 
-Derivatives up to order three are evaluated by exact chain rule on
-(value, f', f'', f''') jets, so they are closed-form, not finite differences.
+Values and derivatives up to order three are evaluated by exact chain rule on
+jets (f, f', ..., f^(k)), each formed only to the order k asked, so they are
+closed-form, not finite differences, and no unread higher-order term can
+overflow.
 Finite differences are kept only as an independent cross-check.
 """
 
@@ -51,41 +53,48 @@ ROLES = ("eta", "rho")
 
 
 # ----------------------------------------------------------------------------
-# order-3 jets: tuples (f, f', f'', f''') propagated by exact chain rule
+# jets: tuples (f, f', ..., f^(k)), k <= 3, propagated by exact chain rule and
+# formed only to the order k asked, so a term no caller reads cannot overflow
 
-def _jet_of_r(r):
-    one = np.ones_like(r)
-    zero = np.zeros_like(r)
-    return (r, one, zero, zero)
-
-
-def _jet_log_recip(r):
-    # log(1/r) and its first three derivatives
-    return (-np.log(r), -1.0 / r, 1.0 / r**2, -2.0 / r**3)
+def _jet_log_recip(r, k):
+    # log(1/r) and its first k derivatives
+    jet = (-np.log(r),)
+    if k >= 1:
+        jet += (-1.0 / r,)
+    if k >= 2:
+        jet += (1.0 / r**2,)
+    if k >= 3:
+        jet += (-2.0 / r**3,)
+    return jet
 
 
 def _jet_log(j):
-    v, a, b, c = j
-    return (
-        np.log(v),
-        a / v,
-        b / v - (a / v) ** 2,
-        c / v - 3.0 * a * b / v**2 + 2.0 * (a / v) ** 3,
-    )
+    v, *d = j
+    jet = (np.log(v),)
+    if len(d) >= 1:
+        jet += (d[0] / v,)
+    if len(d) >= 2:
+        jet += (d[1] / v - (d[0] / v) ** 2,)
+    if len(d) >= 3:
+        jet += (d[2] / v - 3.0 * d[0] * d[1] / v**2 + 2.0 * (d[0] / v) ** 3,)
+    return jet
 
 
 def _jet_pow(j, e):
-    v, a, b, c = j
-    p = v**e
-    q = e * v ** (e - 1.0)
-    return (
-        p,
-        q * a,
-        e * (e - 1.0) * v ** (e - 2.0) * a**2 + q * b,
-        e * (e - 1.0) * (e - 2.0) * v ** (e - 3.0) * a**3
-        + 3.0 * e * (e - 1.0) * v ** (e - 2.0) * a * b
-        + q * c,
-    )
+    v, *d = j
+    jet = (v**e,)
+    if len(d) >= 1:
+        q = e * v ** (e - 1.0)
+        jet += (q * d[0],)
+    if len(d) >= 2:
+        jet += (e * (e - 1.0) * v ** (e - 2.0) * d[0] ** 2 + q * d[1],)
+    if len(d) >= 3:
+        jet += (
+            e * (e - 1.0) * (e - 2.0) * v ** (e - 3.0) * d[0] ** 3
+            + 3.0 * e * (e - 1.0) * v ** (e - 2.0) * d[0] * d[1]
+            + q * d[2],
+        )
+    return jet
 
 
 @dataclass(frozen=True)
@@ -146,10 +155,12 @@ class AuxiliaryFunction:
             raise ValueError(f"argument {float(r[~ok].flat[0])} outside (0, r0={self.r0}]")
         return r
 
-    def _jet(self, r):
+    def _jet(self, r, k=0):
+        # unchecked (f, ..., f^(k)) at an array r: the bisection brackets never leave (0, r0]
         if self.family == "power_law":
-            return _jet_pow(_jet_of_r(r), self.param)
-        j = _jet_log_recip(r)
+            j = (r,) if k == 0 else (r, np.ones_like(r)) + (np.zeros_like(r),) * (k - 1)
+            return _jet_pow(j, self.param)
+        j = _jet_log_recip(r, k)
         if self.family == "log_reciprocal":
             return _jet_pow(j, -self.param)
         for _ in range(int(self.param) - 1):
@@ -158,26 +169,15 @@ class AuxiliaryFunction:
 
     def value(self, r):
         """Closed-form value; strictly increasing and positive on (0, r0]."""
-        out = self._value(self._check_domain(r))
+        out = self._jet(self._check_domain(r))[0]
         return out if out.shape else float(out)
-
-    def _value(self, r):
-        # unchecked closed form: the bisection brackets never leave (0, r0]
-        if self.family == "power_law":
-            return r**self.param
-        if self.family == "log_reciprocal":
-            return (-np.log(r)) ** (-self.param)
-        x = -np.log(r)
-        for _ in range(int(self.param) - 1):
-            x = np.log(x)
-        return 1.0 / x
 
     def derivative(self, r, k=1):
         """k-th derivative, k in {1, 2, 3}, by exact chain rule."""
         if k not in (1, 2, 3):
             raise ValueError("derivative order must be 1, 2 or 3")
         r = self._check_domain(r)
-        out = self._jet(r)[k]
+        out = self._jet(r, k)[k]
         return out if out.shape else float(out)
 
     @cached_property
@@ -223,7 +223,7 @@ class AuxiliaryFunction:
         lo = np.full(t.shape, self.r0)
         tiny = np.finfo(float).tiny
         while True:
-            down = self._value(lo) >= t
+            down = self._jet(lo)[0] >= t
             if not down.any():
                 break
             if np.any(down & (lo <= tiny)):
@@ -233,7 +233,7 @@ class AuxiliaryFunction:
         live = np.ones(t.shape, dtype=bool)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            below = self._value(mid) < t
+            below = self._jet(mid)[0] < t
             lo = np.where(live & below, mid, lo)
             hi = np.where(live & ~below, mid, hi)
             live &= hi - lo > 1e-13 * hi
@@ -385,10 +385,7 @@ def admissibility_check(f: AuxiliaryFunction, grid) -> AdmissibilityReport:
     if r[0] <= 0.0 or r[-1] > f.r0 * (1.0 + 1e-12):
         raise ValueError("admissibility grid must lie inside (0, r0]")
 
-    val = np.asarray(f.value(r))
-    d1 = np.asarray(f.derivative(r, 1))
-    d2 = np.asarray(f.derivative(r, 2))
-    d3 = np.asarray(f.derivative(r, 3))
+    val, d1, d2, d3 = f._jet(r, 3)
 
     clauses = {}
 

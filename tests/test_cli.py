@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -153,7 +154,7 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
 
 
 @pytest.mark.parametrize(
-    "command, name, old, new, code, failing",
+    "command, name, old, new, code, expected",
     [
         ("energy", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2, None),
         ("loss", "loss_sweep.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2, None),
@@ -170,17 +171,23 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
         ("verify", "loglip.cfg", "eta_param = 1.0", "eta_param = 1e-9", 3, ("oscillation_bound_d1", "underflowed", 7)),
         ("verify", "loglip.cfg", "t_min = 0.01", "t_min = 1e-300", 3, ("oscillation_bound_d1", "underflowed", 4)),
         # xi^2 overflows in the companion symbol of the m3 check; the theta
-        # integral needs no derivative jet there and saturates at loglip's max
+        # integral saturates at loglip's max, and the weights' first
+        # derivatives stay finite down to 1/<xi> = 1e-300
         (
             "verify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 3,
-            ("m3_integral_bounded", "divide by zero", 3, "theta_integral_flat PASS slope=-0.0000 max=3.237 at xi=948.9"),
+            (
+                "m3_integral_bounded", "divide by zero", 2,
+                "theta_integral_flat PASS slope=-0.0000 max=3.237 at xi=948.9",
+                "classification PASS m0=0.0015 s_min=1.0100",
+            ),
         ),
         # inside (0, 1), but the Hoelder table's difference stencil leaves eta's range
         ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.999999", 2, None),
         # the Hoelder closed form t^(-(2-alpha)/(1-alpha)) overflows
         ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.995", 2, None),
-        # 1/<xi> = 0 in the weights divides by zero in log(1/r)'s jet
-        ("classify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 2, None),
+        # not bad after all: at 1/<xi> = 1e-300 the weights read only first
+        # derivatives, and W1's order is 1/log(1e300) to 3 digits
+        ("classify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 0, (1.0 / math.log(1e300), 1.01)),
     ],
     ids=[
         "energy_root_gap", "loss_root_gap", "verify_root_gap", "t_samples_zero", "t_samples_negative", "table_alpha",
@@ -189,7 +196,7 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
         "verify_xi_max_overflow", "tables_alpha_near_one", "tables_alpha_overflow", "classify_xi_max_overflow",
     ],
 )
-def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code, failing):
+def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code, expected):
     # roots closer than delta_sep and out-of-range config values end with an
     # exit code and a message, never with an exception out of main
     text = Path(cfg_path(name)).read_text(encoding="utf-8")
@@ -199,11 +206,15 @@ def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, 
     out = tmp_path / "out"
     assert main([command, "--config", str(bad), "--out", str(out)]) == code
     captured = capsys.readouterr()
-    if code == 2:
+    if code == 0:  # classify's report: W1's order to 3 digits and the index bound
+        got = json.loads(captured.out)
+        m0_w1, s_min = expected
+        assert captured.err == "" and f"{got['m0_w1']:.3g}" == f"{m0_w1:.3g}" and got["s_min"] == s_min
+    elif code == 2:
         assert captured.err.startswith("configuration error: ") and len(captured.err.splitlines()) == 1
         assert not out.exists()
     else:  # verify reports the check it could not evaluate as failed and goes on to the others
-        check, reason, failures, *passing = failing
+        check, reason, failures, *passing = expected
         assert captured.err == ""
         lines = [ln for ln in captured.out.splitlines() if ln.startswith(f"{check} ")]
         assert len(lines) == 1 and lines[0].split()[1] == "FAIL" and reason in lines[0]

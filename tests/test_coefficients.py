@@ -39,6 +39,49 @@ def test_log_power_phase_is_the_signed_power_bit_for_bit(gamma):
     assert np.array_equal(spec.value(t), old)
 
 
+def test_time_derivative_past_the_log_power_end_raises_like_value():
+    spec = CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=0.5)
+    for t in (1.0, 1.5):
+        for call in (spec.value, spec.time_derivative, lambda t: spec.time_derivative(t, 2)):
+            with pytest.raises(ValueError, match="needs t < 1"):
+                call(t)
+
+
+def test_time_jet_rows_do_not_depend_on_the_order_asked():
+    # seeded draws over the three profiles: the jet to order k is the first
+    # k + 1 rows of the order-2 jet, and its value row is the profile's closed
+    # form, bit for bit
+    rng = np.random.default_rng(20240523)
+    for _ in range(30):
+        profile = rng.choice(coefficients.PROFILES)
+        base = rng.uniform(0.5, 4.0)
+        spec = CoefficientSpec(
+            profile,
+            base=base,
+            delta=rng.uniform(0.0, 0.5 * base),
+            gamma_osc=rng.choice([0.0, rng.uniform(0.0, 2.0)]),
+            alpha=rng.uniform(0.05, 0.95),
+            depth=int(rng.integers(1, 19)),
+        )
+        t = 10.0 ** rng.uniform(-12.0, np.log10(min(spec.t_end, 10.0)) - 1e-3, 200)
+        full = spec._time_jet(t, 2)
+        for k in range(3):
+            jet = spec._time_jet(t, k)
+            assert len(jet) == k + 1 and all(a.tobytes() == b.tobytes() for a, b in zip(jet, full)), (spec, k)
+        if profile == "constant":
+            want = np.full_like(t, spec.base)
+        elif profile == "log_power_oscillation":
+            logs = np.log(1.0 / t)
+            want = spec.base + spec.delta * np.sin(logs ** (1.0 + spec.gamma_osc) if spec.gamma_osc > 0.0 else logs)
+        else:
+            freqs, amps = spec._lacunary_terms()
+            acc = np.zeros_like(t)
+            for w, c in zip(freqs, amps):
+                acc += c * np.cos(w * t)
+            want = spec.base + spec.delta * acc / np.sum(amps)
+        assert spec.value(t).tobytes() == want.tobytes(), spec
+
+
 def test_uniform_ellipticity():
     for spec in (
         CoefficientSpec("log_power_oscillation", delta=0.9, gamma_osc=1.5),
@@ -162,8 +205,9 @@ def test_mollify_constant_exact():
 def test_mollify_kills_linear_moment():
     # an even mollifier reproduces linear functions away from the window ends
     class Linear(CoefficientSpec):
-        def _time_value(self, t):
-            return np.asarray(t, dtype=float) + 1.0
+        def _time_jet(self, t, k=0):
+            v = np.asarray(t, dtype=float) + 1.0
+            return (v,) + (np.zeros_like(v),) * k
 
     spec = Linear("constant", base=1.0)
     got = mollify(spec, 0.05, np.array([0.3, 0.5]))[0]

@@ -35,8 +35,9 @@ WAVE2 = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=4.0), None))
 
 class NegativeConstant(CoefficientSpec):
     # test-only override producing a non-hyperbolic principal coefficient
-    def _time_value(self, t):
-        return np.full_like(np.asarray(t, dtype=float), -1.0)
+    def _time_jet(self, t, k=0):
+        v = np.full_like(np.asarray(t, dtype=float), -1.0)
+        return (v,) + (np.zeros_like(v),) * k
 
 
 def test_roots_wave_speed_two():
@@ -344,8 +345,9 @@ def test_m3_weights_with_time_dependent_a1_match_refined_simpson(xi):
 
 class Ramp(CoefficientSpec):
     # test-only override: a_3 = t - 1/4 changes sign at t = 1/4
-    def _time_value(self, t):
-        return np.asarray(t, dtype=float) - 0.25
+    def _time_jet(self, t, k=0):
+        v = np.asarray(t, dtype=float) - 0.25
+        return (v,) + (np.zeros_like(v),) * k
 
 
 def test_m3_weights_reject_a_gap_sum_that_changes_sign():

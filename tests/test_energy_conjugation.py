@@ -187,15 +187,13 @@ class InverseSquare(CoefficientSpec):
 
     T0 = 0.25
 
-    def _time_value(self, t):
-        return self.base * self.T0**2 / (np.asarray(t, dtype=float) + self.T0) ** 2
-
-    def _time_derivative(self, t, order=1):
+    def _time_jet(self, t, k=0):
         s = np.asarray(t, dtype=float) + self.T0
-        return self.base * self.T0**2 * (-2.0 / s**3 if order == 1 else 6.0 / s**4)
+        c = self.base * self.T0**2
+        return (c / s**2, c * (-2.0 / s**3), c * (6.0 / s**4))[: k + 1]
 
     def rate_bound(self, t, order=1):
-        return np.abs(self._time_derivative(t, order))
+        return np.abs(self._time_jet(t, order)[order])
 
 
 def euler_experiment():
@@ -518,8 +516,9 @@ def test_sweep_errors_name_the_first_failing_frequency():
 
     class ComplexLate(CoefficientSpec):
         # a_2 < 0, complex roots, from t = 0.25 on
-        def _time_value(self, t):
-            return np.where(np.asarray(t) < 0.25, 1.0, -1.0)
+        def _time_jet(self, t, k=0):
+            v = np.where(np.asarray(t) < 0.25, 1.0, -1.0)
+            return (v,) + (np.zeros_like(v),) * k
 
     exp = small_experiment(operator=HyperbolicOperatorSpec(2, (ComplexLate("constant", base=1.0), None)))
     with pytest.raises(HyperbolicityViolation) as err:
@@ -634,8 +633,9 @@ def test_hyperbolicity_violation_propagates():
     from hyplab.companion import HyperbolicityViolation
 
     class NegativeConstant(CoefficientSpec):
-        def _time_value(self, t):
-            return np.full_like(np.asarray(t, dtype=float), -1.0)
+        def _time_jet(self, t, k=0):
+            v = np.full_like(np.asarray(t, dtype=float), -1.0)
+            return (v,) + (np.zeros_like(v),) * k
 
     bad = HyperbolicOperatorSpec(2, (NegativeConstant("constant", base=1.0), None))
     exp = small_experiment(operator=bad)

@@ -7,6 +7,7 @@ import pytest
 from hyplab import tables
 from hyplab.moduli import (
     DEFAULT_R0,
+    FAMILIES,
     AuxiliaryFunction,
     ModulusOfContinuity,
     admissibility_check,
@@ -58,6 +59,52 @@ def test_deriv_closed_forms():
     assert power_law(1.0, role="rho").derivative(0.37, 2) == 0.0
     # d/dr (log(1/r))^{-1} = r^{-1} (log(1/r))^{-2}; at r = 1/e this is e
     assert log_reciprocal(1.0).derivative(math.exp(-1), 1) == pytest.approx(math.e, rel=1e-12)
+
+
+def test_derivative_forms_no_term_above_its_order():
+    # under verify's errstate an unread higher-order term neither overflows
+    # nor divides by zero, while a derivative that does leave the float range
+    # still raises
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert power_law(1.0, role="rho").derivative(1e-300, 1) == 1.0
+        assert power_law(0.5).derivative(1e-300, 1) == pytest.approx(5e149, rel=1e-12)
+        r = 1e-120
+        assert log_reciprocal(1.0).derivative(r, 1) == pytest.approx(1.0 / (r * math.log(1.0 / r) ** 2), rel=1e-12)
+        with pytest.raises(FloatingPointError):
+            power_law(0.5).derivative(1e-300, 3)
+
+
+def _closed_form(f, r):
+    if f.family == "power_law":
+        return r**f.param
+    if f.family == "log_reciprocal":
+        return (-np.log(r)) ** (-f.param)
+    x = -np.log(r)
+    for _ in range(int(f.param) - 1):
+        x = np.log(x)
+    return 1.0 / x
+
+
+def test_jet_rows_do_not_depend_on_the_order_asked():
+    # seeded draws over the catalog and both roles: the jet to order k is the
+    # first k + 1 rows of the order-3 jet, and value is the family's closed
+    # form, bit for bit
+    rng = np.random.default_rng(20240522)
+    for _ in range(40):
+        family, role = rng.choice(FAMILIES), rng.choice(["eta", "rho"])
+        if family == "power_law":
+            f = power_law(rng.uniform(0.05, 1.0), role)
+        elif family == "log_reciprocal":
+            f = log_reciprocal(rng.uniform(0.1, 4.0), role)
+        else:
+            depth = int(rng.integers(1, 4))
+            f = iterated_log(depth, role, r0=(0.2, 0.2, 0.05)[depth - 1])
+        r = f.r0 * 10.0 ** rng.uniform(-12.0, 0.0, 200)
+        full = f._jet(r, 3)
+        for k in range(4):
+            jet = f._jet(r, k)
+            assert len(jet) == k + 1 and all(a.tobytes() == b.tobytes() for a, b in zip(jet, full)), (f, k)
+        assert f.value(r).tobytes() == _closed_form(f, r).tobytes(), f
 
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f"{f.family}-{f.param}")
