@@ -29,7 +29,6 @@ measures a whole frequency grid in one call per time grid.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -177,10 +176,14 @@ class CoefficientSpec:
         return out if np.asarray(out).shape else float(out)
 
     @property
+    def _spatial_sup(self):
+        """sup_x |1 + b(x)|: 1 + amplitude, at x = 0 where every term of b peaks (1 without a spatial factor)."""
+        return 1.0 + (self.spatial.amplitude if self.spatial else 0.0)
+
+    @property
     def sup_abs(self):
         """Upper bound for |a| over its domain."""
-        factor = 1.0 + (self.spatial.amplitude if self.spatial else 0.0)
-        return (self.base + self.delta) * factor
+        return (self.base + self.delta) * self._spatial_sup
 
     def extended_time_value(self, t):
         """Evaluation on the mollification windows and the integrator stages.
@@ -342,6 +345,8 @@ def mollify(spec: CoefficientSpec, eps, t, x=None):
     eps = np.asarray(eps, dtype=float)
     if not np.all(eps > 0.0):
         raise ValueError("mollification width must be positive")
+    if np.any(eps**2 == 0.0):  # the d_t^2 row divides by eps^2
+        raise ValueError(f"mollification width {np.min(eps):.4g} is too small: its square underflows to zero")
     t, eps = np.broadcast_arrays(np.asarray(t, dtype=float), eps)
     shape = t.shape
     t, eps = t.ravel(), eps.ravel()
@@ -439,10 +444,7 @@ def verify_reg_bounds(
     tg = np.asarray(t_grid, dtype=float)
     if np.any(tg <= 0.0) or np.any(tg > zp.T):
         raise ValueError("t grid must lie in (0, T]")
-    factor = 1.0
-    if spec.spatial is not None:
-        xs = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-        factor = float(np.max(np.abs(1.0 + spec.spatial.value(xs))))
+    factor = spec._spatial_sup
     # summation error bound n u sum|w_k| sup|a| of the quadrature behind jet row
     # k, before its division by eps^k
     _, *weights = _mollifier_grids()

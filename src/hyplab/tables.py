@@ -21,7 +21,7 @@ from .moduli import (
     log_reciprocal,
     power_law,
 )
-from .weights import SymbolWeight, classify, estimate_order, zygmund_index_bound
+from .weights import _fit_orders, classify, zygmund_index_bound
 from .zones import ZoneParams, zone_floor
 
 __all__ = [
@@ -116,22 +116,16 @@ def weight_order_rows(alpha_values=(0.2, 0.5)):
     rows = []
     rho_id = power_law(1.0, role="rho")
 
-    def add(kind, label, eta, rho, target):
-        zp = ZoneParams(M=zone_floor(eta))
-        w = SymbolWeight(kind, eta, zp, rho=rho)
-        fitted = estimate_order(w, _XI_GRID)
-        rows.append(_row(f"{kind}|{label}", eta.param, target, fitted, abs(fitted - target)))
+    def add(label, eta, rho, target, kinds=("w1", "w2", "w3")):
+        orders = dict(zip(("w1", "w2", "w3"), _fit_orders(eta, rho, ZoneParams(M=zone_floor(eta)), _XI_GRID)))
+        for kind in kinds:
+            rows.append(_row(f"{kind}|{label}", eta.param, target, orders[kind], abs(orders[kind] - target)))
 
-    eta_ll = log_reciprocal(1.0)
-    add("w1", "log_lipschitz", eta_ll, None, 0.0)
-    add("w2", "log_lipschitz", eta_ll, None, 0.0)
-    add("w3", "log_lipschitz", eta_ll, rho_id, 0.0)
+    add("log_lipschitz", log_reciprocal(1.0), rho_id, 0.0)
     for alpha in alpha_values:
         eta = power_law(1.0 - alpha)
-        add("w1", "holder", eta, None, 1.0 - alpha)
-        add("w2", "holder", eta, None, 1.0 - alpha)
-        add("w3", "holder", eta, rho_id, 1.0 - alpha)
-        add("w3", "holder_rho0.7", eta, power_law(0.7, role="rho"), 1.0 - alpha)
+        add("holder", eta, rho_id, 1.0 - alpha)
+        add("holder_rho0.7", eta, power_law(0.7, role="rho"), 1.0 - alpha, kinds=("w3",))
     return rows
 
 

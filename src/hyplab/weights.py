@@ -7,10 +7,11 @@ Three weights, evaluated with <xi> = sqrt(1 + xi^2):
 * W3(t, xi) = rho(1/<xi>) * ( -d/dt 1/rho(eta^{-1}(t - 1/<xi>)) )
 
 W2 and W3 are defined for t >= eta(1/<xi>) (their inner inverse needs
-t - 1/<xi> in the range of eta).  Membership of a weight in a symbol class of
-order m0 is operationalized as a least-squares growth exponent of
-log(weight) against log<xi> over the top two decades of a frequency grid;
-the resulting m0 feeds the Zygmund-index bound max(1+eps, 2*m0/(2-m0)).
+t - 1/<xi> in the range of eta).  ``classify`` fits each weight's growth order
+(W2 and W3 by their sup over one shared t-grid per frequency) as a
+least-squares exponent of log(weight) against log<xi> over the top two
+decades of a frequency grid; the largest, m0, feeds the Zygmund-index bound
+max(1+eps, 2*m0/(2-m0)).
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from .moduli import AuxiliaryFunction, decay_rate, decay_rate_pair
 from .zones import ZoneParams, validate_zone, zone_boundary
 
 __all__ = [
-    "SymbolWeight",
     "ClassificationReport",
     "jbracket",
     "weight_w1",
     "weight_w2",
     "weight_w3",
     "fit_loglog_slope",
-    "estimate_order",
     "zygmund_index_bound",
     "classify",
 ]
@@ -69,32 +68,6 @@ def weight_w2(eta: AuxiliaryFunction, xi_abs, t):
 def weight_w3(eta: AuxiliaryFunction, rho: AuxiliaryFunction, xi_abs, t):
     jb, u = _shifted_arg(eta, xi_abs, t)
     return np.asarray(rho.value(1.0 / jb)) * decay_rate_pair(eta, rho, u)
-
-
-@dataclass(frozen=True)
-class SymbolWeight:
-    """One of the three weights, bound to its auxiliary functions and zones."""
-
-    kind: str  # "w1" | "w2" | "w3"
-    eta: AuxiliaryFunction
-    zone: ZoneParams
-    rho: Optional[AuxiliaryFunction] = None
-
-    def __post_init__(self):
-        if self.kind not in ("w1", "w2", "w3"):
-            raise ValueError("kind must be 'w1', 'w2' or 'w3'")
-        if self.kind == "w3" and self.rho is None:
-            raise ValueError("w3 needs a rho function")
-        validate_zone(self.eta, self.zone)
-
-    def value(self, xi_abs, t=None):
-        if self.kind == "w1":
-            return weight_w1(self.eta, xi_abs)
-        if t is None:
-            raise ValueError("time-dependent weight needs t")
-        if self.kind == "w2":
-            return weight_w2(self.eta, xi_abs, t)
-        return weight_w3(self.eta, self.rho, xi_abs, t)
 
 
 def fit_loglog_slope(x, y):
@@ -144,29 +117,26 @@ def _top_decade_fit(xi, y, top_decades, min_points):
     return slope, stderr, float(xi[mask][0])
 
 
-def estimate_order(w: SymbolWeight, xi_grid, t_samples=48) -> float:
-    """Fitted growth order of a weight over the top two decades of the grid.
+def _fit_orders(eta: AuxiliaryFunction, rho: AuxiliaryFunction, zp: ZoneParams, xi_grid, t_samples=48):
+    """Fitted growth orders (m1, m2, m3) of W1, W2 and W3; ``classify`` states the rule."""
+    validate_zone(eta, zp)
+    xi = _check_grid(xi_grid, zp.M, 3)
 
-    For the time-dependent weights the value at each frequency is the sup
-    over a log-spaced t-grid from max(t_xi, eta(1/<xi>) + 2/<xi>) up to T.
-    The fitted slope is clamped below at zero.
-    """
-    xi = _check_grid(xi_grid, w.zone.M, 3)
-    T = w.zone.T
+    def order(sup):
+        return max(_top_decade_fit(xi, sup, 2, 8)[0], 0.0)
 
-    if w.kind == "w1":
-        sup = np.asarray(weight_w1(w.eta, xi))
-    else:
-        # frequencies whose hyperbolic window [t_xi, T] is empty carry no
-        # admissible t and drop out of the fit
-        jb = jbracket(xi)
-        t_lo = np.maximum(zone_boundary(w.eta, w.zone, xi), w.eta.value(1.0 / jb) + 2.0 / jb)
-        ok = t_lo < T * (1.0 - 1e-12)
-        tg = np.geomspace(t_lo[ok], T, t_samples, axis=-1)
-        sup = np.full_like(xi, np.nan)
-        sup[ok] = np.max(w.value(xi[ok, None], tg), axis=-1)
-
-    return max(_top_decade_fit(xi, sup, 2, 8)[0], 0.0)
+    m1 = order(np.asarray(weight_w1(eta, xi)))
+    # frequencies whose hyperbolic window [t_xi, T] is empty carry no
+    # admissible t and drop out of the W2 and W3 fits
+    jb = jbracket(xi)
+    t_lo = np.maximum(zone_boundary(eta, zp, xi), eta.value(1.0 / jb) + 2.0 / jb)
+    ok = t_lo < zp.T * (1.0 - 1e-12)
+    tg = np.geomspace(t_lo[ok], zp.T, t_samples, axis=-1)
+    sup = np.full_like(xi, np.nan)
+    sup[ok] = np.max(weight_w2(eta, xi[ok, None], tg), axis=-1)
+    m2 = order(sup)
+    sup[ok] = np.max(weight_w3(eta, rho, xi[ok, None], tg), axis=-1)
+    return m1, m2, order(sup)
 
 
 def zygmund_index_bound(m0, eps):
@@ -203,13 +173,15 @@ def classify(
     t_samples=48,
     force_m0: Optional[float] = None,
 ) -> ClassificationReport:
-    """Fit all three weights and derive the minimal index s.
+    """Fit the orders of W1, W2 and W3 and derive the minimal index s.
 
-    The governing order is the largest of the three fitted orders (or the
-    forced value, when the caller pins m0 by hand).
+    Each order is the log-log slope against <xi> over the grid's top two
+    decades, clamped below at zero.  W2 and W3 enter by their sup over one
+    t-grid per frequency, ``t_samples`` log-spaced points from
+    max(t_xi, eta(1/<xi>) + 2/<xi>) up to T; a frequency whose window is empty
+    drops out of their fits.  m0 is the largest order, or the forced value
+    when the caller pins it by hand.
     """
-    m1 = estimate_order(SymbolWeight("w1", eta, zp), xi_grid, t_samples=t_samples)
-    m2 = estimate_order(SymbolWeight("w2", eta, zp), xi_grid, t_samples=t_samples)
-    m3 = estimate_order(SymbolWeight("w3", eta, zp, rho=rho), xi_grid, t_samples=t_samples)
+    m1, m2, m3 = _fit_orders(eta, rho, zp, xi_grid, t_samples)
     m0 = max(m1, m2, m3) if force_m0 is None else float(force_m0)
     return ClassificationReport(m1, m2, m3, m0, zygmund_index_bound(m0, eps), eps)

@@ -158,7 +158,7 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
     [
         ("energy", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2, None),
         ("loss", "loss_sweep.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2, None),
-        ("verify", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 3, ("m3_integral_bounded", "root gap", 1)),
+        ("verify", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 3, (("m3_integral_bounded",), "root gap", 1)),
         ("verify", "loglip.cfg", "t_samples = 48", "t_samples = 0", 2, None),
         ("classify", "loglip.cfg", "t_samples = 48", "t_samples = -3", 2, None),
         ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 1.5", 2, None),
@@ -168,15 +168,15 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
         # eta(r0) = 0.69^-1e9 is past the float range
         ("verify", "loglip.cfg", "eta_param = 1.0", "eta_param = 1e9", 2, None),
         # eta^-1 underflows to zero on the oscillation bound's times
-        ("verify", "loglip.cfg", "eta_param = 1.0", "eta_param = 1e-9", 3, ("oscillation_bound_d1", "underflowed", 7)),
-        ("verify", "loglip.cfg", "t_min = 0.01", "t_min = 1e-300", 3, ("oscillation_bound_d1", "underflowed", 4)),
-        # xi^2 overflows in the companion symbol of the m3 check; the theta
-        # integral saturates at loglip's max, and the weights' first
-        # derivatives stay finite down to 1/<xi> = 1e-300
+        ("verify", "loglip.cfg", "eta_param = 1.0", "eta_param = 1e-9", 3, (("oscillation_bound_d1",), "underflowed", 7)),
+        ("verify", "loglip.cfg", "t_min = 0.01", "t_min = 1e-300", 3, (("oscillation_bound_d1",), "underflowed", 4)),
+        # eps = 1/<xi> = 1e-300 squares to zero, so neither the reg bounds nor
+        # the m3 check can mollify; the theta integral saturates at loglip's
+        # max, and the weights' first derivatives stay finite down to 1/<xi> = 1e-300
         (
             "verify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 3,
             (
-                "m3_integral_bounded", "divide by zero", 2,
+                ("reg_bound", "m3_integral_bounded"), "mollification width 1e-300 is too small", 2,
                 "theta_integral_flat PASS slope=-0.0000 max=3.237 at xi=948.9",
                 "classification PASS m0=0.0015 s_min=1.0100",
             ),
@@ -214,10 +214,11 @@ def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, 
         assert captured.err.startswith("configuration error: ") and len(captured.err.splitlines()) == 1
         assert not out.exists()
     else:  # verify reports the check it could not evaluate as failed and goes on to the others
-        check, reason, failures, *passing = expected
+        checks, reason, failures, *passing = expected
         assert captured.err == ""
-        lines = [ln for ln in captured.out.splitlines() if ln.startswith(f"{check} ")]
-        assert len(lines) == 1 and lines[0].split()[1] == "FAIL" and reason in lines[0]
+        for check in checks:
+            lines = [ln for ln in captured.out.splitlines() if ln.startswith(f"{check} ")]
+            assert len(lines) == 1 and lines[0].split()[1] == "FAIL" and reason in lines[0]
         assert captured.out.splitlines()[-1] == f"{failures} check(s) failed"
         assert all(line in [" ".join(ln.split()) for ln in captured.out.splitlines()] for line in passing)
 

@@ -331,6 +331,15 @@ def test_mollify_rejects_a_nonpositive_width():
         mollify(spec, np.array([0.01, 0.0]), np.array([0.1, 0.2]))
 
 
+def test_mollify_names_a_width_whose_square_underflows():
+    # the d_t^2 row divides by eps^2, which is 0 at eps = 1e-300; a width
+    # whose square is subnormal still mollifies
+    spec = CoefficientSpec("log_power_oscillation", delta=0.5)
+    with pytest.raises(ValueError, match="1e-300"):
+        mollify(spec, 1e-300, 0.1)
+    assert np.all(np.isfinite(mollify(spec, 1e-160, 0.1)))
+
+
 @pytest.mark.parametrize(
     "spec, eta, M",
     [
@@ -399,6 +408,22 @@ def test_verify_reg_bounds_growth_needs_three_measured_points():
         peak = (c.max_ratio, c.argmax_t, c.argmax_xi, c.top_decade_growth)
         assert np.all(np.isnan(peak)) == (name in ("iii", "v", "vi")), (name, peak)
         assert np.all(np.isnan(c.ratio_by_xi)) == (name in ("iii", "v", "vi"))
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.25, 0.49])
+def test_verify_reg_bounds_spatial_factor_scales_every_ratio_by_its_sup(amplitude):
+    # sup_x |1 + b(x)| = 1 + amplitude multiplies every measured row, and
+    # every bound is spatially flat
+    eta = log_reciprocal(1.0)
+    args = (eta, power_law(1.0, role="rho"), ZoneParams(N=2.0, M=2.0, T=0.5), np.geomspace(4, 4096, 13))
+    ts = np.geomspace(0.02, 0.5, 17)
+    flat = CoefficientSpec("log_power_oscillation", delta=0.5)
+    spatial = CoefficientSpec("log_power_oscillation", delta=0.5, spatial=SpatialProfile(s=0.3, amplitude=amplitude))
+    want = verify_reg_bounds(flat, *args, ts).clauses
+    got = verify_reg_bounds(spatial, *args, ts).clauses
+    for name, c in want.items():
+        assert c.max_ratio > 0.0, name
+        assert got[name].max_ratio == pytest.approx((1.0 + amplitude) * c.max_ratio, rel=1e-12), name
 
 
 def test_verify_reg_bounds_rejects_a_descending_grid():

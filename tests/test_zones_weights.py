@@ -6,12 +6,10 @@ import pytest
 from hyplab.coefficients import CoefficientSpec, verify_reg_bounds
 from hyplab.conjugation import ThetaSpec, theta_integral_bound
 from hyplab.energy import EnergyTrace, estimate_loss
-from hyplab.moduli import fd_derivative, log_grid, log_reciprocal, power_law
+from hyplab.moduli import fd_derivative, iterated_log, log_grid, log_reciprocal, power_law
 from hyplab.weights import (
-    SymbolWeight,
     _top_window,
     classify,
-    estimate_order,
     fit_loglog_slope,
     jbracket,
     weight_w1,
@@ -118,76 +116,131 @@ def test_weight_side_condition_errors():
 GRID = np.geomspace(1e3, 1e6, 25)
 
 
+RHO_ID = power_law(1.0, role="rho")
+KINDS = ("w1", "w2", "w3")
+
+
+def _orders(eta, rho, zp, xi, t_samples=48):
+    """The fitted orders (m1, m2, m3) that classify reports."""
+    rep = classify(eta, rho, zp, xi, 0.01, t_samples=t_samples)
+    return rep.m0_w1, rep.m0_w2, rep.m0_w3
+
+
 def test_estimate_order_power_law():
     for alpha in (0.2, 0.5):
         eta = power_law(1.0 - alpha)
         zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
-        rho = power_law(1.0, role="rho")
-        for w in (
-            SymbolWeight("w1", eta, zp),
-            SymbolWeight("w2", eta, zp),
-            SymbolWeight("w3", eta, zp, rho=rho),
-        ):
-            assert estimate_order(w, GRID) == pytest.approx(1.0 - alpha, abs=0.05)
+        for m in _orders(eta, RHO_ID, zp, GRID):
+            assert m == pytest.approx(1.0 - alpha, abs=0.05)
 
 
-def _estimate_order_loop(w, xi, t_samples=48):
-    """Oracle: estimate_order with one t-grid per frequency, as a scalar loop."""
-    jb = jbracket(xi)
-    sup = np.full_like(xi, np.nan)
-    for i, x in enumerate(xi):
-        t_lo = max(zone_boundary(w.eta, w.zone, x), float(w.eta.value(1.0 / jb[i])) + 2.0 / jb[i])
-        if w.kind == "w1":
-            sup[i] = float(w.value(x))
-        elif t_lo < w.zone.T * (1.0 - 1e-12):
-            sup[i] = float(np.max(w.value(x, np.geomspace(t_lo, w.zone.T, t_samples))))
-    mask = _top_window(xi, 2.0) & np.isfinite(sup)
-    slope, _ = fit_loglog_slope(jbracket(xi[mask]), sup[mask])
-    return max(slope, 0.0)
+def _estimate_order_loop(eta, rho, zp, xi, t_samples=48):
+    """Oracle: classify's orders (m1, m2, m3), one frequency and its own t-grid at a time.
+
+    It restates the grid's span check and the fit's minimum-point gate, and
+    fits W1, W2 and W3 in that order, so that it raises where classify does.
+    Each frequency is a one-element array, not a scalar: numpy's scalar power
+    may round differently from its array loop (by 1 ulp at some log-family
+    window starts).
+    """
+    if xi[-1] / xi[0] < 1e3 * (1.0 - 1e-9):
+        raise ValueError("frequency grid must span at least three decades")
+
+    def order(weight):
+        sup = np.full_like(xi, np.nan)
+        for i in range(xi.size):
+            x = xi[i : i + 1]
+            jb = jbracket(x)
+            t_lo = np.maximum(zone_boundary(eta, zp, x), eta.value(1.0 / jb) + 2.0 / jb)
+            if weight is None:
+                sup[i] = weight_w1(eta, x)[0]
+            elif t_lo[0] < zp.T * (1.0 - 1e-12):
+                sup[i] = np.max(weight(x, np.geomspace(t_lo, zp.T, t_samples, axis=-1)[0]))
+        mask = _top_window(xi, 2.0) & np.isfinite(sup)
+        if mask.sum() < 8:
+            raise ValueError("need at least 8 points in the top two decades")
+        slope, _ = fit_loglog_slope(jbracket(xi[mask]), sup[mask])
+        return max(slope, 0.0)
+
+    return (
+        order(None),
+        order(lambda x, ts: weight_w2(eta, x, ts)),
+        order(lambda x, ts: weight_w3(eta, rho, x, ts)),
+    )
 
 
 @pytest.mark.parametrize("eta", [log_reciprocal(1.0), power_law(0.5)], ids=["loglip", "holder"])
 @pytest.mark.parametrize(
     "kind,rho",
-    [("w1", None), ("w2", None), ("w3", power_law(1.0, role="rho")), ("w3", power_law(0.7, role="rho"))],
+    [("w1", RHO_ID), ("w2", RHO_ID), ("w3", RHO_ID), ("w3", power_law(0.7, role="rho"))],
     ids=["w1", "w2", "w3-id", "w3-rho07"],
 )
 def test_estimate_order_batched_matches_scalar_loop(eta, kind, rho):
     zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
-    w = SymbolWeight(kind, eta, zp, rho=rho)
-    assert estimate_order(w, GRID) == _estimate_order_loop(w, GRID)
+    k = KINDS.index(kind)
+    assert _orders(eta, rho, zp, GRID)[k] == _estimate_order_loop(eta, rho, zp, GRID)[k]
     # from the floor up, the lowest frequencies have an empty window [t_xi, T];
     # for the log family some of them fall inside the top two decades
     low = np.geomspace(zp.M, zp.M * 1e3, 31)
     assert zone_boundary(eta, zp, low[0]) >= zp.T
-    assert estimate_order(w, low, t_samples=33) == _estimate_order_loop(w, low, t_samples=33)
+    assert _orders(eta, rho, zp, low, t_samples=33)[k] == _estimate_order_loop(eta, rho, zp, low, t_samples=33)[k]
+
+
+ETAS = (log_reciprocal(1.0), log_reciprocal(2.0), power_law(0.3), power_law(0.5), power_law(0.8))
+RHOS = (RHO_ID, power_law(0.7, role="rho"), log_reciprocal(1.0, role="rho"), iterated_log(2, role="rho"))
+
+
+def test_classify_orders_match_scalar_loop_on_random_grids():
+    # catalog (eta, rho) pairs on random increasing grids from the zone floor
+    # up: short spans, thin top decades, empty windows and rho's domain end
+    # all occur, and classify must fail where the oracle fails
+    rng = np.random.default_rng(2023)
+    outcomes = set()
+    for _ in range(60):
+        eta, rho = ETAS[rng.integers(len(ETAS))], RHOS[rng.integers(len(RHOS))]
+        zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
+        decades = rng.uniform(2.5, 5.0)
+        logs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, decades, rng.integers(4, 40))), [decades]))
+        xi = np.unique(zp.M * 10.0 ** (rng.uniform(0.0, 2.0) + logs))
+        t_samples = int(rng.integers(2, 65))
+        try:
+            expected = _estimate_order_loop(eta, rho, zp, xi, t_samples)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _orders(eta, rho, zp, xi, t_samples)
+            assert str(got.value) == str(exc)
+            outcomes.add(str(exc).split()[0])
+        else:
+            assert _orders(eta, rho, zp, xi, t_samples) == expected
+            outcomes.add("fit")
+    assert outcomes == {"fit", "frequency", "need", "argument"}
 
 
 def test_estimate_order_loglip_small_and_shrinking():
     zp = ZoneParams(N=2.0, M=2.0, T=0.5)
-    w1 = SymbolWeight("w1", log_reciprocal(1.0), zp)
-    m_small = estimate_order(w1, GRID)
+    m_small = _orders(log_reciprocal(1.0), RHO_ID, zp, GRID)[0]
     assert 0.0 < m_small <= 0.1
     # extending the grid pushes the fitted order further down
-    m_smaller = estimate_order(w1, np.geomspace(1e3, 1e9, 49))
+    m_smaller = _orders(log_reciprocal(1.0), RHO_ID, zp, np.geomspace(1e3, 1e9, 49))[0]
     assert m_smaller < m_small
 
 
 def test_estimate_order_flat_fit_clamps_to_zero():
     slope, _ = fit_loglog_slope(GRID, np.full_like(GRID, 3.7))
     assert max(slope, 0.0) == pytest.approx(0.0, abs=1e-12)
+    # the log family's W2 falls with <xi>: its order is the clamp's exact zero
+    assert _orders(log_reciprocal(1.0), RHO_ID, ZoneParams(N=2.0, M=2.0, T=0.5), GRID)[1] == 0.0
 
 
 def test_estimate_order_needs_enough_points():
     zp = ZoneParams(N=2.0, M=2.0, T=0.5)
-    w = SymbolWeight("w1", log_reciprocal(1.0), zp)
     with pytest.raises(ValueError):
-        estimate_order(w, np.geomspace(1e3, 1e6, 9))  # only ~6 points in top two decades
+        _orders(log_reciprocal(1.0), RHO_ID, zp, np.geomspace(1e3, 1e6, 9))  # only ~6 points in top two decades
 
 
 def _order_fit(n):
-    w = SymbolWeight("w1", log_reciprocal(1.0), ZoneParams(N=2.0, M=2.0, T=0.5))
-    return estimate_order(w, np.concatenate(([1e3], np.geomspace(1e4, 1e6, n))))
+    zp = ZoneParams(N=2.0, M=2.0, T=0.5)
+    return _orders(log_reciprocal(1.0), RHO_ID, zp, np.concatenate(([1e3], np.geomspace(1e4, 1e6, n))))
 
 
 def _loss_fit(n):
