@@ -138,14 +138,14 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _energy_experiment(cfg: ExperimentConfig, seed, xi_grid=None, operator=None, step=None):
+def _energy_experiment(cfg: ExperimentConfig, seed, xi_grid, operator, step):
     return FrequencyExperiment(
-        operator=operator or cfg.operator,
-        xi_grid=cfg.xi_grid if xi_grid is None else xi_grid,
+        operator=operator,
+        xi_grid=xi_grid,
         zone=cfg.zone,
         eta=cfg.eta,
         rho=cfg.rho,
-        step_factor=step or cfg.energy_step_factor,
+        step_factor=step,
         n_samples=cfg.energy_samples,
         initial=cfg.energy_initial,
         seed=seed,
@@ -154,7 +154,7 @@ def _energy_experiment(cfg: ExperimentConfig, seed, xi_grid=None, operator=None,
 
 def cmd_energy(cfg: ExperimentConfig, args) -> int:
     try:
-        exp = _energy_experiment(cfg, args.seed)
+        exp = _energy_experiment(cfg, args.seed, cfg.xi_grid, cfg.operator, cfg.energy_step_factor)
     except ValueError as exc:  # the experiment rejects the config's settings
         raise ConfigError(f"energy: {exc}") from exc
     try:
@@ -188,7 +188,7 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
             coeffs = list(cfg.operator.coeffs)
             coeffs[j] = dataclasses.replace(coeffs[j], gamma_osc=gamma, delta=cfg.loss_delta)
             op = dataclasses.replace(cfg.operator, coeffs=tuple(coeffs))
-            exps.append(_energy_experiment(cfg, args.seed, xi_grid=grid, operator=op, step=cfg.loss_step_factor))
+            exps.append(_energy_experiment(cfg, args.seed, grid, op, cfg.loss_step_factor))
         estimate_loss([EnergyTrace.from_history(x, [0.0], [1.0]) for x in grid])  # the fit's gates, on unit traces
     except ValueError as exc:
         raise ConfigError(f"loss: {exc}") from exc

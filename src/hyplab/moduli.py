@@ -16,7 +16,8 @@ Values and derivatives up to order three are evaluated by exact chain rule on
 jets (f, f', ..., f^(k)), each formed only to the order k asked, so they are
 closed-form, not finite differences, and no unread higher-order term can
 overflow.
-Finite differences are kept only as an independent cross-check.
+Finite differences of a bisection inverse (``_bisect``, which also finds
+where concavity ends) are kept only as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -155,6 +156,12 @@ class AuxiliaryFunction:
             raise ValueError(f"argument {float(r[~ok].flat[0])} outside (0, r0={self.r0}]")
         return r
 
+    def _check_range(self, t):
+        t = np.asarray(t, dtype=float)
+        if not np.all((t > 0.0) & (t <= self.range_max * (1.0 + 1e-12))):
+            raise ValueError(f"target outside the range (0, {self.range_max}]")
+        return t
+
     def _jet(self, r, k=0):
         # unchecked (f, ..., f^(k)) at an array r: the bisection brackets never leave (0, r0]
         if self.family == "power_law":
@@ -191,9 +198,7 @@ class AuxiliaryFunction:
         Closed forms exist for every catalog member; ``inverse_bisect`` is an
         independent numeric path that the tables use as the cross-check.
         """
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0) or np.any(t > self.range_max * (1.0 + 1e-12)):
-            raise ValueError(f"target outside the range (0, {self.range_max}]")
+        t = self._check_range(t)
         with np.errstate(over="ignore"):  # an exponent past the float range gives r = 0, rejected below
             if self.family == "power_law":
                 r = t ** (1.0 / self.param)
@@ -209,36 +214,16 @@ class AuxiliaryFunction:
         return r if r.shape else float(r)
 
     def inverse_bisect(self, t):
-        """Monotone bisection meeting |value(r) - t| <= 1e-12 * t, elementwise.
-
-        Halving r0 brackets each root in [lo, 2 lo] (or at r0), which the
-        bisection then narrows until hi - lo <= 1e-13 hi.  Every target keeps
-        its own bracket, so an array gives the same numbers as one call per
-        element.  Halving stops at the smallest normal float: a root below
-        that raises ValueError, as ``inverse`` does where it underflows.
+        """Solve value(r) = t by ``_bisect`` on [tiny, r0] (tiny the smallest
+        normal float) for all targets at once, returning the midpoint of each
+        final bracket; an array gives the same numbers as one call per element.
+        A root below tiny raises ValueError, as ``inverse`` does on underflow.
         """
-        t = np.asarray(t, dtype=float)
-        if not np.all((t > 0.0) & (t <= self.range_max * (1.0 + 1e-12))):
-            raise ValueError(f"target outside the range (0, {self.range_max}]")
-        lo = np.full(t.shape, self.r0)
+        t = self._check_range(t)
         tiny = np.finfo(float).tiny
-        while True:
-            down = self._jet(lo)[0] >= t
-            if not down.any():
-                break
-            if np.any(down & (lo <= tiny)):
-                raise ValueError("root below the smallest normal float; target too small for this family")
-            lo = np.where(down, 0.5 * lo, lo)
-        hi = np.minimum(2.0 * lo, self.r0)
-        live = np.ones(t.shape, dtype=bool)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = self._jet(mid)[0] < t
-            lo = np.where(live & below, mid, lo)
-            hi = np.where(live & ~below, mid, hi)
-            live &= hi - lo > 1e-13 * hi
-            if not live.any():
-                break
+        if np.any(self._jet(np.asarray(tiny))[0] >= t):
+            raise ValueError("root below the smallest normal float; target too small for this family")
+        lo, hi = _bisect(lambda r: self._jet(r)[0] < t, np.full(t.shape, tiny), np.full(t.shape, self.r0))
         r = 0.5 * (lo + hi)
         return r if r.shape else float(r)
 
@@ -306,32 +291,38 @@ def log_grid(lo, hi, n):
     return np.geomspace(lo, hi, int(n))
 
 
+def _bisect(below, lo, hi):
+    """Split brackets [lo, hi] of positive floats, ``below`` true at lo and
+    false at hi, at sqrt(lo)*sqrt(hi) (lo*hi underflows near the smallest
+    normal float) until no midpoint falls strictly inside: each ends 1-3 ulps
+    wide, within 64 splits from that float to 1.  Each moves on its own.
+    """
+    while True:
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            return lo, hi
+        up = below(np.where(live, mid, lo))  # a spent bracket's midpoint may round past hi
+        lo = np.where(live & up, mid, lo)
+        hi = np.where(live & ~up, mid, hi)
+
+
 def concave_domain_end(f: AuxiliaryFunction) -> float:
     """Largest r up to r0 with the role's concavity clause holding on (0, r].
 
     The log families are concave only for small r (below exp(-(alpha+1)) for
-    a single log); the boundary is located by bisection on the sign of f''.
-    An eta needs f'' < 0 strictly; a rho admits f'' = 0 (the identity).
+    a single log); ``_bisect`` locates the boundary on the sign of f'' in
+    [r0 * 1e-12, r0], to the last float.  An eta needs f'' < 0 strictly; a
+    rho admits f'' = 0 (the identity).
     """
-    if f.role == "eta":
-        ok = lambda r: f.derivative(r, 2) < 0.0
-    else:
-        ok = lambda r: f.derivative(r, 2) <= 1e-300
+    ok = (lambda r: f._jet(r, 2)[2] < 0.0) if f.role == "eta" else (lambda r: f._jet(r, 2)[2] <= 1e-300)
     hi = f.r0
     if ok(hi):
         return hi
     lo = hi * 1e-12
     if not ok(lo):
         raise ValueError("no concavity region found near 0")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
-    return lo
+    return float(_bisect(ok, lo, hi)[0])
 
 
 def certification_grid(f: AuxiliaryFunction, n=96):

@@ -44,10 +44,11 @@ class ZoneParams:
 def validate_zone(eta: AuxiliaryFunction, zp: ZoneParams):
     """Check the frequency floor against eta.
 
-    Requires 1/M <= r0 and N*eta(1/M)/2 >= 2/M.  Because r/eta(r) increases,
-    the second inequality then holds with 1/M replaced by any 1/|xi|,
-    |xi| >= M, which keeps t - 1/<xi> positive wherever the hyperbolic-zone
-    weights are evaluated.
+    Requires 1/M <= r0 and N*eta(1/M)/2 >= 2/M.  The latter need not hold at
+    1/|xi| for |xi| > M: r*log(1/r)**alpha increases only below exp(-alpha),
+    and log_reciprocal(3) passes at M = 2 with eta(1/16) = 0.047 < 2/16.  The
+    window floors of ``weights._fit_orders`` and ``coefficients.verify_reg_bounds``,
+    not this check, keep t - 1/<xi> positive.
     """
     if 1.0 / zp.M > eta.r0:
         raise ValueError(f"M={zp.M} too small: 1/M exceeds the domain end r0={eta.r0}")

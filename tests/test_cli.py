@@ -153,6 +153,20 @@ def test_cli_sweep_integrator_failure_exit_code(tmp_path, capsys, command, name,
     assert not out.exists()
 
 
+def test_cli_loss_zero_step_factor_is_rejected_not_replaced(tmp_path, capsys):
+    # [loss] step_factor = 0 is checked as given; it does not fall back to [energy]'s step
+    path = Path(CONFIGS, "..", "perfbench", "configs", "loss_sweep.cfg")
+    text = path.read_text(encoding="utf-8")
+    old = "step_factor = 0.1\n\n[energy]"
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text.replace(old, "step_factor = 0\n\n[energy]"))
+    out = tmp_path / "out"
+    assert main(["loss", "--config", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: loss: step factor must be positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, name, old, new, code, expected",
     [

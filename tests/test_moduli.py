@@ -11,6 +11,7 @@ from hyplab.moduli import (
     AuxiliaryFunction,
     ModulusOfContinuity,
     admissibility_check,
+    concave_domain_end,
     decay_rate,
     decay_rate_pair,
     fd_derivative,
@@ -167,21 +168,18 @@ def test_inverse_bisect_matches_inverse_down_to_small_targets(f):
 
 def _bisect_one(f, t):
     # one target at a time: the loop that the array bisection reproduces
-    lo = f.r0
-    while f.value(lo) >= t:
-        if lo <= np.finfo(float).tiny:
-            raise ValueError("root below the smallest normal float")
-        lo *= 0.5
-    hi = min(2.0 * lo, f.r0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    tiny = np.finfo(float).tiny
+    if f.value(tiny) >= t:
+        raise ValueError("root below the smallest normal float")
+    lo, hi = tiny, f.r0
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            return 0.5 * (lo + hi)
         if f.value(mid) < t:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 @pytest.mark.parametrize("f", CATALOG, ids=lambda f: f"{f.family}-{f.param:g}-{f.role}")
@@ -203,6 +201,32 @@ def test_inverse_bisect_array_matches_scalar_loop(f):
     assert isinstance(f.inverse_bisect(float(ts[1, 2])), float)
     with pytest.raises(ValueError):
         f.inverse_bisect(np.array([0.5 * f.range_max, 0.0]))
+
+
+def test_inverse_bisect_evaluates_once_per_split(monkeypatch):
+    # one evaluation at the smallest normal float, then one per split of all brackets at once
+    f = log_reciprocal(1.0)
+    ts = np.geomspace(1e-3, 1.0, 40) * f.range_max
+    calls = []
+    jet = AuxiliaryFunction._jet
+
+    def spy(self, r, k=0):
+        calls.append(np.shape(r))
+        return jet(self, r, k)
+
+    monkeypatch.setattr(AuxiliaryFunction, "_jet", spy)
+    f.inverse_bisect(ts)
+    assert 0 < len(calls) <= 64
+    assert calls[0] == () and set(calls[1:]) == {ts.shape}
+
+
+@pytest.mark.parametrize(
+    "f", [log_reciprocal(1.0), log_reciprocal(2.0), iterated_log(2)], ids=lambda f: f"{f.family}-{f.param:g}"
+)
+def test_concave_domain_end_is_the_last_float_of_the_clause(f):
+    r = concave_domain_end(f)
+    assert f.derivative(r, 2) < 0.0
+    assert any(f.derivative(r + k * np.spacing(r), 2) >= 0.0 for k in range(1, 5))
 
 
 def test_domain_check_and_cached_range_max():
@@ -261,6 +285,18 @@ def test_inverse_range_error():
         f.inverse(1.5)  # range is (0, 1]
     with pytest.raises(ValueError):
         f.inverse(0.0)
+
+
+@pytest.mark.parametrize("f", CATALOG, ids=lambda f: f"{f.family}-{f.param:g}-{f.role}")
+def test_inverse_rejects_nan_targets(f):
+    # one range check for both inverses: nan is outside the range, as it is outside value's domain
+    for inverse in (f.inverse, f.inverse_bisect):
+        for t in (math.nan, np.array([0.5 * f.range_max, math.nan])):
+            with pytest.raises(ValueError, match="target outside the range"):
+                inverse(t)
+    if f.role == "eta":
+        with pytest.raises(ValueError, match="target outside the range"):
+            decay_rate(f, math.nan)
 
 
 def test_admissibility_pass_and_fail():
