@@ -33,10 +33,10 @@ spec = HyperbolicOperatorSpec(
         CoefficientSpec("constant", base=0.25),
     ),
 )
-roots = characteristic_roots(spec, 0.1, None, xi)
+roots = characteristic_roots(spec, 0.1, xi)
 print("characteristic roots / <xi>:", np.round(roots.lam / float(jbracket(xi)), 6))
 
-A = companion_symbol(spec, 0.1, None, xi)
+A = companion_symbol(spec, 0.1, xi)
 V = m1_symbol(roots)
 Vinv = m1_inverse_symbol(roots)
 resid = np.max(np.abs(Vinv @ A @ V - np.diag(roots.lam)))
@@ -47,7 +47,7 @@ print()
 print("== the first-step correction and the second diagonalizer ==")
 osc = HyperbolicOperatorSpec(2, (CoefficientSpec("holder_rough", delta=0.5, alpha=0.5), None))
 t = 0.25
-lam, lam_dot = roots_on_times(osc, np.array([t]), None, xi)
+lam, lam_dot = roots_on_times(osc, np.array([t]), xi)
 rs = RootSet(lam[0], xi)
 C1 = c1_entries(rs, lam_dot[0])
 M2 = m2_symbol(rs, lam_dot[0], Zone.HYPERBOLIC)
@@ -59,7 +59,7 @@ print()
 print("== absorption weights stay bounded over a sweep (closed form, two root sets each) ==")
 slow = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.5), None))
 for x in np.geomspace(2**4, 2**14, 6):
-    res = m3_weights(slow, None, float(x), 0.5)
+    res = m3_weights(slow, float(x), 0.5)
     print(
         f"  |xi| = {x:7.0f}: max |integral| = {np.max(np.abs(res.integrals)):.4f},"
         f" |w_p| = {np.round(res.magnitudes, 6)}"

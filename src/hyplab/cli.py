@@ -90,7 +90,7 @@ def _sweep(exp: FrequencyExperiment, jobs: int, pool):
     n = exp.xi_grid.size
     chunks = [range(j, n, jobs) for j in range(min(jobs, n))]
     try:
-        _plan(exp, np.arange(n), 1.0)  # the whole sweep's checks and work budget, as without a pool
+        _plan(exp, np.arange(n))  # the whole sweep's checks and work budget, as without a pool
         parts = list(pool.map(functools.partial(evolve_sweep, exp), chunks))
     except INTEGRATOR_ERRORS:
         return evolve_sweep(exp)  # raises at the first failing frequency in grid order
@@ -281,7 +281,7 @@ def _verify_checks(cfg: ExperimentConfig):
         )
 
     try:
-        m3 = np.max(np.abs(m3_weights(cfg.operator, None, cfg.xi_grid, cfg.zone.T).integrals), axis=-1)
+        m3 = np.max(np.abs(m3_weights(cfg.operator, cfg.xi_grid, cfg.zone.T).integrals), axis=-1)
     except _UNEVALUABLE as exc:
         yield ("m3_integral_bounded", False, str(exc))
     else:

@@ -169,10 +169,10 @@ class CoefficientSpec:
         out = self._time_jet(t)[0] * self._spatial_factor(x)
         return out if np.asarray(out).shape else float(out)
 
-    def time_derivative(self, t, order=1, x=None):
+    def time_derivative(self, t, order=1):
         if order not in (1, 2):
             raise ValueError("derivative order must be 1 or 2")
-        out = self._time_jet(t, order)[order] * self._spatial_factor(x)
+        out = self._time_jet(t, order)[order]
         return out if np.asarray(out).shape else float(out)
 
     @property
@@ -373,9 +373,6 @@ class ClauseCheck:
 
 @dataclass
 class RegBoundsReport:
-    spec: CoefficientSpec
-    eta: AuxiliaryFunction
-    rho: AuxiliaryFunction
     clauses: dict
 
     def summary(self):
@@ -433,7 +430,7 @@ def verify_reg_bounds(
     mollification of the (frequency, t_grid) windows and one of the
     (frequency, zone grid) windows.
 
-    A measured value within the summation error bound of the quadrature
+    A measured value within the summation error bound of the midpoint rule
     that made it is round-off and counts as zero.
 
     The caller is responsible for matching the coefficient's modulus with
@@ -445,8 +442,8 @@ def verify_reg_bounds(
     if np.any(tg <= 0.0) or np.any(tg > zp.T):
         raise ValueError("t grid must lie in (0, T]")
     factor = spec._spatial_sup
-    # summation error bound n u sum|w_k| sup|a| of the quadrature behind jet row
-    # k, before its division by eps^k
+    # summation error bound n u sum|w_k| sup|a| of the midpoint rule behind jet
+    # row k, before its division by eps^k
     _, *weights = _mollifier_grids()
     roundoff = MOLLIFIER_NODES * np.finfo(float).eps * spec.sup_abs * np.array([np.abs(w).sum() for w in weights])
     row_order = np.array([0, 0, 1, 2])
@@ -455,7 +452,7 @@ def verify_reg_bounds(
         """|a_eps|, |a_eps - a|, |d_t a_eps|, |d_t^2 a_eps| at times ts, max over x (if any).
 
         One mollification of every (frequency, time) window feeds all four
-        rows.  A value within the round-off bound of the quadrature that
+        rows.  A value within the round-off bound of the midpoint rule that
         made it counts as zero.
         """
         jet = mollify(spec, eps, t=ts)
@@ -505,4 +502,4 @@ def verify_reg_bounds(
             top_decade_growth=growth,
             growth_error=growth_error,
         )
-    return RegBoundsReport(spec, eta, rho, clauses)
+    return RegBoundsReport(clauses)

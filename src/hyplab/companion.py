@@ -3,7 +3,7 @@
 An operator of order m in one space dimension is described by its
 coefficient list a_{m-j}, j = 0..m-1; the characteristic polynomial is
 
-    lam^m - sum_j a_{m-j}(t, x) xi^(m-j) lam^j = 0.
+    lam^m - sum_j a_{m-j}(t) xi^(m-j) lam^j = 0.
 
 Strict hyperbolicity means the roots are real and separated by a fixed
 fraction of <xi> = sqrt(1 + xi^2).  One builder, batched over leading axes,
@@ -79,9 +79,9 @@ class HyperbolicOperatorSpec:
     def sup_abs(self):
         return max([c.sup_abs for c in self.coeffs if c is not None], default=0.0)
 
-    def coeff_values(self, t, x=None):
-        """Values of a_{m-j}(t, x) for j = 0..m-1."""
-        return np.array([0.0 if c is None else c.value(t, x) for c in self.coeffs])
+    def coeff_values(self, t):
+        """Values of a_{m-j}(t) for j = 0..m-1."""
+        return np.array([0.0 if c is None else c.value(t) for c in self.coeffs])
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,15 @@ def _root_gaps(lam, tol=0.0):
     return G, P
 
 
-def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> RootSet:
-    """Real ascending roots of the characteristic polynomial at (t, x, xi).
+def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, xi: float) -> RootSet:
+    """Real ascending roots of the characteristic polynomial at (t, xi).
 
     Complex or nearly multiple roots raise.
     """
-    return RootSet(_roots(spec.coeff_values(t, x)[None, :], xi, spec.delta_sep)[0], xi)
+    return RootSet(_roots(spec.coeff_values(t)[None, :], xi, spec.delta_sep)[0], xi)
 
 
-def roots_on_times(spec: HyperbolicOperatorSpec, ts, x, xi) -> tuple[np.ndarray, np.ndarray]:
+def roots_on_times(spec: HyperbolicOperatorSpec, ts, xi) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the mollified symbol along a time grid, and their time rates.
 
     Elementwise in ``ts`` and ``xi``, which broadcast against each other
@@ -226,7 +226,7 @@ def roots_on_times(spec: HyperbolicOperatorSpec, ts, x, xi) -> tuple[np.ndarray,
     vals = np.zeros((2,) + np.broadcast_shapes(ts.shape, xi.shape) + (spec.m,))  # a_{m-j} and its rate
     for j, c in enumerate(spec.coeffs):
         if c is not None:
-            vals[..., j] = mollify(c, eps, t=ts, x=x)[:2]
+            vals[..., j] = mollify(c, eps, t=ts)[:2]
     lam = _roots(vals[0], xi, spec.delta_sep)
     return lam, _root_rates(lam, vals[1], xi)
 
@@ -250,11 +250,11 @@ def _root_rates(lam, vals_dot, xi):
     return num / ((-1) ** (m - 1) * P)
 
 
-def companion_symbol(spec: HyperbolicOperatorSpec, t: float, x, xi: float) -> np.ndarray:
-    """The first-order system symbol A(t, x, xi), an m x m array.
+def companion_symbol(spec: HyperbolicOperatorSpec, t: float, xi: float) -> np.ndarray:
+    """The first-order system symbol A(t, xi), an m x m array.
 
     Superdiagonal <xi>; last-row entry in column j equals
     a_{m-j} xi^(m-j) <xi>^-(m-1-j).  Its eigenvalues reproduce the
     characteristic roots.
     """
-    return _companion(spec.coeff_values(t, x), xi)
+    return _companion(spec.coeff_values(t), xi)

@@ -11,7 +11,7 @@ checks that the time integral of theta0 stays bounded along a frequency
 sweep (a zero-order quantity), which is the gate for a no-loss energy
 estimate.  W2 and W3 are exact time derivatives by definition, so that
 integral telescopes: only the cutoff ramp of the second branch is left to
-a quadrature.
+composite Simpson.
 """
 
 from __future__ import annotations

@@ -51,6 +51,9 @@ __all__ = [
 # root gaps below this fraction of <xi> raise NearMultipleRoot
 _UNDERFLOW = 1e-12
 
+# composite Simpson intervals of the m3 remainder integral (``m3_weights``)
+M3_INTERVALS = 1024
+
 
 class DiagonalizerIllConditioned(Exception):
     """Second diagonalizer entries too large; frequency too low for step two."""
@@ -152,7 +155,7 @@ class M3Weights:
     magnitudes: np.ndarray
 
 
-def m3_weights(spec: HyperbolicOperatorSpec, x, xi, t: float, quadrature: int = 1024) -> M3Weights:
+def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> M3Weights:
     """The absorption integrals on [0, t] in closed form; elementwise in xi.
 
     With S = sum_i lam_i the denominator sum_i (lam_i - lam_p) is
@@ -162,20 +165,18 @@ def m3_weights(spec: HyperbolicOperatorSpec, x, xi, t: float, quadrature: int = 
 
     The log term takes the roots at the two ends alone.  S = xi a_1 is
     constant unless a_1 depends on time; only then does composite Simpson on
-    ``quadrature`` intervals evaluate the remainder.  Roots and their exact
+    ``M3_INTERVALS`` intervals evaluate the remainder.  Roots and their exact
     rates come from the coefficients mollified at width 1/<xi>
     (``roots_on_times``), for every frequency of an array at once.  A g_p of
     opposite signs at the two ends puts a pole in the integrand and raises
     ValueError; a pole crossed an even number of times goes unseen.  The
     integrals have the shape of xi plus a last axis of m.
     """
-    if quadrature < 8:
-        raise ValueError("quadrature needs at least 8 intervals")
     xi = np.asarray(xi, dtype=float)
 
     def gap_sums(ss):
         """Root rates and gap sums g_p at the times ss, times first."""
-        lam, lam_dot = roots_on_times(spec, ss.reshape(ss.shape + (1,) * xi.ndim), x, xi)
+        lam, lam_dot = roots_on_times(spec, ss.reshape(ss.shape + (1,) * xi.ndim), xi)
         return lam_dot, _root_gaps(lam)[0].sum(axis=-1)
 
     g0, g1 = gap_sums(np.array([0.0, t]))[1]
@@ -195,6 +196,6 @@ def m3_weights(spec: HyperbolicOperatorSpec, x, xi, t: float, quadrature: int = 
             # frequency as for one frequency
             return np.moveaxis(lam_dot.sum(axis=-1, keepdims=True) / g, 0, -2)
 
-        log_term = log_term - _simpson(remainder, 0.0, t, quadrature)
+        log_term = log_term - _simpson(remainder, 0.0, t, M3_INTERVALS)
     integrals = 1j / spec.m * log_term
     return M3Weights(integrals=integrals, magnitudes=np.abs(np.exp(integrals)))

@@ -13,7 +13,7 @@ frame node bound
     h_k   = c_h / (<xi> sup|a| + r(t_k) / sup|a| + 1),   t_k = max(s_k, 1/<xi>),
     tau_k = c_h / (4 kappa(s_k) + r2(s_k) / r(s_k) + 1 / s_k),   tau_0 = 0,
 
-where c_h = step_factor * step_scale, and r and r2 are the largest
+where c_h = step_factor, and r and r2 are the largest
 coefficient envelopes ``CoefficientSpec.rate_bound`` of |a'| and |a''| (the
 raw rate diverges like 1/t at the origin, while the frequency-smoothed
 coefficient oscillates no faster than <xi>).  r does not increase with t, so
@@ -29,7 +29,7 @@ take ceil(D_k / g_k) equal Magnus steps, g_0 = h_0 and, with Theta =
 ``MAGNUS_STRETCH``, g_k = clip(c_h / (r2/r + 1/s_k), h_k, Theta h_k): the
 Magnus step integrates a frozen symbol exactly, so it need resolve only the
 coefficient's variation, not the phase rotation.  The ratio tau_k / h_k does
-not depend on step_scale and vanishes as t -> 0, so the intervals near the
+not depend on step_factor and vanishes as t -> 0, so the intervals near the
 origin, and every interval at low <xi> or of a rough coefficient, stay on
 the Magnus step.  ``EnergyTrace.steps`` counts the Magnus steps and
 ``nodes`` the frame steps; every count is fixed before integrating.  R = 80
@@ -224,6 +224,8 @@ class FrequencyExperiment:
             raise ValueError(f"horizon T={self.zone.T:g} must lie below {t_end:g}, where a coefficient's domain ends")
         if not (self.step_factor > 0.0):
             raise ValueError("step factor must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_samples < 256:
             raise ValueError("trace needs at least 256 sample times")
         if self.initial not in ("canonical", "random"):
@@ -552,7 +554,7 @@ def _interval_propagators(m, counts, step_propagators):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge frequencies overflow to steps below the floor
-def _plan(exp: FrequencyExperiment, idx, step_scale):
+def _plan(exp: FrequencyExperiment, idx):
     """Step lengths, counts and Magnus mask, each (frequency, interval), at the grid indices idx (module docstring).
 
     Every check that needs no propagator raises here: the step floor, strict
@@ -569,7 +571,7 @@ def _plan(exp: FrequencyExperiment, idx, step_scale):
     sample_times = np.linspace(0.0, exp.T, exp.n_samples)
     widths = np.diff(sample_times)
     n_int = widths.size
-    c_h = exp.step_factor * step_scale
+    c_h = exp.step_factor
     # the step plan, one entry per (frequency, interval): the step bound
     # h_k and the frame node bound tau_k (module docstring)
     starts = np.maximum(sample_times[:-1], 1.0 / jb[:, None])
@@ -694,7 +696,7 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
     ]
 
 
-def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0) -> list[EnergyTrace]:
+def evolve_sweep(exp: FrequencyExperiment, indices=None) -> list[EnergyTrace]:
     """Integrate the companion system at every grid frequency, or at the grid indices given, in one pass.
 
     Each frequency starts from ``exp.initial_vector``.  Raises
@@ -710,24 +712,24 @@ def evolve_sweep(exp: FrequencyExperiment, indices=None, step_scale: float = 1.0
     U0 = np.array([exp.initial_vector(int(i)) for i in idx], dtype=complex).reshape(idx.size, exp.operator.m)
     plan = None
     try:
-        plan = _plan(exp, idx, step_scale)
+        plan = _plan(exp, idx)
         return _integrate(exp, idx, U0, *plan)
     except INTEGRATOR_ERRORS:
         if idx.size > 1:
-            plans = [_plan(exp, idx[n : n + 1], step_scale) for n in range(idx.size)]
+            plans = [_plan(exp, idx[n : n + 1]) for n in range(idx.size)]
             if plan is not None:
                 for n, one in enumerate(plans):
                     _integrate(exp, idx[n : n + 1], U0[n : n + 1], *one)
         raise
 
 
-def evolve_frequency(exp: FrequencyExperiment, xi: float, step_scale: float = 1.0) -> EnergyTrace:
+def evolve_frequency(exp: FrequencyExperiment, xi: float) -> EnergyTrace:
     """Integrate the companion system at one grid frequency: ``evolve_sweep`` on its index."""
     xi = float(xi)
     if not np.any(np.isclose(exp.xi_grid, xi, rtol=1e-12)):
         raise ValueError(f"xi={xi} is not a grid point of this experiment")
     idx = int(np.argmin(np.abs(exp.xi_grid - xi)))
-    return evolve_sweep(exp, [idx], step_scale)[0]
+    return evolve_sweep(exp, [idx])[0]
 
 
 def estimate_loss(traces) -> LossEstimate:
@@ -743,20 +745,19 @@ def estimate_loss(traces) -> LossEstimate:
 def sobolev_energy(traces, nu: float, spectrum):
     """Weighted H^nu-style energy across a finitely supported spectrum.
 
-    ``spectrum`` maps each trace's frequency to a nonnegative initial weight
-    (dict or aligned array).  Returns (times, E_nu(t)).
+    ``spectrum`` holds one nonnegative initial weight per trace, in the
+    traces' order.  Returns (times, E_nu(t)).
     """
     if not traces:
         raise ValueError("no traces")
+    weights = np.asarray(spectrum, dtype=float)
+    if weights.shape != (len(traces),):
+        raise ValueError(f"spectrum of shape {weights.shape} for {len(traces)} traces: need one weight per trace")
+    if not np.all(weights >= 0.0):  # NaN included
+        raise ValueError("spectrum weights must be nonnegative")
     times = traces[0].times
     total = np.zeros_like(times)
-    for k, tr in enumerate(traces):
-        if isinstance(spectrum, dict):
-            w = float(spectrum.get(tr.xi, 0.0))
-        else:
-            w = float(spectrum[k])
-        if w < 0.0:
-            raise ValueError("spectrum weights must be nonnegative")
+    for w, tr in zip(weights, traces):
         if tr.times.shape != times.shape or np.max(np.abs(tr.times - times)) > 1e-12:
             raise ValueError("traces must share a common sample grid")
         total += w * float(jbracket(tr.xi)) ** (2.0 * nu) * tr.norms**2
@@ -773,7 +774,7 @@ def closed_form_constant_trace(exp: FrequencyExperiment, xi: float, u0=None) -> 
     for c in spec.coeffs:
         if c is not None and c.profile != "constant":
             raise ValueError("closed form available for constant coefficients only")
-    roots = characteristic_roots(spec, 0.1, None, xi)
+    roots = characteristic_roots(spec, 0.1, xi)
     V = m1_symbol(roots)
     Vinv = m1_inverse_symbol(roots)
     if u0 is None:

@@ -23,7 +23,7 @@ where concavity ends) are kept only as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -325,10 +325,10 @@ def concave_domain_end(f: AuxiliaryFunction) -> float:
     return float(_bisect(ok, lo, hi)[0])
 
 
-def certification_grid(f: AuxiliaryFunction, n=96):
-    """Log-spaced grid inside the concave part of the domain."""
+def certification_grid(f: AuxiliaryFunction):
+    """Log-spaced grid of 96 points inside the concave part of the domain."""
     hi = concave_domain_end(f)
-    return log_grid(hi * 1e-7, hi * (1.0 - 1e-9), n)
+    return log_grid(hi * 1e-7, hi * (1.0 - 1e-9), 96)
 
 
 # ----------------------------------------------------------------------------
@@ -338,7 +338,6 @@ def certification_grid(f: AuxiliaryFunction, n=96):
 class ClauseResult:
     passed: bool
     detail: str = ""
-    violations: list = field(default_factory=list)
 
 
 @dataclass
@@ -365,7 +364,7 @@ def admissibility_check(f: AuxiliaryFunction, grid) -> AdmissibilityReport:
     """Certify the defining clauses of an auxiliary function on a log grid.
 
     The grid must hold at least 64 points inside (0, r0].  Certification is
-    numerical, clause by clause; failures carry the offending r values.
+    numerical, clause by clause; each clause's detail names its extreme value.
     Note the catalog's log families are concave only for r below
     exp(-(alpha+1)); certification grids for them should stay under that cap
     even when r0 itself is larger.
@@ -380,11 +379,8 @@ def admissibility_check(f: AuxiliaryFunction, grid) -> AdmissibilityReport:
 
     clauses = {}
 
-    bad = r[val <= 0.0]
-    clauses["positive"] = ClauseResult(bad.size == 0, f"min value {val.min():.3g}", list(bad[:4]))
-
-    bad = r[d1 <= 0.0]
-    clauses["increasing"] = ClauseResult(bad.size == 0, f"min f' {d1.min():.3g}", list(bad[:4]))
+    clauses["positive"] = ClauseResult(not np.any(val <= 0.0), f"min value {val.min():.3g}")
+    clauses["increasing"] = ClauseResult(not np.any(d1 <= 0.0), f"min f' {d1.min():.3g}")
 
     # vanishing limit at 0+: values on the decreasing grid head to 0 (log
     # families decay glacially, so only a clear downward trend is required)
@@ -392,13 +388,13 @@ def admissibility_check(f: AuxiliaryFunction, grid) -> AdmissibilityReport:
     clauses["vanishes_at_zero"] = ClauseResult(bool(shrink), f"value at r_min {val[0]:.3g}")
 
     if f.role == "eta":
-        bad = r[d2 >= 0.0]
+        bad = d2 >= 0.0
         detail = f"max f'' {d2.max():.3g} (strict concavity required)"
     else:
         tol = 1e-12 * np.max(np.abs(d2)) if np.max(np.abs(d2)) > 0 else 1e-12
-        bad = r[d2 > tol]
+        bad = d2 > tol
         detail = f"max f'' {d2.max():.3g} (non-positive required)"
-    clauses["concave"] = ClauseResult(bad.size == 0, detail, list(bad[:4]))
+    clauses["concave"] = ClauseResult(not np.any(bad), detail)
 
     constants = {}
     for k, dk in ((1, d1), (2, d2), (3, d3)):
@@ -407,10 +403,7 @@ def admissibility_check(f: AuxiliaryFunction, grid) -> AdmissibilityReport:
     if f.role == "eta":
         mu = r / val
         diffs = np.diff(mu)
-        bad = r[1:][diffs <= 0.0]
-        clauses["modulus_increasing"] = ClauseResult(
-            bad.size == 0, f"min d(mu) {diffs.min():.3g}", list(bad[:4])
-        )
+        clauses["modulus_increasing"] = ClauseResult(not np.any(diffs <= 0.0), f"min d(mu) {diffs.min():.3g}")
         ok = mu[0] < mu[1] and mu[0] < 0.5 * mu[-1]
         clauses["modulus_vanishes"] = ClauseResult(bool(ok), f"mu at r_min {mu[0]:.3g}")
 

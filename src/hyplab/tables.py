@@ -38,7 +38,6 @@ __all__ = [
 COLUMNS = ("family", "param", "closed_form", "fitted", "rel_err")
 
 T_REF = 0.1
-FD_STEP = 2e-4  # relative step of the finite differences on the bisection inverse
 
 
 def _row(*values):
@@ -47,11 +46,11 @@ def _row(*values):
 
 def numeric_decay_rate(eta: AuxiliaryFunction, t):
     """-d/dt (1/eta^{-1}(t)) by finite differences on the bisection inverse."""
-    return fd_derivative(lambda s: -1.0 / eta.inverse_bisect(s), t, FD_STEP)
+    return fd_derivative(lambda s: -1.0 / eta.inverse_bisect(s), t)
 
 
 def numeric_decay_rate_pair(eta, rho, t):
-    return fd_derivative(lambda s: -1.0 / np.asarray(rho.value(eta.inverse_bisect(s))), t, FD_STEP)
+    return fd_derivative(lambda s: -1.0 / np.asarray(rho.value(eta.inverse_bisect(s))), t)
 
 
 def _rate_row(family, param, closed_fn, numeric_fn, t_hi):
@@ -81,8 +80,9 @@ def local_condition_rows(alpha=0.5):
     return rows
 
 
-def additional_local_condition_rows(alpha=0.5, beta=0.7):
-    """Decay rates -d/dt(1/rho(eta^{-1}(t))) for eta/rho combinations."""
+def additional_local_condition_rows(alpha=0.5):
+    """Decay rates -d/dt(1/rho(eta^{-1}(t))) for eta/rho combinations, with rho = r^0.7 for the power law."""
+    beta = 0.7
     eta_ll = log_reciprocal(1.0)
     eta_h = power_law(1.0 - alpha, r0=1.1)
     combos = [
@@ -111,7 +111,7 @@ def additional_local_condition_rows(alpha=0.5, beta=0.7):
 _XI_GRID = np.geomspace(1e3, 1e6, 25)
 
 
-def weight_order_rows(alpha_values=(0.2, 0.5)):
+def weight_order_rows():
     """Fitted growth orders of the three weights against the catalog targets."""
     rows = []
     rho_id = power_law(1.0, role="rho")
@@ -122,19 +122,19 @@ def weight_order_rows(alpha_values=(0.2, 0.5)):
             rows.append(_row(f"{kind}|{label}", eta.param, target, orders[kind], abs(orders[kind] - target)))
 
     add("log_lipschitz", log_reciprocal(1.0), rho_id, 0.0)
-    for alpha in alpha_values:
+    for alpha in (0.2, 0.5):
         eta = power_law(1.0 - alpha)
         add("holder", eta, rho_id, 1.0 - alpha)
         add("holder_rho0.7", eta, power_law(0.7, role="rho"), 1.0 - alpha, kinds=("w3",))
     return rows
 
 
-def summary_rows(eps=0.01, alpha_values=(0.2, 1.0 / 3.0, 0.5)):
+def summary_rows(eps=0.01):
     """Admissible index s per modulus against its target, with the gap relative to it; m0 = 1 is pinned by hand."""
     rho_id = power_law(1.0, role="rho")
     rep = classify(log_reciprocal(1.0), rho_id, ZoneParams(), _XI_GRID, eps)
     cases = [("log_lipschitz", 1.0, 1.0 + eps, rep.s_min)]  # (family, param, target, fitted s)
-    for alpha in alpha_values:
+    for alpha in (0.2, 1.0 / 3.0, 0.5):
         eta = power_law(1.0 - alpha)
         rep = classify(eta, rho_id, ZoneParams(M=zone_floor(eta)), _XI_GRID, eps)
         cases.append(("holder", alpha, max(1.0 + eps, 2.0 * (1.0 - alpha) / (1.0 + alpha)), rep.s_min))

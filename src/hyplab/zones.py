@@ -58,12 +58,13 @@ def validate_zone(eta: AuxiliaryFunction, zp: ZoneParams):
 
 
 def zone_floor(eta: AuxiliaryFunction, N=ZoneParams.N):
-    """Smallest power of two M satisfying the frequency-floor constraints."""
-    M = 1.0
-    for _ in range(60):
-        M *= 2.0
-        if 1.0 / M <= eta.r0 and N * eta.value(1.0 / M) / 2.0 >= (2.0 / M) * (1.0 - 1e-12):
-            return M
+    """Smallest power of two M, from 2 to 2^60, that ``validate_zone`` accepts."""
+    for k in range(1, 61):
+        zp = ZoneParams(N, 2.0**k)
+        try:
+            return validate_zone(eta, zp).M
+        except ValueError:
+            continue
     raise ValueError("no admissible frequency floor below 2^60")
 
 

@@ -1,6 +1,7 @@
-"""Zygmund and Besov norm estimation for sampled periodic functions.
+"""Zygmund and Besov norm estimation for sampled 2pi-periodic functions.
 
-Works on uniform periodic grids of dyadic size.  Two independent estimators:
+Works on uniform grids of dyadic size over [0, 2pi), so the discrete
+frequencies are the integers k.  Two independent estimators:
 
 * a direct second-difference quotient, implemented literally in the midpoint
   form |u(x) - 2 u((x+y)/2) + u(y)| / |x-y|^(s-[s]) with dyadic separations
@@ -36,10 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridFunction1D:
-    """Samples of a periodic function on a uniform grid of size 2^J, J >= 6."""
+    """Samples of a 2pi-periodic function on a uniform grid of size 2^J, J >= 6."""
 
     samples: np.ndarray
-    period: float = 2.0 * math.pi
 
     def __post_init__(self):
         arr = np.asarray(self.samples)
@@ -49,17 +49,15 @@ class GridFunction1D:
             raise ValueError("grid size must be a power of two, at least 64")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        if not (self.period > 0.0):
-            raise ValueError("period must be positive")
 
     @property
     def n(self):
         return self.samples.size
 
     @classmethod
-    def from_callable(cls, fn, n=1024, period=2.0 * math.pi):
-        x = np.arange(n) * (period / n)
-        return cls(np.asarray(fn(x)), period)
+    def from_callable(cls, fn, n=1024):
+        x = np.arange(n) * (2.0 * math.pi / n)
+        return cls(np.asarray(fn(x)))
 
 
 def _smoothstep(x):
@@ -69,14 +67,14 @@ def _smoothstep(x):
 
 
 @functools.lru_cache(maxsize=32)
-def _partition(n, period):
+def _partition(n):
     """Fixed dyadic partition of unity on the discrete frequencies.
 
-    Block j >= 1 is supported on |k| in [2^(j-1), 2^(j+1)] (k in angular
-    units 2*pi/period); block 0 is the low-frequency lump.  The ramps
-    telescope, so the blocks sum to one identically.
+    Block j >= 1 is supported on |k| in [2^(j-1), 2^(j+1)]; block 0 is the
+    low-frequency lump.  The ramps telescope, so the blocks sum to one
+    identically.
     """
-    k = np.fft.fftfreq(n, d=1.0 / n) * (2.0 * math.pi / period)
+    k = np.fft.fftfreq(n, d=1.0 / n)
     ak = np.abs(k)
     jmax = max(int(math.ceil(math.log2(max(ak.max(), 2.0)))), 1)
 
@@ -100,7 +98,7 @@ class DyadicDecomposition:
 
     @classmethod
     def of(cls, u: GridFunction1D):
-        _, masks = _partition(u.n, u.period)
+        _, masks = _partition(u.n)
         hat = np.fft.fft(u.samples)
         blocks = np.fft.ifft(masks * hat[None, :], axis=1)
         return cls(u, blocks)
@@ -119,7 +117,7 @@ class DyadicDecomposition:
 
 
 def _spectral_derivative(u: GridFunction1D) -> np.ndarray:
-    k = np.fft.fftfreq(u.n, d=1.0 / u.n) * (2.0 * math.pi / u.period)
+    k = np.fft.fftfreq(u.n, d=1.0 / u.n)
     return np.fft.ifft(1j * k * np.fft.fft(u.samples))
 
 
@@ -129,7 +127,7 @@ def zygmund_seminorm_direct(u: GridFunction1D, s: float):
         raise ValueError("direct estimator supports s in (0, 2) only")
     frac = s if s <= 1.0 else s - 1.0
     v = u.samples if s <= 1.0 else _spectral_derivative(u)
-    dx = u.period / u.n
+    dx = 2.0 * math.pi / u.n
     best = 0.0
     g = 1
     while 2 * g <= u.n // 2:
@@ -162,7 +160,7 @@ def dyadic_besov_norm(u: GridFunction1D, s: float, p=np.inf, q=np.inf):
 
 def sobolev_norm_direct(u: GridFunction1D, s: float):
     """Fourier-multiplier H^s norm (mean-square convention); cross-check path."""
-    k = np.fft.fftfreq(u.n, d=1.0 / u.n) * (2.0 * math.pi / u.period)
+    k = np.fft.fftfreq(u.n, d=1.0 / u.n)
     hat = np.fft.fft(u.samples) / u.n
     return float(np.sqrt(np.sum((1.0 + k**2) ** s * np.abs(hat) ** 2)))
 

@@ -168,6 +168,24 @@ def test_cli_loss_zero_step_factor_is_rejected_not_replaced(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, path",
+    [
+        ("energy", Path(CONFIGS, "..", "perfbench", "configs", "constant_random.cfg")),
+        ("energy", Path(CONFIGS, "constant.cfg")),
+        ("loss", Path(CONFIGS, "loss_sweep.cfg")),
+    ],
+    ids=["energy_random", "energy_canonical", "loss"],
+)
+def test_cli_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, path):
+    # a negative seed is rejected with the experiment, random initial data or not
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {command}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, name, old, new, code, expected",
     [
         ("energy", "loglip.cfg", "m = 2\n", "m = 2\ndelta_sep = 10\n", 2, None),
@@ -355,7 +373,7 @@ def test_cli_verify_m3_line_names_the_peak(capsys):
     cfg = load_config(cfg_path("holder05.cfg"))
     main(["verify", "--config", cfg_path("holder05.cfg")])
     (parts,) = [ln.split() for ln in capsys.readouterr().out.splitlines() if ln.startswith("m3_integral_bounded")]
-    m3 = np.max(np.abs(m3_weights(cfg.operator, None, cfg.xi_grid, cfg.zone.T).integrals), axis=-1)
+    m3 = np.max(np.abs(m3_weights(cfg.operator, cfg.xi_grid, cfg.zone.T).integrals), axis=-1)
     assert parts[2] == f"max={np.max(m3):.4g}" and parts[3] == "at"
     assert float(parts[4].removeprefix("xi=")) == pytest.approx(cfg.xi_grid[np.argmax(m3)], rel=1e-3)
 
@@ -523,7 +541,7 @@ def test_benchmark_configs_plan_their_steps_and_frame_nodes(tmp_path, monkeypatc
     planned = []
 
     def plan_only(exp, jobs, pool):
-        h_k, counts, magnus = _plan(exp, np.arange(exp.xi_grid.size), 1.0)
+        h_k, counts, magnus = _plan(exp, np.arange(exp.xi_grid.size))
         planned.append((int((counts * magnus).sum()), int((counts * ~magnus).sum())))
         return [EnergyTrace.from_history(x, [0.0], [1.0]) for x in exp.xi_grid]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyplab import diagonalizers
 from hyplab.coefficients import CoefficientSpec, mollify
 from hyplab.companion import (
     HyperbolicityViolation,
@@ -41,7 +42,7 @@ class NegativeConstant(CoefficientSpec):
 
 
 def test_roots_wave_speed_two():
-    roots = characteristic_roots(WAVE2, 0.1, None, 3.0)
+    roots = characteristic_roots(WAVE2, 0.1, 3.0)
     assert roots.lam == pytest.approx([-6.0, 6.0], rel=1e-12)
 
 
@@ -49,19 +50,19 @@ def test_roots_recover_constructed_targets():
     # targets (-|xi|, 0, |xi|) come from the polynomial lam^3 - xi^2 lam
     spec = HyperbolicOperatorSpec(3, (None, CoefficientSpec("constant", base=1.0), None))
     for xi in (7.0, 2.0**10):
-        roots = characteristic_roots(spec, 0.2, None, xi)
+        roots = characteristic_roots(spec, 0.2, xi)
         assert np.max(np.abs(roots.lam - np.array([-xi, 0.0, xi]))) < 1e-9 * xi
 
 
 def test_roots_reject_complex_and_near_multiple():
     bad = HyperbolicOperatorSpec(2, (NegativeConstant("constant", base=1.0), None))
     with pytest.raises(HyperbolicityViolation):
-        characteristic_roots(bad, 0.1, None, 4.0)
+        characteristic_roots(bad, 0.1, 4.0)
     degenerate = HyperbolicOperatorSpec(
         3, (None, CoefficientSpec("constant", base=1.0), None), delta_sep=1.5
     )
     with pytest.raises(NearMultipleRoot):
-        characteristic_roots(degenerate, 0.1, None, 4.0)
+        characteristic_roots(degenerate, 0.1, 4.0)
 
 
 def test_quadratic_roots_keep_each_root_to_its_relative_accuracy(monkeypatch):
@@ -105,14 +106,14 @@ def test_roots_homogeneity():
     spec = HyperbolicOperatorSpec(
         2, (CoefficientSpec("log_power_oscillation", delta=0.5), None)
     )
-    lam_lo = characteristic_roots(spec, 0.2, None, 10.0).lam
+    lam_lo = characteristic_roots(spec, 0.2, 10.0).lam
     for c in (10.0, 100.0):
-        lam_hi = characteristic_roots(spec, 0.2, None, 10.0 * c).lam
+        lam_hi = characteristic_roots(spec, 0.2, 10.0 * c).lam
         assert np.max(np.abs(lam_hi / c - lam_lo) / np.abs(lam_lo).max()) < 1e-3
 
 
 def test_companion_symbol_structure_and_eigenvalues():
-    A = companion_symbol(WAVE2, 0.1, None, 3.0)
+    A = companion_symbol(WAVE2, 0.1, 3.0)
     jb = float(jbracket(3.0))
     assert A[0, 1] == pytest.approx(jb)
     assert A[1, 0] == pytest.approx(4.0 * 9.0 / jb)
@@ -131,14 +132,14 @@ def test_companion_matches_roots_general_order():
         ),
     )
     xi = 2.0**10
-    roots = characteristic_roots(spec, 0.1, None, xi)
-    ev = np.sort(np.linalg.eigvals(companion_symbol(spec, 0.1, None, xi)).real)
+    roots = characteristic_roots(spec, 0.1, xi)
+    ev = np.sort(np.linalg.eigvals(companion_symbol(spec, 0.1, xi)).real)
     assert np.max(np.abs(ev - roots.lam) / np.abs(roots.lam).max()) < 1e-6
 
 
 def test_companion_nilpotent_when_all_coefficients_vanish():
     spec = HyperbolicOperatorSpec(3, (None, None, None))
-    A = companion_symbol(spec, 0.1, None, 8.0)
+    A = companion_symbol(spec, 0.1, 8.0)
     assert np.max(np.abs(np.linalg.eigvals(A))) < 1e-8
 
 
@@ -227,7 +228,7 @@ def test_m2_entries_shrink_along_zone_boundary():
     xis = np.geomspace(2.0**6, 2.0**14, 9)
     for xi in xis:
         t = min(2.0 * zone_boundary(eta, zp, xi), 0.45)
-        lam, dt = roots_on_times(spec, np.array([t]), None, xi)
+        lam, dt = roots_on_times(spec, np.array([t]), xi)
         D = m2_symbol(RootSet(lam[0], xi), dt[0], Zone.HYPERBOLIC)
         offs.append(np.max(np.abs(D - np.eye(2))))
     slope, _ = fit_loglog_slope(xis, offs)
@@ -254,10 +255,10 @@ def test_root_rates_match_centred_differences(spec, xi):
     # centred differences of the roots converge to the exact rates at order two
     eps = 1.0 / float(jbracket(xi))
     ts = np.linspace(0.05, 0.45, 9)
-    _, lam_dot = roots_on_times(spec, ts, None, xi)
+    _, lam_dot = roots_on_times(spec, ts, xi)
     errs = []
     for h in (eps / 8.0, eps / 32.0, eps / 128.0):
-        fd = (roots_on_times(spec, ts + h, None, xi)[0] - roots_on_times(spec, ts - h, None, xi)[0]) / (2.0 * h)
+        fd = (roots_on_times(spec, ts + h, xi)[0] - roots_on_times(spec, ts - h, xi)[0]) / (2.0 * h)
         errs.append(np.max(np.abs(fd - lam_dot)) / np.max(np.abs(lam_dot)))
     assert errs[0] > 10.0 * errs[1] > 100.0 * errs[2]
     assert errs[2] < 1e-3
@@ -267,10 +268,10 @@ def test_roots_on_times_is_elementwise_in_xi():
     # times by frequencies against one call per frequency
     xis = np.array([100.0, 1e3, 1e5])
     ts = np.linspace(0.0, 0.5, 33)
-    lam, lam_dot = roots_on_times(ROUGH3, ts[:, None], None, xis)
+    lam, lam_dot = roots_on_times(ROUGH3, ts[:, None], xis)
     assert lam.shape == lam_dot.shape == (ts.size, xis.size, 3)
     for k, xi in enumerate(xis):
-        want, want_dot = roots_on_times(ROUGH3, ts, None, xi)
+        want, want_dot = roots_on_times(ROUGH3, ts, xi)
         assert np.all(np.abs(lam[:, k] - want) <= 1e-14 * np.abs(want))
         assert np.all(np.abs(lam_dot[:, k] - want_dot) <= 1e-14 * np.abs(want_dot))
 
@@ -281,16 +282,16 @@ LOGPOW2 = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", de
 @pytest.mark.parametrize("spec", [ROUGH2, ROUGH3, LOGPOW2], ids=["rough_m2", "rough_m3", "log_power_m2"])
 def test_m3_weights_on_an_array_of_xi_match_scalar_calls(spec):
     xis = np.geomspace(64.0, 1e5, 5)
-    got = m3_weights(spec, None, xis, 0.5)
+    got = m3_weights(spec, xis, 0.5)
     assert got.integrals.shape == (xis.size, spec.m)
     for k, xi in enumerate(xis):
-        want = m3_weights(spec, None, float(xi), 0.5)
+        want = m3_weights(spec, float(xi), 0.5)
         assert np.all(np.abs(got.integrals[k] - want.integrals) <= 1e-14 * np.abs(want.integrals))
         assert np.all(np.abs(got.magnitudes[k] - want.magnitudes) <= 1e-14 * want.magnitudes)
 
 
 def test_m3_constant_coefficients_unit_weights():
-    res = m3_weights(WAVE2, None, 32.0, 0.5)
+    res = m3_weights(WAVE2, 32.0, 0.5)
     assert res.magnitudes == pytest.approx([1.0, 1.0], abs=1e-12)
     assert np.max(np.abs(res.integrals)) < 1e-12
 
@@ -304,14 +305,14 @@ def test_m3_weights_match_telescoped_integral(xi):
     T = 0.5
     a_eps = mollify(coeff, 1.0 / float(jbracket(xi)), np.array([0.0, T]))[0]
     expect = 0.25 * abs(np.log(a_eps[1] / a_eps[0]))
-    res = m3_weights(spec, None, xi, T)
+    res = m3_weights(spec, xi, T)
     assert np.abs(res.integrals) == pytest.approx([expect, expect], rel=1e-12)
 
 
 def _simpson_of_the_integrand(spec, xi, T, n):
     """Composite Simpson on n intervals of D_s lam_p / sum_i (lam_i - lam_p), the integrand itself."""
     ss = np.linspace(0.0, T, n + 1)
-    lam, lam_dot = roots_on_times(spec, ss, None, xi)
+    lam, lam_dot = roots_on_times(spec, ss, xi)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -322,12 +323,12 @@ def _simpson_of_the_integrand(spec, xi, T, n):
 def test_m3_weights_at_m3_match_refined_simpson(xi):
     # constant a_1: the log of the gap sums alone, against 2^14 Simpson intervals
     # of the integrand, which agree with it to within 5e-10 at these xi
-    got = m3_weights(ROUGH3, None, xi, 0.5).integrals
+    got = m3_weights(ROUGH3, xi, 0.5).integrals
     assert np.max(np.abs(got - _simpson_of_the_integrand(ROUGH3, xi, 0.5, 2**14))) < 1e-8
 
 
 @pytest.mark.parametrize("xi", [4.0, 16.0])
-def test_m3_weights_with_time_dependent_a1_match_refined_simpson(xi):
+def test_m3_weights_with_time_dependent_a1_match_refined_simpson(monkeypatch, xi):
     # a log-power a_1 runs the remainder's Simpson rule, here on as many
     # intervals as the reference, which have converged to about 1e-6.  The
     # mollifier's rate row is the derivative of its value row only up to the
@@ -337,7 +338,8 @@ def test_m3_weights_with_time_dependent_a1_match_refined_simpson(xi):
     spec = HyperbolicOperatorSpec(
         2, (CoefficientSpec("constant", base=2.0), CoefficientSpec("log_power_oscillation", base=1.0, delta=0.4))
     )
-    got = m3_weights(spec, None, xi, 0.5, quadrature=2**14).integrals
+    monkeypatch.setattr(diagonalizers, "M3_INTERVALS", 2**14)
+    got = m3_weights(spec, xi, 0.5).integrals
     want = _simpson_of_the_integrand(spec, xi, 0.5, 2**14)
     assert np.max(np.abs(got - want)) < 1e-4
     assert np.max(np.abs(want)) > 0.01
@@ -355,7 +357,7 @@ def test_m3_weights_reject_a_gap_sum_that_changes_sign():
     # -3 lam_1, changes sign with a_3, a pole of the integrand
     spec = HyperbolicOperatorSpec(3, (Ramp("constant"), CoefficientSpec("constant", base=1.0), None))
     with pytest.raises(ValueError, match="root 1 changes sign at xi=16"):
-        m3_weights(spec, None, np.array([16.0, 64.0]), 0.5)
+        m3_weights(spec, np.array([16.0, 64.0]), 0.5)
 
 
 def test_m3_integral_bounded_over_sweep():
@@ -364,7 +366,7 @@ def test_m3_integral_bounded_over_sweep():
     )
     vals = []
     for xi in np.geomspace(2.0**4, 2.0**10, 7):
-        res = m3_weights(spec, None, float(xi), 0.5)
+        res = m3_weights(spec, float(xi), 0.5)
         vals.append(np.max(np.abs(res.integrals)))
     vals = np.array(vals)
     assert np.all(np.isfinite(vals))
@@ -379,8 +381,8 @@ def test_m3_amplitude_doubling_stays_bounded():
     mild = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.45), None))
     strong = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.9), None))
     xi = 2.0**8
-    i_mild = np.max(np.abs(m3_weights(mild, None, xi, 0.5).integrals))
-    i_strong = np.max(np.abs(m3_weights(strong, None, xi, 0.5).integrals))
+    i_mild = np.max(np.abs(m3_weights(mild, xi, 0.5).integrals))
+    i_strong = np.max(np.abs(m3_weights(strong, xi, 0.5).integrals))
     assert np.isfinite(i_strong)
     assert i_strong < 0.25 * np.log(2.9 / 1.1) + 0.05
     assert i_strong > i_mild  # stronger oscillation, larger (still bounded) integral
@@ -396,8 +398,8 @@ def test_exact_diagonalization_frozen_time():
         ),
     )
     for xi in np.geomspace(8.0, 800.0, 5):
-        roots = characteristic_roots(spec, 0.1, None, float(xi))
-        A = companion_symbol(spec, 0.1, None, float(xi))
+        roots = characteristic_roots(spec, 0.1, float(xi))
+        A = companion_symbol(spec, 0.1, float(xi))
         V = m1_symbol(roots)
         Vinv = m1_inverse_symbol(roots)
         diag = Vinv @ A @ V

@@ -1,9 +1,10 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hyplab import energy
+from hyplab import diagonalizers, energy
 from hyplab.coefficients import CoefficientSpec
 from hyplab.companion import HyperbolicOperatorSpec, _root_gaps, roots_on_times
 from hyplab.conjugation import (
@@ -93,7 +94,7 @@ def test_constant_amplification_frequency_independent():
     from hyplab.diagonalizers import m1_inverse_symbol, m1_symbol
 
     xi = float(exp4.xi_grid[-1])
-    roots = characteristic_roots(op, 0.1, None, xi)
+    roots = characteristic_roots(op, 0.1, xi)
     kappa = np.linalg.norm(m1_symbol(roots), 2) * np.linalg.norm(m1_inverse_symbol(roots), 2)
     assert max(amps4) <= kappa + 1e-9
 
@@ -103,7 +104,7 @@ def test_self_convergence_step_halving():
     exp = small_experiment(operator=op)
     xi = float(exp.xi_grid[-1])
     a_full = evolve_frequency(exp, xi).amplification
-    a_half = evolve_frequency(exp, xi, step_scale=0.5).amplification
+    a_half = evolve_frequency(dataclasses.replace(exp, step_factor=exp.step_factor * 0.5), xi).amplification
     assert abs(a_half - a_full) / a_full < 1e-5
 
 
@@ -133,7 +134,7 @@ def _fixed_step_rk4_norms(exp, xi, substeps=16):
     norms = [np.linalg.norm(U)]
 
     def rhs(t, v):
-        return 1j * (companion_symbol(exp.operator, max(t, 2.0**-40), None, xi) @ v)
+        return 1j * (companion_symbol(exp.operator, max(t, 2.0**-40), xi) @ v)
 
     for t_lo, t_hi in zip(times[:-1], times[1:]):
         h = (t_hi - t_lo) / substeps
@@ -219,7 +220,7 @@ def _euler_norms(exp, xi):
 
 @pytest.mark.parametrize("idx", [8, 10])
 def test_magnus_path_converges_at_order_four_on_the_exact_oracle(monkeypatch, idx):
-    # the Magnus step throughout, at step_scale 1, 1/2 and 1/4 (about 13, 26
+    # the Magnus step throughout, at 1, 1/2 and 1/4 times the step factor (about 13, 26
     # and 53 steps per interval at xi = 1625.5, index 8)
     exp = euler_experiment()
     xi = float(exp.xi_grid[idx])
@@ -227,7 +228,7 @@ def test_magnus_path_converges_at_order_four_on_the_exact_oracle(monkeypatch, id
     monkeypatch.setattr(energy, "FRAME_RATIO", np.inf)
     errs = []
     for scale in (1.0, 0.5, 0.25):
-        tr = evolve_frequency(exp, xi, step_scale=scale)
+        tr = evolve_frequency(dataclasses.replace(exp, step_factor=exp.step_factor * scale), xi)
         assert tr.nodes == 0
         errs.append(np.max(np.abs(tr.norms - exact) / exact))
     orders = np.log2(np.array(errs[:-1]) / errs[1:])
@@ -252,7 +253,7 @@ def test_batch_size_does_not_change_the_trace(monkeypatch):
     runs = [(rough_experiment(2), 15.0), (rough_experiment(3), 15.0)]
     runs += [(log_power_experiment(xi), xi) for xi in (128.0, 17.5)]
     ref = [evolve_frequency(exp, xi) for exp, xi in runs]
-    counts = [energy._plan(exp, [0], 1.0)[1] for exp, _ in runs[2:]]
+    counts = [energy._plan(exp, [0])[1] for exp, _ in runs[2:]]
     assert counts[0].max() > 5 and set(counts[1].ravel()) == {1, 2}
     trees = []
     tree_product = energy._tree_product
@@ -276,7 +277,7 @@ def test_step_count_doubles_with_half_steps():
     exp = log_power_experiment(16.0)
     for xi in exp.xi_grid[[0, 4, 8]]:
         full = evolve_frequency(exp, xi).steps
-        half = evolve_frequency(exp, xi, step_scale=0.5).steps
+        half = evolve_frequency(dataclasses.replace(exp, step_factor=exp.step_factor * 0.5), xi).steps
         # per interval, ceil(2x) is 2 ceil(x) or one less
         assert half <= 2 * full <= half + exp.n_samples - 1
 
@@ -328,7 +329,7 @@ def test_frame_matches_refined_magnus(monkeypatch, exp, xi, tol):
     got = evolve_frequency(exp, xi)
     with monkeypatch.context() as mp:
         mp.setattr(energy, "FRAME_RATIO", np.inf)
-        ref = evolve_frequency(exp, xi, step_scale=0.25).norms
+        ref = evolve_frequency(dataclasses.replace(exp, step_factor=exp.step_factor * 0.25), xi).norms
         magnus = evolve_frequency(exp, xi).norms
     assert got.nodes > 0
     assert np.max(np.abs(got.norms - ref) / ref) < tol
@@ -391,7 +392,7 @@ def test_sweep_matches_per_frequency_evolution(monkeypatch, exp, batch):
         assert np.max(np.abs(g.norms - r.norms) / r.norms) < 1e-12
     assert sum(tr.nodes for tr in got) > 0
     if batch:
-        h_k, counts, magnus = energy._plan(exp, np.arange(exp.xi_grid.size), 1.0)
+        h_k, counts, magnus = energy._plan(exp, np.arange(exp.xi_grid.size))
         assert any(shared) and (counts * magnus).max() > batch
 
 
@@ -668,12 +669,25 @@ def test_sobolev_energy_single_mode_and_loss_transfer():
     exp = small_experiment(operator=op)
     traces = [evolve_frequency(exp, xi) for xi in exp.xi_grid[:3]]
     xi0 = float(exp.xi_grid[1])
-    times, e = sobolev_energy(traces, 0.7, {xi0: 4.0})
+    times, e = sobolev_energy(traces, 0.7, [0.0, 4.0, 0.0])
     target = 2.0 * float(jbracket(xi0)) ** 0.7 * traces[1].norms
     assert np.max(np.abs(e - target)) < 1e-12
     # nu = 0 with a flat spectrum stays bounded by the conditioning constant
     times, e0 = sobolev_energy(traces, 0.0, np.ones(3))
     assert np.max(e0) / e0[0] < 3.0
+
+
+def test_sobolev_energy_rejects_a_malformed_spectrum():
+    op = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=4.0), None))
+    exp = small_experiment(operator=op)
+    traces = [evolve_frequency(exp, xi) for xi in exp.xi_grid[:3]]
+    for n in (2, 4):
+        with pytest.raises(ValueError, match="one weight per trace"):
+            sobolev_energy(traces, 0.7, np.ones(n))
+    with pytest.raises(TypeError):  # a dict of as many weights is not read by its keys
+        sobolev_energy(traces, 0.7, {tr.xi: 1.0 for tr in traces})
+    with pytest.raises(ValueError, match="nonnegative"):
+        sobolev_energy(traces, 0.7, [1.0, np.nan, 1.0])
 
 
 def test_theta_spec_validation_and_chi_shape():
@@ -798,20 +812,21 @@ def test_theta_integrals_batched_match_per_frequency_loop():
         assert np.array_equal(theta_integral_bound(ts, grid).integrals, batched)
 
 
-def test_m3_weights_keep_the_scalar_simpson_rule():
+def test_m3_weights_keep_the_scalar_simpson_rule(monkeypatch):
     # a time-dependent a_1 leaves the remainder int S'/g_p, S = lam_1 + lam_2,
     # g_p = S - 2 lam_p, to composite Simpson next to the log of the gap sums
     spec = HyperbolicOperatorSpec(
         2, (CoefficientSpec("constant", base=2.0), CoefficientSpec("log_power_oscillation", base=1.0, delta=0.4))
     )
     xi, t, n = 256.0, 0.5, 512
-    ends = _root_gaps(roots_on_times(spec, np.array([0.0, t]), None, xi)[0])[0].sum(axis=-1)
+    ends = _root_gaps(roots_on_times(spec, np.array([0.0, t]), xi)[0])[0].sum(axis=-1)
     xs = np.linspace(0.0, t, n + 1)
-    lam, lam_dot = roots_on_times(spec, xs, None, xi)
+    lam, lam_dot = roots_on_times(spec, xs, xi)
     g = _root_gaps(lam)[0].sum(axis=-1)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     remainder = (xs[1] - xs[0]) / 3.0 * (w @ (lam_dot.sum(axis=-1, keepdims=True) / g))
     want = 1j / 2 * (np.log(ends[1] / ends[0]) - remainder)
-    assert np.array_equal(m3_weights(spec, None, xi, t, quadrature=n).integrals, want)
+    monkeypatch.setattr(diagonalizers, "M3_INTERVALS", n)
+    assert np.array_equal(m3_weights(spec, xi, t).integrals, want)

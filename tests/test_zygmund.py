@@ -105,7 +105,7 @@ def test_besov_rejects_unsupported_exponents():
 
 def test_norm_scaling_is_exact():
     u = lacunary(0.7)
-    v = GridFunction1D(u.samples * 3.0, u.period)
+    v = GridFunction1D(u.samples * 3.0)
     for s in (0.5, 1.3):
         assert zygmund_norm_direct(v, s) == pytest.approx(3.0 * zygmund_norm_direct(u, s), rel=1e-12)
         assert dyadic_besov_norm(v, s) == pytest.approx(3.0 * dyadic_besov_norm(u, s), rel=1e-12)
