@@ -208,95 +208,99 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+GROWTH_TOL = 2.0  # a reg_bound_* clause passes at a top-decade growth of its ratio up to this factor per decade
+THETA_SLOPE_MAX = 0.05  # theta_integral_flat passes at a top-decade log-log slope up to this
+
+
+def _check(name, evaluate):
+    """The line (name, passed, detail) of evaluate() -> (passed, detail); an unevaluable check fails with the reason."""
+    try:
+        passed, detail = evaluate()
+    except _UNEVALUABLE as exc:
+        return name, False, str(exc)
+    return name, bool(passed), detail
+
+
+def _admissible(fn):
+    adm = admissibility_check(fn, certification_grid(fn))
+    return adm.passed, f"{fn.family}({fn.param:g}) C_2={adm.constants['C_2']:.3g} C_3={adm.constants['C_3']:.3g}"
+
+
+def _classification(cfg: ExperimentConfig):
+    cls = classify(cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, cfg.eps, t_samples=cfg.t_samples)
+    return np.isfinite(cls.s_min) and cls.s_min >= 1.0 + cfg.eps - 1e-12, f"m0={cls.m0:.4f} s_min={cls.s_min:.4f}"
+
+
+def _oscillation_bound(spec, order, rate, ts):
+    r = float(np.max(np.abs(spec.time_derivative(ts, order)) / rate(ts)))
+    return np.isfinite(r), f"C={r:.4g}"
+
+
+def _theta_integral_flat(cfg: ExperimentConfig):
+    integrals, slope = theta_integral_bound(ThetaSpec(cfg.eta, cfg.rho, cfg.zone), cfg.xi_grid)
+    k = np.argmax(integrals)
+    return slope <= THETA_SLOPE_MAX, f"slope={slope:.4f} max={integrals[k]:.4g} at xi={cfg.xi_grid[k]:.4g}"
+
+
+def _m3_integral_bounded(cfg: ExperimentConfig):
+    m3 = np.max(np.abs(m3_weights(cfg.operator, cfg.xi_grid, cfg.zone.T)), axis=-1)
+    in_top = _top_window(cfg.xi_grid, 1.0)
+    cap = max(2.0 * float(np.max(m3[~in_top], initial=0.0)), 0.05)
+    ok = np.all(np.isfinite(m3)) and float(np.max(m3[in_top])) <= cap
+    return ok, f"max={float(np.max(m3)):.4g} at xi={cfg.xi_grid[np.argmax(m3)]:.4g}"
+
+
+def _norm_equivalence(profile: SpatialProfile):
+    ratio = norm_equivalence_report(GridFunction1D.from_callable(profile.value, n=1024), profile.s)["ratio"]
+    return 1.0 / 16.0 <= ratio <= 16.0, f"ratio={ratio:.4g}"
+
+
+def _norm_equivalence_constant(profile: SpatialProfile):
+    ratio = norm_equivalence_report(GridFunction1D(np.full(128, 1.0)), profile.s)["ratio"]
+    return abs(ratio - 1.0) < 1e-6, f"ratio={ratio:.8f}"
+
+
 def _verify_checks(cfg: ExperimentConfig):
     """Yield (name, passed, detail) for every bound check.
 
     The regularization and oscillation bounds run for every nonzero
     coefficient; with more than one, each name carries the coefficient's
-    subscript (``reg_bound_iii_a1``).  A check that the config leaves
-    unevaluable fails, with the reason as its detail.
+    subscript (``reg_bound_iii_a1``).
     """
-
     for fn in (cfg.eta, cfg.rho):
-        try:
-            adm = admissibility_check(fn, certification_grid(fn))
-        except _UNEVALUABLE as exc:
-            yield (f"admissible_{fn.role}", False, str(exc))
-            continue
-        yield (
-            f"admissible_{fn.role}",
-            adm.passed,
-            f"{fn.family}({fn.param:g}) C_2={adm.constants['C_2']:.3g} C_3={adm.constants['C_3']:.3g}",
-        )
-
-    try:
-        cls = classify(cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, cfg.eps, t_samples=cfg.t_samples)
-        yield (
-            "classification",
-            bool(np.isfinite(cls.s_min) and cls.s_min >= 1.0 + cfg.eps - 1e-12),
-            f"m0={cls.m0:.4f} s_min={cls.s_min:.4f}",
-        )
-    except _UNEVALUABLE as exc:
-        yield ("classification", False, str(exc))
+        yield _check(f"admissible_{fn.role}", functools.partial(_admissible, fn))
+    yield _check("classification", functools.partial(_classification, cfg))
 
     ts = cfg.t_grid()
     hi = min(cfg.zone.T, cfg.eta.range_max * 0.999)
     ts_osc = ts[(ts <= hi)]
+    rates = (lambda s: np.sqrt(decay_rate(cfg.eta, s)), functools.partial(decay_rate_pair, cfg.eta, cfg.rho))
     m = cfg.operator.m
     coeffs = [(f"_a{m - j}", c) for j, c in enumerate(cfg.operator.coeffs) if c is not None]
     if len(coeffs) == 1:
         coeffs = [("", coeffs[0][1])]  # a single coefficient keeps the plain names
     for suffix, spec in coeffs:
-        try:
-            clauses = verify_reg_bounds(spec, cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, ts, t_samples=cfg.t_samples).clauses
+        try:  # one line when unevaluable, one per clause otherwise
+            clauses = verify_reg_bounds(spec, cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, ts, t_samples=cfg.t_samples)
         except _UNEVALUABLE as exc:
             clauses = {}
             yield (f"reg_bound{suffix}", False, str(exc))
         for name, clause in clauses.items():
             growth = clause.top_decade_growth  # NaN, which fails, when the fit had too few points
-            ok = not np.isinf(clause.max_ratio) and growth <= cfg.growth_tol
+            ok = not np.isinf(clause.max_ratio) and growth <= GROWTH_TOL
             at = f"at (t={clause.argmax_t:.4g}, xi={clause.argmax_xi:.4g})"
             fit = f"{at}: {clause.growth_error}" if clause.growth_error else f"growth=x{growth:.3g} {at}"
             yield (f"reg_bound_{name}{suffix}", bool(ok), f"C={clause.max_ratio:.4g} {fit}")
-        rates = (lambda: np.sqrt(decay_rate(cfg.eta, ts_osc)), lambda: decay_rate_pair(cfg.eta, cfg.rho, ts_osc))
         for order, rate in enumerate(rates, start=1):
-            name = f"oscillation_bound_d{order}{suffix}"
-            try:
-                r = float(np.max(np.abs(spec.time_derivative(ts_osc, order)) / rate()))
-            except _UNEVALUABLE as exc:
-                yield (name, False, str(exc))
-            else:
-                yield (name, bool(np.isfinite(r)), f"C={r:.4g}")
+            bound = functools.partial(_oscillation_bound, spec, order, rate, ts_osc)
+            yield _check(f"oscillation_bound_d{order}{suffix}", bound)
 
-    try:
-        theta_rep = theta_integral_bound(ThetaSpec(cfg.eta, cfg.rho, cfg.zone), cfg.xi_grid)
-    except _UNEVALUABLE as exc:
-        yield ("theta_integral_flat", False, str(exc))
-    else:
-        yield (
-            "theta_integral_flat",
-            bool(theta_rep.top_decade_slope <= cfg.theta_slope_max),
-            f"slope={theta_rep.top_decade_slope:.4f} max={theta_rep.max_integral:.4g}"
-            f" at xi={theta_rep.xi_grid[np.argmax(theta_rep.integrals)]:.4g}",
-        )
-
-    try:
-        m3 = np.max(np.abs(m3_weights(cfg.operator, cfg.xi_grid, cfg.zone.T).integrals), axis=-1)
-    except _UNEVALUABLE as exc:
-        yield ("m3_integral_bounded", False, str(exc))
-    else:
-        in_top = _top_window(cfg.xi_grid, 1.0)
-        cap = max(2.0 * float(np.max(m3[~in_top], initial=0.0)), 0.05)
-        ok = bool(np.all(np.isfinite(m3)) and float(np.max(m3[in_top])) <= cap)
-        yield ("m3_integral_bounded", ok, f"max={float(np.max(m3)):.4g} at xi={cfg.xi_grid[np.argmax(m3)]:.4g}")
+    yield _check("theta_integral_flat", functools.partial(_theta_integral_flat, cfg))
+    yield _check("m3_integral_bounded", functools.partial(_m3_integral_bounded, cfg))
 
     profile = next((c.spatial for c in cfg.operator.coeffs if c is not None and c.spatial is not None), SpatialProfile())
-    u = GridFunction1D.from_callable(profile.value, n=1024)
-    eq = norm_equivalence_report(u, profile.s)
-    ok = bool(1.0 / 16.0 <= eq["ratio"] <= 16.0)
-    yield ("norm_equivalence", ok, f"ratio={eq['ratio']:.4g}")
-    const = norm_equivalence_report(GridFunction1D(np.full(128, 1.0)), profile.s)
-    yield ("norm_equivalence_constant", bool(abs(const["ratio"] - 1.0) < 1e-6), f"ratio={const['ratio']:.8f}")
+    yield _check("norm_equivalence", functools.partial(_norm_equivalence, profile))
+    yield _check("norm_equivalence_constant", functools.partial(_norm_equivalence_constant, profile))
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:

@@ -43,7 +43,7 @@ __all__ = [
     "CoefficientSpec",
     "oscillation_class",
     "mollify",
-    "RegBoundsReport",
+    "ClauseCheck",
     "verify_reg_bounds",
 ]
 
@@ -362,27 +362,14 @@ def mollify(spec: CoefficientSpec, eps, t, x=None):
 
 @dataclass
 class ClauseCheck:
-    name: str
+    """One clause of ``verify_reg_bounds``: its largest ratio and where, the ratio per frequency, its growth."""
+
     max_ratio: float
     argmax_t: float
     argmax_xi: float
     ratio_by_xi: np.ndarray
     top_decade_growth: float
     growth_error: str  # why top_decade_growth is NaN (the fit's gate); empty when it was measured
-
-
-@dataclass
-class RegBoundsReport:
-    clauses: dict
-
-    def summary(self):
-        lines = ["regularization-bound ratios (finite C = verified):"]
-        for c in self.clauses.values():
-            lines.append(
-                f"  {c.name:<14} C = {c.max_ratio:10.4g}  at (t={c.argmax_t:.4g}, xi={c.argmax_xi:.4g})"
-                f"  top-decade growth x{c.top_decade_growth:.3g}"
-            )
-        return "\n".join(lines)
 
 
 def _growth_over_top_decade(xi_grid, ratios):
@@ -408,8 +395,8 @@ def verify_reg_bounds(
     xi_grid,
     t_grid,
     t_samples: int = 33,
-) -> RegBoundsReport:
-    """Measure the six regularized-coefficient bounds with eps = 1/<xi>.
+) -> dict[str, ClauseCheck]:
+    """Measure the six regularized-coefficient bounds with eps = 1/<xi>, as {clause: ClauseCheck}.
 
     Globally in time (on the caller's t_grid):
       (i)   |a_eps|            vs 1
@@ -494,7 +481,6 @@ def verify_reg_bounds(
         peak = (np.nan,) * 3 if np.isnan(ratio_by_xi[k]) else (ratio_by_xi[k], t_by_xi[k], xi[k])
         growth, growth_error = _growth_over_top_decade(xi, ratio_by_xi)
         clauses[n] = ClauseCheck(
-            name=n,
             max_ratio=float(peak[0]),
             argmax_t=float(peak[1]),
             argmax_xi=float(peak[2]),
@@ -502,4 +488,4 @@ def verify_reg_bounds(
             top_decade_growth=growth,
             growth_error=growth_error,
         )
-    return RegBoundsReport(clauses)
+    return clauses

@@ -12,7 +12,7 @@ Sections and keys, each with its parser in ``_SCHEMA``:
                    adds the spatial factor); K is the coefficient subscript
                    (a_K multiplies xi^K)
     [grids]        xi_min, xi_max, points_per_decade, t_samples, t_min
-    [fits]         eps, theta_slope_max, growth_tol, table_alpha
+    [fits]         eps, table_alpha
     [loss]         gammas, delta, xi_min, xi_max, points_per_decade,
                    step_factor
     [energy]       step_factor, n_samples, initial
@@ -76,7 +76,7 @@ _SCHEMA = {
         "spatial.family": str, "spatial.s": _finite, "spatial.amplitude": _finite,
     },
     "grids": {"xi_min": _finite, "xi_max": _finite, "points_per_decade": _finite, "t_samples": int, "t_min": _finite},
-    "fits": {"eps": _finite, "theta_slope_max": _finite, "growth_tol": _finite, "table_alpha": _finite},
+    "fits": {"eps": _finite, "table_alpha": _finite},
     "loss": {
         "gammas": (_finite_list, "loss_gammas"), "delta": (_finite, "loss_delta"),
         "xi_min": _finite, "xi_max": _finite, "points_per_decade": _finite,
@@ -130,8 +130,6 @@ class ExperimentConfig:
     t_samples: int = 48
     t_min: float = 0.01
     eps: float = 0.01
-    theta_slope_max: float = 0.05
-    growth_tol: float = 2.0
     table_alpha: float = 0.5
     loss_gammas: tuple = (0.0, 0.5, 1.0, 1.5)
     loss_delta: float = 0.95

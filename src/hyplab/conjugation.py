@@ -25,7 +25,7 @@ from .weights import _check_grid, _shifted_arg, _top_decade_fit, jbracket, weigh
 from .zones import ZoneParams, validate_zone
 from .zygmund import _smoothstep
 
-__all__ = ["ramp_chi", "ThetaSpec", "theta0", "theta", "theta_integral_bound", "ThetaIntegralReport"]
+__all__ = ["ramp_chi", "ThetaSpec", "theta0", "theta", "theta_integral_bound"]
 
 
 def ramp_chi(tau):
@@ -128,16 +128,8 @@ def integrate_theta0(ts: ThetaSpec, xi):
     return total[()]
 
 
-@dataclass(frozen=True)
-class ThetaIntegralReport:
-    xi_grid: np.ndarray
-    integrals: np.ndarray
-    max_integral: float
-    top_decade_slope: float
-
-
-def theta_integral_bound(ts: ThetaSpec, xi_grid) -> ThetaIntegralReport:
-    """Integral of theta0 per frequency, with a top-decade flatness fit."""
+def theta_integral_bound(ts: ThetaSpec, xi_grid):
+    """(integrals, top_decade_slope): the integral of theta0 per frequency and its top-decade log-log slope."""
     xi = _check_grid(xi_grid, ts.zone.M)
     vals = integrate_theta0(ts, xi)
-    return ThetaIntegralReport(xi, vals, float(np.max(vals)), _top_decade_fit(xi, vals, 1, 3)[0])
+    return vals, _top_decade_fit(xi, vals, 1, 3)[0]

@@ -28,8 +28,6 @@ plain complex m x m array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .companion import HyperbolicOperatorSpec, RootSet, _root_gaps, roots_on_times
@@ -43,7 +41,6 @@ __all__ = [
     "m1_inverse_symbol",
     "c1_entries",
     "m2_symbol",
-    "M3Weights",
     "m3_weights",
 ]
 
@@ -141,21 +138,7 @@ def m2_symbol(roots: RootSet, roots_dt, zone_tag: Zone) -> np.ndarray:
     return D
 
 
-@dataclass(frozen=True)
-class M3Weights:
-    """Exponential absorption weights along [0, t].
-
-    ``integrals`` are the values of int_0^t D_s lam_p / sum_{i != p}(lam_i -
-    lam_p) ds (purely imaginary for real separated roots); ``magnitudes`` are
-    |w_p| = |exp(integral)|.  Boundedness of the integrals across a frequency
-    sweep is the quantity of interest.
-    """
-
-    integrals: np.ndarray
-    magnitudes: np.ndarray
-
-
-def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> M3Weights:
+def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> np.ndarray:
     """The absorption integrals on [0, t] in closed form; elementwise in xi.
 
     With S = sum_i lam_i the denominator sum_i (lam_i - lam_p) is
@@ -170,7 +153,9 @@ def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> M3Weights:
     (``roots_on_times``), for every frequency of an array at once.  A g_p of
     opposite signs at the two ends puts a pole in the integrand and raises
     ValueError; a pole crossed an even number of times goes unseen.  The
-    integrals have the shape of xi plus a last axis of m.
+    integrals are purely imaginary (real roots, so |w_p| = 1), and their
+    boundedness across a frequency sweep is the quantity of interest.  They
+    have the shape of xi plus a last axis of m.
     """
     xi = np.asarray(xi, dtype=float)
 
@@ -197,5 +182,4 @@ def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> M3Weights:
             return np.moveaxis(lam_dot.sum(axis=-1, keepdims=True) / g, 0, -2)
 
         log_term = log_term - _simpson(remainder, 0.0, t, M3_INTERVALS)
-    integrals = 1j / spec.m * log_term
-    return M3Weights(integrals=integrals, magnitudes=np.abs(np.exp(integrals)))
+    return 1j / spec.m * log_term

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -12,10 +13,13 @@ from hyplab import cli
 from hyplab.cli import main
 from hyplab.config import ConfigError, load_config
 from hyplab.diagonalizers import m3_weights
+from hyplab.weights import jbracket
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 # the benchmark's reference outputs of the lab_smooth workload (read only)
 LAB_SMOOTH_REF = Path(CONFIGS, "..", "perfbench", "reference", "lab_smooth")
+# loglip.cfg's [moduli] section
+MODULI = "[moduli]\neta_family = log_reciprocal\neta_param = 1.0\nrho_family = power_law\nrho_param = 1.0\n"
 # loglip.cfg from its horizon to its oscillation exponent, and the same span
 # with T = 1.2 and gamma_osc = 0.5: the phase (log 1/t)^1.5 ends at t = 1
 T_TO_GAMMA = (
@@ -81,10 +85,44 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.amplitude = 0.9", "amplitude"),
         ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.s = 2", r"spatial regularity index must lie in \(0, 2\)"),
         (T_TO_GAMMA, T_PAST_GAMMA_END, r"\[zone\] T=1.2 must lie below 1, the end of \[coefficient.2\]'s time domain"),
+        (MODULI, "", r"missing section \[moduli\]"),
+        ("eta_param = 1.0\n", "", r"\[moduli\] missing key 'eta_param'"),
+        ("xi_min = 4\n", "xi_min = 4096\n", r"\[grids\] needs 0 < xi_min < xi_max"),
+        ("points_per_decade = 8", "points_per_decade = 0.1", r"\[grids\] grid has fewer than 2 points"),
+        ("N = 2.0", "N = 1", r"\[zone\]: zone constant N must be >= 2"),
+        ("T = 0.5", "T = 0", r"\[zone\]: horizon T must be positive"),
+        ("T = 0.5", "T = 2.0", r"\[zone\] T=2.0 exceeds the usable range of eta \(max 1.443\)"),
+        ("M = auto", "M = -1", r"\[zone\]: frequency floor M must be positive"),
+        ("M = auto", "M = abc", r"\[zone\]: could not convert string to float: 'abc'"),
+        ("[coefficient.2]", "[coefficient.x]", r"\[coefficient.x\]: subscript must be an integer"),
+        ("[coefficient.2]", "[coefficient.3]", r"\[coefficient.3\]: subscript must lie in 1..2"),
+        ("m = 2", "m = 2\ndelta_sep = 0", r"\[operator\]: hyperbolicity margin must be positive"),
+        ("M = auto", "M = 8", r"\[grids\] xi_min 4.0 below the frequency floor M=8.0"),
+        ("t_min = 0.01", "t_min = 0.6", r"\[grids\] t_min must lie in \(0, T\)"),
+        ("eps = 0.01", "eps = 0", r"\[fits\] eps must be positive"),
+        ("[output]", "[energy]\ninitial = foo\n\n[output]", r"\[energy\] initial must be 'canonical' or 'random'"),
+        ("eta_param = 1.0", "eta_param = -1", r"\[moduli\] eta: log_reciprocal power must be positive"),
+        (
+            "eta_family = log_reciprocal\neta_param = 1.0",
+            "eta_family = iterated_log\neta_param = 1.5",
+            r"\[moduli\] eta: iterated_log depth must be a positive integer",
+        ),
+        ("rho_param = 1.0", "rho_param = 1.5", r"\[moduli\] rho: power_law exponent must lie in \(0, 1\]"),
+        ("eta_param = 1.0", "eta_param = 1.0\neta_r0 = -1", r"\[moduli\] eta: r0 must be positive"),
+        ("base = 2.0", "base = 0", r"\[coefficient.2\]: base must be positive"),
+        ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.family = fourier", "only the lacunary spatial family is cataloged"),
+        # the verdict thresholds are fixed in the cli, not read from a config
+        ("eps = 0.01", "eps = 0.01\ngrowth_tol = 2", r"\[fits\] unknown key 'growth_tol'"),
+        ("eps = 0.01", "eps = 0.01\ntheta_slope_max = 0.05", r"\[fits\] unknown key 'theta_slope_max'"),
     ],
     ids=[
         "inf", "nan", "unknown_section", "unknown_key", "spatial_amplitude", "repeated_key", "no_section_header",
         "spatial_amplitude_without_family", "spatial_s_without_family", "horizon_past_log_power_end",
+        "missing_moduli", "missing_eta_param", "xi_min_not_below_xi_max", "one_point_grid", "zone_N_below_2",
+        "horizon_zero", "horizon_past_eta_range", "floor_negative", "floor_not_a_number", "subscript_not_integer",
+        "subscript_above_m", "delta_sep_zero", "xi_min_below_floor", "t_min_past_horizon", "eps_zero",
+        "energy_initial", "eta_param_negative", "iterated_log_fractional_depth", "rho_power_above_1",
+        "eta_r0_negative", "base_zero", "spatial_family", "growth_tol", "theta_slope_max",
     ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
@@ -94,9 +132,10 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, old, new, message):
     bad.write_text(text.replace(old, new))
     with pytest.raises(ConfigError, match=message):
         load_config(bad)
-    assert main(["classify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert main(["classify", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -373,7 +412,7 @@ def test_cli_verify_m3_line_names_the_peak(capsys):
     cfg = load_config(cfg_path("holder05.cfg"))
     main(["verify", "--config", cfg_path("holder05.cfg")])
     (parts,) = [ln.split() for ln in capsys.readouterr().out.splitlines() if ln.startswith("m3_integral_bounded")]
-    m3 = np.max(np.abs(m3_weights(cfg.operator, cfg.xi_grid, cfg.zone.T).integrals), axis=-1)
+    m3 = np.max(np.abs(m3_weights(cfg.operator, cfg.xi_grid, cfg.zone.T)), axis=-1)
     assert parts[2] == f"max={np.max(m3):.4g}" and parts[3] == "at"
     assert float(parts[4].removeprefix("xi=")) == pytest.approx(cfg.xi_grid[np.argmax(m3)], rel=1e-3)
 
@@ -473,6 +512,49 @@ def test_cli_energy_over_the_pass_budget_integrates_no_frequency(tmp_path, capsy
         "configuration error: energy: 9708 planned Magnus steps and frame nodes exceed "
         "the budget of 5000 per pass (xi up to 512)\n"
     )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "jobs",
+    [
+        "1",
+        pytest.param(
+            "2",
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork", reason="only forked workers inherit the patch"
+            ),
+        ),
+    ],
+)
+def test_cli_energy_non_finite_norm_names_the_first_failing_frequency(tmp_path, capsys, monkeypatch, jobs):
+    # NaN Magnus propagators at grid indices 9 and 5 of loglip.cfg, picked by
+    # <xi>: the pass fails, and its retry integrates one frequency at a time
+    # up to index 5, the first to fail in grid order
+    from hyplab import energy
+
+    cfg = load_config(cfg_path("loglip.cfg"))
+    bad = jbracket(cfg.xi_grid[[9, 5]])
+    magnus, integrate, calls = energy._magnus_propagators, energy._integrate, []
+
+    def nan_rows(coeffs, scale, jb, t, h):
+        P = magnus(coeffs, scale, jb, t, h)
+        P[:, :, np.isin(jb.ravel(), bad)] = np.nan
+        return P
+
+    def record(exp, idx, *plan):
+        calls.append(idx.tolist())
+        return integrate(exp, idx, *plan)
+
+    monkeypatch.setattr(energy, "_magnus_propagators", nan_rows)
+    monkeypatch.setattr(energy, "_integrate", record)
+    message = "norm not finite at t=0.00195312, xi=16.9514"
+    exp = cli._energy_experiment(cfg, 0, cfg.xi_grid, cfg.operator, cfg.energy_step_factor)
+    with pytest.raises(energy.StiffnessError, match=f"^{message}$"):
+        energy.evolve_sweep(exp)
+    assert calls == [list(range(cfg.xi_grid.size)), [0], [1], [2], [3], [4], [5]]
+    assert main(["energy", "--config", cfg_path("loglip.cfg"), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"configuration error: energy: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

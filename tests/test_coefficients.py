@@ -355,18 +355,18 @@ def test_verify_reg_bounds_frequency_does_not_depend_on_its_grid_mates(spec, eta
     ts = np.geomspace(0.02, 0.5, 17)
     full = verify_reg_bounds(spec, eta, rho, zp, xi, ts)
     # every fourth frequency, plus each clause's peak frequency
-    peaks = {int(np.flatnonzero(xi == c.argmax_xi)[0]) for c in full.clauses.values()}
+    peaks = {int(np.flatnonzero(xi == c.argmax_xi)[0]) for c in full.values()}
     keep = sorted(set(range(0, xi.size, 4)) | peaks)
     part = verify_reg_bounds(spec, eta, rho, zp, xi[keep], ts)
-    for name, c in full.clauses.items():
-        got, want = part.clauses[name].ratio_by_xi, c.ratio_by_xi[keep]
+    for name, c in full.items():
+        got, want = part[name].ratio_by_xi, c.ratio_by_xi[keep]
         measured = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), measured), name
         assert np.all(np.abs(got - want)[measured] <= 1e-14 * want[measured]), name
-        p = part.clauses[name]
+        p = part[name]
         assert (p.max_ratio, p.argmax_t, p.argmax_xi) == (c.max_ratio, c.argmax_t, c.argmax_xi), name
     # the hyperbolic zone dies below some frequency; those clauses are not measured there
-    assert np.isnan(full.clauses["iii"].ratio_by_xi[0]) and np.isfinite(full.clauses["iii"].ratio_by_xi[-1])
+    assert np.isnan(full["iii"].ratio_by_xi[0]) and np.isfinite(full["iii"].ratio_by_xi[-1])
 
 
 def test_verify_reg_bounds_ties_go_to_the_earliest_frequency_and_time():
@@ -378,9 +378,9 @@ def test_verify_reg_bounds_ties_go_to_the_earliest_frequency_and_time():
     xi, ts = np.geomspace(4, 4096, 10), np.geomspace(0.01, 0.5, 9)
     rep = verify_reg_bounds(CoefficientSpec("constant"), eta, rho, zp, xi, ts)
     for name in ("ii", "iv"):
-        assert (rep.clauses[name].argmax_t, rep.clauses[name].argmax_xi) == (ts[0], xi[0])
+        assert (rep[name].argmax_t, rep[name].argmax_xi) == (ts[0], xi[0])
     for name in ("iii", "v", "vi"):
-        c = rep.clauses[name]
+        c = rep[name]
         first = int(np.flatnonzero(np.isfinite(c.ratio_by_xi))[0])
         assert c.max_ratio == 0.0 and c.argmax_xi == xi[first] and c.argmax_t > ts[0]
 
@@ -393,18 +393,18 @@ def test_verify_reg_bounds_growth_needs_three_measured_points():
     ts = np.geomspace(0.02, 0.5, 17)
     sparse = np.array([64.0, 512.0, 4096.0])  # two points in the top decade
     rep = verify_reg_bounds(spec, eta, rho, zp, sparse, ts)
-    assert all(np.isnan(c.top_decade_growth) for c in rep.clauses.values())
-    assert np.isfinite(rep.clauses["ii"].max_ratio)
+    assert all(np.isnan(c.top_decade_growth) for c in rep.values())
+    assert np.isfinite(rep["ii"].max_ratio)
     # the clauses carry the fit's own reason
     with pytest.raises(ValueError) as gate:
         _top_decade_fit(sparse, np.ones(3), 1, 3)
-    assert all(c.growth_error == str(gate.value) for c in rep.clauses.values())
+    assert all(c.growth_error == str(gate.value) for c in rep.values())
     rep = verify_reg_bounds(spec, eta, rho, zp, np.geomspace(64.0, 4096.0, 9), ts)
-    assert all(np.isfinite(c.top_decade_growth) and c.growth_error == "" for c in rep.clauses.values())
+    assert all(np.isfinite(c.top_decade_growth) and c.growth_error == "" for c in rep.values())
     # below xi = 100 the zone boundary 2 eta(1/xi) reaches T = 0.2: the
     # hyperbolic-zone clauses measure nothing, and say so
     rep = verify_reg_bounds(spec, eta, rho, ZoneParams(N=2.0, M=4.0, T=0.2), np.geomspace(16.0, 64.0, 9), ts[ts <= 0.2])
-    for name, c in rep.clauses.items():
+    for name, c in rep.items():
         peak = (c.max_ratio, c.argmax_t, c.argmax_xi, c.top_decade_growth)
         assert np.all(np.isnan(peak)) == (name in ("iii", "v", "vi")), (name, peak)
         assert np.all(np.isnan(c.ratio_by_xi)) == (name in ("iii", "v", "vi"))
@@ -419,8 +419,8 @@ def test_verify_reg_bounds_spatial_factor_scales_every_ratio_by_its_sup(amplitud
     ts = np.geomspace(0.02, 0.5, 17)
     flat = CoefficientSpec("log_power_oscillation", delta=0.5)
     spatial = CoefficientSpec("log_power_oscillation", delta=0.5, spatial=SpatialProfile(s=0.3, amplitude=amplitude))
-    want = verify_reg_bounds(flat, *args, ts).clauses
-    got = verify_reg_bounds(spatial, *args, ts).clauses
+    want = verify_reg_bounds(flat, *args, ts)
+    got = verify_reg_bounds(spatial, *args, ts)
     for name, c in want.items():
         assert c.max_ratio > 0.0, name
         assert got[name].max_ratio == pytest.approx((1.0 + amplitude) * c.max_ratio, rel=1e-12), name
@@ -440,8 +440,8 @@ def test_verify_reg_bounds_constant_spec_all_zero_diffs():
     zp = ZoneParams(N=2.0, M=2.0, T=0.5)
     rep = verify_reg_bounds(spec, eta, rho, zp, np.geomspace(4, 64, 7), np.geomspace(0.01, 0.5, 9))
     for name in ("ii", "iii", "iv", "v", "vi"):
-        assert rep.clauses[name].max_ratio == pytest.approx(0.0, abs=1e-12)
-    assert rep.clauses["i"].max_ratio == pytest.approx(2.0, rel=1e-9)
+        assert rep[name].max_ratio == pytest.approx(0.0, abs=1e-12)
+    assert rep["i"].max_ratio == pytest.approx(2.0, rel=1e-9)
 
 
 def test_verify_reg_bounds_matched_holder_clause_ii_stable():
@@ -451,7 +451,7 @@ def test_verify_reg_bounds_matched_holder_clause_ii_stable():
     zp = ZoneParams(N=2.0, M=4.0, T=0.5)
     xi = np.geomspace(2**5, 2**12, 15)
     rep = verify_reg_bounds(spec, eta, rho, zp, xi, np.geomspace(0.02, 0.5, 17))
-    c2 = rep.clauses["ii"]
+    c2 = rep["ii"]
     assert np.isfinite(c2.max_ratio) and c2.max_ratio > 0
     top = c2.ratio_by_xi[xi >= xi[-1] / 10.0]
     assert np.max(top) / np.min(top) < 2.0
@@ -464,7 +464,7 @@ def test_verify_reg_bounds_loglip_oscillation_clause_iv_bounded():
     zp = ZoneParams(N=2.0, M=2.0, T=0.5)
     xi = np.geomspace(4, 2**12, 13)
     rep = verify_reg_bounds(spec, eta, rho, zp, xi, np.geomspace(0.02, 0.5, 17))
-    c4 = rep.clauses["iv"]
+    c4 = rep["iv"]
     assert np.isfinite(c4.max_ratio)
     assert c4.top_decade_growth < 2.0
 

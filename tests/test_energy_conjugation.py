@@ -757,9 +757,9 @@ def test_theta_integral_bound_flat_for_catalog():
     rho = power_law(1.0, role="rho")
     for eta, M in ((ETA_LL, 2.0), (power_law(0.5), 4.0)):
         ts = ThetaSpec(eta, rho, ZoneParams(2.0, M, 0.5))
-        rep = theta_integral_bound(ts, grid)
-        assert rep.top_decade_slope <= 0.05
-        assert np.isfinite(rep.max_integral)
+        integrals, slope = theta_integral_bound(ts, grid)
+        assert slope <= 0.05
+        assert np.all(np.isfinite(integrals))
 
 
 def test_theta_integral_matches_refined_simpson_of_theta0():
@@ -809,7 +809,7 @@ def test_theta_integrals_batched_match_per_frequency_loop():
         batched = integrate_theta0(ts, grid)
         loop = np.array([integrate_theta0(ts, x) for x in grid])
         assert np.max(np.abs(batched / loop - 1.0)) <= 1e-14
-        assert np.array_equal(theta_integral_bound(ts, grid).integrals, batched)
+        assert np.array_equal(theta_integral_bound(ts, grid)[0], batched)
 
 
 def test_m3_weights_keep_the_scalar_simpson_rule(monkeypatch):
@@ -829,4 +829,4 @@ def test_m3_weights_keep_the_scalar_simpson_rule(monkeypatch):
     remainder = (xs[1] - xs[0]) / 3.0 * (w @ (lam_dot.sum(axis=-1, keepdims=True) / g))
     want = 1j / 2 * (np.log(ends[1] / ends[0]) - remainder)
     monkeypatch.setattr(diagonalizers, "M3_INTERVALS", n)
-    assert np.array_equal(m3_weights(spec, xi, t).integrals, want)
+    assert np.array_equal(m3_weights(spec, xi, t), want)

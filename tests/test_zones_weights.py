@@ -250,15 +250,15 @@ def _loss_fit(n):
 
 def _theta_fit(n):
     ts = ThetaSpec(log_reciprocal(1.0), power_law(1.0, role="rho"), ZoneParams(N=2.0, M=2.0, T=0.5))
-    return theta_integral_bound(ts, np.concatenate(([64.0], np.geomspace(1e2, 1e3, n)))).top_decade_slope
+    return theta_integral_bound(ts, np.concatenate(([64.0], np.geomspace(1e2, 1e3, n))))[1]
 
 
 def _reg_growths(n):
     spec = CoefficientSpec("holder_rough", delta=0.5, alpha=0.5)
     xi = np.concatenate(([64.0], np.geomspace(512.0, 4096.0, n)))
     zp = ZoneParams(N=2.0, M=4.0, T=0.5)
-    rep = verify_reg_bounds(spec, power_law(0.5), power_law(1.0, role="rho"), zp, xi, np.geomspace(0.02, 0.5, 17))
-    return np.array([c.top_decade_growth for c in rep.clauses.values()])
+    clauses = verify_reg_bounds(spec, power_law(0.5), power_law(1.0, role="rho"), zp, xi, np.geomspace(0.02, 0.5, 17))
+    return np.array([c.top_decade_growth for c in clauses.values()])
 
 
 @pytest.mark.parametrize(
