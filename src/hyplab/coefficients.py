@@ -23,7 +23,7 @@ O(nodes * depth); every other window evaluates the coefficient once at its
 nodes.  Both are the same midpoint rule, so coarse eps aliases the top
 lacunary terms alike.  The width may differ per time (eps = 1/<xi> on each
 frequency row of a (frequency, time) array), so ``verify_reg_bounds``
-measures a whole frequency grid in one call per time grid.
+measures a whole frequency grid in one evaluation per time grid.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ _T_FLOOR = 2.0**-40
 # midpoint nodes of the mollifier rule across the bump's support (-1, 1)
 MOLLIFIER_NODES = 256
 
-# window or phase points per block of mollify's evaluation (temporaries of a
-# few hundred KB)
-BLOCK = 2**15
+# window or phase points per block of mollify's evaluation (temporaries of
+# 128 KB; twice that raises a verify run's peak memory)
+BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -279,52 +279,38 @@ def _row_blocks(n, width):
 
 @functools.lru_cache(maxsize=256)
 def _lacunary_node_sums(spec: CoefficientSpec, eps: float):
-    """C_w(om eps), S_w(om eps): each weight row's cosine and sine sums at the nodes, one column per lacunary term.
+    """C_w(om eps) over S_w(om eps): the weights' cosine and sine sums at the nodes times the term amplitudes, a row per term.
 
     Kept per width: the t grid, the zone grids and the roots of a ``verify``
     run all mollify at the same widths 1/<xi>.
     """
     y, *weights = _mollifier_grids()
-    W = np.stack(weights)
-    node_phase = np.multiply.outer(eps * y, spec._lacunary_terms()[0])
-    return W @ np.cos(node_phase), W @ np.sin(node_phase)
+    freqs, amps = spec._lacunary_terms()
+    node_phase = np.multiply.outer(eps * y, freqs)
+    c = spec.delta * amps / np.sum(amps)
+    return (np.stack(weights) @ np.hstack((np.cos(node_phase), np.sin(node_phase))) * np.tile(c, 2)).T
 
 
-def _lacunary_window_sums(spec: CoefficientSpec, eps: float, t):
-    """Rows sum_i w_i a(t - eps y_i) of the holder_rough profile, one per weight row.
+def _lacunary_window_sums(spec: CoefficientSpec, eps, t):
+    """Rows sum_i w_i a(t - eps y_i) of the holder_rough profile, one per weight row, at the 1-d pairs (eps, t).
 
     Angle addition splits every lacunary term,
     sum_i w_i cos(om (t - eps y_i)) = cos(om t) C_w(om eps) + sin(om t) S_w(om eps),
     with C_w, S_w the weights' cosine and sine sums at the nodes; the base
     contributes base * sum_i w_i.  This is the midpoint rule term for term.
+    A block takes cos(om t), sin(om t) once per distinct time in it.
     """
-    freqs, amps = spec._lacunary_terms()
+    freqs = spec._lacunary_terms()[0]
     _, *weights = _mollifier_grids()
-    C, S = _lacunary_node_sums(spec, eps)
-    c = spec.delta * amps / np.sum(amps)
     terms = np.empty((len(weights), t.size))
-    for b in _row_blocks(t.size, freqs.size):
-        phase = np.multiply.outer(t[b], freqs)
-        terms[:, b] = ((np.cos(phase) * c) @ C.T + (np.sin(phase) * c) @ S.T).T
+    for b in _row_blocks(t.size, 2 * freqs.size):
+        times, at_time = np.unique(t[b], return_inverse=True)
+        widths, at_width = np.unique(eps[b], return_inverse=True)
+        phase = np.multiply.outer(times, freqs)
+        trig = np.hstack((np.cos(phase), np.sin(phase)))[at_time]
+        sums = np.stack([_lacunary_node_sums(spec, w) for w in widths])
+        terms[:, b] = np.matmul(trig[:, None, :], sums[at_width])[:, 0].T  # a product per pair, as in mollify
     return spec.base * np.sum(weights, axis=1)[:, None] + terms
-
-
-def _jet_at_width(spec: CoefficientSpec, eps: float, t):
-    """Jet rows, shape (3, t.size), at the 1-d times t for one width eps; no spatial factor."""
-    y, *weights = _mollifier_grids()
-    jet = np.empty((3, t.size))
-    closed = np.zeros(t.shape, bool)
-    if spec.profile == "holder_rough":
-        closed = t - eps * y.max() >= _T_FLOOR
-        jet[:, closed] = _lacunary_window_sums(spec, eps, t[closed])
-    windowed = np.flatnonzero(~closed)
-    for b in _row_blocks(windowed.size, y.size):
-        rows = windowed[b]
-        vals = spec.extended_time_value(t[rows, None] - eps * y[None, :])
-        jet[:, rows] = [vals @ w for w in weights]
-    jet[1] /= eps
-    jet[2] /= eps**2
-    return jet
 
 
 def mollify(spec: CoefficientSpec, eps, t, x=None):
@@ -336,11 +322,11 @@ def mollify(spec: CoefficientSpec, eps, t, x=None):
     holder_rough time whose window stays above the t = 0 freeze sums the
     window in closed form (``_lacunary_window_sums``); every other time
     evaluates the coefficient once on its window (constant continuation
-    below t = 0) for all three rows.  The times of each width are evaluated
-    together, in blocks of about ``BLOCK`` window or phase points so that
-    every temporary stays in cache: a time's jet does not depend on the
-    other widths in the call, and only its rounding on the block it falls
-    in.  The shape is (3,) + the broadcast shape of t and eps.
+    below t = 0) for all three rows.  All (eps, t) pairs of the call are
+    evaluated together, in blocks of about ``BLOCK`` window or phase points,
+    and each pair's rows are reduced on their own, so a pair's jet does not
+    depend on the other pairs of the call, bit for bit.  The shape is (3,) +
+    the broadcast shape of t and eps.
     """
     eps = np.asarray(eps, dtype=float)
     if not np.all(eps > 0.0):
@@ -350,10 +336,20 @@ def mollify(spec: CoefficientSpec, eps, t, x=None):
     t, eps = np.broadcast_arrays(np.asarray(t, dtype=float), eps)
     shape = t.shape
     t, eps = t.ravel(), eps.ravel()
+    y, *weights = _mollifier_grids()
     jet = np.empty((3, t.size))
-    order = np.argsort(eps, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(eps[order])) + 1) if t.size else ():
-        jet[:, rows] = _jet_at_width(spec, eps[rows[0]], t[rows])
+    closed = np.zeros(t.shape, bool)
+    if spec.profile == "holder_rough":
+        closed = t - eps * y.max() >= _T_FLOOR
+        jet[:, closed] = _lacunary_window_sums(spec, eps[closed], t[closed])
+    windowed = np.flatnonzero(~closed)
+    for b in _row_blocks(windowed.size, y.size):
+        rows = windowed[b]
+        vals = spec.extended_time_value(t[rows, None] - eps[rows, None] * y)
+        # a product per window: one product over the block rounds a window by its place in it
+        jet[:, rows] = np.matmul(vals[:, None, :], np.stack(weights, axis=1))[:, 0].T
+    jet[1] /= eps
+    jet[2] /= eps**2
     return jet.reshape((3,) + shape) * spec._spatial_factor(x)
 
 

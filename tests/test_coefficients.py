@@ -291,38 +291,62 @@ BATCH_EPS = 1.0 / jbracket(np.geomspace(16, 4096, 7))
 BATCH_T = np.concatenate([np.linspace(0.0, 0.05, 41), np.geomspace(0.05, 0.9, 40)])
 
 
-def _assert_rel(got, want, rel=1e-14):
+def _assert_equal(got, want):
     assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= rel * np.abs(want)), np.max(np.abs(got - want) / np.abs(want))
+    assert np.array_equal(got, want), np.max(np.abs(got - want) / np.abs(want))
 
 
 @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["holder", "log_power", "holder_spatial"])
 def test_mollify_widths_per_row_match_one_call_per_width(spec):
     x = 0.7 if spec.spatial is not None else None
     want = np.stack([mollify(spec, eps, BATCH_T, x=x) for eps in BATCH_EPS], axis=1)
-    _assert_rel(mollify(spec, BATCH_EPS[:, None], BATCH_T, x=x), want)
+    _assert_equal(mollify(spec, BATCH_EPS[:, None], BATCH_T, x=x), want)
     # widths along the other axis, and one width per time
-    _assert_rel(mollify(spec, BATCH_EPS, BATCH_T[:, None], x=x), want.transpose(0, 2, 1))
+    _assert_equal(mollify(spec, BATCH_EPS, BATCH_T[:, None], x=x), want.transpose(0, 2, 1))
     eps_flat = np.repeat(BATCH_EPS, BATCH_T.size)
-    _assert_rel(mollify(spec, eps_flat, np.tile(BATCH_T, BATCH_EPS.size), x=x), want.reshape(3, -1))
+    _assert_equal(mollify(spec, eps_flat, np.tile(BATCH_T, BATCH_EPS.size), x=x), want.reshape(3, -1))
 
 
 @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["holder", "log_power", "holder_spatial"])
 def test_mollify_does_not_depend_on_the_block_size(monkeypatch, spec):
-    # at 600 points a block holds 2 windows of 256 nodes and 31 rows of
-    # phases, so every width's times split across blocks.  The BLAS sums of
-    # a window round differently when its block changes; the jet rows are
-    # sums with cancellation (up to ~1e-7 relative change in a second
-    # derivative), so the change is measured against the size of the terms,
-    # sup|a| sum_i |w_i| / eps^k, as the round-off bound of verify does
+    # at 600 points a block holds 2 windows of 256 nodes and 15 rows of
+    # cosines and sines, so every width's times split across blocks
     ref = mollify(spec, BATCH_EPS[:, None], BATCH_T)
     monkeypatch.setattr(coefficients, "BLOCK", 600)
-    got = mollify(spec, BATCH_EPS[:, None], BATCH_T)
-    _, *weights = _mollifier_grids()
-    order = np.arange(3)[:, None, None]
-    terms = spec.sup_abs * np.array([np.abs(w).sum() for w in weights])[:, None, None] / BATCH_EPS[:, None] ** order
-    assert np.all(np.abs(got - ref) <= 1e-14 * terms)
-    _assert_rel(got[0], ref[0])
+    _assert_equal(mollify(spec, BATCH_EPS[:, None], BATCH_T), ref)
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=["holder", "log_power", "holder_spatial"])
+def test_mollify_shuffled_pairs_permute_the_jet(spec):
+    # the flattened (eps, t) pairs in a seeded random order, so that every
+    # block mixes widths and times
+    x = 0.7 if spec.spatial is not None else None
+    eps, t = (a.ravel() for a in np.broadcast_arrays(BATCH_EPS[:, None], BATCH_T))
+    perm = np.random.default_rng(27).permutation(t.size)
+    _assert_equal(mollify(spec, eps[perm], t[perm], x=x), mollify(spec, eps, t, x=x)[:, perm])
+
+
+def test_mollify_of_no_times_is_empty():
+    spec = CoefficientSpec("holder_rough", delta=0.5)
+    assert mollify(spec, 0.01, t=np.array([])).shape == (3, 0)
+    assert mollify(spec, np.array([]), t=0.1).shape == (3, 0)
+
+
+def test_mollify_lacunary_closed_form_matches_window_at_random_pairs():
+    # seeded draws of alpha and of (eps, t) pairs of mixed widths in one
+    # call, all with windows above the t = 0 freeze, against the direct
+    # midpoint rule on each window
+    rng = np.random.default_rng(20261019)
+    y, *weights = _mollifier_grids()
+    for _ in range(8):
+        spec = CoefficientSpec("holder_rough", delta=0.5, alpha=rng.uniform(0.05, 0.95))
+        eps = 10.0 ** rng.uniform(-5.0, -1.0, 200)
+        t = eps + 10.0 ** rng.uniform(np.log10(eps), 0.0)
+        got = mollify(spec, eps, t=t)
+        vals = spec.extended_time_value(t[:, None] - eps[:, None] * y)
+        want = np.stack([vals @ w / eps**k for k, w in enumerate(weights)])
+        sup = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-9 * sup), spec.alpha
 
 
 def test_mollify_rejects_a_nonpositive_width():
@@ -362,7 +386,7 @@ def test_verify_reg_bounds_frequency_does_not_depend_on_its_grid_mates(spec, eta
         got, want = part[name].ratio_by_xi, c.ratio_by_xi[keep]
         measured = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), measured), name
-        assert np.all(np.abs(got - want)[measured] <= 1e-14 * want[measured]), name
+        assert np.array_equal(got[measured], want[measured]), name
         p = part[name]
         assert (p.max_ratio, p.argmax_t, p.argmax_xi) == (c.max_ratio, c.argmax_t, c.argmax_xi), name
     # the hyperbolic zone dies below some frequency; those clauses are not measured there

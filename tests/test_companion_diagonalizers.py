@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyplab import diagonalizers
+from hyplab import coefficients, diagonalizers
 from hyplab.coefficients import CoefficientSpec, mollify
 from hyplab.companion import (
     HyperbolicityViolation,
@@ -272,8 +272,7 @@ def test_roots_on_times_is_elementwise_in_xi():
     assert lam.shape == lam_dot.shape == (ts.size, xis.size, 3)
     for k, xi in enumerate(xis):
         want, want_dot = roots_on_times(ROUGH3, ts, xi)
-        assert np.all(np.abs(lam[:, k] - want) <= 1e-14 * np.abs(want))
-        assert np.all(np.abs(lam_dot[:, k] - want_dot) <= 1e-14 * np.abs(want_dot))
+        assert np.array_equal(lam[:, k], want) and np.array_equal(lam_dot[:, k], want_dot)
 
 
 LOGPOW2 = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=1.0), None))
@@ -286,8 +285,16 @@ def test_m3_weights_on_an_array_of_xi_match_scalar_calls(spec):
     assert got.shape == (xis.size, spec.m)
     assert np.all(got.real == 0.0)
     for k, xi in enumerate(xis):
-        want = m3_weights(spec, float(xi), 0.5)
-        assert np.all(np.abs(got[k] - want) <= 1e-14 * np.abs(want))
+        assert np.array_equal(got[k], m3_weights(spec, float(xi), 0.5))
+
+
+def test_m3_weights_with_windows_across_blocks_match_scalar_calls():
+    # the 300 windows at t = 0, one width each, span several blocks of window rows
+    xis = np.geomspace(64.0, 1e5, 300)
+    assert xis.size > 2 * (coefficients.BLOCK // coefficients.MOLLIFIER_NODES)
+    got = m3_weights(ROUGH2, xis, 0.5)
+    for k, xi in enumerate(xis):
+        assert np.array_equal(got[k], m3_weights(ROUGH2, float(xi), 0.5)), xi
 
 
 def test_m3_constant_coefficients_unit_weights():
