@@ -13,16 +13,9 @@ m = 2 that is (1/4) |log(a_eps(T)/a_eps(0))|.
 import numpy as np
 
 from hyplab.coefficients import CoefficientSpec
-from hyplab.companion import (
-    HyperbolicOperatorSpec,
-    RootSet,
-    characteristic_roots,
-    companion_symbol,
-    roots_on_times,
-)
+from hyplab.companion import HyperbolicOperatorSpec, characteristic_roots, companion_symbol, roots_on_times
 from hyplab.diagonalizers import c1_entries, m1_inverse_symbol, m1_symbol, m2_symbol, m3_weights
 from hyplab.weights import jbracket
-from hyplab.zones import Zone
 
 xi = 512.0
 spec = HyperbolicOperatorSpec(
@@ -33,13 +26,13 @@ spec = HyperbolicOperatorSpec(
         CoefficientSpec("constant", base=0.25),
     ),
 )
-roots = characteristic_roots(spec, 0.1, xi)
-print("characteristic roots / <xi>:", np.round(roots.lam / float(jbracket(xi)), 6))
+lam = characteristic_roots(spec, 0.1, xi)[0][0]  # one time: a grid of one
+print("characteristic roots / <xi>:", np.round(lam / float(jbracket(xi)), 6))
 
 A = companion_symbol(spec, 0.1, xi)
-V = m1_symbol(roots)
-Vinv = m1_inverse_symbol(roots)
-resid = np.max(np.abs(Vinv @ A @ V - np.diag(roots.lam)))
+V = m1_symbol(lam, xi)
+Vinv = m1_inverse_symbol(lam, xi)
+resid = np.max(np.abs(Vinv @ A @ V - np.diag(lam)))
 print(f"|M1^-1 A M1 - diag(lam)|_max = {resid:.2e}  (frozen coefficients diagonalize exactly)")
 print(f"|M1^-1 M1 - I|_max          = {np.max(np.abs(Vinv @ V - np.eye(3))):.2e}")
 
@@ -47,10 +40,9 @@ print()
 print("== the first-step correction and the second diagonalizer ==")
 osc = HyperbolicOperatorSpec(2, (CoefficientSpec("holder_rough", delta=0.5, alpha=0.5), None))
 t = 0.25
-lam, lam_dot = roots_on_times(osc, np.array([t]), xi)
-rs = RootSet(lam[0], xi)
-C1 = c1_entries(rs, lam_dot[0])
-M2 = m2_symbol(rs, lam_dot[0], Zone.HYPERBOLIC)
+lam, lam_dot = roots_on_times(osc, t, xi)
+C1 = c1_entries(lam, lam_dot, xi)[0]
+M2 = m2_symbol(lam, lam_dot, xi)[0]
 print("C1 entries (purely imaginary):")
 print(C1)
 print("M2 off-diagonal magnitude:", f"{np.max(np.abs(M2 - np.eye(2))):.3e}")
@@ -58,8 +50,8 @@ print("M2 off-diagonal magnitude:", f"{np.max(np.abs(M2 - np.eye(2))):.3e}")
 print()
 print("== absorption weights stay bounded over a sweep (closed form, two root sets each) ==")
 slow = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.5), None))
-for x in np.geomspace(2**4, 2**14, 6):
-    integrals = m3_weights(slow, float(x), 0.5)
+xis = np.geomspace(2**4, 2**14, 6)
+for x, integrals in zip(xis, m3_weights(slow, xis, 0.5)):
     print(
         f"  |xi| = {x:7.0f}: max |integral| = {np.max(np.abs(integrals)):.4f},"
         f" max |Re integral| = {np.max(np.abs(integrals.real)):g} (so |w_p| = 1)"

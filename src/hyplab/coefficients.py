@@ -160,13 +160,9 @@ class CoefficientSpec:
 
     # -- full value ------------------------------------------------------
 
-    def _spatial_factor(self, x):
-        if self.spatial is None or x is None:
-            return 1.0
-        return 1.0 + self.spatial.value(x)
-
-    def value(self, t, x=None):
-        out = self._time_jet(t)[0] * self._spatial_factor(x)
+    def value(self, t):
+        """The time profile a(t) at times t > 0, without the spatial factor."""
+        out = self._time_jet(t)[0]
         return out if np.asarray(out).shape else float(out)
 
     def time_derivative(self, t, order=1):
@@ -313,7 +309,7 @@ def _lacunary_window_sums(spec: CoefficientSpec, eps, t):
     return spec.base * np.sum(weights, axis=1)[:, None] + terms
 
 
-def mollify(spec: CoefficientSpec, eps, t, x=None):
+def mollify(spec: CoefficientSpec, eps, t):
     """Jet of (a *_t psi_eps) at times t: rows a_eps, d_t a_eps, d_t^2 a_eps.
 
     ``eps`` is one width or one per time: it broadcasts against t, e.g. one
@@ -350,7 +346,7 @@ def mollify(spec: CoefficientSpec, eps, t, x=None):
         jet[:, rows] = np.matmul(vals[:, None, :], np.stack(weights, axis=1))[:, 0].T
     jet[1] /= eps
     jet[2] /= eps**2
-    return jet.reshape((3,) + shape) * spec._spatial_factor(x)
+    return jet.reshape((3,) + shape)
 
 
 # ----------------------------------------------------------------------------

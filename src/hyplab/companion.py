@@ -17,7 +17,7 @@ frequency or an array of them, the roots of the mollified symbol come with
 their exact rates, by implicit differentiation of the characteristic
 polynomial over the root-gap matrix that the diagonalizer chain is built
 from; the same differentiation (``_root_rates``) gives the rates of the raw
-roots that the integrator's frame follows.
+roots (``characteristic_roots``) that the integrator's frame follows.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "HyperbolicityViolation",
     "NearMultipleRoot",
     "HyperbolicOperatorSpec",
-    "RootSet",
     "characteristic_roots",
     "roots_on_times",
     "companion_symbol",
@@ -76,30 +75,10 @@ class HyperbolicOperatorSpec:
     def x_independent(self):
         return all(c is None or c.spatial is None for c in self.coeffs)
 
-    def sup_abs(self):
-        return max([c.sup_abs for c in self.coeffs if c is not None], default=0.0)
-
-    def coeff_values(self, t):
-        """Values of a_{m-j}(t) for j = 0..m-1."""
-        return np.array([0.0 if c is None else c.value(t) for c in self.coeffs])
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Ascending real roots at one frequency."""
-
-    lam: np.ndarray
-    xi: float
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        object.__setattr__(self, "lam", lam)
-        if np.any(np.diff(lam) <= 0.0):
-            raise ValueError("roots must be strictly ascending")
-
     @property
-    def m(self):
-        return self.lam.size
+    def sup_abs(self):
+        """Upper bound for |a_{m-j}| over every coefficient (0 with none)."""
+        return max([c.sup_abs for c in self.coeffs if c is not None], default=0.0)
 
 
 def _row_scale(xi, m):
@@ -200,12 +179,34 @@ def _root_gaps(lam, tol=0.0):
     return G, P
 
 
-def characteristic_roots(spec: HyperbolicOperatorSpec, t: float, xi: float) -> RootSet:
-    """Real ascending roots of the characteristic polynomial at (t, xi).
+def _jets(spec: HyperbolicOperatorSpec, t, xi, k, eps=None):
+    """a_{m-j}, ..., its k-th rate, raw or mollified at width eps: shape (k + 1,) + the broadcast of t and xi + (m,)."""
+    t = np.asarray(t, dtype=float)
+    vals = np.zeros((k + 1,) + np.broadcast_shapes(t.shape, np.shape(xi)) + (spec.m,))
+    for j, c in enumerate(spec.coeffs):
+        if c is not None:
+            vals[..., j] = c._time_jet(t, k) if eps is None else mollify(c, eps, t=t)[: k + 1]
+    return vals
 
-    Complex or nearly multiple roots raise.
+
+def _roots_with_rates(spec: HyperbolicOperatorSpec, t, xi, eps=None):
+    """``(lam, lam_dot)`` by the times t, at least 1-d, and the frequencies xi, raw or mollified at width eps."""
+    xi = np.asarray(xi, dtype=float)
+    vals = _jets(spec, np.atleast_1d(t), xi, 1, eps)
+    lam = _roots(vals[0], xi, spec.delta_sep)
+    return lam, _root_rates(lam, vals[1], xi)
+
+
+def characteristic_roots(spec: HyperbolicOperatorSpec, t, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the raw symbol at the times t, and their time rates.
+
+    The unmollified twin of ``roots_on_times``, with its shapes: elementwise
+    in ``t`` > 0 and ``xi``, which broadcast against each other, and
+    ``(lam, lam_dot)`` of the broadcast shape plus a last axis of m, a
+    scalar time counting as a grid of one.  Complex or nearly multiple roots
+    raise.
     """
-    return RootSet(_roots(spec.coeff_values(t)[None, :], xi, spec.delta_sep)[0], xi)
+    return _roots_with_rates(spec, t, xi)
 
 
 def roots_on_times(spec: HyperbolicOperatorSpec, ts, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -220,15 +221,7 @@ def roots_on_times(spec: HyperbolicOperatorSpec, ts, xi) -> tuple[np.ndarray, np
     whose derivative at a root is nonzero because the roots are separated
     by at least delta_sep <xi>.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    xi = np.asarray(xi, dtype=float)
-    eps = 1.0 / jbracket(xi)
-    vals = np.zeros((2,) + np.broadcast_shapes(ts.shape, xi.shape) + (spec.m,))  # a_{m-j} and its rate
-    for j, c in enumerate(spec.coeffs):
-        if c is not None:
-            vals[..., j] = mollify(c, eps, t=ts)[:2]
-    lam = _roots(vals[0], xi, spec.delta_sep)
-    return lam, _root_rates(lam, vals[1], xi)
+    return _roots_with_rates(spec, ts, xi, 1.0 / jbracket(np.asarray(xi, dtype=float)))
 
 
 def _root_rates(lam, vals_dot, xi):
@@ -250,11 +243,12 @@ def _root_rates(lam, vals_dot, xi):
     return num / ((-1) ** (m - 1) * P)
 
 
-def companion_symbol(spec: HyperbolicOperatorSpec, t: float, xi: float) -> np.ndarray:
-    """The first-order system symbol A(t, xi), an m x m array.
+def companion_symbol(spec: HyperbolicOperatorSpec, t, xi) -> np.ndarray:
+    """The first-order system symbol A(t, xi), elementwise in t > 0 and xi: the broadcast shape plus (m, m).
 
     Superdiagonal <xi>; last-row entry in column j equals
     a_{m-j} xi^(m-j) <xi>^-(m-1-j).  Its eigenvalues reproduce the
     characteristic roots.
     """
-    return _companion(spec.coeff_values(t), xi)
+    xi = np.asarray(xi, dtype=float)
+    return _companion(_jets(spec, t, xi, 0)[0], xi)

@@ -1,20 +1,22 @@
 """The diagonalization chain for the companion symbol.
 
 Three transformations and one set of weights, applied to the first-order
-system at a fixed phase-space point.  Every step is a formula in the root
+system at fixed phase-space points.  Every step is a formula in the root
 gaps G[p, i] = lam_i - lam_p and their products P_p = prod_{i != p} G[p, i],
-taken from the one gap matrix ``companion._root_gaps``; every symbol is a
-plain complex m x m array.
+taken from the one gap matrix ``companion._root_gaps``.  Every symbol takes
+ascending roots lam[..., k] batched over leading axes, against which xi
+broadcasts, and is complex with trailing (m, m) axes.
 
 * M1, the Vandermonde matrix in the normalized roots lam_k/<xi>, with its
   inverse assembled from the explicit elementary-symmetric-function formula
   over the denominators P_p (never by numeric inversion);
 * the first-step correction C1 = M1^-1 (D_t M1), whose entries have closed
   forms in the roots and their time derivatives (D_t = -i d/dt), both
-  supplied by ``companion.roots_on_times``; C1 = i K with K real, the
-  coupling that the integrator's frame also takes from ``_c1``;
-* M2 = I + (off-diagonal of C1)/(lam_p - lam_q), active in the hyperbolic
-  zone only;
+  supplied by ``companion.roots_on_times`` or, unmollified,
+  ``companion.characteristic_roots``; C1 = i K with K real, the coupling
+  that the integrator's frame also takes from ``_c1``;
+* M2 = I + (off-diagonal of C1)/(lam_p - lam_q), the second step in the
+  hyperbolic zone;
 * the diagonal exponential weights w_p absorbing the remaining diagonal
   derivative terms D_t lam_p / g_p, over the row sums g_p = sum_i G[p, i]
   = S - m lam_p of G, S = sum_i lam_i = xi a_1.  Their time integrals must
@@ -30,10 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .companion import HyperbolicOperatorSpec, RootSet, _root_gaps, roots_on_times
+from .companion import HyperbolicOperatorSpec, _root_gaps, roots_on_times
 from .conjugation import _simpson
 from .weights import jbracket
-from .zones import Zone
 
 __all__ = [
     "DiagonalizerIllConditioned",
@@ -56,23 +57,20 @@ class DiagonalizerIllConditioned(Exception):
     """Second diagonalizer entries too large; frequency too low for step two."""
 
 
-def _vandermonde(z):
-    """M1 in the normalized roots z[..., q] = lam_q/<xi>: entry (p, q) is z_q^p, batched over leading axes."""
-    return z[..., None, :] ** np.arange(z.shape[-1])[:, None]
+def m1_symbol(lam, xi) -> np.ndarray:
+    """Vandermonde in z_q = lam_q/<xi>: entry (p, q) is z_q^p, over the leading axes of lam, against which xi broadcasts."""
+    z = lam / jbracket(xi)[..., None]
+    return (z[..., None, :] ** np.arange(z.shape[-1])[:, None]).astype(complex)
 
 
-def m1_symbol(roots: RootSet) -> np.ndarray:
-    """Vandermonde in lam_k/<xi>: row p holds (lam_q/<xi>)^p."""
-    return _vandermonde(roots.lam / float(jbracket(roots.xi))).astype(complex)
-
-
-def _vandermonde_inverse(z):
-    """Inverse of ``_vandermonde(z)`` from the explicit formula, batched over leading axes.
+def m1_inverse_symbol(lam, xi) -> np.ndarray:
+    """Inverse of ``m1_symbol`` from the explicit formula, not from a numeric inverse; batched like it.
 
     Row p holds the coefficients, constant term first, of prod_{i != p}(x - z_i)/(z_p - z_i): the
     numerator's from e[1:] -= z_i e[:-1] over ascending i != p (as ``np.poly``), the denominator
     (-1)^(m-1) times the row product of the root gaps.
     """
+    z = lam / jbracket(xi)[..., None]  # normalized roots; powers of <xi> cancel
     m = z.shape[-1]
     _, P = _root_gaps(z, _UNDERFLOW)
     e = np.zeros(z.shape + (m,))  # e[..., p, k], highest power first
@@ -81,11 +79,6 @@ def _vandermonde_inverse(z):
         rows = np.arange(m) != i
         e[..., rows, 1:] -= z[..., i, None, None] * e[..., rows, :-1]
     return ((-1.0) ** (m - 1) * e[..., ::-1] / P[..., None]).astype(complex)
-
-
-def m1_inverse_symbol(roots: RootSet) -> np.ndarray:
-    """Explicit inverse of the Vandermonde ``m1_symbol``, from the formula, not from a numeric inverse."""
-    return _vandermonde_inverse(roots.lam / float(jbracket(roots.xi)))  # normalized roots; powers of <xi> cancel
 
 
 def _c1(lam, roots_dt, xi):
@@ -105,36 +98,36 @@ def _c1(lam, roots_dt, xi):
     return K, R
 
 
-def c1_entries(roots: RootSet, roots_dt) -> np.ndarray:
-    """First-step correction entries (the symbol product M1^-1 D_t M1).
+def c1_entries(lam, lam_dot, xi) -> np.ndarray:
+    """First-step correction entries (the symbol product M1^-1 D_t M1); batched like ``m1_symbol``.
 
-    ``roots_dt`` holds the real time derivatives d/dt lam_k; the operator
+    ``lam_dot`` holds the real time derivatives d/dt lam_k; the operator
     convention D_t = -i d/dt makes every entry purely imaginary.  With the
     gap matrix G[p, i] = lam_i - lam_p and P_p = prod_{i != p} G[p, i]:
 
         e_pp = -D_t lam_p  sum_{i != p} 1/G[p, i]
         e_pq = -D_t lam_q  P_q / ((lam_p - lam_q) P_p)
     """
-    return 1j * _c1(roots.lam, roots_dt, roots.xi)[0]
+    return 1j * _c1(lam, lam_dot, xi)[0]
 
 
-def m2_symbol(roots: RootSet, roots_dt, zone_tag: Zone) -> np.ndarray:
-    """Second diagonalizer; identity outside the hyperbolic zone.
+def m2_symbol(lam, lam_dot, xi) -> np.ndarray:
+    """Second diagonalizer of the hyperbolic zone; batched like ``m1_symbol``.
 
     Off-diagonal entries divide the first-step correction by the root gap:
     d_pq = e_pq / (lam_p - lam_q).  Entries of size 1/(2m) or more signal
-    that the frequency is too low for the second step.
+    that the frequency is too low for the second step: the error names the
+    frequency of the first such matrix and its largest entry.
     """
-    m = roots.m
-    if zone_tag is not Zone.HYPERBOLIC:
-        return np.eye(m, dtype=complex)
-    K, R = _c1(roots.lam, roots_dt, roots.xi)
+    m = lam.shape[-1]
+    K, R = _c1(lam, lam_dot, xi)
     D = np.eye(m) - 1j * K * R  # R = -1/(lam_p - lam_q) off the diagonal, zero on it
-    off = np.max(np.abs(D - np.eye(m)))
-    if off >= 1.0 / (2.0 * m):
-        raise DiagonalizerIllConditioned(
-            f"off-diagonal magnitude {off:.3e} >= 1/(2m) at xi={roots.xi}"
-        )
+    off = np.max(np.abs(D - np.eye(m)), axis=(-2, -1))
+    bad = off >= 1.0 / (2.0 * m)
+    if bad.any():
+        k = np.argmax(bad)
+        x = float(np.broadcast_to(xi, off.shape).flat[k])
+        raise DiagonalizerIllConditioned(f"off-diagonal magnitude {off.flat[k]:.3e} >= 1/(2m) at xi={x}")
     return D
 
 

@@ -78,11 +78,11 @@ traces.  A failed pass is repeated one frequency at a time, so that an
 error names the first frequency that fails: the plans first, in grid order,
 then the integrations.
 
-The frame.  The roots lam_p of the raw symbol at the nodes (one
-``companion._roots`` call for the nodes of every frequency; the one at the
-interval starts that may take the frame and three probe times gates strict
-hyperbolicity and gives kappa) and their exact rates (``companion._root_rates``
-on the rate row of ``CoefficientSpec._time_jet``) turn V = M1^-1 U into
+The frame.  The roots lam_p of the raw symbol at the nodes and their exact
+rates (one ``companion.characteristic_roots`` call for the nodes of every
+frequency; the ``_roots`` call of the plan at the interval starts that may
+take the frame and three probe times gates strict hyperbolicity and gives
+kappa) turn V = M1^-1 U into
 
     V' = i Lam V + K V,   K = -i C1 = -M1^-1 M1',
 
@@ -110,7 +110,8 @@ C = cosh sqrt(delta) and S = sinh sqrt(delta) / sqrt(delta) (Moler & Van
 Loan, SIAM Rev. 45, 2003); for m > 2 it is ``_expm``.  The node
 propagators of the whole sweep are formed ``BATCH`` // 2 steps at a time
 and reduced like the Magnus ones, V enters as M1^-1 U at a frequency's
-first frame node, and the norm at a frame sample time is |M1 V|.
+first frame node (``diagonalizers.m1_inverse_symbol``), and the norm at a
+frame sample time is |M1 V| (``diagonalizers.m1_symbol``).
 
 Amplification per frequency is the supremum of |U(t)|/|U(0)| over a fixed
 sample grid; the loss-of-derivatives exponent is the least-squares slope of
@@ -127,7 +128,7 @@ import numpy as np
 
 from .companion import HyperbolicityViolation, HyperbolicOperatorSpec, NearMultipleRoot
 from .companion import _roots, _root_rates, _row_scale, characteristic_roots
-from .diagonalizers import _c1, _vandermonde, _vandermonde_inverse, m1_inverse_symbol, m1_symbol
+from .diagonalizers import _c1, m1_inverse_symbol, m1_symbol
 from .moduli import AuxiliaryFunction
 from .weights import _check_grid, _top_decade_fit, jbracket
 from .zones import ZoneParams, validate_zone
@@ -565,7 +566,7 @@ def _plan(exp: FrequencyExperiment, idx):
     m = spec.m
     xi = exp.xi_grid[idx]
     jb = jbracket(xi)
-    sup_a = spec.sup_abs()
+    sup_a = spec.sup_abs
     coeffs = [(j, c) for j, c in enumerate(spec.coeffs) if c is not None]
 
     sample_times = np.linspace(0.0, exp.T, exp.n_samples)
@@ -662,11 +663,8 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
     inner = step_of < n_f[iv]
     pts = np.where(inner, sample_times[fk[iv]] + h_k[ff[iv], fk[iv]] * step_of, exp.T)
     xi_n = xi[ff[iv]]
-    raw = np.zeros((2, pts.size, m))  # a_{m-j} and its rate at the nodes, all in (0, T]
-    for j, c in coeffs:
-        raw[:, :, j] = c._time_jet(pts, 1)
-    lam = _roots(raw[0], xi_n, spec.delta_sep)
-    P_frame = _frame_propagators(pts, lam, _root_rates(lam, raw[1], xi_n), xi_n, np.flatnonzero(inner))
+    lam, lam_dot = characteristic_roots(spec, pts, xi_n)  # the nodes all lie in (0, T]
+    P_frame = _frame_propagators(pts, lam, lam_dot, xi_n, np.flatnonzero(inner))
     off = np.cumsum(n_f) - n_f  # each frame interval's first step
 
     def frame_steps(i, step, live):
@@ -676,14 +674,14 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
     if ff.size:  # V = M1^-1 U enters with each frequency's first frame interval
         enter = np.diff(ff, prepend=-1) != 0
         fe, ke = ff[enter], fk[enter]
-        M1_inv = _vandermonde_inverse(lam[node0[enter]] / jb[fe, None])
+        M1_inv = m1_inverse_symbol(lam[node0[enter]], xi[fe])
         stack[:, :, fe, ke] = _mul(stack[:, :, fe, ke], np.moveaxis(M1_inv, 0, -1))
 
     ends = np.empty((xi.size, exp.n_samples, m), dtype=complex)  # U at the sample times (V on the frame)
     ends[:, 0] = U0
     ends[:, 1:] = np.moveaxis((_prefix_product(stack) * U0.T[None, :, :, None]).sum(1), 0, -1)
     V = ends[ff, fk + 1]  # U = M1 V, M1 at the node that closes each frame interval
-    ends[ff, fk + 1] = (_vandermonde(lam[node0 + n_f] / jb[ff, None]) * V[:, None, :]).sum(-1)
+    ends[ff, fk + 1] = (m1_symbol(lam[node0 + n_f], xi[ff]) * V[:, None, :]).sum(-1)
     norms = np.linalg.norm(ends, axis=-1)
     bad = ~np.isfinite(norms)
     if bad.any():
@@ -774,15 +772,15 @@ def closed_form_constant_trace(exp: FrequencyExperiment, xi: float, u0=None) -> 
     for c in spec.coeffs:
         if c is not None and c.profile != "constant":
             raise ValueError("closed form available for constant coefficients only")
-    roots = characteristic_roots(spec, 0.1, xi)
-    V = m1_symbol(roots)
-    Vinv = m1_inverse_symbol(roots)
+    lam = characteristic_roots(spec, 0.1, xi)[0][0]
+    V = m1_symbol(lam, xi)
+    Vinv = m1_inverse_symbol(lam, xi)
     if u0 is None:
         u0 = np.zeros(spec.m, dtype=complex)
         u0[0] = 1.0
     times = np.linspace(0.0, exp.T, exp.n_samples)
     coords = Vinv @ np.asarray(u0, dtype=complex)
-    phases = np.exp(1j * np.outer(times, roots.lam))  # (n_t, m)
+    phases = np.exp(1j * np.outer(times, lam))  # (n_t, m)
     U = (V @ (phases * coords[None, :]).T).T
     norms = np.linalg.norm(U, axis=1)
     return EnergyTrace.from_history(xi, times, norms)

@@ -214,18 +214,20 @@ def test_mollify_kills_linear_moment():
     assert np.max(np.abs(got - np.array([1.3, 1.5]))) < 1e-8
 
 
-@pytest.mark.parametrize("alpha, x", [(0.3, None), (0.5, None), (0.9, None), (0.5, 0.7)])
-def test_mollify_lacunary_closed_form_matches_window(alpha, x):
+@pytest.mark.parametrize(
+    "alpha, spatial", [(0.3, None), (0.5, None), (0.9, None), pytest.param(0.5, SpatialProfile(), id="0.5-spatial")]
+)
+def test_mollify_lacunary_closed_form_matches_window(alpha, spatial):
     # the closed-form window sums reproduce the midpoint rule on both sides of
-    # t = eps, and the rows whose window reaches the t = 0 freeze keep it
-    spatial = SpatialProfile() if x is not None else None
+    # t = eps, and the rows whose window reaches the t = 0 freeze keep it; a
+    # spatial factor does not enter the time mollification
     spec = CoefficientSpec("holder_rough", delta=0.5, alpha=alpha, spatial=spatial)
     y, *weights = _mollifier_grids()
     for eps in (0.1, 1e-3, 1e-5):
         t = np.concatenate([np.linspace(0.0, 3.0 * eps, 31), np.geomspace(eps, 0.9, 41)])
         vals = spec.extended_time_value(t[:, None] - eps * y)
-        want = np.stack([vals @ w / eps**k for k, w in enumerate(weights)]) * spec._spatial_factor(x)
-        got = mollify(spec, eps, t, x=x)
+        want = np.stack([vals @ w / eps**k for k, w in enumerate(weights)])
+        got = mollify(spec, eps, t)
         sup = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-9 * sup), (alpha, eps)
 
@@ -298,13 +300,12 @@ def _assert_equal(got, want):
 
 @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["holder", "log_power", "holder_spatial"])
 def test_mollify_widths_per_row_match_one_call_per_width(spec):
-    x = 0.7 if spec.spatial is not None else None
-    want = np.stack([mollify(spec, eps, BATCH_T, x=x) for eps in BATCH_EPS], axis=1)
-    _assert_equal(mollify(spec, BATCH_EPS[:, None], BATCH_T, x=x), want)
+    want = np.stack([mollify(spec, eps, BATCH_T) for eps in BATCH_EPS], axis=1)
+    _assert_equal(mollify(spec, BATCH_EPS[:, None], BATCH_T), want)
     # widths along the other axis, and one width per time
-    _assert_equal(mollify(spec, BATCH_EPS, BATCH_T[:, None], x=x), want.transpose(0, 2, 1))
+    _assert_equal(mollify(spec, BATCH_EPS, BATCH_T[:, None]), want.transpose(0, 2, 1))
     eps_flat = np.repeat(BATCH_EPS, BATCH_T.size)
-    _assert_equal(mollify(spec, eps_flat, np.tile(BATCH_T, BATCH_EPS.size), x=x), want.reshape(3, -1))
+    _assert_equal(mollify(spec, eps_flat, np.tile(BATCH_T, BATCH_EPS.size)), want.reshape(3, -1))
 
 
 @pytest.mark.parametrize("spec", BATCH_SPECS, ids=["holder", "log_power", "holder_spatial"])
@@ -320,10 +321,9 @@ def test_mollify_does_not_depend_on_the_block_size(monkeypatch, spec):
 def test_mollify_shuffled_pairs_permute_the_jet(spec):
     # the flattened (eps, t) pairs in a seeded random order, so that every
     # block mixes widths and times
-    x = 0.7 if spec.spatial is not None else None
     eps, t = (a.ravel() for a in np.broadcast_arrays(BATCH_EPS[:, None], BATCH_T))
     perm = np.random.default_rng(27).permutation(t.size)
-    _assert_equal(mollify(spec, eps[perm], t[perm], x=x), mollify(spec, eps, t, x=x)[:, perm])
+    _assert_equal(mollify(spec, eps[perm], t[perm]), mollify(spec, eps, t)[:, perm])
 
 
 def test_mollify_of_no_times_is_empty():
@@ -498,5 +498,4 @@ def test_spatial_profile_factor():
     xs = np.linspace(0, 2 * np.pi, 257)
     assert np.max(np.abs(sp.value(xs))) <= 0.25 + 1e-12
     spec = CoefficientSpec("constant", spatial=sp)
-    assert spec.value(0.1, x=0.0) == pytest.approx(2.0 * (1.0 + sp.value(0.0)), rel=1e-12)
-    assert spec.value(0.1) == 2.0  # no x given: time part only
+    assert spec.value(0.1) == 2.0  # the time part only

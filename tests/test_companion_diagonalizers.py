@@ -7,7 +7,6 @@ from hyplab.companion import (
     HyperbolicityViolation,
     HyperbolicOperatorSpec,
     NearMultipleRoot,
-    RootSet,
     _companion,
     _root_gaps,
     _root_rates,
@@ -18,9 +17,6 @@ from hyplab.companion import (
 )
 from hyplab.diagonalizers import (
     DiagonalizerIllConditioned,
-    _c1,
-    _vandermonde,
-    _vandermonde_inverse,
     c1_entries,
     m1_inverse_symbol,
     m1_symbol,
@@ -29,7 +25,7 @@ from hyplab.diagonalizers import (
 )
 from hyplab.moduli import power_law
 from hyplab.weights import fit_loglog_slope, jbracket
-from hyplab.zones import Zone, ZoneParams, zone_boundary
+from hyplab.zones import ZoneParams, zone_boundary
 
 WAVE2 = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=4.0), None))
 
@@ -42,16 +38,18 @@ class NegativeConstant(CoefficientSpec):
 
 
 def test_roots_wave_speed_two():
-    roots = characteristic_roots(WAVE2, 0.1, 3.0)
-    assert roots.lam == pytest.approx([-6.0, 6.0], rel=1e-12)
+    lam, lam_dot = characteristic_roots(WAVE2, 0.1, 3.0)
+    assert lam.shape == lam_dot.shape == (1, 2)
+    assert lam[0] == pytest.approx([-6.0, 6.0], rel=1e-12)
+    assert np.all(lam_dot == 0.0)
 
 
 def test_roots_recover_constructed_targets():
     # targets (-|xi|, 0, |xi|) come from the polynomial lam^3 - xi^2 lam
     spec = HyperbolicOperatorSpec(3, (None, CoefficientSpec("constant", base=1.0), None))
     for xi in (7.0, 2.0**10):
-        roots = characteristic_roots(spec, 0.2, xi)
-        assert np.max(np.abs(roots.lam - np.array([-xi, 0.0, xi]))) < 1e-9 * xi
+        lam = characteristic_roots(spec, 0.2, xi)[0][0]
+        assert np.max(np.abs(lam - np.array([-xi, 0.0, xi]))) < 1e-9 * xi
 
 
 def test_roots_reject_complex_and_near_multiple():
@@ -106,9 +104,9 @@ def test_roots_homogeneity():
     spec = HyperbolicOperatorSpec(
         2, (CoefficientSpec("log_power_oscillation", delta=0.5), None)
     )
-    lam_lo = characteristic_roots(spec, 0.2, 10.0).lam
+    lam_lo = characteristic_roots(spec, 0.2, 10.0)[0][0]
     for c in (10.0, 100.0):
-        lam_hi = characteristic_roots(spec, 0.2, 10.0 * c).lam
+        lam_hi = characteristic_roots(spec, 0.2, 10.0 * c)[0][0]
         assert np.max(np.abs(lam_hi / c - lam_lo) / np.abs(lam_lo).max()) < 1e-3
 
 
@@ -132,9 +130,9 @@ def test_companion_matches_roots_general_order():
         ),
     )
     xi = 2.0**10
-    roots = characteristic_roots(spec, 0.1, xi)
+    lam = characteristic_roots(spec, 0.1, xi)[0][0]
     ev = np.sort(np.linalg.eigvals(companion_symbol(spec, 0.1, xi)).real)
-    assert np.max(np.abs(ev - roots.lam) / np.abs(roots.lam).max()) < 1e-6
+    assert np.max(np.abs(ev - lam) / np.abs(lam).max()) < 1e-6
 
 
 def test_companion_nilpotent_when_all_coefficients_vanish():
@@ -145,10 +143,10 @@ def test_companion_nilpotent_when_all_coefficients_vanish():
 
 def test_m1_hand_inverse_m2():
     jb = float(jbracket(3.0))
-    roots = RootSet(np.array([-jb, jb]), 3.0)
-    V = m1_symbol(roots)
+    lam = np.array([-jb, jb])
+    V = m1_symbol(lam, 3.0)
     assert V == pytest.approx(np.array([[1.0, 1.0], [-1.0, 1.0]]))
-    C = m1_inverse_symbol(roots)
+    C = m1_inverse_symbol(lam, 3.0)
     assert C == pytest.approx(np.array([[0.5, -0.5], [0.5, 0.5]]))
 
 
@@ -160,20 +158,20 @@ def test_m1_m1inv_random_roots():
             while m > 1 and np.min(np.diff(z)) < 0.3:
                 z = np.sort(rng.uniform(-5.0, 5.0, size=m))
             xi = 50.0
-            roots = RootSet(z * float(jbracket(xi)), xi)
-            V = m1_symbol(roots)
-            C = m1_inverse_symbol(roots)
+            lam = z * float(jbracket(xi))
+            V = m1_symbol(lam, xi)
+            C = m1_inverse_symbol(lam, xi)
             resid = np.max(np.abs(C @ V - np.eye(m)))
             assert resid < 1e-8
 
 
 def test_c1_zero_for_frozen_roots_and_linearity():
-    roots = RootSet(np.array([-3.0, 1.0, 4.0]) * 100.0, 100.0)
-    zero = c1_entries(roots, np.zeros(3))
+    lam = np.array([-3.0, 1.0, 4.0]) * 100.0
+    zero = c1_entries(lam, np.zeros(3), 100.0)
     assert np.max(np.abs(zero)) == 0.0
     dt = np.array([1.0, -2.0, 0.5]) * 10.0
-    E1 = c1_entries(roots, dt)
-    E2 = c1_entries(roots, 2.0 * dt)
+    E1 = c1_entries(lam, dt, 100.0)
+    E2 = c1_entries(lam, 2.0 * dt, 100.0)
     assert E2 == pytest.approx(2.0 * E1)
 
 
@@ -189,21 +187,20 @@ def test_c1_matches_matrix_product_oracle(m):
         z = np.sort(rng.uniform(-2.5, 2.5, size=m))
     lam = z * jb
     lam_dot = rng.uniform(-1.5, 1.5, size=m) * jb
-    roots = RootSet(lam, xi)
     h = 1e-7
-    Vp = m1_symbol(RootSet(lam + h * lam_dot, xi))
-    Vm = m1_symbol(RootSet(lam - h * lam_dot, xi))
+    Vp = m1_symbol(lam + h * lam_dot, xi)
+    Vm = m1_symbol(lam - h * lam_dot, xi)
     DtM1 = -1j * (Vp - Vm) / (2.0 * h)
-    oracle = m1_inverse_symbol(roots) @ DtM1
-    got = c1_entries(roots, lam_dot)
+    oracle = m1_inverse_symbol(lam, xi) @ DtM1
+    got = c1_entries(lam, lam_dot, xi)
     assert np.max(np.abs(got - oracle)) < 1e-6 * np.max(np.abs(got))
     # diagonal in closed form: e_pp = -D_t lam_p sum_{i != p} 1/(lam_i - lam_p)
     for p in range(m):
         expect = 1j * lam_dot[p] * np.sum(1.0 / (np.delete(lam, p) - lam[p]))
         assert got[p, p] == pytest.approx(expect, rel=1e-12)
     # M2 divides the off-diagonal of C1 by the root gap
-    D = m2_symbol(roots, 1e-3 * lam_dot, Zone.HYPERBOLIC)
-    E = c1_entries(roots, 1e-3 * lam_dot)
+    D = m2_symbol(lam, 1e-3 * lam_dot, xi)
+    E = c1_entries(lam, 1e-3 * lam_dot, xi)
     for p in range(m):
         for q in range(m):
             if p != q:
@@ -212,12 +209,25 @@ def test_c1_matches_matrix_product_oracle(m):
 
 
 def test_m2_identity_cases_and_guard():
-    roots = RootSet(np.array([-1.0, 1.0]) * 64.0, 64.0)
-    assert m2_symbol(roots, np.zeros(2), Zone.HYPERBOLIC) == pytest.approx(np.eye(2))
+    lam = np.array([-1.0, 1.0]) * 64.0
+    assert m2_symbol(lam, np.zeros(2), 64.0) == pytest.approx(np.eye(2))
     big_dt = np.array([1e5, -1e5])
-    assert m2_symbol(roots, big_dt, Zone.PSEUDODIFFERENTIAL) == pytest.approx(np.eye(2))
     with pytest.raises(DiagonalizerIllConditioned):
-        m2_symbol(roots, big_dt, Zone.HYPERBOLIC)
+        m2_symbol(lam, big_dt, 64.0)
+
+
+def test_m2_on_a_stack_names_the_ill_conditioned_frequency():
+    # one set of roots per frequency; the rates at xi = 256 alone are too large
+    xi = np.array([64.0, 128.0, 256.0, 512.0])
+    lam = np.array([-1.0, 1.0]) * jbracket(xi)[:, None]
+    lam_dot = np.array([1.0, -1.0]) * xi[:, None]
+    D = m2_symbol(lam, lam_dot, xi)
+    assert D.shape == (4, 2, 2)
+    for k in range(xi.size):
+        assert np.array_equal(D[k], m2_symbol(lam[k], lam_dot[k], xi[k]))
+    lam_dot[2] *= 1e3
+    with pytest.raises(DiagonalizerIllConditioned, match=r"at xi=256\.0$"):
+        m2_symbol(lam, lam_dot, xi)
 
 
 def test_m2_entries_shrink_along_zone_boundary():
@@ -228,8 +238,8 @@ def test_m2_entries_shrink_along_zone_boundary():
     xis = np.geomspace(2.0**6, 2.0**14, 9)
     for xi in xis:
         t = min(2.0 * zone_boundary(eta, zp, xi), 0.45)
-        lam, dt = roots_on_times(spec, np.array([t]), xi)
-        D = m2_symbol(RootSet(lam[0], xi), dt[0], Zone.HYPERBOLIC)
+        lam, dt = roots_on_times(spec, t, xi)
+        D = m2_symbol(lam, dt, xi)[0]
         offs.append(np.max(np.abs(D - np.eye(2))))
     slope, _ = fit_loglog_slope(xis, offs)
     assert slope < -0.05
@@ -410,13 +420,13 @@ def test_exact_diagonalization_frozen_time():
         ),
     )
     for xi in np.geomspace(8.0, 800.0, 5):
-        roots = characteristic_roots(spec, 0.1, float(xi))
+        lam = characteristic_roots(spec, 0.1, float(xi))[0][0]
         A = companion_symbol(spec, 0.1, float(xi))
-        V = m1_symbol(roots)
-        Vinv = m1_inverse_symbol(roots)
+        V = m1_symbol(lam, xi)
+        Vinv = m1_inverse_symbol(lam, xi)
         diag = Vinv @ A @ V
-        err = np.max(np.abs(diag - np.diag(roots.lam)))
-        assert err < 1e-8 * np.max(np.abs(roots.lam))
+        err = np.max(np.abs(diag - np.diag(lam)))
+        assert err < 1e-8 * np.max(np.abs(lam))
 
 
 def _separated(rng, m, lo=-2.0, hi=2.0, gap=0.2):
@@ -438,17 +448,23 @@ def _coefficients(lam, xi):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_property_companion_eigenvalues_and_m1_inverse(m):
     rng = np.random.default_rng(300 + m)
-    for _ in range(20):
-        xi = float(rng.uniform(10.0, 1e4))
+    xis, stack = np.empty(20), np.empty((20, m))
+    for k in range(20):
+        xi = xis[k] = float(rng.uniform(10.0, 1e4))
         jb = float(jbracket(xi))
         lam = _separated(rng, m) * jb
         vals = _coefficients(lam, xi)
         ev = np.sort(np.linalg.eigvals(_companion(vals, xi)).real)
-        roots = _roots(vals[None, :], xi, 1e-6)[0]
+        stack[k] = _roots(vals[None, :], xi, 1e-6)[0]
         assert np.max(np.abs(ev - lam)) < 1e-9 * jb
-        assert np.max(np.abs(roots - ev)) < 1e-9 * jb
-        rs = RootSet(roots, xi)
-        assert np.max(np.abs(m1_symbol(rs) @ m1_inverse_symbol(rs) - np.eye(m))) < 1e-9
+        assert np.max(np.abs(stack[k] - ev)) < 1e-9 * jb
+    # M1 and its inverse over the stack of root sets, against one call per set
+    V, C = m1_symbol(stack, xis), m1_inverse_symbol(stack, xis)
+    assert V.shape == C.shape == (20, m, m)
+    for k in range(20):
+        assert np.array_equal(V[k], m1_symbol(stack[k], xis[k]))
+        assert np.array_equal(C[k], m1_inverse_symbol(stack[k], xis[k]))
+    assert np.max(np.abs(V @ C - np.eye(m))) < 1e-9
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -459,15 +475,15 @@ def test_batched_m1_inverse_is_the_per_frequency_formula_bit_for_bit(m):
     xi = rng.uniform(10.0, 1e4, size=4)
     jb = jbracket(xi)[:, None, None]
     lam = np.array([[_separated(rng, m) for _ in range(3)] for _ in xi]) * jb
-    inv = _vandermonde_inverse(lam / jb)
+    inv = m1_inverse_symbol(lam, xi[:, None])
     assert inv.shape == (4, 3, m, m) and inv.dtype == complex
     for f, n in np.ndindex(4, 3):
-        assert np.array_equal(inv[f, n], m1_inverse_symbol(RootSet(lam[f, n], xi[f])))
+        assert np.array_equal(inv[f, n], m1_inverse_symbol(lam[f, n], xi[f]))
         z = lam[f, n] / jb[f, 0, 0]
         e = np.array([np.poly(np.delete(z, p)) for p in range(m)])
         P = np.prod(z[None, :] - z[:, None] + np.eye(m), axis=-1)
         assert np.array_equal(inv[f, n], (-1.0) ** (m - 1) * e[:, ::-1] / P[:, None])
-    assert np.max(np.abs(_vandermonde(lam / jb) @ inv - np.eye(m))) < 1e-9
+    assert np.max(np.abs(m1_symbol(lam, xi[:, None]) @ inv - np.eye(m))) < 1e-9
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -489,7 +505,48 @@ def test_property_raw_root_rates_match_centred_differences(m):
     h = 1e-4
     fd = (roots_at(ts + h) - roots_at(ts - h)) / (2.0 * h)
     assert np.max(np.abs(fd - rates)) < 1e-6 * np.max(np.abs(rates))
-    # the batched first-step correction is the per-point one, row by row
-    K = _c1(lam, rates, xi)[0]
+    # the first-step correction over the stack of times is the per-point one, row by row
+    E = c1_entries(lam, rates, xi)
     for k in range(ts.size):
-        assert np.array_equal(1j * K[k], c1_entries(RootSet(lam[k], xi), rates[k]))
+        assert np.array_equal(E[k], c1_entries(lam[k], rates[k], xi))
+
+
+LOGPOW3 = HyperbolicOperatorSpec(
+    3,
+    (
+        CoefficientSpec("constant", base=0.5),
+        CoefficientSpec("log_power_oscillation", base=2.0, delta=0.5, gamma_osc=1.0),
+        CoefficientSpec("constant", base=0.25),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, h",
+    [(LOGPOW2, 1e-3), (LOGPOW3, 1e-3), (ROUGH2, 2.0**-22), (ROUGH3, 2.0**-22)],
+    ids=["log_power_m2", "log_power_m3", "rough_m2", "rough_m3"],
+)
+def test_raw_roots_and_symbol_are_elementwise_and_rates_match_differences(spec, h):
+    # a (time, frequency) stack against one call per point, bit for bit; the
+    # raw rates against centred differences of the raw roots, which converge
+    # at order two once h resolves the top lacunary term 2^18
+    ts = np.linspace(0.05, 0.45, 9)
+    xis = np.array([64.0, 1e3, 1e5])
+    lam, lam_dot = characteristic_roots(spec, ts[:, None], xis)
+    A = companion_symbol(spec, ts[:, None], xis)
+    assert lam.shape == lam_dot.shape == (ts.size, xis.size, spec.m)
+    assert A.shape == (ts.size, xis.size, spec.m, spec.m)
+    for i, k in np.ndindex(ts.size, xis.size):
+        want, want_dot = characteristic_roots(spec, ts[i], xis[k])
+        assert np.array_equal(lam[i, k], want[0]) and np.array_equal(lam_dot[i, k], want_dot[0])
+        assert np.array_equal(A[i, k], companion_symbol(spec, ts[i], xis[k]))
+
+    def roots_at(t):
+        return characteristic_roots(spec, t[:, None], xis)[0]
+
+    errs = []
+    for d in (h, h / 4.0, h / 16.0):
+        fd = (roots_at(ts + d) - roots_at(ts - d)) / (2.0 * d)
+        errs.append(np.max(np.abs(fd - lam_dot)) / np.max(np.abs(lam_dot)))
+    assert errs[0] > 10.0 * errs[1] > 100.0 * errs[2]
+    assert errs[2] < 1e-5

@@ -94,8 +94,8 @@ def test_constant_amplification_frequency_independent():
     from hyplab.diagonalizers import m1_inverse_symbol, m1_symbol
 
     xi = float(exp4.xi_grid[-1])
-    roots = characteristic_roots(op, 0.1, xi)
-    kappa = np.linalg.norm(m1_symbol(roots), 2) * np.linalg.norm(m1_inverse_symbol(roots), 2)
+    lam = characteristic_roots(op, 0.1, xi)[0][0]
+    kappa = np.linalg.norm(m1_symbol(lam, xi), 2) * np.linalg.norm(m1_inverse_symbol(lam, xi), 2)
     assert max(amps4) <= kappa + 1e-9
 
 

@@ -28,8 +28,8 @@ def test_exported_names_resolve(name):
 
 def test_package_calls_mollify_with_t_by_keyword():
     # perfbench/tracer.py counts a mollify call's points from its ``t``
-    # keyword (or the fourth positional argument, which is x), so a
-    # positional t makes a traced benchmark pass raise IndexError
+    # keyword (or a fourth positional argument, which mollify does not take),
+    # so a positional t makes a traced benchmark pass raise IndexError
     calls = []
     for path in sorted(pathlib.Path(hyplab.__path__[0]).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
