@@ -213,19 +213,38 @@ class AuxiliaryFunction:
             raise ValueError("inverse underflowed to zero; target too small for this family")
         return r if r.shape else float(r)
 
-    def inverse_bisect(self, t):
+    def inverse_bisect(self, t, *more):
         """Solve value(r) = t by ``_bisect`` on [tiny, r0] (tiny the smallest
         normal float) for all targets at once, returning the midpoint of each
         final bracket; an array gives the same numbers as one call per element.
         A root below tiny raises ValueError, as ``inverse`` does on underflow.
+
+        ``more`` holds further (function, targets) requests, solved in the same
+        loop; the call then returns a tuple of roots, one per request, this one
+        first.  Every request is checked, in order, before the first split, and
+        each split evaluates every distinct function once, on its own
+        contiguous slice, so the roots are those of one call per request.
         """
-        t = self._check_range(t)
+        requests = ((self, t),) + more
         tiny = np.finfo(float).tiny
-        if np.any(self._jet(np.asarray(tiny))[0] >= t):
-            raise ValueError("root below the smallest normal float; target too small for this family")
-        lo, hi = _bisect(lambda r: self._jet(r)[0] < t, np.full(t.shape, tiny), np.full(t.shape, self.r0))
-        r = 0.5 * (lo + hi)
-        return r if r.shape else float(r)
+        ts, slots = [], {}  # checked targets; function -> indices of its requests
+        for i, (f, t) in enumerate(requests):
+            ts.append(f._check_range(t))
+            if np.any(f._jet(np.asarray(tiny))[0] >= ts[-1]):
+                raise ValueError("root below the smallest normal float; target too small for this family")
+            slots.setdefault(f, []).append(i)
+        order = [i for idx in slots.values() for i in idx]
+        target = np.concatenate([ts[i].ravel() for i in order])
+        edges = np.cumsum([0] + [sum(ts[i].size for i in idx) for idx in slots.values()])
+        parts = list(zip(slots, edges[:-1], edges[1:]))
+
+        def below(r):
+            return np.concatenate([f._jet(r[a:b])[0] < target[a:b] for f, a, b in parts])
+
+        lo, hi = _bisect(below, np.full(target.shape, tiny), np.repeat([f.r0 for f in slots], np.diff(edges)))
+        found = dict(zip(order, np.split(0.5 * (lo + hi), np.cumsum([ts[i].size for i in order])[:-1])))
+        roots = [found[i].reshape(t.shape) if t.shape else float(found[i][0]) for i, t in enumerate(ts)]
+        return tuple(roots) if more else roots[0]
 
 
 def power_law(beta, role="eta", r0=None):

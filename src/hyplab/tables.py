@@ -5,18 +5,18 @@ Each builder returns rows keyed by ``COLUMNS``, in that order:
 ``fitted`` the numeric counterpart (finite differences on the inverse, or a
 fitted growth order), ``rel_err`` the worst relative gap over the working
 grid.  The excluded Lipschitz modulus appears as a marked row.
+
+Each decay-rate table builds the four-point stencils of all its rows and
+inverts them in one ``inverse_bisect`` call, one bisection loop per table;
+the weight-order table fits W1 and W2 once per eta, for every rho of it.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from .moduli import (
     AuxiliaryFunction,
-    decay_rate,
-    decay_rate_pair,
     fd_derivative,
     log_reciprocal,
     power_law,
@@ -44,23 +44,47 @@ def _row(*values):
     return dict(zip(COLUMNS, values))
 
 
+def _numeric_rates(pairs, t):
+    """Row k of t -> -d/dt (1/rho(eta^{-1}(t))) for (eta, rho) = pairs[k], rho None the identity.
+
+    Finite differences on the bisection inverse, with every row's stencil
+    bisected in one loop; the row's modulus checks its stencil first.
+    """
+
+    def fn(s):
+        (eta, first), *more = [(eta, s[:, k]) for k, (eta, _) in enumerate(pairs)]
+        roots = eta.inverse_bisect(first, *more) if more else (eta.inverse_bisect(first),)
+        inner = [g if rho is None else np.asarray(rho.value(g)) for g, (_, rho) in zip(roots, pairs)]
+        return -1.0 / np.stack(inner, axis=1)
+
+    return fd_derivative(fn, t)
+
+
 def numeric_decay_rate(eta: AuxiliaryFunction, t):
     """-d/dt (1/eta^{-1}(t)) by finite differences on the bisection inverse."""
-    return fd_derivative(lambda s: -1.0 / eta.inverse_bisect(s), t)
+    return _numeric_rates([(eta, None)], np.asarray(t, dtype=float)[None])[0]
 
 
 def numeric_decay_rate_pair(eta, rho, t):
-    return fd_derivative(lambda s: -1.0 / np.asarray(rho.value(eta.inverse_bisect(s))), t)
+    return _numeric_rates([(eta, rho)], np.asarray(t, dtype=float)[None])[0]
 
 
-def _rate_row(family, param, closed_fn, numeric_fn, t_hi):
-    """Closed form against finite differences at T_REF, with the worst relative gap over [0.01, t_hi]."""
-    ts = np.geomspace(0.01, t_hi, 25)
-    numeric = numeric_fn(ts)  # first: it rejects an alpha whose stencil leaves eta's range
-    closed = closed_fn(ts)
-    i_ref = int(np.argmin(np.abs(ts - T_REF)))
-    rel_err = float(np.max(np.abs(numeric / closed - 1.0)))
-    return _row(family, param, float(closed[i_ref]), float(numeric[i_ref]), rel_err)
+def _rate_rows(cases, t_hi):
+    """Closed form against finite differences at T_REF, with the worst relative gap over [0.01, t_hi(eta, rho)].
+
+    A case is (family, param, eta, rho, closed_fn), rho None for the rates of
+    eta alone.  The finite differences of every case come first: they reject
+    an alpha whose stencil leaves eta's range.
+    """
+    ts = np.stack([np.geomspace(0.01, t_hi(eta, rho), 25) for _, _, eta, rho, _ in cases])
+    numeric = _numeric_rates([(eta, rho) for _, _, eta, rho, _ in cases], ts)
+    rows = []
+    for (family, param, _, _, closed_fn), t, fitted in zip(cases, ts, numeric):
+        closed = closed_fn(t)
+        i_ref = int(np.argmin(np.abs(t - T_REF)))
+        rel_err = float(np.max(np.abs(fitted / closed - 1.0)))
+        rows.append(_row(family, param, float(closed[i_ref]), float(fitted[i_ref]), rel_err))
+    return rows
 
 
 def local_condition_rows(alpha=0.5):
@@ -69,15 +93,13 @@ def local_condition_rows(alpha=0.5):
     # r0 slightly above 1 keeps the finite-difference stencil inside the
     # inverse's range at the top of the t-window
     eta_h = power_law(1.0 - alpha, r0=1.1)
-    combos = [
-        ("log_lipschitz", 1.0, eta_ll, lambda t: np.exp(1.0 / t) / t**2),
-        ("holder", alpha, eta_h, lambda t: (1.0 / (1.0 - alpha)) * t ** (-(2.0 - alpha) / (1.0 - alpha))),
+    cases = [
+        ("log_lipschitz", 1.0, eta_ll, None, lambda t: np.exp(1.0 / t) / t**2),
+        ("holder", alpha, eta_h, None, lambda t: (1.0 / (1.0 - alpha)) * t ** (-(2.0 - alpha) / (1.0 - alpha))),
     ]
-    rows = [_row("lipschitz", 1.0, "excluded", "excluded", "")]
-    for family, param, eta, closed_fn in combos:
-        numeric_fn = functools.partial(numeric_decay_rate, eta)
-        rows.append(_rate_row(family, param, closed_fn, numeric_fn, min(1.0, eta.range_max)))
-    return rows
+    return [_row("lipschitz", 1.0, "excluded", "excluded", "")] + _rate_rows(
+        cases, lambda eta, _: min(1.0, eta.range_max)
+    )
 
 
 def additional_local_condition_rows(alpha=0.5):
@@ -85,7 +107,7 @@ def additional_local_condition_rows(alpha=0.5):
     beta = 0.7
     eta_ll = log_reciprocal(1.0)
     eta_h = power_law(1.0 - alpha, r0=1.1)
-    combos = [
+    cases = [
         ("log_reciprocal+log_reciprocal", 1.0, eta_ll, log_reciprocal(1.0, role="rho"),
          lambda t: 1.0 / t**2),
         ("power_law+log_reciprocal", beta, eta_ll, power_law(beta, role="rho"),
@@ -99,33 +121,27 @@ def additional_local_condition_rows(alpha=0.5):
         ("identity+holder", 1.0, eta_h, power_law(1.0, role="rho"),
          lambda t: (1.0 / (1.0 - alpha)) * t ** (-(2.0 - alpha) / (1.0 - alpha))),
     ]
-    rows = []
-    for family, param, eta, rho, closed_fn in combos:
-        # stay inside both inverse ranges: eta^{-1}(t) must not exceed rho's r0
-        t_hi = min(1.0, eta.range_max, float(eta.value(min(eta.r0, rho.r0))))
-        numeric_fn = functools.partial(numeric_decay_rate_pair, eta, rho)
-        rows.append(_rate_row(family, param, closed_fn, numeric_fn, t_hi * 0.999))
-    return rows
+    # stay inside both inverse ranges: eta^{-1}(t) must not exceed rho's r0
+    return _rate_rows(cases, lambda eta, rho: min(1.0, eta.range_max, float(eta.value(min(eta.r0, rho.r0)))) * 0.999)
 
 
 _XI_GRID = np.geomspace(1e3, 1e6, 25)
 
 
 def weight_order_rows():
-    """Fitted growth orders of the three weights against the catalog targets."""
-    rows = []
+    """Fitted growth orders of the three weights against the catalog targets.
+
+    One fit per eta: W1 and W2 do not depend on rho, and the rows with
+    rho = r^0.7 print only W3.
+    """
     rho_id = power_law(1.0, role="rho")
-
-    def add(label, eta, rho, target, kinds=("w1", "w2", "w3")):
-        orders = dict(zip(("w1", "w2", "w3"), _fit_orders(eta, rho, ZoneParams(M=zone_floor(eta)), _XI_GRID)))
-        for kind in kinds:
-            rows.append(_row(f"{kind}|{label}", eta.param, target, orders[kind], abs(orders[kind] - target)))
-
-    add("log_lipschitz", log_reciprocal(1.0), rho_id, 0.0)
-    for alpha in (0.2, 0.5):
-        eta = power_law(1.0 - alpha)
-        add("holder", eta, rho_id, 1.0 - alpha)
-        add("holder_rho0.7", eta, power_law(0.7, role="rho"), 1.0 - alpha, kinds=("w3",))
+    cases = [("log_lipschitz", log_reciprocal(1.0), 0.0, (rho_id,))]
+    cases += [("holder", power_law(1.0 - a), 1.0 - a, (rho_id, power_law(0.7, role="rho"))) for a in (0.2, 0.5)]
+    rows = []
+    for label, eta, target, rhos in cases:
+        orders = _fit_orders(eta, rhos, ZoneParams(M=zone_floor(eta)), _XI_GRID)
+        names = (f"w1|{label}", f"w2|{label}", f"w3|{label}", "w3|holder_rho0.7")
+        rows += [_row(name, eta.param, target, m, abs(m - target)) for name, m in zip(names, orders)]
     return rows
 
 

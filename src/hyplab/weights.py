@@ -117,8 +117,11 @@ def _top_decade_fit(xi, y, top_decades, min_points):
     return slope, stderr, float(xi[mask][0])
 
 
-def _fit_orders(eta: AuxiliaryFunction, rho: AuxiliaryFunction, zp: ZoneParams, xi_grid, t_samples=48):
-    """Fitted growth orders (m1, m2, m3) of W1, W2 and W3; ``classify`` states the rule."""
+def _fit_orders(eta: AuxiliaryFunction, rhos, zp: ZoneParams, xi_grid, t_samples=48):
+    """Fitted growth orders (m1, m2, m3, ...) of W1, W2 and of W3 per rho in ``rhos``; ``classify`` states the rule.
+
+    W1 and W2 depend on eta alone, so one call fits them once for every rho.
+    """
     validate_zone(eta, zp)
     xi = _check_grid(xi_grid, zp.M, 3)
 
@@ -134,9 +137,11 @@ def _fit_orders(eta: AuxiliaryFunction, rho: AuxiliaryFunction, zp: ZoneParams, 
     tg = np.geomspace(t_lo[ok], zp.T, t_samples, axis=-1)
     sup = np.full_like(xi, np.nan)
     sup[ok] = np.max(weight_w2(eta, xi[ok, None], tg), axis=-1)
-    m2 = order(sup)
-    sup[ok] = np.max(weight_w3(eta, rho, xi[ok, None], tg), axis=-1)
-    return m1, m2, order(sup)
+    orders = [m1, order(sup)]
+    for rho in rhos:
+        sup[ok] = np.max(weight_w3(eta, rho, xi[ok, None], tg), axis=-1)
+        orders.append(order(sup))
+    return tuple(orders)
 
 
 def zygmund_index_bound(m0, eps):
@@ -182,6 +187,6 @@ def classify(
     drops out of their fits.  m0 is the largest order, or the forced value
     when the caller pins it by hand.
     """
-    m1, m2, m3 = _fit_orders(eta, rho, zp, xi_grid, t_samples)
+    m1, m2, m3 = _fit_orders(eta, (rho,), zp, xi_grid, t_samples)
     m0 = max(m1, m2, m3) if force_m0 is None else float(force_m0)
     return ClassificationReport(m1, m2, m3, m0, zygmund_index_bound(m0, eps), eps)

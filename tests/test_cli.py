@@ -253,9 +253,16 @@ def test_cli_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, 
             ),
         ),
         # inside (0, 1), but the Hoelder table's difference stencil leaves eta's range
-        ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.999999", 2, None),
-        # the Hoelder closed form t^(-(2-alpha)/(1-alpha)) overflows
-        ("tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.995", 2, None),
+        (
+            "tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.999999", 2,
+            "configuration error: tables: target outside the range (0, 1.0000000953101844]\n",
+        ),
+        # the Hoelder closed form t^(-(2-alpha)/(1-alpha)) would overflow, but the
+        # roots t^(1/(1-alpha)) of its stencil fall below the smallest normal float first
+        (
+            "tables", "loglip.cfg", "eps = 0.01", "eps = 0.01\ntable_alpha = 0.995", 2,
+            "configuration error: tables: root below the smallest normal float; target too small for this family\n",
+        ),
         # not bad after all: at 1/<xi> = 1e-300 the weights read only first
         # derivatives, and W1's order is 1/log(1e300) to 3 digits
         ("classify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 0, (1.0 / math.log(1e300), 1.01)),
@@ -283,6 +290,7 @@ def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, 
         assert captured.err == "" and f"{got['m0_w1']:.3g}" == f"{m0_w1:.3g}" and got["s_min"] == s_min
     elif code == 2:
         assert captured.err.startswith("configuration error: ") and len(captured.err.splitlines()) == 1
+        assert expected is None or captured.err == expected  # the first failing table row names the error
         assert not out.exists()
     else:  # verify reports the check it could not evaluate as failed and goes on to the others
         checks, reason, failures, *passing = expected

@@ -265,7 +265,7 @@ def test_mollify_loglip_rate_constant_is_finite():
     assert np.all(np.isfinite(cs))
 
 
-def test_mollified_derivative_rates_holder():
+def test_mollify_rate_rows_holder():
     # |a_eps - a| ~ eps^alpha and |d_t a_eps| ~ eps^(alpha-1) for the rough family
     alpha = 0.5
     spec = CoefficientSpec("holder_rough", delta=0.5, alpha=alpha)

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from hyplab import tables
+from hyplab import moduli, tables, weights
 from hyplab.moduli import (
     DEFAULT_R0,
     FAMILIES,
@@ -258,19 +258,106 @@ def test_fd_derivative_calls_fn_once_on_the_stacked_stencil():
     assert np.array_equal(got, four_calls)
 
 
+def test_inverse_bisect_requests_match_separate_calls():
+    # brackets of both functions close at different splits; a request of a
+    # function already asked shares its slice, and a scalar stays a float
+    ll, pw = log_reciprocal(1.0), power_law(0.5, r0=1.1)
+    ts_ll = np.geomspace(1e-3, 1.0, 40).reshape(5, 8) * ll.range_max
+    ts_pw = np.geomspace(1e-3, 1.0, 40) * pw.range_max
+    got = ll.inverse_bisect(ts_ll, (pw, ts_pw), (ll, 0.3))
+    assert len(got) == 3 and isinstance(got[2], float)
+    assert np.array_equal(got[0], ll.inverse_bisect(ts_ll))
+    assert np.array_equal(got[1], pw.inverse_bisect(ts_pw))
+    assert got[2] == ll.inverse_bisect(0.3)
+
+
+def test_inverse_bisect_checks_every_request_in_order_before_splitting(monkeypatch):
+    # the first bad request names the error, and no split has run by then
+    ll, pw = log_reciprocal(1.0), power_law(0.5, r0=1.1)
+    splits = []
+    bisect = moduli._bisect
+    monkeypatch.setattr(moduli, "_bisect", lambda *a: splits.append(1) or bisect(*a))
+    too_small, past_range = 1e-4 * ll.range_max, 2.0 * pw.range_max
+    with pytest.raises(ValueError, match="smallest normal float"):
+        pw.inverse_bisect(0.5, (ll, too_small), (pw, past_range))
+    with pytest.raises(ValueError, match="target outside the range"):
+        pw.inverse_bisect(0.5, (pw, past_range), (ll, too_small))
+    assert splits == []
+
+
+def test_rate_table_rows_equal_one_row_calls(monkeypatch):
+    # each table bisects all its rows' stencils at once; every row, at all 25
+    # times, is what the one-row numeric_decay_rate(_pair) gives alone
+    batched = []
+    rates = tables._numeric_rates
+
+    def spy(pairs, t):
+        out = rates(pairs, t)
+        batched.append((pairs, t, out))
+        return out
+
+    monkeypatch.setattr(tables, "_numeric_rates", spy)
+    tables.local_condition_rows()
+    tables.additional_local_condition_rows()
+    monkeypatch.undo()
+    assert [len(pairs) for pairs, _, _ in batched] == [2, 6]
+    for pairs, ts, out in batched:
+        assert ts.shape == out.shape == (len(pairs), 25)
+        for (eta, rho), t, row in zip(pairs, ts, out):
+            alone = tables.numeric_decay_rate(eta, t) if rho is None else tables.numeric_decay_rate_pair(eta, rho, t)
+            assert np.array_equal(row, alone)
+
+
 def test_table_builders_bisect_once_per_stencil(monkeypatch):
-    calls = []
-    bisect = AuxiliaryFunction.inverse_bisect
+    # hardware-independent work counts: every stencil point of a rate table
+    # is bisected once, in one loop per table, whose every split evaluates
+    # each of the table's two moduli once, on its own slice of the targets;
+    # the weight tables bisect nothing, and weight_orders fits once per eta
+    events = []
+    jet, bisect = AuxiliaryFunction._jet, moduli._bisect
 
-    def spy(self, t):
-        calls.append(np.shape(t))
-        return bisect(self, t)
+    def jet_spy(self, r, k=0):
+        events.append((self, np.shape(r)))
+        return jet(self, r, k)
 
-    monkeypatch.setattr(AuxiliaryFunction, "inverse_bisect", spy)
-    for builder in tables.TABLE_BUILDERS.values():
+    def bisect_spy(below, lo, hi):
+        events.append("loop")
+        lo, hi = bisect(lambda r: events.append("split") or below(r), lo, hi)
+        events.append("end")
+        return lo, hi
+
+    fits = []
+    fit = weights._fit_orders
+    monkeypatch.setattr(AuxiliaryFunction, "_jet", jet_spy)
+    monkeypatch.setattr(moduli, "_bisect", bisect_spy)
+    for module in (weights, tables):  # classify's binding and weight_orders' own
+        monkeypatch.setattr(module, "_fit_orders", lambda *a: fits.append(a[0]) or fit(*a))
+    counts = {}
+    for name, builder in tables.TABLE_BUILDERS.items():
+        events.clear()
+        fits.clear()
         builder()
-    assert len(calls) == 8  # one per decay-rate row
-    assert all(shape == (4, 25) for shape in calls)
+        counts[name] = (events.count("loop"), len(fits))
+        if "loop" not in events:
+            continue
+        loop = events[events.index("loop") + 1 : events.index("end")]
+        splits = loop.count("split")
+        assert 0 < splits <= 64
+        # each split: the two moduli once each, on 4 x 25 stencil points per row of theirs
+        rows = {"local_condition": 1, "additional_local_condition": 3}[name]
+        pair = {f for f, _ in loop[1:3]}
+        for k in range(splits):
+            block = loop[3 * k : 3 * k + 3]
+            assert block[0] == "split" and {f for f, _ in block[1:]} == pair
+            assert [shape for _, shape in block[1:]] == [(rows * 4 * 25,)] * 2
+        assert len(loop) == 3 * splits and len(pair) == 2
+    # summary fits once per classify call, of its four moduli
+    assert counts == {
+        "local_condition": (1, 0),
+        "additional_local_condition": (1, 0),
+        "weight_orders": (0, 3),
+        "summary": (0, 4),
+    }
 
 
 def test_table_rows_follow_the_columns():

@@ -8,6 +8,7 @@ from hyplab.conjugation import ThetaSpec, theta_integral_bound
 from hyplab.energy import EnergyTrace, estimate_loss
 from hyplab.moduli import fd_derivative, iterated_log, log_grid, log_reciprocal, power_law
 from hyplab.weights import (
+    _fit_orders,
     _top_window,
     classify,
     fit_loglog_slope,
@@ -126,7 +127,7 @@ def _orders(eta, rho, zp, xi, t_samples=48):
     return rep.m0_w1, rep.m0_w2, rep.m0_w3
 
 
-def test_estimate_order_power_law():
+def test_classify_orders_power_law():
     for alpha in (0.2, 0.5):
         eta = power_law(1.0 - alpha)
         zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
@@ -134,7 +135,7 @@ def test_estimate_order_power_law():
             assert m == pytest.approx(1.0 - alpha, abs=0.05)
 
 
-def _estimate_order_loop(eta, rho, zp, xi, t_samples=48):
+def _classify_orders_loop(eta, rho, zp, xi, t_samples=48):
     """Oracle: classify's orders (m1, m2, m3), one frequency and its own t-grid at a time.
 
     It restates the grid's span check and the fit's minimum-point gate, and
@@ -178,12 +179,22 @@ def _estimate_order_loop(eta, rho, zp, xi, t_samples=48):
 def test_estimate_order_batched_matches_scalar_loop(eta, kind, rho):
     zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
     k = KINDS.index(kind)
-    assert _orders(eta, rho, zp, GRID)[k] == _estimate_order_loop(eta, rho, zp, GRID)[k]
+    assert _orders(eta, rho, zp, GRID)[k] == _classify_orders_loop(eta, rho, zp, GRID)[k]
     # from the floor up, the lowest frequencies have an empty window [t_xi, T];
     # for the log family some of them fall inside the top two decades
     low = np.geomspace(zp.M, zp.M * 1e3, 31)
     assert zone_boundary(eta, zp, low[0]) >= zp.T
-    assert _orders(eta, rho, zp, low, t_samples=33)[k] == _estimate_order_loop(eta, rho, zp, low, t_samples=33)[k]
+    assert _orders(eta, rho, zp, low, t_samples=33)[k] == _classify_orders_loop(eta, rho, zp, low, t_samples=33)[k]
+
+
+@pytest.mark.parametrize("eta", [log_reciprocal(1.0), power_law(0.5)], ids=["loglip", "holder"])
+def test_fit_orders_over_two_rhos_equal_single_rho_fits(eta):
+    # W1 and W2 are fitted once for both rho, and each rho's W3 as if alone
+    zp = ZoneParams(N=2.0, M=zone_floor(eta), T=0.5)
+    rho07 = power_law(0.7, role="rho")
+    m1, m2, m3_id, m3_07 = _fit_orders(eta, (RHO_ID, rho07), zp, GRID)
+    assert np.array_equal((m1, m2, m3_id), _fit_orders(eta, (RHO_ID,), zp, GRID))
+    assert np.array_equal((m1, m2, m3_07), _fit_orders(eta, (rho07,), zp, GRID))
 
 
 ETAS = (log_reciprocal(1.0), log_reciprocal(2.0), power_law(0.3), power_law(0.5), power_law(0.8))
@@ -204,7 +215,7 @@ def test_classify_orders_match_scalar_loop_on_random_grids():
         xi = np.unique(zp.M * 10.0 ** (rng.uniform(0.0, 2.0) + logs))
         t_samples = int(rng.integers(2, 65))
         try:
-            expected = _estimate_order_loop(eta, rho, zp, xi, t_samples)
+            expected = _classify_orders_loop(eta, rho, zp, xi, t_samples)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 _orders(eta, rho, zp, xi, t_samples)
@@ -216,7 +227,7 @@ def test_classify_orders_match_scalar_loop_on_random_grids():
     assert outcomes == {"fit", "frequency", "need", "argument"}
 
 
-def test_estimate_order_loglip_small_and_shrinking():
+def test_classify_order_loglip_small_and_shrinking():
     zp = ZoneParams(N=2.0, M=2.0, T=0.5)
     m_small = _orders(log_reciprocal(1.0), RHO_ID, zp, GRID)[0]
     assert 0.0 < m_small <= 0.1
@@ -225,14 +236,14 @@ def test_estimate_order_loglip_small_and_shrinking():
     assert m_smaller < m_small
 
 
-def test_estimate_order_flat_fit_clamps_to_zero():
+def test_classify_order_flat_fit_clamps_to_zero():
     slope, _ = fit_loglog_slope(GRID, np.full_like(GRID, 3.7))
     assert max(slope, 0.0) == pytest.approx(0.0, abs=1e-12)
     # the log family's W2 falls with <xi>: its order is the clamp's exact zero
     assert _orders(log_reciprocal(1.0), RHO_ID, ZoneParams(N=2.0, M=2.0, T=0.5), GRID)[1] == 0.0
 
 
-def test_estimate_order_needs_enough_points():
+def test_classify_orders_need_enough_points():
     zp = ZoneParams(N=2.0, M=2.0, T=0.5)
     with pytest.raises(ValueError):
         _orders(log_reciprocal(1.0), RHO_ID, zp, np.geomspace(1e3, 1e6, 9))  # only ~6 points in top two decades
