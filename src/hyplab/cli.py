@@ -69,7 +69,10 @@ def _write_csv(path, header, rows):
 
 def _outdir(cfg: ExperimentConfig, override):
     out = override or cfg.outdir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file in the way (the path itself or a parent of it), no permission, ...
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     return out
 
 

@@ -19,11 +19,19 @@ d_t a_eps, d_t^2 a_eps: the time derivatives differentiate the bump, never
 the rough coefficient.  For the lacunary family
 angle addition sums each cosine term over the window in closed form, so a
 window above the t = 0 freeze costs O(depth) cosines per time instead of
-O(nodes * depth); every other window evaluates the coefficient once at its
-nodes.  Both are the same midpoint rule, so coarse eps aliases the top
-lacunary terms alike.  The width may differ per time (eps = 1/<xi> on each
-frequency row of a (frequency, time) array), so ``verify_reg_bounds``
-measures a whole frequency grid in one evaluation per time grid.
+O(nodes * depth); both are the same midpoint rule, so coarse eps aliases
+the top lacunary terms alike.  A log-power window with delta > 0 on which
+the coefficient is analytic with margin (eps <= t/4; eps <= (1 - t)/4 where
+gamma > 0 puts a branch point at s = 1; eps rate_bound(t - eps) <= delta/2;
+clear of the t = 0 freeze and the t_end clip) samples the coefficient at
+``INTERPOLANT_NODES`` Chebyshev nodes and applies the rule to their
+barycentric interpolant through precomputed rows: the same midpoint rule up
+to round-off, at 48 evaluations in place of 256.  Every other window (the
+constant profile, delta = 0, windows near t = 0) evaluates the coefficient
+once at its nodes; its sums of a constant are exact.  The width may differ
+per time (eps = 1/<xi> on each frequency row of a (frequency, time) array),
+so ``verify_reg_bounds`` measures a whole frequency grid in one evaluation
+per time grid.
 """
 
 from __future__ import annotations
@@ -53,9 +61,21 @@ SPATIAL_TERMS = 10  # lacunary terms of the spatial profile b(x)
 # freeze point of the constant continuation below t = 0 for profiles with no
 # one-sided limit there
 _T_FLOOR = 2.0**-40
+# distance below t_end (t = 1 where the log-power phase ends) of the clip
+# point of the continuation
+_T_END_GAP = 1e-9
 
 # midpoint nodes of the mollifier rule across the bump's support (-1, 1)
 MOLLIFIER_NODES = 256
+
+# Chebyshev nodes of the interpolant that stands in for the coefficient on
+# the midpoint nodes of a log-power window where it is analytic with margin:
+# the window's half-width is at most ANALYTIC_RATIO of the distance from its
+# centre to each branch point of the phase, and the phase turns by at most
+# ANALYTIC_PHASE over a half-width (``_analytic_windows``)
+INTERPOLANT_NODES = 48
+ANALYTIC_RATIO = 0.25
+ANALYTIC_PHASE = 0.5
 
 # window or phase points per block of mollify's evaluation (temporaries of
 # 128 KB; twice that raises a verify run's peak memory)
@@ -191,7 +211,7 @@ class CoefficientSpec:
         kink whose mollification pollutes second-derivative measurements at
         the horizon by a factor 1/eps.
         """
-        return self._time_jet(np.clip(np.asarray(t, dtype=float), _T_FLOOR, self.t_end - 1e-9))[0]
+        return self._time_jet(np.clip(np.asarray(t, dtype=float), _T_FLOOR, self.t_end - _T_END_GAP))[0]
 
     def rate_bound(self, t, order=1):
         """Envelope of |a'| (order 1) or |a''| (order 2) at times t > 0, for the integrator's step sizes.
@@ -267,6 +287,23 @@ def _mollifier_grids():
     return y, w0, w1, w2
 
 
+@functools.lru_cache(maxsize=1)
+def _interpolant_rows():
+    """Chebyshev nodes x of (-1, 1) and the rows w_k @ l(y), one column per weight row k.
+
+    l(y) is the barycentric Lagrange basis of the nodes at the midpoint
+    nodes y, so the rows apply the midpoint rule to the interpolant of a
+    window's samples at x.
+    """
+    n = INTERPOLANT_NODES
+    y, *weights = _mollifier_grids()
+    theta = (np.arange(n) + 0.5) * (np.pi / n)
+    x = np.cos(theta)
+    c = (-1.0) ** np.arange(n) * np.sin(theta) / np.subtract.outer(y, x)  # barycentric weights of first-kind nodes
+    basis = c / c.sum(axis=1, keepdims=True)
+    return x, (np.stack(weights) @ basis).T.copy()
+
+
 def _row_blocks(n, width):
     """Slices covering range(n) in blocks of about ``BLOCK`` points at ``width`` points a row."""
     step = max(1, BLOCK // width)
@@ -309,6 +346,41 @@ def _lacunary_window_sums(spec: CoefficientSpec, eps, t):
     return spec.base * np.sum(weights, axis=1)[:, None] + terms
 
 
+def _analytic_windows(spec: CoefficientSpec, eps, t):
+    """Mask of the 1-d pairs (eps, t) whose log-power window the interpolant may sum.
+
+    The coefficient must be analytic with margin there: eps <= ANALYTIC_RATIO
+    t, and eps <= ANALYTIC_RATIO (1 - t) where gamma > 0 puts a branch point
+    at s = 1; the window clear of the t = 0 freeze and the t_end clip; and
+    eps rate_bound(t - eps) <= ANALYTIC_PHASE delta.  Constant windows
+    (delta = 0) stay with the midpoint rule, whose sums of them are exact.
+    """
+    ok = np.zeros(t.shape, bool)
+    if spec.profile != "log_power_oscillation" or spec.delta == 0.0:
+        return ok
+    clear = (eps <= ANALYTIC_RATIO * t) & (t - eps >= _T_FLOOR) & (t + eps <= spec.t_end - _T_END_GAP)
+    if spec.gamma_osc > 0.0:
+        clear &= eps <= ANALYTIC_RATIO * (1.0 - t)
+    i = np.flatnonzero(clear)
+    ok[i] = eps[i] * spec.rate_bound(t[i] - eps[i]) <= ANALYTIC_PHASE * spec.delta
+    return ok
+
+
+def _window_sums(spec: CoefficientSpec, eps, t, nodes, rows):
+    """Rows sum_i rows[i, k] a(t - eps nodes_i), one per column of rows, at the 1-d pairs (eps, t).
+
+    The coefficient is evaluated once per window node (constant continuation
+    below t = 0), in blocks of about ``BLOCK`` nodes, and reduced by a
+    product per window: one product over the block rounds a window by its
+    place in it.
+    """
+    out = np.empty((rows.shape[1], t.size))
+    for b in _row_blocks(t.size, nodes.size):
+        vals = spec.extended_time_value(t[b, None] - eps[b, None] * nodes)
+        out[:, b] = np.matmul(vals[:, None, :], rows)[:, 0].T
+    return out
+
+
 def mollify(spec: CoefficientSpec, eps, t):
     """Jet of (a *_t psi_eps) at times t: rows a_eps, d_t a_eps, d_t^2 a_eps.
 
@@ -316,13 +388,15 @@ def mollify(spec: CoefficientSpec, eps, t):
     width per frequency row of a (frequency, time) array.  The rows are the
     bump's midpoint rule and its derivative weights over eps and eps^2.  A
     holder_rough time whose window stays above the t = 0 freeze sums the
-    window in closed form (``_lacunary_window_sums``); every other time
-    evaluates the coefficient once on its window (constant continuation
-    below t = 0) for all three rows.  All (eps, t) pairs of the call are
-    evaluated together, in blocks of about ``BLOCK`` window or phase points,
-    and each pair's rows are reduced on their own, so a pair's jet does not
-    depend on the other pairs of the call, bit for bit.  The shape is (3,) +
-    the broadcast shape of t and eps.
+    window in closed form (``_lacunary_window_sums``); a log-power window on
+    which the coefficient is analytic with margin (``_analytic_windows``)
+    applies the rule to its Chebyshev interpolant (``_interpolant_rows``);
+    every other time evaluates the coefficient once on its window for all
+    three rows.  All (eps, t) pairs of the call are evaluated together, in
+    blocks of about ``BLOCK`` window or phase points, and each pair's path
+    and rows depend on that pair alone, so a pair's jet does not depend on
+    the other pairs of the call, bit for bit.  The shape is (3,) + the
+    broadcast shape of t and eps.
     """
     eps = np.asarray(eps, dtype=float)
     if not np.all(eps > 0.0):
@@ -338,12 +412,10 @@ def mollify(spec: CoefficientSpec, eps, t):
     if spec.profile == "holder_rough":
         closed = t - eps * y.max() >= _T_FLOOR
         jet[:, closed] = _lacunary_window_sums(spec, eps[closed], t[closed])
-    windowed = np.flatnonzero(~closed)
-    for b in _row_blocks(windowed.size, y.size):
-        rows = windowed[b]
-        vals = spec.extended_time_value(t[rows, None] - eps[rows, None] * y)
-        # a product per window: one product over the block rounds a window by its place in it
-        jet[:, rows] = np.matmul(vals[:, None, :], np.stack(weights, axis=1))[:, 0].T
+    smooth = _analytic_windows(spec, eps, t)
+    jet[:, smooth] = _window_sums(spec, eps[smooth], t[smooth], *_interpolant_rows())
+    rest = ~(closed | smooth)
+    jet[:, rest] = _window_sums(spec, eps[rest], t[rest], y, np.stack(weights, axis=1))
     jet[1] /= eps
     jet[2] /= eps**2
     return jet.reshape((3,) + shape)

@@ -182,7 +182,7 @@ def _xi_grid(values, where, **defaults):
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: no %(name)s substitution
     try:
         read = parser.read(path)
     except (configparser.Error, UnicodeDecodeError) as exc:  # no section header, a repeated key, not text

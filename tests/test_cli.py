@@ -266,12 +266,18 @@ def test_cli_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, 
         # not bad after all: at 1/<xi> = 1e-300 the weights read only first
         # derivatives, and W1's order is 1/log(1e300) to 3 digits
         ("classify", "loglip.cfg", "xi_max = 4096", "xi_max = 1e300", 0, (1.0 / math.log(1e300), 1.01)),
+        # a % is a literal character, not the start of an interpolation
+        (
+            "tables", "loglip.cfg", "eta_param = 1.0", "eta_param = 1.0%", 2,
+            "configuration error: [moduli] key 'eta_param': could not convert string to float: '1.0%'\n",
+        ),
     ],
     ids=[
         "energy_root_gap", "loss_root_gap", "verify_root_gap", "t_samples_zero", "t_samples_negative", "table_alpha",
         "classify_short_grid", "energy_horizon_past_log_power_end", "verify_horizon_past_log_power_end",
         "verify_eta_past_float_range", "verify_eta_inverse_underflow", "verify_t_min_underflow",
         "verify_xi_max_overflow", "tables_alpha_near_one", "tables_alpha_overflow", "classify_xi_max_overflow",
+        "percent_in_value",
     ],
 )
 def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code, expected):
@@ -334,6 +340,30 @@ def test_cli_verify_sparse_grid_reports_theta_failure(tmp_path, capsys):
     assert len(reg) == 6
     assert all(ln.split()[1] == "FAIL" and ln.endswith("need at least 3 points in the top decade") for ln in reg), reg
     assert out[-1].endswith("check(s) failed")
+
+
+def test_load_config_reads_percent_signs_literally(tmp_path):
+    text = Path(cfg_path("loglip.cfg")).read_text(encoding="utf-8")
+    assert text.count("directory = out") == 1
+    path = tmp_path / "pct.cfg"
+    path.write_text(text.replace("directory = out", "directory = out%x"))
+    assert load_config(path).outdir == "out%x"
+    # no %(name)s lookup either: the value is a malformed number
+    path.write_text(text.replace("eta_param = 1.0", "eta_param = 1.0%(x)s"))
+    with pytest.raises(ConfigError, match=r"\[moduli\] key 'eta_param'"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("command", ["tables", "classify"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_cli_out_blocked_by_a_file_exits_2(tmp_path, capsys, command, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    assert main([command, "--config", cfg_path("loglip.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot create output directory {out}: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_shipped_configs_load():

@@ -8,6 +8,7 @@ from hyplab.coefficients import (
     MOLLIFIER_NODES,
     CoefficientSpec,
     SpatialProfile,
+    _analytic_windows,
     _mollifier_grids,
     mollify,
     oscillation_class,
@@ -283,7 +284,10 @@ def test_mollify_rate_rows_holder():
 
 
 # times reaching below the t = 0 freeze (window rule) and above it (closed
-# form for holder_rough), at widths from 1/<16> to 1/<4096>
+# form for holder_rough; the Chebyshev interpolant for the log-power case
+# where its window is analytic with margin, see
+# test_batch_log_power_windows_take_both_paths), at widths from 1/<16> to
+# 1/<4096>
 BATCH_SPECS = [
     CoefficientSpec("holder_rough", delta=0.5, alpha=0.5),
     CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=1.5),
@@ -326,6 +330,14 @@ def test_mollify_shuffled_pairs_permute_the_jet(spec):
     _assert_equal(mollify(spec, eps[perm], t[perm]), mollify(spec, eps, t)[:, perm])
 
 
+def test_batch_log_power_windows_take_both_paths():
+    # the call-mate tests above cover the interpolant and the midpoint rule
+    # together only while the log-power case has windows on both
+    eps, t = (a.ravel() for a in np.broadcast_arrays(BATCH_EPS[:, None], BATCH_T))
+    analytic = _analytic_windows(BATCH_SPECS[1], eps, t)
+    assert 0 < np.count_nonzero(analytic) < t.size
+
+
 def test_mollify_of_no_times_is_empty():
     spec = CoefficientSpec("holder_rough", delta=0.5)
     assert mollify(spec, 0.01, t=np.array([])).shape == (3, 0)
@@ -347,6 +359,59 @@ def test_mollify_lacunary_closed_form_matches_window_at_random_pairs():
         want = np.stack([vals @ w / eps**k for k, w in enumerate(weights)])
         sup = np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-9 * sup), spec.alpha
+
+
+def test_mollify_log_power_interpolant_within_the_rules_roundoff(monkeypatch):
+    # seeded windows on which the interpolant stands in for the coefficient,
+    # against the midpoint rule itself (interpolant off): every jet row
+    # within the rule's summation bound n u sum|w_k| sup|a| over eps^k, with
+    # the t rate_bound(t - eps) term for the rounding of its node times
+    # t - eps y (at gamma = 3 and eps/t < 1e-3 that rounding alone exceeds
+    # the sup|a| term)
+    rng = np.random.default_rng(20261020)
+    _, *weights = _mollifier_grids()
+    w_abs = np.array([np.abs(w).sum() for w in weights])[:, None]
+    windows = 0
+    for gamma in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+        spec = CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=gamma)
+        t = 10.0 ** rng.uniform(-10.0, 0.0, 20000)
+        eps = t * 10.0 ** rng.uniform(-8.0, np.log10(coefficients.ANALYTIC_RATIO), t.size)
+        # and windows reaching up to 1e-6 (1 - t) short of s = 1, where only
+        # the limit eps <= (1 - t)/4 keeps them off the interpolant if gamma > 0
+        near = 10.0 ** rng.uniform(-3.0, -0.3, 5000)
+        t, eps = np.append(t, 1.0 - near), np.append(eps, near * (1.0 - 10.0 ** rng.uniform(-6.0, 0.0, near.size)))
+        keep = _analytic_windows(spec, eps, t)
+        t, eps = t[keep], eps[keep]
+        windows += t.size
+        got = mollify(spec, eps, t)
+        with monkeypatch.context() as m:
+            m.setattr(coefficients, "ANALYTIC_RATIO", 0.0)
+            want = mollify(spec, eps, t)
+        scale = spec.sup_abs + t * spec.rate_bound(t - eps)
+        bound = MOLLIFIER_NODES * np.finfo(float).eps * w_abs * scale / eps ** np.arange(3)[:, None]
+        assert np.all(np.abs(got - want) <= bound), gamma
+    assert windows >= 10**5
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5])
+def test_verify_reg_bounds_same_with_interpolant_off(monkeypatch, gamma):
+    # every shipped config has gamma = 0; loglip's grids with a faster phase
+    spec = CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=gamma)
+    xi, ts = np.geomspace(4, 4096, 25), np.geomspace(0.01, 0.5, 48)
+    assert np.any(_analytic_windows(spec, *(a.ravel() for a in np.broadcast_arrays(1.0 / jbracket(xi)[:, None], ts))))
+    args = (spec, log_reciprocal(1.0), power_law(1.0, role="rho"), ZoneParams(N=2.0, M=2.0, T=0.5), xi, ts, 48)
+    on = verify_reg_bounds(*args)
+    monkeypatch.setattr(coefficients, "ANALYTIC_RATIO", 0.0)
+    off = verify_reg_bounds(*args)
+    for name, c in off.items():
+        # iii and vi peak at the top frequency, where a_eps - a and
+        # d_t^2 a_eps are ~1e-8 of the rule's sums: the rule's own rounding
+        # (about 4e-16 there) then reads ~5e-8 of them
+        rel = 1e-6 if name in ("iii", "vi") else 1e-9
+        got = on[name]
+        assert (got.argmax_t, got.argmax_xi) == (c.argmax_t, c.argmax_xi), name
+        assert got.max_ratio == pytest.approx(c.max_ratio, rel=rel), name
+        assert got.top_decade_growth == pytest.approx(c.top_decade_growth, rel=rel), name
 
 
 def test_mollify_rejects_a_nonpositive_width():
