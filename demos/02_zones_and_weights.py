@@ -9,7 +9,7 @@ gives arbitrarily small m0 on expanding grids, hence s_min = 1 + eps.
 import numpy as np
 
 from hyplab.moduli import log_reciprocal, power_law
-from hyplab.weights import classify, weight_w1, weight_w2, weight_w3
+from hyplab.weights import classify, weight_w1, weight_w2, weight_w3, zygmund_index_bound
 from hyplab.zones import ZoneParams, zone_boundary, zone_floor, zone_of
 
 eta = power_law(0.5)
@@ -43,4 +43,4 @@ for label, eta, M in (
         f"{label} m0_hat = ({rep.m0_w1:.3f}, {rep.m0_w2:.3f}, {rep.m0_w3:.3f})"
         f" -> m0 = {rep.m0:.3f}, s_min = {rep.s_min:.4f}"
     )
-print(f"forced m0 = 1 -> s_min = {classify(eta, rho, ZoneParams(2.0, 32.0, 0.5), grid, eps, force_m0=1.0).s_min}")
+print(f"m0 = 1 (the Hoelder limit alpha -> 0) -> s_min = {zygmund_index_bound(1.0, eps)}")

@@ -8,8 +8,13 @@ Subcommands:
   loss      run the oscillation-exponent sweep and write fitted losses (CSV)
   verify    run every bound check and exit nonzero if any fails
 
+Usage: hyplab COMMAND --config PATH [--out DIR] [--jobs N] [--seed INT].
+
 Exit codes: 0 success, 2 configuration error, 3 verification failure.
-Outputs are deterministic for a fixed configuration file and seed.
+``main`` is the one place where a rejected configuration becomes exit 2: a
+ConfigError, or a ValueError, FloatingPointError or integrator error that a
+command raises, ends in one line on stderr.  Outputs are deterministic for a
+fixed configuration file and seed.
 """
 
 from __future__ import annotations
@@ -105,13 +110,10 @@ def _sweep(exp: FrequencyExperiment, jobs: int, pool):
 
 def cmd_tables(cfg: ExperimentConfig, args) -> int:
     kwargs = {"summary": {"eps": cfg.eps}, "weight_orders": {}}  # the decay-rate tables take alpha
-    try:
-        with _fp_raise():
-            tables = {
-                name: build(**kwargs.get(name, {"alpha": cfg.table_alpha})) for name, build in TABLE_BUILDERS.items()
-            }
-    except (ValueError, FloatingPointError) as exc:  # the config's alpha leaves a modulus's range, or overflows it
-        raise ConfigError(f"tables: {exc}") from exc
+    with _fp_raise():  # the config's alpha may leave a modulus's range, or overflow it
+        tables = {
+            name: build(**kwargs.get(name, {"alpha": cfg.table_alpha})) for name, build in TABLE_BUILDERS.items()
+        }
     out = _outdir(cfg, args.out)  # only once every table is built
     for name, rows in tables.items():
         _write_csv(os.path.join(out, f"{name}.csv"), COLUMNS, [[row[c] for c in COLUMNS] for row in rows])
@@ -120,19 +122,8 @@ def cmd_tables(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_classify(cfg: ExperimentConfig, args) -> int:
-    try:
-        with _fp_raise():
-            rep = classify(
-                cfg.eta,
-                cfg.rho,
-                cfg.zone,
-                cfg.xi_grid,
-                cfg.eps,
-                t_samples=cfg.t_samples,
-                force_m0=args.force_m0,
-            )
-    except (ValueError, FloatingPointError) as exc:  # the config's grid or zone cannot be classified
-        raise ConfigError(f"classify: {exc}") from exc
+    with _fp_raise():  # the config's grid or zone may not be classifiable
+        rep = classify(cfg.eta, cfg.rho, cfg.zone, cfg.xi_grid, cfg.eps, t_samples=cfg.t_samples)
     out = _outdir(cfg, args.out)  # only once the fit succeeded
     payload = json.dumps(rep.to_json(), sort_keys=True, indent=2)
     with open(os.path.join(out, "classification.json"), "w", encoding="utf-8") as fh:
@@ -147,7 +138,6 @@ def _energy_experiment(cfg: ExperimentConfig, seed, xi_grid, operator, step):
         xi_grid=xi_grid,
         zone=cfg.zone,
         eta=cfg.eta,
-        rho=cfg.rho,
         step_factor=step,
         n_samples=cfg.energy_samples,
         initial=cfg.energy_initial,
@@ -156,15 +146,9 @@ def _energy_experiment(cfg: ExperimentConfig, seed, xi_grid, operator, step):
 
 
 def cmd_energy(cfg: ExperimentConfig, args) -> int:
-    try:
-        exp = _energy_experiment(cfg, args.seed, cfg.xi_grid, cfg.operator, cfg.energy_step_factor)
-    except ValueError as exc:  # the experiment rejects the config's settings
-        raise ConfigError(f"energy: {exc}") from exc
-    try:
-        with _workers(args.jobs, exp.xi_grid.size) as pool:
-            traces = _sweep(exp, args.jobs, pool)
-    except INTEGRATOR_ERRORS as exc:
-        raise ConfigError(f"energy: {exc}") from exc
+    exp = _energy_experiment(cfg, args.seed, cfg.xi_grid, cfg.operator, cfg.energy_step_factor)
+    with _workers(args.jobs, exp.xi_grid.size) as pool:
+        traces = _sweep(exp, args.jobs, pool)
     out = _outdir(cfg, args.out)  # only once the sweep succeeded
     xi = np.repeat([tr.xi for tr in traces], [tr.times.size for tr in traces])
     times = np.concatenate([tr.times for tr in traces])
@@ -186,15 +170,12 @@ def cmd_loss(cfg: ExperimentConfig, args) -> int:
     grid = cfg.loss_xi_grid if cfg.loss_xi_grid is not None else cfg.xi_grid
     # every experiment and the fit window are checked before any integration
     exps = []
-    try:
-        for gamma in cfg.loss_gammas:
-            coeffs = list(cfg.operator.coeffs)
-            coeffs[j] = dataclasses.replace(coeffs[j], gamma_osc=gamma, delta=cfg.loss_delta)
-            op = dataclasses.replace(cfg.operator, coeffs=tuple(coeffs))
-            exps.append(_energy_experiment(cfg, args.seed, grid, op, cfg.loss_step_factor))
-        estimate_loss([EnergyTrace.from_history(x, [0.0], [1.0]) for x in grid])  # the fit's gates, on unit traces
-    except ValueError as exc:
-        raise ConfigError(f"loss: {exc}") from exc
+    for gamma in cfg.loss_gammas:
+        coeffs = list(cfg.operator.coeffs)
+        coeffs[j] = dataclasses.replace(coeffs[j], gamma_osc=gamma, delta=cfg.loss_delta)
+        op = dataclasses.replace(cfg.operator, coeffs=tuple(coeffs))
+        exps.append(_energy_experiment(cfg, args.seed, grid, op, cfg.loss_step_factor))
+    estimate_loss([EnergyTrace.from_history(x, [0.0], [1.0]) for x in grid])  # the fit's gates, on unit traces
     rows = []
     with _workers(args.jobs, grid.size) as pool:
         for gamma, exp in zip(cfg.loss_gammas, exps):
@@ -330,26 +311,28 @@ COMMANDS = {
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="hyplab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment configuration file")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel frequency workers")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized options")
-        if name == "classify":
-            p.add_argument("--force-m0", type=float, default=None, help="pin the order by hand")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="experiment configuration file")
+    parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel frequency workers")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized options")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         cfg = load_config(args.config)
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except (ValueError, FloatingPointError) + INTEGRATOR_ERRORS as exc:  # what a command's library calls reject
+        message = f"{args.command}: {exc}"
+    print(f"configuration error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -143,8 +143,9 @@ def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> np.ndarray:
     constant unless a_1 depends on time; only then does composite Simpson on
     ``M3_INTERVALS`` intervals evaluate the remainder.  Roots and their exact
     rates come from the coefficients mollified at width 1/<xi>
-    (``roots_on_times``), for every frequency of an array at once.  A g_p of
-    opposite signs at the two ends puts a pole in the integrand and raises
+    (``roots_on_times``), for every frequency of an array at once.  A g_p
+    below the separation margin delta_sep <xi> at either end, or of opposite
+    signs at the two ends, puts a pole in the integrand and raises
     ValueError; a pole crossed an even number of times goes unseen.  The
     integrals are purely imaginary (real roots, so |w_p| = 1), and their
     boundedness across a frequency sweep is the quantity of interest.  They
@@ -158,12 +159,14 @@ def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> np.ndarray:
         return lam_dot, _root_gaps(lam)[0].sum(axis=-1)
 
     g0, g1 = gap_sums(np.array([0.0, t]))[1]
-    if np.any(g0 * g1 <= 0.0):
-        k = tuple(np.argwhere(g0 * g1 <= 0.0)[0])
-        raise ValueError(
-            f"absorption integrand has a pole on [0, {t:g}]: the gap sum of root {k[-1]}"
-            f" changes sign at xi={float(xi[k[:-1]]):g}"
-        )
+    vanishes = np.minimum(np.abs(g0), np.abs(g1)) < spec.delta_sep * jbracket(xi)[..., None]
+    for bad, what in ((vanishes, "vanishes"), (g0 * g1 <= 0.0, "changes sign")):
+        if np.any(bad):
+            k = tuple(np.argwhere(bad)[0])
+            raise ValueError(
+                f"absorption integrand has a pole on [0, {t:g}]: the gap sum of root {k[-1]}"
+                f" {what} at xi={float(xi[k[:-1]]):g}"
+            )
     log_term = np.log(g1 / g0)
     a1 = spec.coeffs[-1]
     if a1 is not None and a1.profile != "constant":

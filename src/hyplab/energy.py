@@ -127,7 +127,7 @@ from typing import Optional
 import numpy as np
 
 from .companion import HyperbolicityViolation, HyperbolicOperatorSpec, NearMultipleRoot
-from .companion import _roots, _root_rates, _row_scale, characteristic_roots
+from .companion import _jets, _roots, _root_rates, _row_scale, characteristic_roots
 from .diagonalizers import _c1, m1_inverse_symbol, m1_symbol
 from .moduli import AuxiliaryFunction
 from .weights import _check_grid, _top_decade_fit, jbracket
@@ -563,7 +563,6 @@ def _plan(exp: FrequencyExperiment, idx):
     ``WORK_BUDGET``.
     """
     spec = exp.operator
-    m = spec.m
     xi = exp.xi_grid[idx]
     jb = jbracket(xi)
     sup_a = spec.sup_abs
@@ -592,9 +591,8 @@ def _plan(exp: FrequencyExperiment, idx):
     # roots at the probes and at the interval starts from k1 on, of every
     # frequency in one call: the strict hyperbolicity gate and kappa
     probes = exp.T * np.array([1e-3, 0.5, 1.0])
-    vals = np.zeros((probes.size + s.size, m))
-    for j, c in coeffs:
-        vals[:, j] = np.concatenate((c.value(probes), c.extended_time_value(s)))
+    # the raw values at those times, all in (0, T] (a scalar xi adds no axis)
+    vals = _jets(spec, np.concatenate((probes, s)), 1.0, 0)[0]
     pos = np.arange(-probes.size, s.size)  # the probes, then the interval starts
     f_of, row = np.nonzero((pos < 0) | (pos >= k1[:, None]))
     lam_s = _roots(vals[row], xi[f_of], spec.delta_sep)

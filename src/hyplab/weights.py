@@ -17,7 +17,6 @@ max(1+eps, 2*m0/(2-m0)).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -176,7 +175,6 @@ def classify(
     xi_grid,
     eps: float,
     t_samples=48,
-    force_m0: Optional[float] = None,
 ) -> ClassificationReport:
     """Fit the orders of W1, W2 and W3 and derive the minimal index s.
 
@@ -184,9 +182,8 @@ def classify(
     decades, clamped below at zero.  W2 and W3 enter by their sup over one
     t-grid per frequency, ``t_samples`` log-spaced points from
     max(t_xi, eta(1/<xi>) + 2/<xi>) up to T; a frequency whose window is empty
-    drops out of their fits.  m0 is the largest order, or the forced value
-    when the caller pins it by hand.
+    drops out of their fits.  m0 is the largest order.
     """
     m1, m2, m3 = _fit_orders(eta, (rho,), zp, xi_grid, t_samples)
-    m0 = max(m1, m2, m3) if force_m0 is None else float(force_m0)
+    m0 = max(m1, m2, m3)
     return ClassificationReport(m1, m2, m3, m0, zygmund_index_bound(m0, eps), eps)

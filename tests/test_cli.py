@@ -3,6 +3,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -271,13 +273,18 @@ def test_cli_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, 
             "tables", "loglip.cfg", "eta_param = 1.0", "eta_param = 1.0%", 2,
             "configuration error: [moduli] key 'eta_param': could not convert string to float: '1.0%'\n",
         ),
+        # m = 3 with a_2 alone: roots 0 and +-xi sqrt(a_2), the middle root's gap sum is zero
+        (
+            "verify", "loglip.cfg", "m = 2\n", "m = 3\n", 3,
+            (("m3_integral_bounded",), "the gap sum of root 1 vanishes at xi=4", 1),
+        ),
     ],
     ids=[
         "energy_root_gap", "loss_root_gap", "verify_root_gap", "t_samples_zero", "t_samples_negative", "table_alpha",
         "classify_short_grid", "energy_horizon_past_log_power_end", "verify_horizon_past_log_power_end",
         "verify_eta_past_float_range", "verify_eta_inverse_underflow", "verify_t_min_underflow",
         "verify_xi_max_overflow", "tables_alpha_near_one", "tables_alpha_overflow", "classify_xi_max_overflow",
-        "percent_in_value",
+        "percent_in_value", "verify_m3_gap_sum_zero",
     ],
 )
 def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, old, new, code, expected):
@@ -306,6 +313,49 @@ def test_cli_bad_inputs_exit_without_traceback(tmp_path, capsys, command, name, 
             assert len(lines) == 1 and lines[0].split()[1] == "FAIL" and reason in lines[0]
         assert captured.out.splitlines()[-1] == f"{failures} check(s) failed"
         assert all(line in [" ".join(ln.split()) for ln in captured.out.splitlines()] for line in passing)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+        (["--jobs", "-1"], "argument --jobs: must be at least 1, got -1"),
+        (["--force-m0", "1.0"], "unrecognized arguments: --force-m0 1.0"),
+    ],
+    ids=["jobs_zero", "jobs_negative", "force_m0"],
+)
+@pytest.mark.parametrize("command", ["classify", "energy"])
+def test_cli_bad_flags_exit_2_before_running(tmp_path, capsys, command, flags, message):
+    # the one parser rejects a flag for every command alike, before the config is read
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", cfg_path("loglip.cfg"), "--out", str(tmp_path / "out")] + flags)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: hyplab ")
+    assert captured.err.splitlines()[-1] == f"hyplab: error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_may_come_before_the_command(tmp_path):
+    assert main(["--config", cfg_path("loglip.cfg"), "classify", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "classification.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, code, err",
+    [
+        (os.path.abspath(cfg_path("loglip.cfg")), 0, ""),
+        (os.path.abspath(cfg_path("holder05.cfg")), 3, ""),  # the rough coefficient fails two documented clauses
+        ("missing.cfg", 2, "configuration error: cannot read config file missing.cfg\n"),
+    ],
+    ids=["loglip", "holder05", "missing_config"],
+)
+def test_console_entry_point_exit_codes(tmp_path, config, code, err):
+    # the exit code the shell sees, from a real interpreter running the module
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src")))
+    argv = [sys.executable, "-m", "hyplab.cli", "verify", "--config", config]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (code, err)
 
 
 @pytest.mark.parametrize("name", ["constant.cfg", "loss_sweep.cfg"])
@@ -455,19 +505,12 @@ def test_cli_verify_m3_line_names_the_peak(capsys):
     assert float(parts[4].removeprefix("xi=")) == pytest.approx(cfg.xi_grid[np.argmax(m3)], rel=1e-3)
 
 
-def test_cli_classify_holder_and_forced(tmp_path, capsys):
+def test_cli_classify_holder(tmp_path, capsys):
     rc = main(["classify", "--config", cfg_path("holder05.cfg"), "--out", str(tmp_path)])
     assert rc == 0
     rep = json.loads((tmp_path / "classification.json").read_text())
     assert rep["s_min"] == pytest.approx(1.01)
     assert rep["m0"] == pytest.approx(0.5, abs=0.05)
-
-    rc = main(
-        ["classify", "--config", cfg_path("holder05.cfg"), "--out", str(tmp_path), "--force-m0", "1.0"]
-    )
-    assert rc == 0
-    rep = json.loads((tmp_path / "classification.json").read_text())
-    assert rep["s_min"] == pytest.approx(2.0)
 
 
 def test_cli_energy_trace_output_and_determinism(tmp_path):

@@ -105,6 +105,25 @@ def test_invalid_specs():
         SpatialProfile(amplitude=0.6)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CoefficientSpec("constant").time_derivative(0.1, 3), "derivative order must be 1 or 2"),
+        (
+            lambda: verify_reg_bounds(
+                CoefficientSpec("constant"), log_reciprocal(1.0), power_law(1.0, role="rho"),
+                ZoneParams(N=2.0, M=2.0, T=0.5), np.geomspace(4, 64, 7), np.array([0.0, 0.25]),
+            ),
+            r"t grid must lie in \(0, T\]",
+        ),
+    ],
+    ids=["derivative_order_3", "reg_bounds_t_at_zero"],
+)
+def test_coefficient_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_oscillation_classes():
     assert oscillation_class(0.0) == "very_slow"
     assert oscillation_class(0.5) == "slow"

@@ -63,6 +63,27 @@ def test_roots_reject_complex_and_near_multiple():
         characteristic_roots(degenerate, 0.1, 4.0)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: HyperbolicOperatorSpec(1, (WAVE2.coeffs[0],)), ValueError, "operator order must be at least 2"),
+        (lambda: HyperbolicOperatorSpec(2, (WAVE2.coeffs[0],)), ValueError, "need 2 coefficient slots, got 1"),
+        # an infinite coefficient reaches the m = 2 closed form, which rejects it as eigvals would
+        (
+            lambda: characteristic_roots(HyperbolicOperatorSpec(2, (CoefficientSpec(base=np.inf), None)), 0.1, 4.0),
+            np.linalg.LinAlgError,
+            "must not contain infs or NaNs",
+        ),
+        # two equal normalized roots: the explicit inverse would divide by a zero gap product
+        (lambda: m1_inverse_symbol(np.array([3.0, 3.0]), 4.0), NearMultipleRoot, "root gap underflow below 1.000e-12"),
+    ],
+    ids=["order_1", "slot_count", "infinite_coefficient", "gap_underflow"],
+)
+def test_companion_input_checks_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_quadratic_roots_keep_each_root_to_its_relative_accuracy(monkeypatch):
     # m = 2 roots from coefficients built from chosen (lam1, lam2), a root 1e-10
     # the size of the other among them, each to its own relative accuracy;
@@ -378,6 +399,17 @@ def test_m3_weights_reject_a_gap_sum_that_changes_sign():
     spec = HyperbolicOperatorSpec(3, (Ramp("constant"), CoefficientSpec("constant", base=1.0), None))
     with pytest.raises(ValueError, match="root 1 changes sign at xi=16"):
         m3_weights(spec, np.array([16.0, 64.0]), 0.5)
+
+
+@pytest.mark.parametrize("profile", ["constant", "log_power_oscillation"])
+def test_m3_weights_reject_a_gap_sum_that_vanishes(profile):
+    # lam^3 - a_2 xi^2 lam: roots 0 and +-xi sqrt(a_2), so the middle root's gap
+    # sum is zero up to round-off at both ends, a pole there and no sign change
+    spec = HyperbolicOperatorSpec(3, (None, CoefficientSpec(profile, base=2.0, delta=0.5), None))
+    g = _root_gaps(roots_on_times(spec, np.array([0.0, 0.5])[:, None], np.array([4.0, 64.0]))[0])[0].sum(axis=-1)
+    assert np.max(np.abs(g[..., 1])) < 1e-12 * 64.0
+    with pytest.raises(ValueError, match="the gap sum of root 1 vanishes at xi=4$"):
+        m3_weights(spec, np.array([4.0, 64.0]), 0.5)
 
 
 def test_m3_integral_bounded_over_sweep():

@@ -32,6 +32,7 @@ from hyplab.weights import jbracket, weight_w2, weight_w3
 from hyplab.zones import ZoneParams, zone_floor
 
 CONST_OP = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=1.0), None))
+OSC_OP = HyperbolicOperatorSpec(2, (CoefficientSpec("log_power_oscillation", delta=0.5), None))
 ETA_LL = log_reciprocal(1.0)
 
 
@@ -688,6 +689,30 @@ def test_sobolev_energy_rejects_a_malformed_spectrum():
         sobolev_energy(traces, 0.7, {tr.xi: 1.0 for tr in traces})
     with pytest.raises(ValueError, match="nonnegative"):
         sobolev_energy(traces, 0.7, [1.0, np.nan, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: small_experiment(initial="foo"), "initial must be 'canonical' or 'random'"),
+        (lambda: evolve_frequency(small_experiment(), 5.0), "xi=5.0 is not a grid point of this experiment"),
+        (lambda: sobolev_energy([], 0.0, []), "no traces"),
+        (
+            lambda: sobolev_energy(
+                [EnergyTrace.from_history(xi, [0.0, T], [1.0, 1.0]) for xi, T in ((4.0, 1.0), (8.0, 2.0))], 0.0, [1, 1]
+            ),
+            "traces must share a common sample grid",
+        ),
+        (
+            lambda: closed_form_constant_trace(small_experiment(operator=OSC_OP), 4.0),
+            "closed form available for constant coefficients only",
+        ),
+    ],
+    ids=["initial", "off_grid_frequency", "no_traces", "mismatched_grids", "closed_form_not_constant"],
+)
+def test_energy_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_theta_spec_validation_and_chi_shape():

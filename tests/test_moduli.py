@@ -55,6 +55,30 @@ def test_eval_domain_errors():
         log_reciprocal(1.0).value(0.7)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AuxiliaryFunction("nope", 1.0), "unknown family 'nope'"),
+        (lambda: AuxiliaryFunction("power_law", 0.5, role="gamma"), "unknown role 'gamma'"),
+        (lambda: log_reciprocal(1.0, r0=1.0), r"log_reciprocal needs r0 < 1"),
+        # depth 2 needs log(1/r) > 1, r0 below 1/e
+        (lambda: iterated_log(2, r0=0.5), r"r0 too large for iterated_log depth"),
+        (lambda: power_law(0.5).derivative(0.25, 4), "derivative order must be 1, 2 or 3"),
+        (lambda: log_grid(1.0, 1.0, 8), "need 0 < lo < hi"),
+        # the identity is nowhere strictly concave, as an eta must be
+        (lambda: concave_domain_end(power_law(1.0)), "no concavity region found near 0"),
+        (lambda: admissibility_check(power_law(0.5), np.linspace(0.01, 2.0, 64)), r"must lie inside \(0, r0\]"),
+    ],
+    ids=[
+        "unknown_family", "unknown_role", "log_reciprocal_r0", "iterated_log_r0", "derivative_order_4",
+        "log_grid_empty", "no_concave_region", "admissibility_grid_past_r0",
+    ],
+)
+def test_moduli_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_deriv_closed_forms():
     assert power_law(0.5).derivative(0.25, 1) == pytest.approx(1.0, rel=1e-12)
     assert power_law(1.0, role="rho").derivative(0.37, 2) == 0.0

@@ -114,6 +114,28 @@ def test_weight_side_condition_errors():
         weight_w2(eta, 100.0, 0.001)  # below eta(1/<xi>) = 0.1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # eta(1/<16>) = 0.047 <= t = 0.05 <= 1/<16> = 0.062
+        (lambda: weight_w2(log_reciprocal(3.0), 16.0, 0.05), "t - 1/<xi> not positive"),
+        (lambda: weight_w2(power_law(0.5), 100.0, 2.0), r"t - 1/<xi> beyond eta\(r0\)"),
+        (lambda: fit_loglog_slope([2.0], [3.0]), "need at least two points for a slope"),
+        (lambda: zygmund_index_bound(0.5, 0.0), "eps must be positive"),
+        # 1/M exceeds r0 = 1e-20 for every M up to 2^60 = 1.2e18
+        (lambda: zone_floor(power_law(0.5, r0=1e-20)), r"no admissible frequency floor below 2\^60"),
+        (lambda: zone_of(0.6, 16.0, power_law(0.5), ZoneParams(T=0.5)), r"t=0.6 outside \[0, T=0.5\]"),
+    ],
+    ids=[
+        "w2_shift_not_positive", "w2_shift_past_range", "one_point_slope", "eps_zero", "no_zone_floor",
+        "t_past_horizon",
+    ],
+)
+def test_weight_and_zone_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 GRID = np.geomspace(1e3, 1e6, 25)
 
 
@@ -316,7 +338,4 @@ def test_classify_summary_rows():
     rep = classify(power_law(0.8), rho, ZoneParams(N=2.0, M=32.0, T=0.5), GRID, eps)
     assert rep.s_min == pytest.approx(4.0 / 3.0, abs=0.15)
     assert rep.m0 == pytest.approx(0.8, abs=0.05)
-
-    forced = classify(power_law(0.5), rho, ZoneParams(N=2.0, M=4.0, T=0.5), GRID, eps, force_m0=1.0)
-    assert forced.s_min == pytest.approx(2.0)
-    assert set(forced.to_json()) == {"m0_w1", "m0_w2", "m0_w3", "m0", "s_min", "eps"}
+    assert set(rep.to_json()) == {"m0_w1", "m0_w2", "m0_w3", "m0", "s_min", "eps"}
