@@ -20,7 +20,6 @@ fixed configuration file and seed.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -87,6 +86,8 @@ def _workers(jobs: int, n: int):
     if jobs <= 1:
         yield None
         return
+    import concurrent.futures  # here, so that a serial run does not pay its import (and logging's)
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
         yield pool
 

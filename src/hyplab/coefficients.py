@@ -123,12 +123,14 @@ class CoefficientSpec:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}, expected one of {PROFILES}")
-        if not (self.base > 0.0):
-            raise ValueError("base must be positive")
+        if not (0.0 < self.base < np.inf):
+            raise ValueError(f"base must be positive and finite, got {self.base}")
         if not (0.0 <= self.delta < self.base / 2.0):
             raise ValueError("amplitude delta must lie in [0, base/2)")
-        if self.gamma_osc < 0.0:
-            raise ValueError("oscillation exponent must be nonnegative")
+        if not (0.0 <= self.gamma_osc < np.inf):
+            raise ValueError(f"oscillation exponent gamma_osc must be nonnegative and finite, got {self.gamma_osc}")
+        if isinstance(self.depth, bool) or not isinstance(self.depth, (int, np.integer)) or self.depth < 0:
+            raise ValueError(f"lacunary depth must be a nonnegative integer, got {self.depth!r}")
         if self.profile == "holder_rough" and not (0.0 < self.alpha < 1.0):
             raise ValueError("holder_rough exponent must lie in (0, 1)")
 

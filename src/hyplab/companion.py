@@ -16,8 +16,9 @@ for m > 2 they are the symbol's eigenvalues.  Along a time grid, for one
 frequency or an array of them, the roots of the mollified symbol come with
 their exact rates, by implicit differentiation of the characteristic
 polynomial over the root-gap matrix that the diagonalizer chain is built
-from; the same differentiation (``_root_rates``) gives the rates of the raw
-roots (``characteristic_roots``) that the integrator's frame follows.
+from (for m = 2, the one gap); the same differentiation (``_root_rates``)
+gives the rates of the raw roots (``characteristic_roots``) that the
+integrator's frame follows.
 """
 
 from __future__ import annotations
@@ -161,16 +162,22 @@ def _quadratic_roots(c, jb):
     return lam, np.where(real, 0.0, w)
 
 
+def _gap_floor(lam, tol):
+    """Neighbour gaps lam[..., k + 1] - lam[..., k] of ascending roots; one below ``tol`` (one value, or one per row of roots) raises NearMultipleRoot (underflow guard)."""
+    gaps = np.diff(lam, axis=-1)
+    if np.any(gaps < np.asarray(tol)[..., None]):
+        raise NearMultipleRoot(f"root gap underflow below {np.min(tol):.3e}")
+    return gaps
+
+
 def _root_gaps(lam, tol=0.0):
     """Gap matrix G[..., p, i] = lam_i - lam_p (zero diagonal) of ascending roots.
 
     Returns ``(G, P)`` with P[..., p] = prod_{i != p} G[..., p, i].  A gap
-    below ``tol`` (one value, or one per row of roots) raises
-    NearMultipleRoot (underflow guard).
+    below ``tol`` raises as in ``_gap_floor``.
     """
     m = lam.shape[-1]
-    if m > 1 and np.any(np.diff(lam, axis=-1) < np.asarray(tol)[..., None]):
-        raise NearMultipleRoot(f"root gap underflow below {np.min(tol):.3e}")
+    _gap_floor(lam, tol)
     G = lam[..., None, :] - lam[..., :, None]
     H = G + np.eye(m)
     P = H[..., 0].copy()
@@ -232,15 +239,29 @@ def _root_rates(lam, vals_dot, xi):
         lam_k' = sum_j b_j' lam_k^j / p'(lam_k),
 
     with p'(lam_k) = prod_{i != k}(lam_k - lam_i) = (-1)^(m-1) P_k from the
-    gap matrix.  Batched over the leading axes, against which xi broadcasts.
+    gap matrix (``_root_rates_m``), for m = 2 -g and g from the one gap
+    g = lam_1 - lam_0 (``_root_rates_2``).  Batched over the leading axes,
+    against which xi broadcasts.
     """
     m = lam.shape[-1]
     b_dot = vals_dot * np.asarray(xi, dtype=float)[..., None] ** (m - np.arange(m))
+    return (_root_rates_2 if m == 2 else _root_rates_m)(lam, b_dot)
+
+
+def _root_rates_m(lam, b_dot):
+    """``_root_rates`` from the rates b_dot[..., j] = b_j', over the gap matrix."""
+    m = lam.shape[-1]
     num = b_dot[..., m - 1 :] * np.ones_like(lam)  # by Horner in lam_k
     for j in range(m - 2, -1, -1):
         num = num * lam + b_dot[..., j : j + 1]
     _, P = _root_gaps(lam)
     return num / ((-1) ** (m - 1) * P)
+
+
+def _root_rates_2(lam, b_dot):
+    """``_root_rates_m`` at m = 2 on the one gap, bit for bit: p'(lam_0) = -g and p'(lam_1) = g."""
+    g = _gap_floor(lam, 0.0)
+    return (b_dot[..., 1:] * lam + b_dot[..., :1]) / np.concatenate((-g, g), axis=-1)
 
 
 def companion_symbol(spec: HyperbolicOperatorSpec, t, xi) -> np.ndarray:

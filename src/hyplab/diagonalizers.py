@@ -3,7 +3,10 @@
 Three transformations and one set of weights, applied to the first-order
 system at fixed phase-space points.  Every step is a formula in the root
 gaps G[p, i] = lam_i - lam_p and their products P_p = prod_{i != p} G[p, i],
-taken from the one gap matrix ``companion._root_gaps``.  Every symbol takes
+taken from the one gap matrix ``companion._root_gaps``; for m = 2, M1, its
+inverse and C1 are closed forms on the one gap g = lam_1 - lam_0 (so
+P = (g, -g)), each entry by the general formula's floating-point operations
+in their order, so that both give the same bits.  Every symbol takes
 ascending roots lam[..., k] batched over leading axes, against which xi
 broadcasts, and is complex with trailing (m, m) axes.
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .companion import HyperbolicOperatorSpec, _root_gaps, roots_on_times
+from .companion import HyperbolicOperatorSpec, _gap_floor, _root_gaps, roots_on_times
 from .conjugation import _simpson
 from .weights import jbracket
 
@@ -60,7 +63,20 @@ class DiagonalizerIllConditioned(Exception):
 def m1_symbol(lam, xi) -> np.ndarray:
     """Vandermonde in z_q = lam_q/<xi>: entry (p, q) is z_q^p, over the leading axes of lam, against which xi broadcasts."""
     z = lam / jbracket(xi)[..., None]
+    return (_m1_2 if z.shape[-1] == 2 else _m1_m)(z)
+
+
+def _m1_m(z):
+    """``m1_symbol`` of the normalized roots z, by powers."""
     return (z[..., None, :] ** np.arange(z.shape[-1])[:, None]).astype(complex)
+
+
+def _m1_2(z):
+    """``_m1_m`` at m = 2, bit for bit: rows 1 and z."""
+    M = np.empty(z.shape[:-1] + (2, 2), dtype=complex)
+    M[..., 0, :] = 1.0
+    M[..., 1, :] = z
+    return M
 
 
 def m1_inverse_symbol(lam, xi) -> np.ndarray:
@@ -68,9 +84,15 @@ def m1_inverse_symbol(lam, xi) -> np.ndarray:
 
     Row p holds the coefficients, constant term first, of prod_{i != p}(x - z_i)/(z_p - z_i): the
     numerator's from e[1:] -= z_i e[:-1] over ascending i != p (as ``np.poly``), the denominator
-    (-1)^(m-1) times the row product of the root gaps.
+    (-1)^(m-1) times the row product of the root gaps.  For m = 2, with g = z_1 - z_0, the rows
+    are (z_1, -1)/g and (-z_0, 1)/g.
     """
     z = lam / jbracket(xi)[..., None]  # normalized roots; powers of <xi> cancel
+    return (_m1_inverse_2 if z.shape[-1] == 2 else _m1_inverse_m)(z)
+
+
+def _m1_inverse_m(z):
+    """``m1_inverse_symbol`` of the normalized roots z, over the gap matrix."""
     m = z.shape[-1]
     _, P = _root_gaps(z, _UNDERFLOW)
     e = np.zeros(z.shape + (m,))  # e[..., p, k], highest power first
@@ -81,12 +103,37 @@ def m1_inverse_symbol(lam, xi) -> np.ndarray:
     return ((-1.0) ** (m - 1) * e[..., ::-1] / P[..., None]).astype(complex)
 
 
+def _m1_inverse_2(z):
+    """``_m1_inverse_m`` at m = 2 on the one gap g = z_1 - z_0, bit for bit (z_0 / -g = -(z_0 / g))."""
+    g = _gap_floor(z, _UNDERFLOW)[..., 0]
+    r = 1.0 / g
+    inv = np.empty(z.shape + (2,), dtype=complex)
+    inv[..., 0, 0] = z[..., 1] / g
+    inv[..., 0, 1] = -r
+    inv[..., 1, 0] = -(z[..., 0] / g)
+    inv[..., 1, 1] = r
+    return inv
+
+
 def _c1(lam, roots_dt, xi):
     """The real coupling K = -i C1 and the reciprocal gaps R[..., p, i] = 1/(lam_i - lam_p), zero on the diagonal.
 
     Batched over the leading axes of the ascending roots ``lam`` and their
-    rates ``roots_dt``, against which xi broadcasts.
+    rates ``roots_dt``, against which xi broadcasts: over the gap matrix
+    (``_c1_m``), for m = 2 from the entries on the one gap (``_c1_2``).
     """
+    if lam.shape[-1] != 2:
+        return _c1_m(lam, roots_dt, xi)
+    k, _, r = _c1_2(lam, roots_dt, xi)
+    K = np.stack(k, axis=-1).reshape(k[0].shape + (2, 2))
+    R = np.zeros_like(K)
+    R[..., 0, 1] = r
+    R[..., 1, 0] = -r
+    return K, R
+
+
+def _c1_m(lam, roots_dt, xi):
+    """``_c1`` over the gap matrix G and its row products P."""
     m = lam.shape[-1]
     G, P = _root_gaps(lam, _UNDERFLOW * jbracket(xi))
     eye = np.eye(m)
@@ -96,6 +143,20 @@ def _c1(lam, roots_dt, xi):
     diag = np.arange(m)
     K[..., diag, diag] = dt[..., 0, :] * R.sum(axis=-1)
     return K, R
+
+
+def _c1_2(lam, roots_dt, xi):
+    """``_c1_m`` at m = 2, bit for bit: the entries (K_00, K_01, K_10, K_11), the gap g = lam_1 - lam_0 and r = 1/g.
+
+    With P = (g, -g) and R_01 = -R_10 = r, K_01 = ((-lam_1' P_1) R_01) / P_0 = ((lam_1' g) r) / g,
+    K_10 = -(((lam_0' g) r) / g), and the diagonal K_pp = lam_p' (R_p0 + R_p1) = (lam_0' r, -(lam_1' r)).
+    """
+    g = _gap_floor(lam, _UNDERFLOW * jbracket(xi))[..., 0]
+    r = 1.0 / g
+    dt = np.asarray(roots_dt, dtype=float)
+    d0, d1 = dt[..., 0], dt[..., 1]
+    k = (d0 * r, d1 * g * r / g, -(d0 * g * r / g), -(d1 * r))
+    return k, g, r
 
 
 def c1_entries(lam, lam_dot, xi) -> np.ndarray:

@@ -34,8 +34,10 @@ origin, and every interval at low <xi> or of a rough coefficient, stay on
 the Magnus step.  ``EnergyTrace.steps`` counts the Magnus steps and
 ``nodes`` the frame steps; every count is fixed before integrating.  R = 80
 weighs a node against accuracy: at m = 2 a node (its roots, their rates and
-its propagator) costs about as much as 9 Magnus steps, but nearer the
-origin the coupling is strong against a node's length.  A step that turns
+its propagator) costs about as much as 3.4 Magnus steps (CPU time of the
+frame and of the Magnus steps in ``loss`` on the benchmark's loss sweep,
+7,496 nodes and 65,875 steps), but nearer the origin the coupling is strong
+against a node's length.  A step that turns
 g_k |A|_inf > ``PHASE_LIMIT`` raises ``StiffnessError`` before integrating.
 
 The Magnus step and the sweep.  ``evolve_sweep`` integrates every frequency
@@ -107,7 +109,11 @@ plus, for m >= 3, the terms of three distinct indices, which take divided
 differences of exp.  For m = 2 the exponential is the closed form
 ``_expm2``, e^mu (C I + S (Omega - mu I)) with mu half the trace,
 C = cosh sqrt(delta) and S = sinh sqrt(delta) / sqrt(delta) (Moler & Van
-Loan, SIAM Rev. 45, 2003); for m > 2 it is ``_expm``.  The node
+Loan, SIAM Rev. 45, 2003); for m > 2 it is ``_expm``.  At m = 2 a node
+step (``_node_steps_2``) forms Omega1, Omega2 and dPhi from per-step
+scalars of the one root pair (K_00, K_01, K_10, K_11, ds_01 and ds_01/g at
+both ends), each entry by the (m, m) formula's floating-point operations in
+their order (``_node_steps_m``), so that both give the same bits.  The node
 propagators of the whole sweep are formed ``BATCH`` // 2 steps at a time
 and reduced like the Magnus ones, V enters as M1^-1 U at a frequency's
 first frame node (``diagonalizers.m1_inverse_symbol``), and the norm at a
@@ -128,7 +134,7 @@ import numpy as np
 
 from .companion import HyperbolicityViolation, HyperbolicOperatorSpec, NearMultipleRoot
 from .companion import _jets, _roots, _root_rates, _row_scale, characteristic_roots
-from .diagonalizers import _c1, m1_inverse_symbol, m1_symbol
+from .diagonalizers import _c1, _c1_2, m1_inverse_symbol, m1_symbol
 from .moduli import AuxiliaryFunction
 from .weights import _check_grid, _top_decade_fit, jbracket
 from .zones import ZoneParams, validate_zone
@@ -345,15 +351,20 @@ def _phi2(ds):
     """Filon weight int_0^1 (1 - u) exp(i ds u) du of real phase increments ds.
 
     Closed form (e^x - 1 - x)/x^2 at x = i ds; below |ds| = 1/2, where it
-    cancels, the Taylor series sum_k x^k/(k + 2)! to 14 terms.
+    cancels, the Taylor series sum_k x^k/(k + 2)! to 14 terms.  Each is
+    evaluated only where it is used.
     """
     x = 1j * ds
     small = np.abs(ds) < 0.5
-    safe = np.where(small, 1.0, x)
-    series = np.zeros_like(x)
+    out = np.empty_like(x)
+    z = x[small]
+    series = np.zeros_like(z)
     for k in range(13, -1, -1):
-        series = series * x + 1.0 / math.factorial(k + 2)
-    return np.where(small, series, (np.exp(safe) - 1.0 - safe) / safe**2)
+        series = series * z + 1.0 / math.factorial(k + 2)
+    out[small] = series
+    z = x[~small]
+    out[~small] = (np.exp(z) - 1.0 - z) / z**2
+    return out
 
 
 def _commutator_moments(K, ds, w0, p1):
@@ -421,45 +432,85 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
     ``lam`` and ``lam_dot`` hold the roots and their rates at the nodes pts,
     of frequencies xi (module docstring).  The shape is (m, m, n + 1) for n
     steps; the last propagator is I, for padded steps.  Formed BATCH // 2
-    steps at a time, which bounds the temporaries.
+    steps at a time, which bounds the temporaries: by ``_node_steps_m``, for
+    m = 2 by ``_node_steps_2``.
     """
     m = lam.shape[-1]
     n = start.size
     P = np.empty((m, m, n + 1), dtype=complex)
     P[:, :, n] = np.eye(m)
-    diag = np.eye(m, dtype=bool)
-    upper = np.triu_indices(m, 1)
-    expm = _expm2 if m == 2 else _expm
+    node_steps = _node_steps_2 if m == 2 else _node_steps_m
     chunk = max(1, BATCH // 2)
     for lo in range(0, n, chunk):
         a = start[lo : lo + chunk]
         nodes = slice(a[0], a[-1] + 2)  # the nodes these steps touch
-        lm, ld = lam[nodes], lam_dot[nodes]
-        coupling = _c1(lm, ld, xi[nodes])[0]  # V' = i Lam V + coupling V
         i, j = a - a[0], a + 1 - a[0]  # the two nodes of each step, within the slice
-        h = (pts[a + 1] - pts[a])[:, None]
-        dphi = 0.5 * h * (lm[i] + lm[j]) + h**2 / 12.0 * (ld[i] - ld[j])
-        ds = dphi[:, None, :] - dphi[:, :, None]  # increment of s_pq = Phi_q - Phi_p
-        gap = lm[:, None, :] - lm[:, :, None]  # s_pq' = lam_q - lam_p
-        # coupling per unit s_pq at either end, times the increment of s_pq
-        # (on the diagonal s_pp = 0, and the variable is t)
-        left = coupling[i] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[i]))
-        right = coupling[j] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[j]))
-        # the Filon weights are phi_2 and phi_1 - phi_2; ds is real and antisymmetric,
-        # so phi_2 is evaluated on the pairs p < q, conjugated below them, 1/2 on the diagonal
-        w = _phi2(ds[:, upper[0], upper[1]])
-        w0 = np.full(ds.shape, 0.5, dtype=complex)
-        w0[:, upper[0], upper[1]] = w
-        w0[:, upper[1], upper[0]] = w.conj()
-        p1 = 1.0 + 1j * ds * w0  # phi_1
-        omega = left * w0 + right * (p1 - w0)
-        # second Magnus term with the coupling K frozen at the step's mean and the
-        # phases linear: 1/2 h^2 sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr))
-        mean = 0.5 * (coupling[i] + coupling[j])
-        omega += 0.5 * h[..., None] ** 2 * _commutator_moments(mean, ds, w0, p1)
-        omega = np.ascontiguousarray(omega.transpose(1, 2, 0))  # steps last, for _mul
-        P[:, :, lo : lo + a.size] = np.exp(1j * dphi.T)[:, None] * expm(omega)
+        h = pts[a + 1] - pts[a]
+        P[:, :, lo : lo + a.size] = node_steps(lam[nodes], lam_dot[nodes], xi[nodes], i, j, h)
     return P
+
+
+def _node_steps_m(lm, ld, xi, i, j, h):
+    """Frame propagators, (m, m, steps), of the steps of lengths h from the nodes i to the nodes j of the roots lm and rates ld."""
+    m = lm.shape[-1]
+    diag = np.eye(m, dtype=bool)
+    upper = np.triu_indices(m, 1)
+    coupling = _c1(lm, ld, xi)[0]  # V' = i Lam V + coupling V
+    h = h[:, None]
+    dphi = 0.5 * h * (lm[i] + lm[j]) + h**2 / 12.0 * (ld[i] - ld[j])
+    ds = dphi[:, None, :] - dphi[:, :, None]  # increment of s_pq = Phi_q - Phi_p
+    gap = lm[:, None, :] - lm[:, :, None]  # s_pq' = lam_q - lam_p
+    # coupling per unit s_pq at either end, times the increment of s_pq
+    # (on the diagonal s_pp = 0, and the variable is t)
+    left = coupling[i] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[i]))
+    right = coupling[j] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[j]))
+    # the Filon weights are phi_2 and phi_1 - phi_2; ds is real and antisymmetric,
+    # so phi_2 is evaluated on the pairs p < q, conjugated below them, 1/2 on the diagonal
+    w = _phi2(ds[:, upper[0], upper[1]])
+    w0 = np.full(ds.shape, 0.5, dtype=complex)
+    w0[:, upper[0], upper[1]] = w
+    w0[:, upper[1], upper[0]] = w.conj()
+    p1 = 1.0 + 1j * ds * w0  # phi_1
+    omega = left * w0 + right * (p1 - w0)
+    # second Magnus term with the coupling K frozen at the step's mean and the
+    # phases linear: 1/2 h^2 sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr))
+    mean = 0.5 * (coupling[i] + coupling[j])
+    omega += 0.5 * h[..., None] ** 2 * _commutator_moments(mean, ds, w0, p1)
+    omega = np.ascontiguousarray(omega.transpose(1, 2, 0))  # steps last, for _mul
+    return np.exp(1j * dphi.T)[:, None] * (_expm2 if m == 2 else _expm)(omega)
+
+
+def _node_steps_2(lm, ld, xi, i, j, h):
+    """``_node_steps_m`` at m = 2 from per-step scalars of the one root pair, bit for bit.
+
+    With d = dPhi_1 - dPhi_0 (so ds = [[0, d], [-d, 0]]) and g = lam_1 - lam_0,
+    the entries p != q take d/g at either end and phi_2(i d) or its conjugate,
+    (-d)/(-g) = d/g and every conjugate being exact; the diagonal takes h and
+    1/2, and Omega2 on it is +-1/2 h^2 2i (M_01 M_10) Im phi_2(i d), M the
+    step's mean coupling.
+    """
+    (k00, k01, k10, k11), g, _ = _c1_2(lm, ld, xi)
+    hc = h[:, None]
+    dphi = 0.5 * hc * (lm[i] + lm[j]) + hc**2 / 12.0 * (ld[i] - ld[j])
+    d = dphi[:, 1] - dphi[:, 0]
+    ui, uj = d / g[i], d / g[j]  # ds per unit s' at either end
+    w = _phi2(d)
+    p1 = 1.0 + 1j * d * w  # phi_1
+    q = p1 - w
+    c = 0.5 * h**2  # Omega2's factor
+    diff = 0.5 * (k00[i] + k00[j]) - 0.5 * (k11[i] + k11[j])  # of the mean coupling's diagonal
+    m01, m10 = 0.5 * (k01[i] + k01[j]), 0.5 * (k10[i] + k10[j])
+    twice = 2.0 * w - p1
+    X = np.empty((2, 2, h.size), dtype=complex)
+    X[0, 1] = (k01[i] * ui) * w + (k01[j] * uj) * q
+    X[0, 1] += c * ((m01 * diff) * twice)
+    X[1, 0] = (k10[i] * ui) * w.conj() + (k10[j] * uj) * q.conj()
+    X[1, 0] += c * ((m10 * -diff) * twice.conj())
+    X.real[0, 0] = (k00[i] * h) * 0.5 + (k00[j] * h) * 0.5
+    X.real[1, 1] = (k11[i] * h) * 0.5 + (k11[j] * h) * 0.5
+    X.imag[0, 0] = c * (2.0 * ((m01 * m10) * w.imag))
+    X.imag[1, 1] = -X.imag[0, 0]
+    return np.exp(1j * dphi.T)[:, None] * _expm2(X)
 
 
 def _magnus_propagators(coeffs, scale, jb, t, h):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -670,17 +671,25 @@ def test_cli_loss_starts_one_pool_per_command(tmp_path, monkeypatch):
     # the four gamma sweeps share one pool of workers; --jobs 1 starts none
     pools = []
 
-    class Counted(cli.concurrent.futures.ProcessPoolExecutor):
+    class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     argv = ["loss", "--config", os.path.join(CONFIGS, "..", "perfbench", "configs", "loss_sweep.cfg")]
     assert main(argv + ["--out", str(tmp_path / "1"), "--jobs", "1"]) == 0
     assert pools == []
     assert main(argv + ["--out", str(tmp_path / "2"), "--jobs", "2"]) == 0
     assert pools == [2]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # a fresh interpreter importing the CLI loads neither the pool nor the logging it pulls in
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src")))
+    code = "import sys, hyplab.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_cli_loss_writes_the_benchmark_reference_columns(tmp_path):

@@ -106,6 +106,26 @@ def test_invalid_specs():
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(base=np.inf), "base must be positive and finite, got inf"),
+        (dict(base=np.nan), "base must be positive and finite, got nan"),
+        (dict(gamma_osc=np.nan), "gamma_osc must be nonnegative and finite, got nan"),
+        (dict(gamma_osc=np.inf), "gamma_osc must be nonnegative and finite, got inf"),
+        (dict(gamma_osc=-0.5), "gamma_osc must be nonnegative and finite, got -0.5"),
+        (dict(depth=-1), "depth must be a nonnegative integer, got -1"),
+        (dict(depth=2.5), "depth must be a nonnegative integer, got 2.5"),
+    ],
+    ids=["base_inf", "base_nan", "gamma_nan", "gamma_inf", "gamma_negative", "depth_negative", "depth_fractional"],
+)
+def test_coefficient_spec_rejects_bad_fields(kwargs, message):
+    # a library caller gets a ValueError naming the field, not a LinAlgError, NaN values or a resized sum
+    profile = "holder_rough" if "depth" in kwargs else "log_power_oscillation"
+    with pytest.raises(ValueError, match=message):
+        CoefficientSpec(profile, **kwargs)
+
+
+@pytest.mark.parametrize(
     "call, message",
     [
         (lambda: CoefficientSpec("constant").time_derivative(0.1, 3), "derivative order must be 1 or 2"),

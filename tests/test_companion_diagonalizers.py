@@ -10,6 +10,8 @@ from hyplab.companion import (
     _companion,
     _root_gaps,
     _root_rates,
+    _root_rates_2,
+    _root_rates_m,
     _roots,
     characteristic_roots,
     companion_symbol,
@@ -68,9 +70,10 @@ def test_roots_reject_complex_and_near_multiple():
     [
         (lambda: HyperbolicOperatorSpec(1, (WAVE2.coeffs[0],)), ValueError, "operator order must be at least 2"),
         (lambda: HyperbolicOperatorSpec(2, (WAVE2.coeffs[0],)), ValueError, "need 2 coefficient slots, got 1"),
-        # an infinite coefficient reaches the m = 2 closed form, which rejects it as eigvals would
+        # an infinite coefficient value reaches the m = 2 closed form, which rejects it as eigvals would
+        # (CoefficientSpec itself rejects base = inf)
         (
-            lambda: characteristic_roots(HyperbolicOperatorSpec(2, (CoefficientSpec(base=np.inf), None)), 0.1, 4.0),
+            lambda: _roots(np.array([[np.inf, 0.0]]), 4.0, 1e-6),
             np.linalg.LinAlgError,
             "must not contain infs or NaNs",
         ),
@@ -516,6 +519,52 @@ def test_batched_m1_inverse_is_the_per_frequency_formula_bit_for_bit(m):
         P = np.prod(z[None, :] - z[:, None] + np.eye(m), axis=-1)
         assert np.array_equal(inv[f, n], (-1.0) ** (m - 1) * e[:, ::-1] / P[:, None])
     assert np.max(np.abs(m1_symbol(lam, xi[:, None]) @ inv - np.eye(m))) < 1e-9
+
+
+def _root_pairs(shape, seed):
+    """Seeded ascending m = 2 roots of shape + (2,), their rates and the frequencies (along the first axis).
+
+    The gaps run from just above the underflow guard, 1e-12 <xi>, up to <xi>.
+    """
+    rng = np.random.default_rng(seed)
+    xi = np.geomspace(1.0, 1e4, shape[0]).reshape(shape[:1] + (1,) * (len(shape) - 1))
+    lam0 = rng.uniform(-1.0, 1.0, shape) * xi
+    gap = jbracket(xi) * 10.0 ** rng.uniform(-11.9, 0.0, shape)
+    rates = rng.standard_normal(shape + (2,)) * xi[..., None]
+    return np.stack((lam0, lam0 + gap), axis=-1), rates, xi
+
+
+@pytest.mark.parametrize("shape", [(500,), (7, 60)], ids=["n", "f_t"])
+def test_m2_closed_forms_are_the_general_formulas_bit_for_bit(shape):
+    lam, rates, xi = _root_pairs(shape, 35)
+    K, R = diagonalizers._c1(lam, rates, xi)
+    K_m, R_m = diagonalizers._c1_m(lam, rates, xi)
+    assert K.shape == K_m.shape == shape + (2, 2)
+    assert np.array_equal(K, K_m) and np.array_equal(R, R_m)
+    b_dot = rates * xi[..., None] ** np.array([2, 1])
+    assert np.array_equal(_root_rates_2(lam, b_dot), _root_rates_m(lam, b_dot))
+    assert np.array_equal(_root_rates(lam, rates, xi), _root_rates_m(lam, b_dot))
+    z = lam / jbracket(xi)[..., None]
+    assert np.array_equal(m1_symbol(lam, xi), diagonalizers._m1_m(z))
+    assert np.array_equal(m1_inverse_symbol(lam, xi), diagonalizers._m1_inverse_m(z))
+
+
+@pytest.mark.parametrize(
+    "closed, general, args",
+    [
+        (diagonalizers._c1_2, diagonalizers._c1_m, (np.array([[1.0, 3.0], [2.0, 2.0 + 1e-13]]), np.ones((2, 2)), 1.0)),
+        (diagonalizers._m1_inverse_2, diagonalizers._m1_inverse_m, (np.array([[0.5, 0.5 + 1e-13], [0.0, 1.0]]),)),
+        (_root_rates_2, _root_rates_m, (np.array([[1.0, 0.5]]), np.ones((1, 2)))),
+    ],
+    ids=["c1", "m1_inverse", "root_rates_descending"],
+)
+def test_m2_closed_forms_raise_as_the_general_formulas(closed, general, args):
+    # a gap below the underflow guard (for the rates, a negative one) raises with the general path's message
+    with pytest.raises(NearMultipleRoot) as want:
+        general(*args)
+    with pytest.raises(NearMultipleRoot) as got:
+        closed(*args)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -589,6 +590,44 @@ def test_expm2_matches_expm():
     # each result depends on its own matrix alone: a large batch mate changes no bit
     X = np.concatenate((0.01 * rng.standard_normal((2, 2, 3)), 10.0 * rng.standard_normal((2, 2, 1))), axis=-1) + 0j
     assert np.array_equal(energy._expm2(X)[..., :3], energy._expm2(X[..., :3]))
+
+
+def test_phi2_takes_each_branch_only_where_it_is_used():
+    # against the series and the closed form both evaluated everywhere and picked by np.where, bit for bit
+    ds = np.random.default_rng(21).uniform(-3.0, 3.0, 400)
+    x = 1j * ds
+    small = np.abs(ds) < 0.5
+    series = np.zeros_like(x)
+    for k in range(13, -1, -1):
+        series = series * x + 1.0 / math.factorial(k + 2)
+    safe = np.where(small, 1.0, x)
+    want = np.where(small, series, (np.exp(safe) - 1.0 - safe) / safe**2)
+    assert 30 < small.sum() < 370
+    assert np.array_equal(energy._phi2(ds), want)
+    assert np.array_equal(energy._phi2(ds[:, None]), want[:, None])
+
+
+@pytest.mark.parametrize("batch", [None, 5], ids=["shipped_batch", "batch5"])
+def test_node_step_2_is_the_general_node_step_bit_for_bit(monkeypatch, batch):
+    # the frame inputs of a loss sweep row, formed by the m = 2 node step and by the general one;
+    # at BATCH = 5 in chunks of two steps
+    calls = []
+    frame = energy._frame_propagators
+
+    def spy(*args):
+        calls.append(args)
+        return frame(*args)
+
+    monkeypatch.setattr(energy, "_frame_propagators", spy)
+    evolve_sweep(loss_experiment(1.5))
+    (args,) = calls
+    if batch is not None:
+        monkeypatch.setattr(energy, "BATCH", batch)
+        args = args[:-1] + (args[-1][:400],)
+    assert args[-1].size >= 400
+    got = frame(*args)
+    monkeypatch.setattr(energy, "_node_steps_2", energy._node_steps_m)
+    assert np.array_equal(got, frame(*args))
 
 
 def test_amplification_definition():
