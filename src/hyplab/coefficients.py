@@ -1,37 +1,31 @@
 """Test coefficients, their time mollification and regularization bounds.
 
-Three time profiles around a positive base value:
+A coefficient is a positive base plus at most one closed-form time term,
+decided once from its profile:
 
-* ``constant``               a(t) = base
+* ``constant``               a(t) = base (no term)
 * ``log_power_oscillation``  a(t) = base + delta * sin((log 1/t)^(1+gamma))
-* ``holder_rough``           a(t) = base + delta * sum_j 2^(-j*alpha) cos(2^j t)
+* ``holder_rough``           a(t) = base + delta * sum_j 2^(-j*alpha) cos(2^j t) / sum_j 2^(-j*alpha)
 
-The oscillating family saturates derivative bounds of the form
-|a^(q)(t)| <= C (t^-1 (log 1/t)^gamma)^q; the lacunary family has the uniform
-Hoelder-alpha modulus.  An optional spatial factor (1 + b(x)) with a lacunary
-periodic profile b keeps everything uniformly elliptic.
+The term supplies the jet to order 2, the rate envelope, t_end, its
+amplitude (for sup|a|) and its window rule in ``mollify``.  The oscillating
+family saturates derivative bounds |a^(q)(t)| <= C (t^-1 (log 1/t)^gamma)^q;
+the lacunary family has the uniform Hoelder-alpha modulus.  An optional
+spatial factor (1 + b(x)), b the same cosine sum in x, keeps everything
+uniformly elliptic.
 
 Mollification is a time convolution with a fixed even C-infinity bump of unit
 mass at width eps, evaluated by one composite midpoint rule of
 ``MOLLIFIER_NODES`` nodes whose weights sum to one exactly (constants are
 preserved to machine precision).  ``mollify`` returns the jet a_eps,
 d_t a_eps, d_t^2 a_eps: the time derivatives differentiate the bump, never
-the rough coefficient.  For the lacunary family
-angle addition sums each cosine term over the window in closed form, so a
-window above the t = 0 freeze costs O(depth) cosines per time instead of
-O(nodes * depth); both are the same midpoint rule, so coarse eps aliases
-the top lacunary terms alike.  A log-power window with delta > 0 on which
-the coefficient is analytic with margin (eps <= t/4; eps <= (1 - t)/4 where
-gamma > 0 puts a branch point at s = 1; eps rate_bound(t - eps) <= delta/2;
-clear of the t = 0 freeze and the t_end clip) samples the coefficient at
-``INTERPOLANT_NODES`` Chebyshev nodes and applies the rule to their
-barycentric interpolant through precomputed rows: the same midpoint rule up
-to round-off, at 48 evaluations in place of 256.  Every other window (the
-constant profile, delta = 0, windows near t = 0) evaluates the coefficient
-once at its nodes; its sums of a constant are exact.  The width may differ
-per time (eps = 1/<xi> on each frequency row of a (frequency, time) array),
-so ``verify_reg_bounds`` measures a whole frequency grid in one evaluation
-per time grid.
+the rough coefficient.  The time term sums the windows its rule takes in
+closed form (the cosine sum, by angle addition) or from a Chebyshev
+interpolant (log-power windows analytic with margin), each the same midpoint
+rule up to round-off; every other window evaluates the coefficient once at
+its nodes.  The width may differ per time (eps = 1/<xi> on each frequency row
+of a (frequency, time) array), so ``verify_reg_bounds`` measures a whole
+frequency grid in one evaluation per time grid.
 """
 
 from __future__ import annotations
@@ -68,11 +62,8 @@ _T_END_GAP = 1e-9
 # midpoint nodes of the mollifier rule across the bump's support (-1, 1)
 MOLLIFIER_NODES = 256
 
-# Chebyshev nodes of the interpolant that stands in for the coefficient on
-# the midpoint nodes of a log-power window where it is analytic with margin:
-# the window's half-width is at most ANALYTIC_RATIO of the distance from its
-# centre to each branch point of the phase, and the phase turns by at most
-# ANALYTIC_PHASE over a half-width (``_analytic_windows``)
+# Chebyshev nodes of the interpolant that stands in for the coefficient on a
+# log-power window analytic with margin, and that margin (``_LogPowerTerm.windows``)
 INTERPOLANT_NODES = 48
 ANALYTIC_RATIO = 0.25
 ANALYTIC_PHASE = 0.5
@@ -80,6 +71,125 @@ ANALYTIC_PHASE = 0.5
 # window or phase points per block of mollify's evaluation (temporaries of
 # 128 KB; twice that raises a verify run's peak memory)
 BLOCK = 2**14
+
+
+@dataclass(frozen=True)
+class _LogPowerTerm:
+    """amplitude * sin((log 1/t)^(1+gamma)), the time term of ``log_power_oscillation``."""
+
+    amplitude: float
+    gamma: float
+
+    @property
+    def t_end(self):  # the phase (log 1/t)^(1+gamma) needs t < 1 where gamma > 0
+        return 1.0 if self.gamma > 0.0 else np.inf
+
+    def jet(self, t, k):
+        if np.any(t >= self.t_end):
+            raise ValueError("log_power_oscillation with gamma > 0 needs t < 1")
+        d, g = self.amplitude, self.gamma
+        L = np.log(1.0 / t)
+        # the phase sign(L) |L|^(1+gamma): L itself at gamma = 0, and L > 0 where gamma > 0
+        phase = L ** (1.0 + g) if g > 0.0 else L
+        jet = (d * np.sin(phase),)
+        if k >= 1:
+            jet += (-d * (1.0 + g) * L**g / t * np.cos(phase),)
+        if k >= 2:
+            term1 = (g * L ** (g - 1.0) + L**g) * np.cos(phase)
+            term2 = -(1.0 + g) * L ** (2.0 * g) * np.sin(phase)
+            jet += (d * (1.0 + g) / t**2 * (term1 + term2),)
+        return jet
+
+    def rate(self, t, order):
+        d, g = self.amplitude, self.gamma
+        L = np.maximum(np.log(1.0 / t), 0.0)
+        if order == 1:
+            return d * (1.0 + g) * L**g / t
+        low = np.where(L > 0.0, g * np.where(L > 0.0, L, 1.0) ** (g - 1.0), 0.0)
+        return d * (1.0 + g) * (low + L**g + (1.0 + g) * L ** (2.0 * g)) / t**2
+
+    def windows(self, eps, t):
+        """Mask of the 1-d pairs (eps, t) whose window the interpolant may sum: the coefficient analytic with margin.
+
+        That is eps <= ANALYTIC_RATIO t, and eps <= ANALYTIC_RATIO (1 - t) where gamma > 0 puts a branch point at s = 1;
+        eps rate(t - eps) <= ANALYTIC_PHASE amplitude; the window clear of the t = 0 freeze and the t_end clip.
+        Constant windows (amplitude 0) stay with the midpoint rule, whose sums of them are exact.
+        """
+        ok = np.zeros(t.shape, bool)
+        if self.amplitude == 0.0:
+            return ok
+        clear = (eps <= ANALYTIC_RATIO * t) & (t - eps >= _T_FLOOR) & (t + eps <= self.t_end - _T_END_GAP)
+        if self.gamma > 0.0:
+            clear &= eps <= ANALYTIC_RATIO * (1.0 - t)
+        i = np.flatnonzero(clear)
+        ok[i] = eps[i] * self.rate(t[i] - eps[i], 1) <= ANALYTIC_PHASE * self.amplitude
+        return ok
+
+    def window_sums(self, spec, eps, t):
+        return _window_sums(spec, eps, t, *_interpolant_rows())
+
+
+@dataclass(frozen=True)
+class _CosineSumTerm:
+    """amplitude * sum_j c_j cos(2^j t) / sum_j c_j, c_j = 2^(-j exponent), j = first..depth; its sup, at t = 0, is amplitude."""
+
+    amplitude: float
+    exponent: float
+    first: int
+    depth: int
+    t_end = np.inf
+
+    def modes(self):
+        js = np.arange(self.first, self.depth + 1)
+        return 2.0**js, 2.0 ** (-js * self.exponent)
+
+    def jet(self, t, k):
+        freqs, amps = self.modes()
+        # one array per row: += on a row of a 2-d array would copy the row back onto itself
+        acc = [np.zeros_like(t) for _ in range(k + 1)]
+        for w, c in zip(freqs, amps):
+            acc[0] += c * np.cos(w * t)
+            if k >= 1:
+                acc[1] += c * (-w) * np.sin(w * t)
+            if k >= 2:
+                acc[2] += c * (-(w**2)) * np.cos(w * t)
+        return tuple(self.amplitude * a / np.sum(amps) for a in acc)
+
+    def rate(self, t, order):
+        freqs, amps = self.modes()
+        return np.full_like(t, self.amplitude * np.sum(amps * freqs**order) / np.sum(amps))
+
+    @functools.lru_cache(maxsize=256)  # per width: the t grid, zone grids and roots of a verify run share widths 1/<xi>
+    def node_sums(self, eps: float):
+        """C_w(om eps) over S_w(om eps): the weights' cosine and sine sums at the nodes times the amplitudes, a row per cosine."""
+        y, *weights = _mollifier_grids()
+        freqs, amps = self.modes()
+        node_phase = np.multiply.outer(eps * y, freqs)
+        c = self.amplitude * amps / np.sum(amps)
+        return (np.stack(weights) @ np.hstack((np.cos(node_phase), np.sin(node_phase))) * np.tile(c, 2)).T
+
+    def windows(self, eps, t):
+        """Mask of the 1-d pairs (eps, t) whose window stays above the t = 0 freeze, which ``window_sums`` sums."""
+        return t - eps * _mollifier_grids()[0].max() >= _T_FLOOR
+
+    def window_sums(self, spec, eps, t):
+        """Rows sum_i w_i a(t - eps y_i) of spec, one per weight row, at the 1-d pairs (eps, t).
+
+        Angle addition splits every cosine, sum_i w_i cos(om (t - eps y_i)) = cos(om t) C_w(om eps) + sin(om t) S_w(om eps),
+        and the base contributes base * sum_i w_i: the midpoint rule term for term (coarse eps aliases the top cosines
+        alike), at O(depth) cosines per time in place of O(nodes * depth), once per distinct time of a block.
+        """
+        freqs = self.modes()[0]
+        _, *weights = _mollifier_grids()
+        terms = np.empty((len(weights), t.size))
+        for b in _row_blocks(t.size, 2 * freqs.size):
+            times, at_time = np.unique(t[b], return_inverse=True)
+            widths, at_width = np.unique(eps[b], return_inverse=True)
+            phase = np.multiply.outer(times, freqs)
+            trig = np.hstack((np.cos(phase), np.sin(phase)))[at_time]
+            sums = np.stack([self.node_sums(w) for w in widths])
+            terms[:, b] = np.matmul(trig[:, None, :], sums[at_width])[:, 0].T  # a product per pair, as in mollify
+        return spec.base * np.sum(weights, axis=1)[:, None] + terms
 
 
 @dataclass(frozen=True)
@@ -99,18 +209,12 @@ class SpatialProfile:
             raise ValueError("spatial regularity index must lie in (0, 2)")
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        js = np.arange(1, SPATIAL_TERMS + 1)
-        scale = self.amplitude / np.sum(2.0 ** (-js * self.s))
-        out = np.zeros_like(x)
-        for j in js:
-            out += 2.0 ** (-j * self.s) * np.cos(2.0**j * x)
-        return scale * out
+        return _CosineSumTerm(self.amplitude, self.s, 1, SPATIAL_TERMS).jet(np.asarray(x, dtype=float), 0)[0]
 
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """One scalar coefficient a(t) (optionally times a spatial factor)."""
+    """One scalar coefficient a(t), base plus the time term ``_term`` of its profile (optionally times a spatial factor)."""
 
     profile: str = "constant"
     base: float = 2.0
@@ -131,56 +235,31 @@ class CoefficientSpec:
             raise ValueError(f"oscillation exponent gamma_osc must be nonnegative and finite, got {self.gamma_osc}")
         if isinstance(self.depth, bool) or not isinstance(self.depth, (int, np.integer)) or self.depth < 0:
             raise ValueError(f"lacunary depth must be a nonnegative integer, got {self.depth!r}")
-        if self.profile == "holder_rough" and not (0.0 < self.alpha < 1.0):
-            raise ValueError("holder_rough exponent must lie in (0, 1)")
-
-    # -- time part -------------------------------------------------------
-
-    def _lacunary_terms(self):
-        """Frequencies 2^j and amplitudes 2^(-j alpha), j = 0..depth, of the holder_rough sum."""
-        js = np.arange(self.depth + 1)
-        return 2.0**js, 2.0 ** (-js * self.alpha)
+        if self.depth > 1023:
+            raise ValueError(f"lacunary depth must be at most 1023, where 2^depth overflows, got {self.depth}")
+        term = None
+        if self.profile == "log_power_oscillation":
+            term = _LogPowerTerm(self.delta, self.gamma_osc)
+        elif self.profile == "holder_rough":
+            if not (0.0 < self.alpha < 1.0):
+                raise ValueError("holder_rough exponent must lie in (0, 1)")
+            term = _CosineSumTerm(self.delta, self.alpha, 0, self.depth)
+        object.__setattr__(self, "_term", term)  # None: a = base
 
     def _time_jet(self, t, k=0):
         """(a, ..., a^(k)) of the time profile at times t > 0, k in {0, 1, 2}, each row in closed form."""
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
             raise ValueError("coefficient evaluated at t <= 0")
-        if self.profile == "constant":
+        if self._term is None:
             return (np.broadcast_to(np.float64(self.base), t.shape).copy(),) + (np.zeros_like(t),) * k
-        if self.profile == "log_power_oscillation":
-            if np.any(t >= self.t_end):
-                raise ValueError("log_power_oscillation with gamma > 0 needs t < 1")
-            g = self.gamma_osc
-            L = np.log(1.0 / t)
-            # the phase sign(L) |L|^(1+gamma): L itself at gamma = 0, and L > 0 where gamma > 0
-            phase = L ** (1.0 + g) if g > 0.0 else L
-            jet = (self.base + self.delta * np.sin(phase),)
-            if k >= 1:
-                jet += (-self.delta * (1.0 + g) * L**g / t * np.cos(phase),)
-            if k >= 2:
-                term1 = (g * L ** (g - 1.0) + L**g) * np.cos(phase)
-                term2 = -(1.0 + g) * L ** (2.0 * g) * np.sin(phase)
-                jet += (self.delta * (1.0 + g) / t**2 * (term1 + term2),)
-            return jet
-        freqs, amps = self._lacunary_terms()
-        # one array per row: += on a row of a 2-d array would copy the row back onto itself
-        acc = [np.zeros_like(t) for _ in range(k + 1)]
-        for w, c in zip(freqs, amps):
-            acc[0] += c * np.cos(w * t)
-            if k >= 1:
-                acc[1] += c * (-w) * np.sin(w * t)
-            if k >= 2:
-                acc[2] += c * (-(w**2)) * np.cos(w * t)
-        jet = tuple(self.delta * a / np.sum(amps) for a in acc)
+        jet = self._term.jet(t, k)
         return (self.base + jet[0],) + jet[1:]
 
     @property
     def t_end(self):
-        """End of the time domain: 1 where the phase (log 1/t)^(1+gamma) needs t < 1 (gamma > 0), else inf."""
-        return 1.0 if self.profile == "log_power_oscillation" and self.gamma_osc > 0.0 else np.inf
-
-    # -- full value ------------------------------------------------------
+        """End of the time domain: the time term's, inf without one."""
+        return np.inf if self._term is None else self._term.t_end
 
     def value(self, t):
         """The time profile a(t) at times t > 0, without the spatial factor."""
@@ -200,8 +279,8 @@ class CoefficientSpec:
 
     @property
     def sup_abs(self):
-        """Upper bound for |a| over its domain."""
-        return (self.base + self.delta) * self._spatial_sup
+        """Upper bound for |a| over its domain: base plus the time term's amplitude, times the spatial sup."""
+        return (self.base + (0.0 if self._term is None else self._term.amplitude)) * self._spatial_sup
 
     def extended_time_value(self, t):
         """Evaluation on the mollification windows and the integrator stages.
@@ -218,27 +297,13 @@ class CoefficientSpec:
     def rate_bound(self, t, order=1):
         """Envelope of |a'| (order 1) or |a''| (order 2) at times t > 0, for the integrator's step sizes.
 
-        The log-power bounds are delta (1+gamma) L^gamma / t and
-        delta (1+gamma) (gamma L^(gamma-1) + L^gamma + (1+gamma) L^(2 gamma)) / t^2
-        with L = max(log 1/t, 0); they read 0 where gamma > 0 and t >= 1,
-        because ``extended_time_value`` freezes the coefficient there.  The
-        first is nonincreasing in t.  The lacunary bounds are the sums of the
-        term amplitudes and do not depend on t.
+        Zero without a time term.  The order-1 envelope is nonincreasing in t.  Both read 0 past a finite
+        t_end, where ``extended_time_value`` freezes the coefficient.
         """
         t = np.asarray(t, dtype=float)
         if order not in (1, 2):
             raise ValueError("derivative order must be 1 or 2")
-        if self.profile == "constant":
-            return np.zeros_like(t)
-        if self.profile == "log_power_oscillation":
-            g = self.gamma_osc
-            L = np.maximum(np.log(1.0 / t), 0.0)
-            if order == 1:
-                return self.delta * (1.0 + g) * L**g / t
-            low = np.where(L > 0.0, g * np.where(L > 0.0, L, 1.0) ** (g - 1.0), 0.0)
-            return self.delta * (1.0 + g) * (low + L**g + (1.0 + g) * L ** (2.0 * g)) / t**2
-        freqs, amps = self._lacunary_terms()
-        return np.full_like(t, self.delta * np.sum(amps * freqs**order) / np.sum(amps))
+        return np.zeros_like(t) if self._term is None else self._term.rate(t, order)
 
 
 def oscillation_class(gamma_osc: float) -> str:
@@ -312,62 +377,6 @@ def _row_blocks(n, width):
     return (slice(i, i + step) for i in range(0, n, step))
 
 
-@functools.lru_cache(maxsize=256)
-def _lacunary_node_sums(spec: CoefficientSpec, eps: float):
-    """C_w(om eps) over S_w(om eps): the weights' cosine and sine sums at the nodes times the term amplitudes, a row per term.
-
-    Kept per width: the t grid, the zone grids and the roots of a ``verify``
-    run all mollify at the same widths 1/<xi>.
-    """
-    y, *weights = _mollifier_grids()
-    freqs, amps = spec._lacunary_terms()
-    node_phase = np.multiply.outer(eps * y, freqs)
-    c = spec.delta * amps / np.sum(amps)
-    return (np.stack(weights) @ np.hstack((np.cos(node_phase), np.sin(node_phase))) * np.tile(c, 2)).T
-
-
-def _lacunary_window_sums(spec: CoefficientSpec, eps, t):
-    """Rows sum_i w_i a(t - eps y_i) of the holder_rough profile, one per weight row, at the 1-d pairs (eps, t).
-
-    Angle addition splits every lacunary term,
-    sum_i w_i cos(om (t - eps y_i)) = cos(om t) C_w(om eps) + sin(om t) S_w(om eps),
-    with C_w, S_w the weights' cosine and sine sums at the nodes; the base
-    contributes base * sum_i w_i.  This is the midpoint rule term for term.
-    A block takes cos(om t), sin(om t) once per distinct time in it.
-    """
-    freqs = spec._lacunary_terms()[0]
-    _, *weights = _mollifier_grids()
-    terms = np.empty((len(weights), t.size))
-    for b in _row_blocks(t.size, 2 * freqs.size):
-        times, at_time = np.unique(t[b], return_inverse=True)
-        widths, at_width = np.unique(eps[b], return_inverse=True)
-        phase = np.multiply.outer(times, freqs)
-        trig = np.hstack((np.cos(phase), np.sin(phase)))[at_time]
-        sums = np.stack([_lacunary_node_sums(spec, w) for w in widths])
-        terms[:, b] = np.matmul(trig[:, None, :], sums[at_width])[:, 0].T  # a product per pair, as in mollify
-    return spec.base * np.sum(weights, axis=1)[:, None] + terms
-
-
-def _analytic_windows(spec: CoefficientSpec, eps, t):
-    """Mask of the 1-d pairs (eps, t) whose log-power window the interpolant may sum.
-
-    The coefficient must be analytic with margin there: eps <= ANALYTIC_RATIO
-    t, and eps <= ANALYTIC_RATIO (1 - t) where gamma > 0 puts a branch point
-    at s = 1; the window clear of the t = 0 freeze and the t_end clip; and
-    eps rate_bound(t - eps) <= ANALYTIC_PHASE delta.  Constant windows
-    (delta = 0) stay with the midpoint rule, whose sums of them are exact.
-    """
-    ok = np.zeros(t.shape, bool)
-    if spec.profile != "log_power_oscillation" or spec.delta == 0.0:
-        return ok
-    clear = (eps <= ANALYTIC_RATIO * t) & (t - eps >= _T_FLOOR) & (t + eps <= spec.t_end - _T_END_GAP)
-    if spec.gamma_osc > 0.0:
-        clear &= eps <= ANALYTIC_RATIO * (1.0 - t)
-    i = np.flatnonzero(clear)
-    ok[i] = eps[i] * spec.rate_bound(t[i] - eps[i]) <= ANALYTIC_PHASE * spec.delta
-    return ok
-
-
 def _window_sums(spec: CoefficientSpec, eps, t, nodes, rows):
     """Rows sum_i rows[i, k] a(t - eps nodes_i), one per column of rows, at the 1-d pairs (eps, t).
 
@@ -388,17 +397,13 @@ def mollify(spec: CoefficientSpec, eps, t):
 
     ``eps`` is one width or one per time: it broadcasts against t, e.g. one
     width per frequency row of a (frequency, time) array.  The rows are the
-    bump's midpoint rule and its derivative weights over eps and eps^2.  A
-    holder_rough time whose window stays above the t = 0 freeze sums the
-    window in closed form (``_lacunary_window_sums``); a log-power window on
-    which the coefficient is analytic with margin (``_analytic_windows``)
-    applies the rule to its Chebyshev interpolant (``_interpolant_rows``);
-    every other time evaluates the coefficient once on its window for all
-    three rows.  All (eps, t) pairs of the call are evaluated together, in
-    blocks of about ``BLOCK`` window or phase points, and each pair's path
-    and rows depend on that pair alone, so a pair's jet does not depend on
-    the other pairs of the call, bit for bit.  The shape is (3,) + the
-    broadcast shape of t and eps.
+    bump's midpoint rule and its derivative weights over eps and eps^2.  The
+    time term sums the windows of its rule (``windows``, ``window_sums``);
+    every other time evaluates the coefficient once on its window.  All
+    (eps, t) pairs of the call are evaluated together, in blocks of about
+    ``BLOCK`` window or phase points, and each pair's path and rows depend on
+    that pair alone, so a pair's jet does not depend on the other pairs of
+    the call, bit for bit.  The shape is (3,) + the broadcast shape of t and eps.
     """
     eps = np.asarray(eps, dtype=float)
     if not np.all(eps > 0.0):
@@ -410,14 +415,10 @@ def mollify(spec: CoefficientSpec, eps, t):
     t, eps = t.ravel(), eps.ravel()
     y, *weights = _mollifier_grids()
     jet = np.empty((3, t.size))
-    closed = np.zeros(t.shape, bool)
-    if spec.profile == "holder_rough":
-        closed = t - eps * y.max() >= _T_FLOOR
-        jet[:, closed] = _lacunary_window_sums(spec, eps[closed], t[closed])
-    smooth = _analytic_windows(spec, eps, t)
-    jet[:, smooth] = _window_sums(spec, eps[smooth], t[smooth], *_interpolant_rows())
-    rest = ~(closed | smooth)
-    jet[:, rest] = _window_sums(spec, eps[rest], t[rest], y, np.stack(weights, axis=1))
+    own = np.zeros(t.shape, bool) if spec._term is None else spec._term.windows(eps, t)
+    if own.any():
+        jet[:, own] = spec._term.window_sums(spec, eps[own], t[own])
+    jet[:, ~own] = _window_sums(spec, eps[~own], t[~own], y, np.stack(weights, axis=1))
     jet[1] /= eps
     jet[2] /= eps**2
     return jet.reshape((3,) + shape)

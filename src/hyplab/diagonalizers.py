@@ -230,7 +230,7 @@ def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> np.ndarray:
             )
     log_term = np.log(g1 / g0)
     a1 = spec.coeffs[-1]
-    if a1 is not None and a1.profile != "constant":
+    if a1 is not None and a1._term is not None:
 
         def remainder(ss):
             lam_dot, g = gap_sums(ss)

@@ -818,9 +818,8 @@ def closed_form_constant_trace(exp: FrequencyExperiment, xi: float, u0=None) -> 
     sample grid.
     """
     spec = exp.operator
-    for c in spec.coeffs:
-        if c is not None and c.profile != "constant":
-            raise ValueError("closed form available for constant coefficients only")
+    if any(c is not None and c._term is not None for c in spec.coeffs):
+        raise ValueError("closed form available for constant coefficients only")
     lam = characteristic_roots(spec, 0.1, xi)[0][0]
     V = m1_symbol(lam, xi)
     Vinv = m1_inverse_symbol(lam, xi)

@@ -8,7 +8,6 @@ from hyplab.coefficients import (
     MOLLIFIER_NODES,
     CoefficientSpec,
     SpatialProfile,
-    _analytic_windows,
     _mollifier_grids,
     mollify,
     oscillation_class,
@@ -75,7 +74,7 @@ def test_time_jet_rows_do_not_depend_on_the_order_asked():
             logs = np.log(1.0 / t)
             want = spec.base + spec.delta * np.sin(logs ** (1.0 + spec.gamma_osc) if spec.gamma_osc > 0.0 else logs)
         else:
-            freqs, amps = spec._lacunary_terms()
+            freqs, amps = spec._term.modes()
             acc = np.zeros_like(t)
             for w, c in zip(freqs, amps):
                 acc += c * np.cos(w * t)
@@ -115,8 +114,11 @@ def test_invalid_specs():
         (dict(gamma_osc=-0.5), "gamma_osc must be nonnegative and finite, got -0.5"),
         (dict(depth=-1), "depth must be a nonnegative integer, got -1"),
         (dict(depth=2.5), "depth must be a nonnegative integer, got 2.5"),
+        (dict(depth=1100), "depth must be at most 1023, where 2\\^depth overflows, got 1100"),
     ],
-    ids=["base_inf", "base_nan", "gamma_nan", "gamma_inf", "gamma_negative", "depth_negative", "depth_fractional"],
+    ids=[
+        "base_inf", "base_nan", "gamma_nan", "gamma_inf", "gamma_negative", "depth_negative", "depth_fractional", "depth_overflow"
+    ],
 )
 def test_coefficient_spec_rejects_bad_fields(kwargs, message):
     # a library caller gets a ValueError naming the field, not a LinAlgError, NaN values or a resized sum
@@ -373,7 +375,7 @@ def test_batch_log_power_windows_take_both_paths():
     # the call-mate tests above cover the interpolant and the midpoint rule
     # together only while the log-power case has windows on both
     eps, t = (a.ravel() for a in np.broadcast_arrays(BATCH_EPS[:, None], BATCH_T))
-    analytic = _analytic_windows(BATCH_SPECS[1], eps, t)
+    analytic = BATCH_SPECS[1]._term.windows(eps, t)
     assert 0 < np.count_nonzero(analytic) < t.size
 
 
@@ -419,7 +421,7 @@ def test_mollify_log_power_interpolant_within_the_rules_roundoff(monkeypatch):
         # the limit eps <= (1 - t)/4 keeps them off the interpolant if gamma > 0
         near = 10.0 ** rng.uniform(-3.0, -0.3, 5000)
         t, eps = np.append(t, 1.0 - near), np.append(eps, near * (1.0 - 10.0 ** rng.uniform(-6.0, 0.0, near.size)))
-        keep = _analytic_windows(spec, eps, t)
+        keep = spec._term.windows(eps, t)
         t, eps = t[keep], eps[keep]
         windows += t.size
         got = mollify(spec, eps, t)
@@ -437,7 +439,7 @@ def test_verify_reg_bounds_same_with_interpolant_off(monkeypatch, gamma):
     # every shipped config has gamma = 0; loglip's grids with a faster phase
     spec = CoefficientSpec("log_power_oscillation", delta=0.5, gamma_osc=gamma)
     xi, ts = np.geomspace(4, 4096, 25), np.geomspace(0.01, 0.5, 48)
-    assert np.any(_analytic_windows(spec, *(a.ravel() for a in np.broadcast_arrays(1.0 / jbracket(xi)[:, None], ts))))
+    assert np.any(spec._term.windows(*(a.ravel() for a in np.broadcast_arrays(1.0 / jbracket(xi)[:, None], ts))))
     args = (spec, log_reciprocal(1.0), power_law(1.0, role="rho"), ZoneParams(N=2.0, M=2.0, T=0.5), xi, ts, 48)
     on = verify_reg_bounds(*args)
     monkeypatch.setattr(coefficients, "ANALYTIC_RATIO", 0.0)
@@ -595,6 +597,23 @@ def test_verify_reg_bounds_loglip_oscillation_clause_iv_bounded():
     c4 = rep["iv"]
     assert np.isfinite(c4.max_ratio)
     assert c4.top_decade_growth < 2.0
+
+
+def test_spatial_profile_is_the_normalized_lacunary_sum():
+    # seeded (s, amplitude) against amplitude sum_{j=1}^{10} 2^(-js) cos(2^j x) / sum 2^(-js),
+    # within a few ulps of the amplitude; at x = 0 the value is the amplitude that _spatial_sup takes as sup|b|
+    rng = np.random.default_rng(20261021)
+    js = np.arange(1, 11)
+    x = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 2000)
+    for _ in range(20):
+        s, amplitude = rng.uniform(0.01, 1.99), rng.uniform(0.0, 0.5)
+        sp = SpatialProfile(s=s, amplitude=amplitude)
+        amps = 2.0 ** (-js * s)
+        want = amplitude * (amps @ np.cos(np.multiply.outer(2.0**js, x))) / amps.sum()
+        ulps = 8.0 * np.finfo(float).eps * amplitude
+        assert np.max(np.abs(sp.value(x) - want)) <= ulps, (s, amplitude)
+        assert abs(sp.value(0.0) - amplitude) <= ulps, (s, amplitude)
+        assert CoefficientSpec("constant", spatial=sp)._spatial_sup == 1.0 + amplitude
 
 
 def test_spatial_profile_factor():

@@ -63,6 +63,18 @@ def test_experiment_validation():
         small_experiment(operator=spatial_op)
 
 
+def test_constant_profile_leaves_delta_out_of_its_sup_and_step_plan():
+    # a constant coefficient never evaluates delta, so neither sup|a| nor the steps may grow with it
+    counts = []
+    for delta in (0.0, 0.9):
+        c = CoefficientSpec("constant", base=2.0, delta=delta)
+        assert c.sup_abs == 2.0
+        op = HyperbolicOperatorSpec(2, (c, None))
+        exp = small_experiment(operator=op, xi_grid=np.geomspace(16.0, 4096.0, 9), zone=ZoneParams(2.0, 2.0, 0.5))
+        counts.append(energy._plan(exp, np.arange(9))[1])
+    assert np.array_equal(*counts)
+
+
 def test_zero_initial_vector_gives_zero_trace():
     # a zero initial norm has no amplification to report
     tr = EnergyTrace.from_history(8.0, np.linspace(0.0, 0.5, 257), np.zeros(257))

@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import hyplab
+from hyplab.coefficients import PROFILES
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(hyplab.__path__))
 
@@ -37,3 +38,23 @@ def test_package_calls_mollify_with_t_by_keyword():
                 calls.append(f"{path.name}:{node.lineno}")
                 assert len(node.args) <= 2 and "t" in {k.arg for k in node.keywords}, calls[-1]
     assert calls
+
+
+def test_profile_names_are_compared_only_where_a_profile_is_decided():
+    # CoefficientSpec.__post_init__ turns a profile into its time term, which
+    # every other place asks; the loss sweep varies the log-power gamma by
+    # definition, so it looks for that profile by name
+    names = set(PROFILES)
+    sites = {}
+    for path in sorted(pathlib.Path(hyplab.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # ast.walk is breadth first, so a nested function's name overwrites its outer one
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+            for node in ast.walk(scope):
+                operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+                if any(isinstance(v, ast.Constant) and v.value in names for v in operands):
+                    sites[(path.name, node.lineno, node.col_offset)] = getattr(scope, "name", "<module>")
+    assert {(where[0], scope) for where, scope in sites.items()} == {
+        ("coefficients.py", "__post_init__"),
+        ("cli.py", "_oscillating_index"),
+    }, sorted(sites.items())
