@@ -1,7 +1,7 @@
 """Test coefficients, their time mollification and regularization bounds.
 
 A coefficient is a positive base plus at most one closed-form time term,
-decided once from its profile:
+decided once from its profile; the term exists exactly when delta > 0:
 
 * ``constant``               a(t) = base (no term)
 * ``log_power_oscillation``  a(t) = base + delta * sin((log 1/t)^(1+gamma))
@@ -113,11 +113,8 @@ class _LogPowerTerm:
 
         That is eps <= ANALYTIC_RATIO t, and eps <= ANALYTIC_RATIO (1 - t) where gamma > 0 puts a branch point at s = 1;
         eps rate(t - eps) <= ANALYTIC_PHASE amplitude; the window clear of the t = 0 freeze and the t_end clip.
-        Constant windows (amplitude 0) stay with the midpoint rule, whose sums of them are exact.
         """
         ok = np.zeros(t.shape, bool)
-        if self.amplitude == 0.0:
-            return ok
         clear = (eps <= ANALYTIC_RATIO * t) & (t - eps >= _T_FLOOR) & (t + eps <= self.t_end - _T_END_GAP)
         if self.gamma > 0.0:
             clear &= eps <= ANALYTIC_RATIO * (1.0 - t)
@@ -196,13 +193,10 @@ class _CosineSumTerm:
 class SpatialProfile:
     """Periodic lacunary perturbation b(x), normalized to sup|b| = amplitude."""
 
-    family: str = "lacunary"
     s: float = 1.2
     amplitude: float = 0.25
 
     def __post_init__(self):
-        if self.family != "lacunary":
-            raise ValueError("only the lacunary spatial family is cataloged")
         if not (0.0 <= self.amplitude < 0.5):
             raise ValueError("spatial amplitude must lie in [0, 1/2)")
         if not (0.0 < self.s < 2.0):  # the range of the direct Zygmund estimator verify compares against
@@ -244,7 +238,7 @@ class CoefficientSpec:
             if not (0.0 < self.alpha < 1.0):
                 raise ValueError("holder_rough exponent must lie in (0, 1)")
             term = _CosineSumTerm(self.delta, self.alpha, 0, self.depth)
-        object.__setattr__(self, "_term", term)  # None: a = base
+        object.__setattr__(self, "_term", term if self.delta > 0.0 else None)  # None: a = base, also at delta = 0
 
     def _time_jet(self, t, k=0):
         """(a, ..., a^(k)) of the time profile at times t > 0, k in {0, 1, 2}, each row in closed form."""

@@ -8,9 +8,9 @@ Sections and keys, each with its parser in ``_SCHEMA``:
     [zone]         N, M (number or "auto"), T
     [operator]     m, delta_sep
     [coefficient.K]  profile, base, delta, gamma_osc, alpha, and optional
-                   spatial.family, spatial.s, spatial.amplitude (any of them
-                   adds the spatial factor); K is the coefficient subscript
-                   (a_K multiplies xi^K)
+                   spatial.s, spatial.amplitude (either adds the lacunary
+                   spatial factor); K is the coefficient subscript (a_K
+                   multiplies xi^K)
     [grids]        xi_min, xi_max, points_per_decade, t_samples, t_min
     [fits]         eps, table_alpha
     [loss]         gammas, delta, xi_min, xi_max, points_per_decade,
@@ -73,7 +73,7 @@ _SCHEMA = {
     "operator": {"m": int, "delta_sep": _finite},
     "coefficient.K": {
         "profile": str, "base": _finite, "delta": _finite, "gamma_osc": _finite, "alpha": _finite,
-        "spatial.family": str, "spatial.s": _finite, "spatial.amplitude": _finite,
+        "spatial.s": _finite, "spatial.amplitude": _finite,
     },
     "grids": {"xi_min": _finite, "xi_max": _finite, "points_per_decade": _finite, "t_samples": int, "t_min": _finite},
     "fits": {"eps": _finite, "table_alpha": _finite},

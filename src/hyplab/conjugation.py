@@ -6,12 +6,12 @@ theta0 glues the two natural dissipation scales with smooth cutoffs:
                   + chi(t / (N eta(1/<xi>))) * [ W3(t, xi) + W2(t, xi) ]
 
 where chi is the cutoff ``ramp_chi`` and W2 and W3 are the hyperbolic-zone
-weights.  The full weight is theta = K (2 + theta0) >= 2K.  The laboratory
-checks that the time integral of theta0 stays bounded along a frequency
-sweep (a zero-order quantity), which is the gate for a no-loss energy
-estimate.  W2 and W3 are exact time derivatives by definition, so that
-integral telescopes: only the cutoff ramp of the second branch is left to
-composite Simpson.
+weights.  The paper's full weight is theta = K (2 + theta0) >= 2K.  The
+laboratory checks that the time integral of theta0 stays bounded along a
+frequency sweep (a zero-order quantity), which is the gate for a no-loss
+energy estimate.  W2 and W3 are exact time derivatives by definition, so
+that integral telescopes: only the cutoff ramp of the second branch is left
+to composite Simpson.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .weights import _check_grid, _shifted_arg, _top_decade_fit, jbracket, weigh
 from .zones import ZoneParams, validate_zone
 from .zygmund import _smoothstep
 
-__all__ = ["ramp_chi", "ThetaSpec", "theta0", "theta", "theta_integral_bound"]
+__all__ = ["ramp_chi", "ThetaSpec", "theta0", "theta_integral_bound"]
 
 
 def ramp_chi(tau):
@@ -39,11 +39,8 @@ class ThetaSpec:
     eta: AuxiliaryFunction
     rho: AuxiliaryFunction
     zone: ZoneParams
-    K: float = 1.0
 
     def __post_init__(self):
-        if not (self.K > 0.0):
-            raise ValueError("K must be positive")
         validate_zone(self.eta, self.zone)
 
 
@@ -58,11 +55,6 @@ def theta0(ts: ThetaSpec, t, xi):
     ta, xa = (np.broadcast_to(v, active.shape)[active] for v in (t_arr, xi))
     out[active] += gate[active] * (weight_w3(ts.eta, ts.rho, xa, ta) + weight_w2(ts.eta, xa, ta))
     return out if np.ndim(t) or np.ndim(xi) else float(out[0])
-
-
-def theta(ts: ThetaSpec, t, xi):
-    """Full conjugation weight K (2 + theta0) >= 2K."""
-    return ts.K * (2.0 + np.asarray(theta0(ts, t, xi)))
 
 
 def _simpson(fn, a, b, n):

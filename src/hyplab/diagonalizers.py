@@ -3,10 +3,10 @@
 Three transformations and one set of weights, applied to the first-order
 system at fixed phase-space points.  Every step is a formula in the root
 gaps G[p, i] = lam_i - lam_p and their products P_p = prod_{i != p} G[p, i],
-taken from the one gap matrix ``companion._root_gaps``; for m = 2, M1, its
-inverse and C1 are closed forms on the one gap g = lam_1 - lam_0 (so
-P = (g, -g)), each entry by the general formula's floating-point operations
-in their order, so that both give the same bits.  Every symbol takes
+taken from the one gap matrix ``companion._root_gaps``; for m = 2, M1 and
+C1 are closed forms on the one gap g = lam_1 - lam_0 (so P = (g, -g)), each
+entry by the general formula's floating-point operations in their order, so
+that both give the same bits.  Every symbol takes
 ascending roots lam[..., k] batched over leading axes, against which xi
 broadcasts, and is complex with trailing (m, m) axes.
 
@@ -88,11 +88,6 @@ def m1_inverse_symbol(lam, xi) -> np.ndarray:
     are (z_1, -1)/g and (-z_0, 1)/g.
     """
     z = lam / jbracket(xi)[..., None]  # normalized roots; powers of <xi> cancel
-    return (_m1_inverse_2 if z.shape[-1] == 2 else _m1_inverse_m)(z)
-
-
-def _m1_inverse_m(z):
-    """``m1_inverse_symbol`` of the normalized roots z, over the gap matrix."""
     m = z.shape[-1]
     _, P = _root_gaps(z, _UNDERFLOW)
     e = np.zeros(z.shape + (m,))  # e[..., p, k], highest power first
@@ -101,18 +96,6 @@ def _m1_inverse_m(z):
         rows = np.arange(m) != i
         e[..., rows, 1:] -= z[..., i, None, None] * e[..., rows, :-1]
     return ((-1.0) ** (m - 1) * e[..., ::-1] / P[..., None]).astype(complex)
-
-
-def _m1_inverse_2(z):
-    """``_m1_inverse_m`` at m = 2 on the one gap g = z_1 - z_0, bit for bit (z_0 / -g = -(z_0 / g))."""
-    g = _gap_floor(z, _UNDERFLOW)[..., 0]
-    r = 1.0 / g
-    inv = np.empty(z.shape + (2,), dtype=complex)
-    inv[..., 0, 0] = z[..., 1] / g
-    inv[..., 0, 1] = -r
-    inv[..., 1, 0] = -(z[..., 0] / g)
-    inv[..., 1, 1] = r
-    return inv
 
 
 def _c1(lam, roots_dt, xi):

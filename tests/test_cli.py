@@ -82,7 +82,6 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("delta = 0.5", "delta = nan", "not a finite number"),
         ("[grids]", "[grid]", "unknown section"),
         ("t_min = 0.01", "t_mni = 0.01", "unknown key"),
-        ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.family = lacunary\nspatial.amplitude = 0.9", "amplitude"),
         ("t_min = 0.01", "t_min = 0.01\nt_min = 0.02", "already exists"),
         ("[moduli]", "", "no section headers"),
         ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.amplitude = 0.9", "amplitude"),
@@ -113,13 +112,13 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
         ("rho_param = 1.0", "rho_param = 1.5", r"\[moduli\] rho: power_law exponent must lie in \(0, 1\]"),
         ("eta_param = 1.0", "eta_param = 1.0\neta_r0 = -1", r"\[moduli\] eta: r0 must be positive"),
         ("base = 2.0", "base = 0", r"\[coefficient.2\]: base must be positive"),
-        ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.family = fourier", "only the lacunary spatial family is cataloged"),
+        ("gamma_osc = 0.0", "gamma_osc = 0.0\nspatial.family = fourier", r"\[coefficient.2\] unknown key 'spatial.family'"),
         # the verdict thresholds are fixed in the cli, not read from a config
         ("eps = 0.01", "eps = 0.01\ngrowth_tol = 2", r"\[fits\] unknown key 'growth_tol'"),
         ("eps = 0.01", "eps = 0.01\ntheta_slope_max = 0.05", r"\[fits\] unknown key 'theta_slope_max'"),
     ],
     ids=[
-        "inf", "nan", "unknown_section", "unknown_key", "spatial_amplitude", "repeated_key", "no_section_header",
+        "inf", "nan", "unknown_section", "unknown_key", "repeated_key", "no_section_header",
         "spatial_amplitude_without_family", "spatial_s_without_family", "horizon_past_log_power_end",
         "missing_moduli", "missing_eta_param", "xi_min_not_below_xi_max", "one_point_grid", "zone_N_below_2",
         "horizon_zero", "horizon_past_eta_range", "floor_negative", "floor_not_a_number", "subscript_not_integer",

@@ -546,17 +546,15 @@ def test_m2_closed_forms_are_the_general_formulas_bit_for_bit(shape):
     assert np.array_equal(_root_rates(lam, rates, xi), _root_rates_m(lam, b_dot))
     z = lam / jbracket(xi)[..., None]
     assert np.array_equal(m1_symbol(lam, xi), diagonalizers._m1_m(z))
-    assert np.array_equal(m1_inverse_symbol(lam, xi), diagonalizers._m1_inverse_m(z))
 
 
 @pytest.mark.parametrize(
     "closed, general, args",
     [
         (diagonalizers._c1_2, diagonalizers._c1_m, (np.array([[1.0, 3.0], [2.0, 2.0 + 1e-13]]), np.ones((2, 2)), 1.0)),
-        (diagonalizers._m1_inverse_2, diagonalizers._m1_inverse_m, (np.array([[0.5, 0.5 + 1e-13], [0.0, 1.0]]),)),
         (_root_rates_2, _root_rates_m, (np.array([[1.0, 0.5]]), np.ones((1, 2)))),
     ],
-    ids=["c1", "m1_inverse", "root_rates_descending"],
+    ids=["c1", "root_rates_descending"],
 )
 def test_m2_closed_forms_raise_as_the_general_formulas(closed, general, args):
     # a gap below the underflow guard (for the rates, a negative one) raises with the general path's message

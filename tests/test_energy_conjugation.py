@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hyplab import diagonalizers, energy
-from hyplab.coefficients import CoefficientSpec
+from hyplab.coefficients import CoefficientSpec, mollify
 from hyplab.companion import HyperbolicOperatorSpec, _root_gaps, roots_on_times
 from hyplab.conjugation import (
     ThetaSpec,
@@ -14,10 +15,10 @@ from hyplab.conjugation import (
     _weight_antiderivatives,
     integrate_theta0,
     ramp_chi,
-    theta,
     theta0,
     theta_integral_bound,
 )
+from hyplab.config import load_config
 from hyplab.diagonalizers import m3_weights
 from hyplab.energy import (
     EnergyTrace,
@@ -90,6 +91,37 @@ def test_constant_coefficients_match_plane_wave_oracle():
         oracle = closed_form_constant_trace(exp, xi)
         assert np.max(np.abs(tr.norms - oracle.norms) / np.max(oracle.norms)) < 1e-6
         assert tr.amplification == pytest.approx(oracle.amplification, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "profile, shape", [("log_power_oscillation", dict(gamma_osc=1.0)), ("holder_rough", dict(alpha=0.5))],
+    ids=["log_power", "holder_rough"],
+)
+def test_zero_amplitude_term_is_no_term(tmp_path, profile, shape):
+    # delta = 0 leaves a = base: no time term, no end of the time domain, the constant's bits on every path
+    spec = CoefficientSpec(profile, base=1.0, delta=0.0, **shape)
+    const = CoefficientSpec("constant", base=1.0)
+    assert spec._term is None and spec.t_end == np.inf
+    exp, ref = (small_experiment(operator=HyperbolicOperatorSpec(2, (c, None))) for c in (spec, const))
+    for got, want in [
+        (closed_form_constant_trace(exp, 64.0), closed_form_constant_trace(ref, 64.0)),
+        *zip(evolve_sweep(exp, [0, 5, 11]), evolve_sweep(ref, [0, 5, 11])),
+    ]:
+        assert np.array_equal(got.times, want.times) and np.array_equal(got.norms, want.norms)
+        assert (got.amplification, got.steps, got.nodes) == (want.amplification, want.steps, want.nodes)
+    eps, t = 1.0 / jbracket(np.geomspace(4.0, 4096.0, 7))[:, None], np.geomspace(1e-3, 0.9, 9)
+    assert np.array_equal(mollify(spec, eps, t), mollify(const, eps, t))
+    a1 = HyperbolicOperatorSpec(2, (CoefficientSpec("constant", base=2.0), spec))
+    assert np.all(m3_weights(a1, np.geomspace(16.0, 4096.0, 9), 0.5) == 0.0)
+    # the config caps no horizon of it: T = 1.2 loads, past the log-power phase's end at t = 1
+    text = (Path(__file__).parent.parent / "configs" / "loglip.cfg").read_text(encoding="utf-8")
+    old = "profile = log_power_oscillation\nbase = 2.0\ndelta = 0.5\ngamma_osc = 0.0"
+    keys = "".join(f"\n{k} = {v}" for k, v in shape.items())
+    assert "T = 0.5" in text and old in text
+    path = tmp_path / "zero_delta.cfg"
+    path.write_text(text.replace("T = 0.5", "T = 1.2").replace(old, f"profile = {profile}\nbase = 1.0\ndelta = 0.0{keys}"))
+    cfg = load_config(path)
+    assert cfg.zone.T == 1.2 and cfg.operator.coeffs[0] == spec
 
 
 def test_constant_amplification_frequency_independent():
@@ -774,8 +806,6 @@ def test_theta_spec_validation_and_chi_shape():
     tau = np.linspace(-1.0, 2.0, 301)
     vals = ramp_chi(tau)
     assert np.all(np.diff(vals) >= -1e-15)
-    with pytest.raises(ValueError):
-        ThetaSpec(ETA_LL, rho, zp, K=0.0)
 
 
 def test_theta0_at_zero_equals_w1():
@@ -819,13 +849,12 @@ def test_theta0_crossover_finite_and_dominated_by_branch_sum():
 def test_theta0_nonnegative_continuous_and_theta_floor():
     zp = ZoneParams(2.0, 2.0, 0.5)
     rho = power_law(1.0, role="rho")
-    ts = ThetaSpec(ETA_LL, rho, zp, K=1.7)
+    ts = ThetaSpec(ETA_LL, rho, zp)
     xi = 100.0
     tt = np.linspace(0.0, 0.5, 2001)
     vals = np.asarray(theta0(ts, tt, xi))
     assert np.all(vals >= 0.0)
     assert np.max(np.abs(np.diff(vals))) < 0.2 * (np.max(vals) + 1.0)  # no jumps
-    assert np.all(np.asarray(theta(ts, tt, xi)) >= 2.0 * 1.7)
 
 
 def test_theta_integral_bound_flat_for_catalog():
