@@ -15,8 +15,9 @@ roots over the larger, which keeps its relative accuracy (``_quadratic_roots``);
 for m > 2 they are the symbol's eigenvalues.  Along a time grid, for one
 frequency or an array of them, the roots of the mollified symbol come with
 their exact rates, by implicit differentiation of the characteristic
-polynomial over the root-gap matrix that the diagonalizer chain is built
-from (for m = 2, the one gap); the same differentiation (``_root_rates``)
+polynomial over the root gaps G[p][i] = lam_i - lam_p and their products
+P_p that the diagonalizer chain is built from (``_root_gaps``, one array
+per entry, at every m); the same differentiation (``_root_rates``)
 gives the rates of the raw roots (``characteristic_roots``) that the
 integrator's frame follows.
 """
@@ -162,27 +163,23 @@ def _quadratic_roots(c, jb):
     return lam, np.where(real, 0.0, w)
 
 
-def _gap_floor(lam, tol):
-    """Neighbour gaps lam[..., k + 1] - lam[..., k] of ascending roots; one below ``tol`` (one value, or one per row of roots) raises NearMultipleRoot (underflow guard)."""
-    gaps = np.diff(lam, axis=-1)
-    if np.any(gaps < np.asarray(tol)[..., None]):
-        raise NearMultipleRoot(f"root gap underflow below {np.min(tol):.3e}")
-    return gaps
-
-
 def _root_gaps(lam, tol=0.0):
-    """Gap matrix G[..., p, i] = lam_i - lam_p (zero diagonal) of ascending roots.
+    """Gaps G[p][i] = lam_i - lam_p of ascending roots, one array of the leading shape per entry, and their products.
 
-    Returns ``(G, P)`` with P[..., p] = prod_{i != p} G[..., p, i].  A gap
-    below ``tol`` raises as in ``_gap_floor``.
+    G[p][p] is 0.0.  Returns ``(G, P)`` with P[..., p] = prod_{i != p} G[p][i]
+    along the root axis, in ascending i (ones at m = 1).  A neighbour gap
+    lam_{k+1} - lam_k below ``tol`` (one value, or one per row of roots)
+    raises NearMultipleRoot (underflow guard).
     """
     m = lam.shape[-1]
-    _gap_floor(lam, tol)
-    G = lam[..., None, :] - lam[..., :, None]
-    H = G + np.eye(m)
-    P = H[..., 0].copy()
-    for i in range(1, m):  # the product in np.prod's order, without its reduction over a short axis
-        P *= H[..., i]
+    G = [[lam[..., i] - lam[..., p] if i != p else 0.0 for i in range(m)] for p in range(m)]
+    if any(np.any(G[k][k + 1] < tol) for k in range(m - 1)):
+        raise NearMultipleRoot(f"root gap underflow below {np.min(tol):.3e}")
+    P = np.ones(lam.shape)
+    for p in range(m):
+        for i in range(m):
+            if i != p:
+                P[..., p] *= G[p][i]
     return G, P
 
 
@@ -238,30 +235,16 @@ def _root_rates(lam, vals_dot, xi):
 
         lam_k' = sum_j b_j' lam_k^j / p'(lam_k),
 
-    with p'(lam_k) = prod_{i != k}(lam_k - lam_i) = (-1)^(m-1) P_k from the
-    gap matrix (``_root_rates_m``), for m = 2 -g and g from the one gap
-    g = lam_1 - lam_0 (``_root_rates_2``).  Batched over the leading axes,
+    the numerator by Horner in lam_k and p'(lam_k) = prod_{i != k}(lam_k - lam_i)
+    = (-1)^(m-1) P_k from ``_root_gaps``.  Batched over the leading axes,
     against which xi broadcasts.
     """
     m = lam.shape[-1]
     b_dot = vals_dot * np.asarray(xi, dtype=float)[..., None] ** (m - np.arange(m))
-    return (_root_rates_2 if m == 2 else _root_rates_m)(lam, b_dot)
-
-
-def _root_rates_m(lam, b_dot):
-    """``_root_rates`` from the rates b_dot[..., j] = b_j', over the gap matrix."""
-    m = lam.shape[-1]
-    num = b_dot[..., m - 1 :] * np.ones_like(lam)  # by Horner in lam_k
+    num = b_dot[..., m - 1 :]
     for j in range(m - 2, -1, -1):
         num = num * lam + b_dot[..., j : j + 1]
-    _, P = _root_gaps(lam)
-    return num / ((-1) ** (m - 1) * P)
-
-
-def _root_rates_2(lam, b_dot):
-    """``_root_rates_m`` at m = 2 on the one gap, bit for bit: p'(lam_0) = -g and p'(lam_1) = g."""
-    g = _gap_floor(lam, 0.0)
-    return (b_dot[..., 1:] * lam + b_dot[..., :1]) / np.concatenate((-g, g), axis=-1)
+    return num / ((-1) ** (m - 1) * _root_gaps(lam)[1])
 
 
 def companion_symbol(spec: HyperbolicOperatorSpec, t, xi) -> np.ndarray:

@@ -2,11 +2,10 @@
 
 Three transformations and one set of weights, applied to the first-order
 system at fixed phase-space points.  Every step is a formula in the root
-gaps G[p, i] = lam_i - lam_p and their products P_p = prod_{i != p} G[p, i],
-taken from the one gap matrix ``companion._root_gaps``; for m = 2, M1 and
-C1 are closed forms on the one gap g = lam_1 - lam_0 (so P = (g, -g)), each
-entry by the general formula's floating-point operations in their order, so
-that both give the same bits.  Every symbol takes
+gaps G[p][i] = lam_i - lam_p and their products P_p = prod_{i != p} G[p][i],
+taken from the one helper ``companion._root_gaps``, one array per entry.
+Each formula is written once for every order m, entry by entry (M1 row by
+row) along the root axis.  Every symbol takes
 ascending roots lam[..., k] batched over leading axes, against which xi
 broadcasts, and is complex with trailing (m, m) axes.
 
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .companion import HyperbolicOperatorSpec, _gap_floor, _root_gaps, roots_on_times
+from .companion import HyperbolicOperatorSpec, _root_gaps, roots_on_times
 from .conjugation import _simpson
 from .weights import jbracket
 
@@ -61,21 +60,14 @@ class DiagonalizerIllConditioned(Exception):
 
 
 def m1_symbol(lam, xi) -> np.ndarray:
-    """Vandermonde in z_q = lam_q/<xi>: entry (p, q) is z_q^p, over the leading axes of lam, against which xi broadcasts."""
+    """Vandermonde in z_q = lam_q/<xi>: entry (p, q) is z_q^p, row p being row p - 1 times z; batched over the leading axes of lam, against which xi broadcasts."""
     z = lam / jbracket(xi)[..., None]
-    return (_m1_2 if z.shape[-1] == 2 else _m1_m)(z)
-
-
-def _m1_m(z):
-    """``m1_symbol`` of the normalized roots z, by powers."""
-    return (z[..., None, :] ** np.arange(z.shape[-1])[:, None]).astype(complex)
-
-
-def _m1_2(z):
-    """``_m1_m`` at m = 2, bit for bit: rows 1 and z."""
-    M = np.empty(z.shape[:-1] + (2, 2), dtype=complex)
-    M[..., 0, :] = 1.0
-    M[..., 1, :] = z
+    m = z.shape[-1]
+    M = np.zeros(z.shape[:-1] + (m, m), dtype=complex)
+    rows = M.real
+    rows[..., 0, :] = 1.0
+    for p in range(1, m):
+        np.multiply(rows[..., p - 1, :], z, out=rows[..., p, :])
     return M
 
 
@@ -102,44 +94,25 @@ def _c1(lam, roots_dt, xi):
     """The real coupling K = -i C1 and the reciprocal gaps R[..., p, i] = 1/(lam_i - lam_p), zero on the diagonal.
 
     Batched over the leading axes of the ascending roots ``lam`` and their
-    rates ``roots_dt``, against which xi broadcasts: over the gap matrix
-    (``_c1_m``), for m = 2 from the entries on the one gap (``_c1_2``).
+    rates ``roots_dt``, against which xi broadcasts; entry by entry from
+    ``_root_gaps``: K_pq = -lam_q' P_q R_pq / P_p and K_pp = lam_p' sum_{i != p} R_pi.
     """
-    if lam.shape[-1] != 2:
-        return _c1_m(lam, roots_dt, xi)
-    k, _, r = _c1_2(lam, roots_dt, xi)
-    K = np.stack(k, axis=-1).reshape(k[0].shape + (2, 2))
-    R = np.zeros_like(K)
-    R[..., 0, 1] = r
-    R[..., 1, 0] = -r
-    return K, R
-
-
-def _c1_m(lam, roots_dt, xi):
-    """``_c1`` over the gap matrix G and its row products P."""
     m = lam.shape[-1]
     G, P = _root_gaps(lam, _UNDERFLOW * jbracket(xi))
-    eye = np.eye(m)
-    R = 1.0 / (G + eye) - eye
-    dt = np.asarray(roots_dt, dtype=float)[..., None, :]  # d/dt lam_q, along the columns
-    K = -dt * P[..., None, :] * R / P[..., :, None]
-    diag = np.arange(m)
-    K[..., diag, diag] = dt[..., 0, :] * R.sum(axis=-1)
-    return K, R
-
-
-def _c1_2(lam, roots_dt, xi):
-    """``_c1_m`` at m = 2, bit for bit: the entries (K_00, K_01, K_10, K_11), the gap g = lam_1 - lam_0 and r = 1/g.
-
-    With P = (g, -g) and R_01 = -R_10 = r, K_01 = ((-lam_1' P_1) R_01) / P_0 = ((lam_1' g) r) / g,
-    K_10 = -(((lam_0' g) r) / g), and the diagonal K_pp = lam_p' (R_p0 + R_p1) = (lam_0' r, -(lam_1' r)).
-    """
-    g = _gap_floor(lam, _UNDERFLOW * jbracket(xi))[..., 0]
-    r = 1.0 / g
     dt = np.asarray(roots_dt, dtype=float)
-    d0, d1 = dt[..., 0], dt[..., 1]
-    k = (d0 * r, d1 * g * r / g, -(d0 * g * r / g), -(d1 * r))
-    return k, g, r
+    top = -dt * P  # -lam_q' P_q
+    K = np.empty(lam.shape + (m,))
+    R = np.zeros_like(K)
+    for p in range(m):
+        row_sum = 0.0
+        for q in range(m):
+            if q != p:
+                r = 1.0 / G[p][q]
+                R[..., p, q] = r
+                K[..., p, q] = top[..., q] * r / P[..., p]
+                row_sum = row_sum + r
+        K[..., p, p] = dt[..., p] * row_sum
+    return K, R
 
 
 def c1_entries(lam, lam_dot, xi) -> np.ndarray:
@@ -147,9 +120,9 @@ def c1_entries(lam, lam_dot, xi) -> np.ndarray:
 
     ``lam_dot`` holds the real time derivatives d/dt lam_k; the operator
     convention D_t = -i d/dt makes every entry purely imaginary.  With the
-    gap matrix G[p, i] = lam_i - lam_p and P_p = prod_{i != p} G[p, i]:
+    root gaps G[p][i] = lam_i - lam_p and P_p = prod_{i != p} G[p][i]:
 
-        e_pp = -D_t lam_p  sum_{i != p} 1/G[p, i]
+        e_pp = -D_t lam_p  sum_{i != p} 1/G[p][i]
         e_pq = -D_t lam_q  P_q / ((lam_p - lam_q) P_p)
     """
     return 1j * _c1(lam, lam_dot, xi)[0]
@@ -200,7 +173,7 @@ def m3_weights(spec: HyperbolicOperatorSpec, xi, t: float) -> np.ndarray:
     def gap_sums(ss):
         """Root rates and gap sums g_p at the times ss, times first."""
         lam, lam_dot = roots_on_times(spec, ss.reshape(ss.shape + (1,) * xi.ndim), xi)
-        return lam_dot, _root_gaps(lam)[0].sum(axis=-1)
+        return lam_dot, np.stack([sum(row) for row in _root_gaps(lam)[0]], axis=-1)
 
     g0, g1 = gap_sums(np.array([0.0, t]))[1]
     vanishes = np.minimum(np.abs(g0), np.abs(g1)) < spec.delta_sep * jbracket(xi)[..., None]

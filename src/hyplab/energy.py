@@ -88,8 +88,9 @@ kappa) turn V = M1^-1 U into
 
     V' = i Lam V + K V,   K = -i C1 = -M1^-1 M1',
 
-with C1 the paper's first-step correction and K real (``diagonalizers._c1``),
-of size |a'|/a whatever xi.  Only the phases Phi_p = int lam_p rotate at rate ~<xi>,
+with C1 the paper's first-step correction and K real, of size |a'|/a
+whatever xi; one ``diagonalizers._c1`` call forms K at the nodes of every
+frequency.  Only the phases Phi_p = int lam_p rotate at rate ~<xi>,
 and each frame step removes them exactly: its propagator is
 diag(exp(i dPhi)) exp(Omega1 + Omega2).  dPhi is the Hermite-corrected
 trapezoid h (lam_n + lam_n+1)/2 + h^2 (lam_n' - lam_n+1')/12.  Omega1 holds
@@ -111,9 +112,10 @@ differences of exp.  For m = 2 the exponential is the closed form
 C = cosh sqrt(delta) and S = sinh sqrt(delta) / sqrt(delta) (Moler & Van
 Loan, SIAM Rev. 45, 2003); for m > 2 it is ``_expm``.  At m = 2 a node
 step (``_node_steps_2``) forms Omega1, Omega2 and dPhi from per-step
-scalars of the one root pair (K_00, K_01, K_10, K_11, ds_01 and ds_01/g at
-both ends), each entry by the (m, m) formula's floating-point operations in
-their order (``_node_steps_m``), so that both give the same bits.  The node
+scalars of the one root pair (the coupling's four entries, read from K, and
+ds_01 and ds_01/g at both ends, g = lam_1 - lam_0), each entry by the
+(m, m) formula's floating-point operations in their order
+(``_node_steps_m``), so that both give the same bits.  The node
 propagators of the whole sweep are formed ``BATCH`` // 2 steps at a time
 and reduced like the Magnus ones, V enters as M1^-1 U at a frequency's
 first frame node (``diagonalizers.m1_inverse_symbol``), and the norm at a
@@ -134,7 +136,7 @@ import numpy as np
 
 from .companion import HyperbolicityViolation, HyperbolicOperatorSpec, NearMultipleRoot
 from .companion import _jets, _roots, _root_rates, _row_scale, characteristic_roots
-from .diagonalizers import _c1, _c1_2, m1_inverse_symbol, m1_symbol
+from .diagonalizers import _c1, m1_inverse_symbol, m1_symbol
 from .moduli import AuxiliaryFunction
 from .weights import _check_grid, _top_decade_fit, jbracket
 from .zones import ZoneParams, validate_zone
@@ -426,12 +428,12 @@ def _divided_moments(a, b, c, pa, pb, pc):
     return D
 
 
-def _frame_propagators(pts, lam, lam_dot, xi, start):
+def _frame_propagators(pts, lam, lam_dot, K, start):
     """Propagators diag(exp(i dPhi)) exp(Omega1 + Omega2) of V = M1^-1 U, from node start[j] to the next.
 
-    ``lam`` and ``lam_dot`` hold the roots and their rates at the nodes pts,
-    of frequencies xi (module docstring).  The shape is (m, m, n + 1) for n
-    steps; the last propagator is I, for padded steps.  Formed BATCH // 2
+    ``lam``, ``lam_dot`` and ``K`` hold the roots, their rates and the
+    coupling at the nodes pts (module docstring).  The shape is (m, m, n + 1)
+    for n steps; the last propagator is I, for padded steps.  Formed BATCH // 2
     steps at a time, which bounds the temporaries: by ``_node_steps_m``, for
     m = 2 by ``_node_steps_2``.
     """
@@ -446,24 +448,23 @@ def _frame_propagators(pts, lam, lam_dot, xi, start):
         nodes = slice(a[0], a[-1] + 2)  # the nodes these steps touch
         i, j = a - a[0], a + 1 - a[0]  # the two nodes of each step, within the slice
         h = pts[a + 1] - pts[a]
-        P[:, :, lo : lo + a.size] = node_steps(lam[nodes], lam_dot[nodes], xi[nodes], i, j, h)
+        P[:, :, lo : lo + a.size] = node_steps(lam[nodes], lam_dot[nodes], K[nodes], i, j, h)
     return P
 
 
-def _node_steps_m(lm, ld, xi, i, j, h):
-    """Frame propagators, (m, m, steps), of the steps of lengths h from the nodes i to the nodes j of the roots lm and rates ld."""
+def _node_steps_m(lm, ld, K, i, j, h):
+    """Frame propagators, (m, m, steps), of the steps of lengths h from the nodes i to the nodes j of the node roots lm, rates ld and coupling K."""
     m = lm.shape[-1]
     diag = np.eye(m, dtype=bool)
     upper = np.triu_indices(m, 1)
-    coupling = _c1(lm, ld, xi)[0]  # V' = i Lam V + coupling V
     h = h[:, None]
     dphi = 0.5 * h * (lm[i] + lm[j]) + h**2 / 12.0 * (ld[i] - ld[j])
     ds = dphi[:, None, :] - dphi[:, :, None]  # increment of s_pq = Phi_q - Phi_p
     gap = lm[:, None, :] - lm[:, :, None]  # s_pq' = lam_q - lam_p
     # coupling per unit s_pq at either end, times the increment of s_pq
     # (on the diagonal s_pp = 0, and the variable is t)
-    left = coupling[i] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[i]))
-    right = coupling[j] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[j]))
+    left = K[i] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[i]))
+    right = K[j] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[j]))
     # the Filon weights are phi_2 and phi_1 - phi_2; ds is real and antisymmetric,
     # so phi_2 is evaluated on the pairs p < q, conjugated below them, 1/2 on the diagonal
     w = _phi2(ds[:, upper[0], upper[1]])
@@ -474,13 +475,13 @@ def _node_steps_m(lm, ld, xi, i, j, h):
     omega = left * w0 + right * (p1 - w0)
     # second Magnus term with the coupling K frozen at the step's mean and the
     # phases linear: 1/2 h^2 sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr))
-    mean = 0.5 * (coupling[i] + coupling[j])
+    mean = 0.5 * (K[i] + K[j])
     omega += 0.5 * h[..., None] ** 2 * _commutator_moments(mean, ds, w0, p1)
     omega = np.ascontiguousarray(omega.transpose(1, 2, 0))  # steps last, for _mul
     return np.exp(1j * dphi.T)[:, None] * (_expm2 if m == 2 else _expm)(omega)
 
 
-def _node_steps_2(lm, ld, xi, i, j, h):
+def _node_steps_2(lm, ld, K, i, j, h):
     """``_node_steps_m`` at m = 2 from per-step scalars of the one root pair, bit for bit.
 
     With d = dPhi_1 - dPhi_0 (so ds = [[0, d], [-d, 0]]) and g = lam_1 - lam_0,
@@ -489,7 +490,8 @@ def _node_steps_2(lm, ld, xi, i, j, h):
     1/2, and Omega2 on it is +-1/2 h^2 2i (M_01 M_10) Im phi_2(i d), M the
     step's mean coupling.
     """
-    (k00, k01, k10, k11), g, _ = _c1_2(lm, ld, xi)
+    k00, k01, k10, k11 = K[:, 0, 0], K[:, 0, 1], K[:, 1, 0], K[:, 1, 1]
+    g = lm[:, 1] - lm[:, 0]
     hc = h[:, None]
     dphi = 0.5 * hc * (lm[i] + lm[j]) + hc**2 / 12.0 * (ld[i] - ld[j])
     d = dphi[:, 1] - dphi[:, 0]
@@ -713,7 +715,8 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
     pts = np.where(inner, sample_times[fk[iv]] + h_k[ff[iv], fk[iv]] * step_of, exp.T)
     xi_n = xi[ff[iv]]
     lam, lam_dot = characteristic_roots(spec, pts, xi_n)  # the nodes all lie in (0, T]
-    P_frame = _frame_propagators(pts, lam, lam_dot, xi_n, np.flatnonzero(inner))
+    coupling = _c1(lam, lam_dot, xi_n)[0]
+    P_frame = _frame_propagators(pts, lam, lam_dot, coupling, np.flatnonzero(inner))
     off = np.cumsum(n_f) - n_f  # each frame interval's first step
 
     def frame_steps(i, step, live):

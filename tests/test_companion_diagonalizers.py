@@ -10,8 +10,6 @@ from hyplab.companion import (
     _companion,
     _root_gaps,
     _root_rates,
-    _root_rates_2,
-    _root_rates_m,
     _roots,
     characteristic_roots,
     companion_symbol,
@@ -358,7 +356,7 @@ def _simpson_of_the_integrand(spec, xi, T, n):
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return (ss[1] - ss[0]) / 3.0 * (w @ (-1j * lam_dot / _root_gaps(lam)[0].sum(axis=-1)))
+    return (ss[1] - ss[0]) / 3.0 * (w @ (-1j * lam_dot / np.stack([sum(row) for row in _root_gaps(lam)[0]], axis=-1)))
 
 
 @pytest.mark.parametrize("xi", [16.0, 64.0, 256.0])
@@ -409,7 +407,8 @@ def test_m3_weights_reject_a_gap_sum_that_vanishes(profile):
     # lam^3 - a_2 xi^2 lam: roots 0 and +-xi sqrt(a_2), so the middle root's gap
     # sum is zero up to round-off at both ends, a pole there and no sign change
     spec = HyperbolicOperatorSpec(3, (None, CoefficientSpec(profile, base=2.0, delta=0.5), None))
-    g = _root_gaps(roots_on_times(spec, np.array([0.0, 0.5])[:, None], np.array([4.0, 64.0]))[0])[0].sum(axis=-1)
+    G = _root_gaps(roots_on_times(spec, np.array([0.0, 0.5])[:, None], np.array([4.0, 64.0]))[0])[0]
+    g = np.stack([sum(row) for row in G], axis=-1)
     assert np.max(np.abs(g[..., 1])) < 1e-12 * 64.0
     with pytest.raises(ValueError, match="the gap sum of root 1 vanishes at xi=4$"):
         m3_weights(spec, np.array([4.0, 64.0]), 0.5)
@@ -536,33 +535,42 @@ def _root_pairs(shape, seed):
 
 @pytest.mark.parametrize("shape", [(500,), (7, 60)], ids=["n", "f_t"])
 def test_m2_closed_forms_are_the_general_formulas_bit_for_bit(shape):
+    # the one formula at m = 2 against its closed forms on the one gap g = lam_1 - lam_0 and
+    # r = 1/g, written out here as the reference: P = (g, -g), so p'(lam) = (-g, g),
+    # K_01 = ((lam_1' g) r) / g, K_10 = -(((lam_0' g) r) / g), K_pp = (lam_0' r, -(lam_1' r))
     lam, rates, xi = _root_pairs(shape, 35)
+    g = lam[..., 1] - lam[..., 0]
+    r = 1.0 / g
+    d0, d1 = rates[..., 0], rates[..., 1]
     K, R = diagonalizers._c1(lam, rates, xi)
-    K_m, R_m = diagonalizers._c1_m(lam, rates, xi)
-    assert K.shape == K_m.shape == shape + (2, 2)
-    assert np.array_equal(K, K_m) and np.array_equal(R, R_m)
+    assert K.shape == R.shape == shape + (2, 2)
+    K_2 = np.stack((d0 * r, d1 * g * r / g, -(d0 * g * r / g), -(d1 * r)), axis=-1).reshape(shape + (2, 2))
+    R_2 = np.zeros_like(K_2)
+    R_2[..., 0, 1] = r
+    R_2[..., 1, 0] = -r
+    assert np.array_equal(K, K_2) and np.array_equal(R, R_2)
     b_dot = rates * xi[..., None] ** np.array([2, 1])
-    assert np.array_equal(_root_rates_2(lam, b_dot), _root_rates_m(lam, b_dot))
-    assert np.array_equal(_root_rates(lam, rates, xi), _root_rates_m(lam, b_dot))
-    z = lam / jbracket(xi)[..., None]
-    assert np.array_equal(m1_symbol(lam, xi), diagonalizers._m1_m(z))
+    rates_2 = (b_dot[..., 1:] * lam + b_dot[..., :1]) / np.stack((-g, g), axis=-1)
+    assert np.array_equal(_root_rates(lam, rates, xi), rates_2)
+    M1_2 = np.empty(shape + (2, 2), dtype=complex)
+    M1_2[..., 0, :] = 1.0
+    M1_2[..., 1, :] = lam / jbracket(xi)[..., None]
+    assert np.array_equal(m1_symbol(lam, xi), M1_2)
 
 
 @pytest.mark.parametrize(
-    "closed, general, args",
+    "formula, args, message",
     [
-        (diagonalizers._c1_2, diagonalizers._c1_m, (np.array([[1.0, 3.0], [2.0, 2.0 + 1e-13]]), np.ones((2, 2)), 1.0)),
-        (_root_rates_2, _root_rates_m, (np.array([[1.0, 0.5]]), np.ones((1, 2)))),
+        (diagonalizers._c1, (np.array([[1.0, 3.0], [2.0, 2.0 + 1e-13]]), np.ones((2, 2)), 1.0), "1.414e-12"),
+        (_root_rates, (np.array([[1.0, 0.5]]), np.ones((1, 2)), 1.0), "0.000e+00"),
     ],
     ids=["c1", "root_rates_descending"],
 )
-def test_m2_closed_forms_raise_as_the_general_formulas(closed, general, args):
-    # a gap below the underflow guard (for the rates, a negative one) raises with the general path's message
-    with pytest.raises(NearMultipleRoot) as want:
-        general(*args)
+def test_m2_closed_forms_raise_as_the_general_formulas(formula, args, message):
+    # a gap below the underflow guard (for the rates, a negative one) raises with the gap helper's message
     with pytest.raises(NearMultipleRoot) as got:
-        closed(*args)
-    assert str(got.value) == str(want.value)
+        formula(*args)
+    assert str(got.value) == f"root gap underflow below {message}"
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -924,10 +924,10 @@ def test_m3_weights_keep_the_scalar_simpson_rule(monkeypatch):
         2, (CoefficientSpec("constant", base=2.0), CoefficientSpec("log_power_oscillation", base=1.0, delta=0.4))
     )
     xi, t, n = 256.0, 0.5, 512
-    ends = _root_gaps(roots_on_times(spec, np.array([0.0, t]), xi)[0])[0].sum(axis=-1)
+    ends = np.stack([sum(row) for row in _root_gaps(roots_on_times(spec, np.array([0.0, t]), xi)[0])[0]], axis=-1)
     xs = np.linspace(0.0, t, n + 1)
     lam, lam_dot = roots_on_times(spec, xs, xi)
-    g = _root_gaps(lam)[0].sum(axis=-1)
+    g = np.stack([sum(row) for row in _root_gaps(lam)[0]], axis=-1)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

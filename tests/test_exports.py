@@ -58,3 +58,28 @@ def test_profile_names_are_compared_only_where_a_profile_is_decided():
         ("coefficients.py", "__post_init__"),
         ("cli.py", "_oscillating_index"),
     }, sorted(sites.items())
+
+
+def test_order_two_is_compared_only_where_an_algorithm_is_chosen():
+    # M1, the root rates and the coupling C1 are one formula at every order m;
+    # m = 2 may pick its own algorithm only where one is chosen (the roots, the
+    # Magnus factor, the node step and the commutator's three-index terms) and
+    # bound the order from below
+    sites = {}
+    for name in ("companion.py", "diagonalizers.py", "energy.py"):
+        path = pathlib.Path(hyplab.__path__[0]) / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # ast.walk is breadth first, so a nested function's name overwrites its outer one
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+            for node in ast.walk(scope):
+                operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+                if any(isinstance(v, ast.Constant) and v.value == 2 for v in operands):
+                    sites[(name, node.lineno, node.col_offset)] = getattr(scope, "name", "<module>")
+    assert {(where[0], scope) for where, scope in sites.items()} == {
+        ("companion.py", "__post_init__"),
+        ("companion.py", "_roots"),
+        ("energy.py", "_magnus_propagators"),
+        ("energy.py", "_frame_propagators"),
+        ("energy.py", "_node_steps_m"),
+        ("energy.py", "_commutator_moments"),
+    }, sorted(sites.items())
