@@ -32,6 +32,8 @@ broadcasts, and is complex with trailing (m, m) axes.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .companion import HyperbolicOperatorSpec, _root_gaps, roots_on_times
@@ -91,28 +93,27 @@ def m1_inverse_symbol(lam, xi) -> np.ndarray:
 
 
 def _c1(lam, roots_dt, xi):
-    """The real coupling K = -i C1 and the reciprocal gaps R[..., p, i] = 1/(lam_i - lam_p), zero on the diagonal.
+    """The real coupling K = -i C1.
 
     Batched over the leading axes of the ascending roots ``lam`` and their
     rates ``roots_dt``, against which xi broadcasts; entry by entry from
-    ``_root_gaps``: K_pq = -lam_q' P_q R_pq / P_p and K_pp = lam_p' sum_{i != p} R_pi.
+    ``_root_gaps``, with R_pi = 1/(lam_i - lam_p): K_pq = -lam_q' P_q R_pq / P_p
+    and K_pp = lam_p' sum_{i != p} R_pi.
     """
     m = lam.shape[-1]
     G, P = _root_gaps(lam, _UNDERFLOW * jbracket(xi))
     dt = np.asarray(roots_dt, dtype=float)
     top = -dt * P  # -lam_q' P_q
     K = np.empty(lam.shape + (m,))
-    R = np.zeros_like(K)
     for p in range(m):
         row_sum = 0.0
         for q in range(m):
             if q != p:
                 r = 1.0 / G[p][q]
-                R[..., p, q] = r
                 K[..., p, q] = top[..., q] * r / P[..., p]
                 row_sum = row_sum + r
         K[..., p, p] = dt[..., p] * row_sum
-    return K, R
+    return K
 
 
 def c1_entries(lam, lam_dot, xi) -> np.ndarray:
@@ -125,7 +126,7 @@ def c1_entries(lam, lam_dot, xi) -> np.ndarray:
         e_pp = -D_t lam_p  sum_{i != p} 1/G[p][i]
         e_pq = -D_t lam_q  P_q / ((lam_p - lam_q) P_p)
     """
-    return 1j * _c1(lam, lam_dot, xi)[0]
+    return 1j * _c1(lam, lam_dot, xi)
 
 
 def m2_symbol(lam, lam_dot, xi) -> np.ndarray:
@@ -137,8 +138,12 @@ def m2_symbol(lam, lam_dot, xi) -> np.ndarray:
     frequency of the first such matrix and its largest entry.
     """
     m = lam.shape[-1]
-    K, R = _c1(lam, lam_dot, xi)
-    D = np.eye(m) - 1j * K * R  # R = -1/(lam_p - lam_q) off the diagonal, zero on it
+    K = _c1(lam, lam_dot, xi)
+    G, _ = _root_gaps(lam)
+    R = np.zeros_like(K)  # R = 1/(lam_q - lam_p) off the diagonal, zero on it
+    for p, q in itertools.permutations(range(m), 2):
+        R[..., p, q] = 1.0 / G[p][q]
+    D = np.eye(m) - 1j * K * R
     off = np.max(np.abs(D - np.eye(m)), axis=(-2, -1))
     bad = off >= 1.0 / (2.0 * m)
     if bad.any():

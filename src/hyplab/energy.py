@@ -110,12 +110,11 @@ plus, for m >= 3, the terms of three distinct indices, which take divided
 differences of exp.  For m = 2 the exponential is the closed form
 ``_expm2``, e^mu (C I + S (Omega - mu I)) with mu half the trace,
 C = cosh sqrt(delta) and S = sinh sqrt(delta) / sqrt(delta) (Moler & Van
-Loan, SIAM Rev. 45, 2003); for m > 2 it is ``_expm``.  At m = 2 a node
-step (``_node_steps_2``) forms Omega1, Omega2 and dPhi from per-step
-scalars of the one root pair (the coupling's four entries, read from K, and
-ds_01 and ds_01/g at both ends, g = lam_1 - lam_0), each entry by the
-(m, m) formula's floating-point operations in their order
-(``_node_steps_m``), so that both give the same bits.  The node
+Loan, SIAM Rev. 45, 2003); for m > 2 it is ``_expm``.  One node step
+serves every m (``_node_steps``): it forms Omega1 and Omega2 entry by
+entry, from per-step arrays of each pair p < q (ds_pq, ds_pq/g at both
+ends with g = lam_q - lam_p, and the pair's weights) and of the coupling's
+entries, with no (m, m) array of increments or weights.  The node
 propagators of the whole sweep are formed ``BATCH`` // 2 steps at a time
 and reduced like the Magnus ones, V enters as M1^-1 U at a frequency's
 first frame node (``diagonalizers.m1_inverse_symbol``), and the norm at a
@@ -128,6 +127,7 @@ log(amplification) against log<xi> over the top two decades of the sweep.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -369,35 +369,47 @@ def _phi2(ds):
     return out
 
 
-def _commutator_moments(K, ds, w0, p1):
-    """sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr)) for real K[..., p, q] and the pair increments ds[..., p, q] = s_pq.
+def _commutator_moments(M, ds, w, p1):
+    """sum_r M_pr M_rq (J(s_pr, s_rq) - J(s_rq, s_pr)), (m, m, steps), for real M[p, q] and the pair increments s_pq.
 
-    J(a, b) = int_0^1 du int_0^u dv exp(i (a u + b v)).  ``w0`` and ``p1``
-    hold phi_2(i s) and phi_1(i s) = (exp(i s) - 1)/(i s) of the same pairs.
-    A term with a repeated index needs no more: J(0, s) = phi_2(i s),
-    J(s, 0) = phi_1(i s) - phi_2(i s) and J(s, -s) = phi_2(i s), so the terms
-    r = p and r = q of an entry p != q add up to
+    J(a, b) = int_0^1 du int_0^u dv exp(i (a u + b v)).  Row k of ``ds``,
+    ``w`` and ``p1`` holds s_pq, phi_2(i s_pq) and phi_1(i s_pq) =
+    (exp(i s_pq) - 1)/(i s_pq) of the k-th pair p < q in lexicographic order;
+    s is real and antisymmetric, so s_qp = -s_pq and phi_2 and phi_1 of
+    i s_qp are the conjugates.  A term with a repeated index needs no more:
+    J(0, s) = phi_2(i s), J(s, 0) = phi_1(i s) - phi_2(i s) and
+    J(s, -s) = phi_2(i s), so the terms r = p and r = q of an entry p != q
+    add up to
 
-        K_pq (K_pp - K_qq) (2 phi_2(i s_pq) - phi_1(i s_pq)),
+        M_pq (M_pp - M_qq) (2 phi_2(i s_pq) - phi_1(i s_pq)),
 
-    and a diagonal entry is sum_r K_pr K_rp (phi_2(i s_pr) - phi_2(i s_rp)),
-    where phi_2(i s_rp) = conj phi_2(i s_pr) since ds is real and
-    antisymmetric.  Only the terms r outside {p, q} of an entry p != q
-    (m >= 3) take divided differences (``_divided_moments``).
+    and a diagonal entry is 2i sum_{r != p} M_pr M_rp Im phi_2(i s_pr).  Only
+    the terms r outside {p, q} of an entry p != q (m >= 3) take divided
+    differences (``_divided_moments``).  Each entry sums its terms in
+    ascending r.
     """
-    m = K.shape[-1]
-    d = np.diagonal(K, axis1=-2, axis2=-1)
-    out = K * (d[..., :, None] - d[..., None, :]) * (2.0 * w0 - p1)
-    k = np.arange(m)
-    out[..., k, k] = 2j * (K * np.swapaxes(K, -1, -2) * w0.imag).sum(-1)
-    if m > 2:
-        p, q, r = np.indices((m, m, m)).reshape(3, -1)
-        distinct = (p != r) & (r != q) & (p != q)
-        p, q, r = p[distinct], q[distinct], r[distinct]  # m - 2 consecutive values of r per entry (p, q)
-        pairs = (p, r), (r, q), (p, q)
-        D = _divided_moments(*(ds[..., i, j] for i, j in pairs), *(p1[..., i, j] for i, j in pairs))
-        terms = K[..., p, r] * K[..., r, q] * D
-        out[..., p[:: m - 2], q[:: m - 2]] += terms.reshape(terms.shape[:-1] + (-1, m - 2)).sum(-1)
+    m, n = M.shape[0], M.shape[-1]
+    out = np.empty((m, m, n), dtype=complex)
+    u = {}  # M_pr M_rp Im phi_2(i s_pr)
+    for k, (p, q) in enumerate(itertools.combinations(range(m), 2)):
+        diff = M[p, p] - M[q, q]
+        twice = 2.0 * w[k] - p1[k]
+        out[p, q] = (M[p, q] * diff) * twice
+        out[q, p] = (M[q, p] * -diff) * twice.conj()
+        u[p, q] = (M[p, q] * M[q, p]) * w[k].imag
+        u[q, p] = -u[p, q]
+    for p in range(m):
+        out[p, p] = 2j * sum(u[p, r] for r in range(m) if r != p)
+    triples = list(itertools.permutations(range(m), 3))  # m - 2 consecutive values of r per entry (p, q)
+    if triples:
+        s, f = np.zeros((m, m, n)), np.ones((m, m, n), dtype=complex)  # s_pq and phi_1(i s_pq) of every pair
+        ip, iq = np.triu_indices(m, 1)
+        s[ip, iq], s[iq, ip] = ds, -ds
+        f[ip, iq], f[iq, ip] = p1, p1.conj()
+        p, q, r = np.array(triples).T
+        D = _divided_moments(s[p, r], s[r, q], s[p, q], f[p, r], f[r, q], f[p, q])
+        terms = ((M[p, r] * M[r, q]) * D).reshape(m * (m - 1), m - 2, n)
+        out[p[:: m - 2], q[:: m - 2]] += sum(terms[:, k] for k in range(m - 2))
     return out
 
 
@@ -433,86 +445,51 @@ def _frame_propagators(pts, lam, lam_dot, K, start):
 
     ``lam``, ``lam_dot`` and ``K`` hold the roots, their rates and the
     coupling at the nodes pts (module docstring).  The shape is (m, m, n + 1)
-    for n steps; the last propagator is I, for padded steps.  Formed BATCH // 2
-    steps at a time, which bounds the temporaries: by ``_node_steps_m``, for
-    m = 2 by ``_node_steps_2``.
+    for n steps; the last propagator is I, for padded steps.  Formed by
+    ``_node_steps``, BATCH // 2 steps at a time, which bounds the temporaries.
     """
     m = lam.shape[-1]
     n = start.size
     P = np.empty((m, m, n + 1), dtype=complex)
     P[:, :, n] = np.eye(m)
-    node_steps = _node_steps_2 if m == 2 else _node_steps_m
     chunk = max(1, BATCH // 2)
     for lo in range(0, n, chunk):
         a = start[lo : lo + chunk]
         nodes = slice(a[0], a[-1] + 2)  # the nodes these steps touch
         i, j = a - a[0], a + 1 - a[0]  # the two nodes of each step, within the slice
         h = pts[a + 1] - pts[a]
-        P[:, :, lo : lo + a.size] = node_steps(lam[nodes], lam_dot[nodes], K[nodes], i, j, h)
+        P[:, :, lo : lo + a.size] = _node_steps(lam[nodes], lam_dot[nodes], K[nodes], i, j, h)
     return P
 
 
-def _node_steps_m(lm, ld, K, i, j, h):
-    """Frame propagators, (m, m, steps), of the steps of lengths h from the nodes i to the nodes j of the node roots lm, rates ld and coupling K."""
-    m = lm.shape[-1]
-    diag = np.eye(m, dtype=bool)
-    upper = np.triu_indices(m, 1)
-    h = h[:, None]
-    dphi = 0.5 * h * (lm[i] + lm[j]) + h**2 / 12.0 * (ld[i] - ld[j])
-    ds = dphi[:, None, :] - dphi[:, :, None]  # increment of s_pq = Phi_q - Phi_p
-    gap = lm[:, None, :] - lm[:, :, None]  # s_pq' = lam_q - lam_p
-    # coupling per unit s_pq at either end, times the increment of s_pq
-    # (on the diagonal s_pp = 0, and the variable is t)
-    left = K[i] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[i]))
-    right = K[j] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[j]))
-    # the Filon weights are phi_2 and phi_1 - phi_2; ds is real and antisymmetric,
-    # so phi_2 is evaluated on the pairs p < q, conjugated below them, 1/2 on the diagonal
-    w = _phi2(ds[:, upper[0], upper[1]])
-    w0 = np.full(ds.shape, 0.5, dtype=complex)
-    w0[:, upper[0], upper[1]] = w
-    w0[:, upper[1], upper[0]] = w.conj()
-    p1 = 1.0 + 1j * ds * w0  # phi_1
-    omega = left * w0 + right * (p1 - w0)
-    # second Magnus term with the coupling K frozen at the step's mean and the
-    # phases linear: 1/2 h^2 sum_r K_pr K_rq (J(s_pr, s_rq) - J(s_rq, s_pr))
-    mean = 0.5 * (K[i] + K[j])
-    omega += 0.5 * h[..., None] ** 2 * _commutator_moments(mean, ds, w0, p1)
-    omega = np.ascontiguousarray(omega.transpose(1, 2, 0))  # steps last, for _mul
-    return np.exp(1j * dphi.T)[:, None] * (_expm2 if m == 2 else _expm)(omega)
+def _node_steps(lm, ld, K, i, j, h):
+    """Frame propagators, (m, m, steps), of the steps of lengths h from the nodes i to the nodes j of the node roots lm, rates ld and coupling K.
 
-
-def _node_steps_2(lm, ld, K, i, j, h):
-    """``_node_steps_m`` at m = 2 from per-step scalars of the one root pair, bit for bit.
-
-    With d = dPhi_1 - dPhi_0 (so ds = [[0, d], [-d, 0]]) and g = lam_1 - lam_0,
-    the entries p != q take d/g at either end and phi_2(i d) or its conjugate,
-    (-d)/(-g) = d/g and every conjugate being exact; the diagonal takes h and
-    1/2, and Omega2 on it is +-1/2 h^2 2i (M_01 M_10) Im phi_2(i d), M the
-    step's mean coupling.
+    Entry by entry (module docstring): a pair p < q takes its increment
+    d = dPhi_q - dPhi_p, d/g at either end (g = lam_q - lam_p; below the
+    diagonal (-d)/(-g) = d/g exactly), and phi_2(i d) and phi_1(i d),
+    conjugated below the diagonal; a diagonal entry takes the trapezoid in
+    t.  Omega2 is 1/2 h^2 times ``_commutator_moments`` of the step's mean
+    coupling.
     """
-    k00, k01, k10, k11 = K[:, 0, 0], K[:, 0, 1], K[:, 1, 0], K[:, 1, 1]
-    g = lm[:, 1] - lm[:, 0]
+    m = lm.shape[-1]
+    li, lj, di, dj = (np.take(x, e, axis=0) for x in (lm, ld) for e in (i, j))  # np.take: faster than x[e]
+    Ki, Kj = (np.take(K, e, axis=0).transpose(1, 2, 0) for e in (i, j))  # (m, m, steps)
     hc = h[:, None]
-    dphi = 0.5 * hc * (lm[i] + lm[j]) + hc**2 / 12.0 * (ld[i] - ld[j])
-    d = dphi[:, 1] - dphi[:, 0]
-    ui, uj = d / g[i], d / g[j]  # ds per unit s' at either end
-    w = _phi2(d)
-    p1 = 1.0 + 1j * d * w  # phi_1
-    q = p1 - w
-    c = 0.5 * h**2  # Omega2's factor
-    diff = 0.5 * (k00[i] + k00[j]) - 0.5 * (k11[i] + k11[j])  # of the mean coupling's diagonal
-    m01, m10 = 0.5 * (k01[i] + k01[j]), 0.5 * (k10[i] + k10[j])
-    twice = 2.0 * w - p1
-    X = np.empty((2, 2, h.size), dtype=complex)
-    X[0, 1] = (k01[i] * ui) * w + (k01[j] * uj) * q
-    X[0, 1] += c * ((m01 * diff) * twice)
-    X[1, 0] = (k10[i] * ui) * w.conj() + (k10[j] * uj) * q.conj()
-    X[1, 0] += c * ((m10 * -diff) * twice.conj())
-    X.real[0, 0] = (k00[i] * h) * 0.5 + (k00[j] * h) * 0.5
-    X.real[1, 1] = (k11[i] * h) * 0.5 + (k11[j] * h) * 0.5
-    X.imag[0, 0] = c * (2.0 * ((m01 * m10) * w.imag))
-    X.imag[1, 1] = -X.imag[0, 0]
-    return np.exp(1j * dphi.T)[:, None] * _expm2(X)
+    dphi = (0.5 * hc * (li + lj) + hc**2 / 12.0 * (di - dj)).T
+    pairs = list(itertools.combinations(range(m), 2))  # p < q, in lexicographic order
+    ds = np.stack([dphi[q] - dphi[p] for p, q in pairs])
+    w = _phi2(ds)
+    p1 = 1.0 + 1j * ds * w
+    X = 0.5 * h**2 * _commutator_moments(0.5 * (Ki + Kj), ds, w, p1)
+    for k, (p, q) in enumerate(pairs):
+        ui, uj = ds[k] / (li[:, q] - li[:, p]), ds[k] / (lj[:, q] - lj[:, p])  # ds per unit s' at either end
+        rest = p1[k] - w[k]
+        X[p, q] += (Ki[p, q] * ui) * w[k] + (Kj[p, q] * uj) * rest
+        X[q, p] += (Ki[q, p] * ui) * w[k].conj() + (Kj[q, p] * uj) * rest.conj()
+    for p in range(m):
+        X.real[p, p] += (Ki[p, p] * h) * 0.5 + (Kj[p, p] * h) * 0.5
+    return np.exp(1j * dphi)[:, None] * (_expm2 if m == 2 else _expm)(X)
 
 
 def _magnus_propagators(coeffs, scale, jb, t, h):
@@ -655,7 +632,7 @@ def _plan(exp: FrequencyExperiment, idx):
     for j, c in coeffs:
         unit = np.zeros_like(lam_s)
         unit[:, j] = 1.0  # the coupling per unit rate of a_{m-j}
-        per_unit = _c1(lam_s, _root_rates(lam_s, unit, xi[f_c]), xi[f_c])[0]
+        per_unit = _c1(lam_s, _root_rates(lam_s, unit, xi[f_c]), xi[f_c])
         kappa += c.rate_bound(s[k_c]) * np.abs(per_unit).max(axis=(1, 2))
     tau = np.zeros((xi.size, n_int))
     tau[f_c, 1 + k_c] = c_h / (4.0 * kappa + rest[k_c])
@@ -715,7 +692,7 @@ def _integrate(exp: FrequencyExperiment, idx, U0, h_k, counts, magnus):
     pts = np.where(inner, sample_times[fk[iv]] + h_k[ff[iv], fk[iv]] * step_of, exp.T)
     xi_n = xi[ff[iv]]
     lam, lam_dot = characteristic_roots(spec, pts, xi_n)  # the nodes all lie in (0, T]
-    coupling = _c1(lam, lam_dot, xi_n)[0]
+    coupling = _c1(lam, lam_dot, xi_n)
     P_frame = _frame_propagators(pts, lam, lam_dot, coupling, np.flatnonzero(inner))
     off = np.cumsum(n_f) - n_f  # each frame interval's first step
 

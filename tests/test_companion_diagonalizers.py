@@ -542,13 +542,16 @@ def test_m2_closed_forms_are_the_general_formulas_bit_for_bit(shape):
     g = lam[..., 1] - lam[..., 0]
     r = 1.0 / g
     d0, d1 = rates[..., 0], rates[..., 1]
-    K, R = diagonalizers._c1(lam, rates, xi)
-    assert K.shape == R.shape == shape + (2, 2)
+    K = diagonalizers._c1(lam, rates, xi)
+    assert K.shape == shape + (2, 2)
     K_2 = np.stack((d0 * r, d1 * g * r / g, -(d0 * g * r / g), -(d1 * r)), axis=-1).reshape(shape + (2, 2))
     R_2 = np.zeros_like(K_2)
     R_2[..., 0, 1] = r
     R_2[..., 1, 0] = -r
-    assert np.array_equal(K, K_2) and np.array_equal(R, R_2)
+    assert np.array_equal(K, K_2)
+    # m2_symbol's reciprocal gaps R, at rates small enough that M2 stays below its 1/(2m) bound
+    slow = 1e-26 * rates
+    assert np.array_equal(m2_symbol(lam, slow, xi), np.eye(2) - 1j * diagonalizers._c1(lam, slow, xi) * R_2)
     b_dot = rates * xi[..., None] ** np.array([2, 1])
     rates_2 = (b_dot[..., 1:] * lam + b_dot[..., :1]) / np.stack((-g, g), axis=-1)
     assert np.array_equal(_root_rates(lam, rates, xi), rates_2)

@@ -597,12 +597,14 @@ def test_commutator_moments_match_quadrature():
         ds = dphi[:, None, :] - dphi[:, :, None]  # s_01 = a, s_12 = b, s_02 = a + b
         m = ds.shape[-1]
         K = rng.uniform(-1.0, 1.0, (a.size, m, m))
-        w0 = energy._phi2(ds)
-        got = energy._commutator_moments(K, ds, w0, 1.0 + 1j * ds * w0)
+        upper = np.triu_indices(m, 1)
+        pairs = ds[:, upper[0], upper[1]].T  # s_pq of the pairs p < q, in lexicographic order
+        w2 = energy._phi2(pairs)
+        got = energy._commutator_moments(K.transpose(1, 2, 0), pairs, w2, 1.0 + 1j * pairs * w2)
         for p, q in np.ndindex(m, m):
             ref = sum(K[:, p, r] * K[:, r, q] * (J(ds[:, p, r], ds[:, r, q]) - J(ds[:, r, q], ds[:, p, r])) for r in range(m))
             bound = 1e-12 if m > 2 and p != q else 1e-13  # an entry p != q of m >= 3 has terms of distinct indices
-            assert np.max(np.abs(got[:, p, q] - ref)) < bound, (m, p, q)
+            assert np.max(np.abs(got[p, q] - ref)) < bound, (m, p, q)
 
 
 def test_expm_matches_eigendecomposition():
@@ -651,10 +653,50 @@ def test_phi2_takes_each_branch_only_where_it_is_used():
     assert np.array_equal(energy._phi2(ds[:, None]), want[:, None])
 
 
-@pytest.mark.parametrize("batch", [None, 5], ids=["shipped_batch", "batch5"])
-def test_node_step_2_is_the_general_node_step_bit_for_bit(monkeypatch, batch):
-    # the frame inputs of a loss sweep row, formed by the m = 2 node step and by the general one;
-    # at BATCH = 5 in chunks of two steps
+def _dense_node_steps(lm, ld, K, i, j, h):
+    """The node step over (steps, m, m) arrays, every pair's entries at once: the reference for ``energy._node_steps``."""
+    m = lm.shape[-1]
+    diag = np.eye(m, dtype=bool)
+    upper = np.triu_indices(m, 1)
+    h = h[:, None]
+    dphi = 0.5 * h * (lm[i] + lm[j]) + h**2 / 12.0 * (ld[i] - ld[j])
+    ds = dphi[:, None, :] - dphi[:, :, None]  # increment of s_pq = Phi_q - Phi_p
+    gap = lm[:, None, :] - lm[:, :, None]  # s_pq' = lam_q - lam_p
+    left = K[i] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[i]))
+    right = K[j] * np.where(diag, h[..., None], ds / np.where(diag, 1.0, gap[j]))
+    w = energy._phi2(ds[:, upper[0], upper[1]])
+    w0 = np.full(ds.shape, 0.5, dtype=complex)
+    w0[:, upper[0], upper[1]] = w
+    w0[:, upper[1], upper[0]] = w.conj()
+    p1 = 1.0 + 1j * ds * w0  # phi_1
+    omega = left * w0 + right * (p1 - w0)
+    # the second Magnus term of the step's mean coupling M
+    M = 0.5 * (K[i] + K[j])
+    d = np.diagonal(M, axis1=-2, axis2=-1)
+    cm = M * (d[..., :, None] - d[..., None, :]) * (2.0 * w0 - p1)
+    k = np.arange(m)
+    cm[..., k, k] = 2j * (M * np.swapaxes(M, -1, -2) * w0.imag).sum(-1)
+    if m > 2:
+        p, q, r = np.indices((m, m, m)).reshape(3, -1)
+        distinct = (p != r) & (r != q) & (p != q)
+        p, q, r = p[distinct], q[distinct], r[distinct]
+        pairs = (p, r), (r, q), (p, q)
+        D = energy._divided_moments(*(ds[..., a, b] for a, b in pairs), *(p1[..., a, b] for a, b in pairs))
+        terms = M[..., p, r] * M[..., r, q] * D
+        cm[..., p[:: m - 2], q[:: m - 2]] += terms.reshape(terms.shape[:-1] + (-1, m - 2)).sum(-1)
+    omega += 0.5 * h[..., None] ** 2 * cm
+    omega = np.ascontiguousarray(omega.transpose(1, 2, 0))
+    return np.exp(1j * dphi.T)[:, None] * (energy._expm2 if m == 2 else energy._expm)(omega)
+
+
+@pytest.mark.parametrize(
+    "exp, batch",
+    [(loss_experiment(1.5), None), (loss_experiment(1.5), 5), (m3_log_power_experiment(), None), (m4_log_power_experiment(), None)],
+    ids=["shipped_batch", "batch5", "m3", "m4"],
+)
+def test_node_step_2_is_the_general_node_step_bit_for_bit(monkeypatch, exp, batch):
+    # the frame inputs of a sweep, formed by the entry-wise node step and by the dense
+    # reference above; at BATCH = 5 in chunks of two steps
     calls = []
     frame = energy._frame_propagators
 
@@ -663,15 +705,22 @@ def test_node_step_2_is_the_general_node_step_bit_for_bit(monkeypatch, batch):
         return frame(*args)
 
     monkeypatch.setattr(energy, "_frame_propagators", spy)
-    evolve_sweep(loss_experiment(1.5))
+    evolve_sweep(exp)
     (args,) = calls
     if batch is not None:
         monkeypatch.setattr(energy, "BATCH", batch)
         args = args[:-1] + (args[-1][:400],)
-    assert args[-1].size >= 400
+    assert args[-1].size >= (400 if exp.operator.m == 2 else 300) and args[2].shape[-1] == exp.operator.m
+    node_steps = energy._node_steps
     got = frame(*args)
-    monkeypatch.setattr(energy, "_node_steps_2", energy._node_steps_m)
+    monkeypatch.setattr(energy, "_node_steps", _dense_node_steps)
     assert np.array_equal(got, frame(*args))
+    # the exponents Omega1 + Omega2 too, whose last bits the exponential can round away
+    for name in ("_expm", "_expm2"):
+        monkeypatch.setattr(energy, name, lambda X: X)
+    exponents = frame(*args)
+    monkeypatch.setattr(energy, "_node_steps", node_steps)
+    assert np.array_equal(frame(*args), exponents)
 
 
 def test_amplification_definition():

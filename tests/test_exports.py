@@ -61,10 +61,10 @@ def test_profile_names_are_compared_only_where_a_profile_is_decided():
 
 
 def test_order_two_is_compared_only_where_an_algorithm_is_chosen():
-    # M1, the root rates and the coupling C1 are one formula at every order m;
-    # m = 2 may pick its own algorithm only where one is chosen (the roots, the
-    # Magnus factor, the node step and the commutator's three-index terms) and
-    # bound the order from below
+    # M1, the root rates, the coupling C1 and the frame's node step are one
+    # formula at every order m; m = 2 may pick its own algorithm only where one
+    # is chosen (the roots, the Magnus factor and the node step's exponential)
+    # and bound the order from below
     sites = {}
     for name in ("companion.py", "diagonalizers.py", "energy.py"):
         path = pathlib.Path(hyplab.__path__[0]) / name
@@ -79,7 +79,5 @@ def test_order_two_is_compared_only_where_an_algorithm_is_chosen():
         ("companion.py", "__post_init__"),
         ("companion.py", "_roots"),
         ("energy.py", "_magnus_propagators"),
-        ("energy.py", "_frame_propagators"),
-        ("energy.py", "_node_steps_m"),
-        ("energy.py", "_commutator_moments"),
+        ("energy.py", "_node_steps"),
     }, sorted(sites.items())
